@@ -139,22 +139,13 @@ def cover_to_json(centers, eps):
     return {"centers": list(centers), "eps": float(eps), "size": len(centers)}
 
 
-def _pairwise(matrix, selected):
-    return tuple(float(matrix[a, b]) for i, a in enumerate(selected)
-                 for b in selected[i + 1:])
-
-
 def greedy_packing(family, radius):
     """Maximal-by-inclusion greedy radius-separated subset, in index order."""
     if radius <= 0:
         raise ValueError("radius must be positive")
     if getattr(family, "_memberships", None) is not None:
-        memberships, masses = family._memberships, family._masses
-        idx = greedy_packing_memberships(memberships, masses, radius)
-        # Recompute through the same matmul the greedy pass used, so the
-        # separation check sees bit-identical floats.
-        dists = tuple(float(((memberships != memberships[a]) @ masses)[b])
-                      for i, a in enumerate(idx) for b in idx[i + 1:])
+        idx, rows = greedy_packing_memberships(family._memberships,
+                                               family._masses, radius)
     else:
         mat = family.distance_matrix()
         idx = []
@@ -162,26 +153,29 @@ def greedy_packing(family, radius):
             if all(mat[i, j] >= radius for j in idx):
                 idx.append(i)
         idx = tuple(idx)
-        dists = _pairwise(mat, idx)
+        rows = mat[list(idx)]
+    # The separation check reads the distance rows the selection itself used.
+    dists = tuple(float(rows[i][b]) for i in range(len(idx))
+                  for b in idx[i + 1:])
     return PackingResult(idx, float(radius), False, dists)
 
 
 def greedy_packing_memberships(memberships, masses, radius):
     """Greedy packing over a membership-matrix family, without
-    materializing concept objects.  Equivalent to index-order greedy."""
+    materializing concept objects.  Equivalent to index-order greedy.
+    Returns the selected indices and each one's distance row to all members.
+    """
     memberships = np.asarray(memberships, dtype=bool)
     masses = np.asarray(masses, dtype=float)
     alive = np.ones(len(memberships), dtype=bool)
     selected = []
-    while True:
-        remaining = np.nonzero(alive)[0]
-        if remaining.size == 0:
-            break
-        i = int(remaining[0])
+    rows = []
+    while alive.any():
+        i = int(np.argmax(alive))
         selected.append(i)
-        dists = (memberships != memberships[i]) @ masses
-        alive &= dists >= radius
-    return tuple(selected)
+        rows.append((memberships != memberships[i]) @ masses)
+        alive &= rows[-1] >= radius
+    return tuple(selected), rows
 
 
 def exact_packing_number(family, radius):

@@ -93,7 +93,7 @@ def _measure_from_config(doc):
         raise ConfigError(f"bad measure config: {exc}") from exc
 
 
-def run_construct(config, out_dir, seed, threads):
+def run_construct(config, out_dir, seed):
     _require(config, {"schedule", "delta"}, {"schedule"})
     schedule = construction.ComplexitySchedule.from_json(config["schedule"])
     delta = float(config.get("delta", 0.1))
@@ -104,7 +104,7 @@ def run_construct(config, out_dir, seed, threads):
     return ["instance.json", "profile.json"]
 
 
-def run_complexity(config, out_dir, seed, threads):
+def run_complexity(config, out_dir, seed):
     _require(config, {"schedule", "delta", "trials", "levels", "n_cap"},
              {"schedule"})
     schedule = construction.ComplexitySchedule.from_json(config["schedule"])
@@ -147,7 +147,7 @@ def _points_from_config(config):
     raise ConfigError("shatter config needs 'points' or 'log_primes'")
 
 
-def run_shatter(config, out_dir, seed, threads):
+def run_shatter(config, out_dir, seed):
     _require(config, {"points", "log_primes", "labels", "census", "w_max",
                       "alpha", "budget"})
     points = _points_from_config(config)
@@ -156,7 +156,7 @@ def run_shatter(config, out_dir, seed, threads):
     budget = int(config.get("budget", sontag.DEFAULT_BUDGET))
     if config.get("census"):
         census = sontag.shatter_census(points, w_max, alpha=alpha,
-                                       threads=threads, budget=budget)
+                                       budget=budget)
         _write_json(out_dir / "census.json", census.to_json())
         if any(e.status == "budget_exceeded" for e in census.entries):
             raise BudgetExceeded("some labelings exceeded the sweep budget",
@@ -173,7 +173,7 @@ def run_shatter(config, out_dir, seed, threads):
     return ["shatter.json"]
 
 
-def run_distances(config, out_dir, seed, threads):
+def run_distances(config, out_dir, seed):
     _require(config, {"weights", "alpha", "measure"}, {"weights", "measure"})
     weights = [float(w) for w in config["weights"]]
     alpha = float(config.get("alpha", sontag.DEFAULT_ALPHA))
@@ -190,7 +190,7 @@ def run_distances(config, out_dir, seed, threads):
     return ["distances.csv"]
 
 
-def run_gc(config, out_dir, seed, threads):
+def run_gc(config, out_dir, seed):
     _require(config, {"mode", "family", "measure", "n_list", "trials",
                       "min_weight"}, {"mode", "family", "measure", "n_list"})
     mode = config["mode"]
@@ -223,7 +223,7 @@ def run_gc(config, out_dir, seed, threads):
     return ["gc.csv"]
 
 
-def run_packing(config, out_dir, seed, threads):
+def run_packing(config, out_dir, seed):
     _require(config, {"hamming", "family"})
     outputs = []
     if "hamming" in config:
@@ -253,7 +253,7 @@ def run_packing(config, out_dir, seed, threads):
     return outputs
 
 
-def run_cantor(config, out_dir, seed, threads):
+def run_cantor(config, out_dir, seed):
     _require(config, {"level", "orders", "subsets"}, {"level", "orders"})
     level = int(config["level"])
     orders = [int(n) for n in config["orders"]]
@@ -275,7 +275,7 @@ def run_cantor(config, out_dir, seed, threads):
     return ["cantor.json"]
 
 
-def run_figures(config, out_dir, seed, threads):
+def run_figures(config, out_dir, seed):
     _require(config, {"alpha", "w", "x_range", "points", "cantor_levels"})
     alpha = float(config.get("alpha", sontag.DEFAULT_ALPHA))
     w = float(config.get("w", 5.0))
@@ -336,7 +336,7 @@ def main(argv=None):
 
     handler = HANDLERS[args.subcommand]
     try:
-        outputs = handler(config, out_dir, args.seed, args.threads)
+        outputs = handler(config, out_dir, args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -337,8 +337,8 @@ def theoretical_profile(instance, delta, small_family_limit=SMALL_FAMILY_LIMIT):
         if 0 < f_k <= small_family_limit:
             family = shattering_subfamily(instance, k)
             memberships = family.membership_matrix()
-            packed = greedy_packing_memberships(memberships, measure.masses,
-                                                2.0 * eps_k)
+            packed, _ = greedy_packing_memberships(memberships, measure.masses,
+                                                   2.0 * eps_k)
             lower = max(lower, math.ceil(math.log2(len(packed))))
         rows.append(ProfileRow(k, eps_k, f_k, lower, upper, 2 ** f_k,
                                math.ceil((8.0 / eps_k ** 2)

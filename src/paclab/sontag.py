@@ -9,13 +9,13 @@ cos(wx) >= 0 exactly.
 
 ``shatter_search`` finds the least weight realizing a prescribed labeling
 of given points by sweeping the merged breakpoints of the per-point
-feasible-weight arc sets.
+feasible-weight arc sets; ``shatter_census`` answers every labeling of the
+points from one such sweep, sharing its breakpoints and label patterns.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -246,6 +246,66 @@ def _breakpoints_in(ax, lo, hi):
     return bps[(bps > lo) & (bps <= hi)]
 
 
+def _sweep(xs, labs, w_max, alpha, w_min, budget):
+    """One ShatterResult per row of the boolean labeling matrix ``labs``:
+    blocks, edges, midpoints and label patterns depend only on the points,
+    so one sweep serves every row and only the final comparison is per row."""
+    if len(np.unique(xs)) != len(xs):
+        raise ValueError("points must be pairwise distinct")
+    _check_alpha(alpha)
+    w_max = float(w_max)
+    w_min = float(w_min)
+    if not 0.0 <= w_min < w_max:
+        raise ValueError("need 0 <= w_min < w_max")
+
+    def verified(w, lab):
+        return bool(np.all(output_labels(xs, w, alpha) == lab))
+
+    # Per row: (status, witness, end of the range searched, breakpoints).
+    outcome = [None] * len(labs)
+    # A zero input always outputs 1, so a 0-label there is unsatisfiable.
+    zero_mask = xs == 0.0
+    for r, lab in enumerate(labs):
+        if verified(w_min, lab):
+            outcome[r] = ("found", w_min, w_min, 0)
+        elif np.any(zero_mask & ~lab):
+            outcome[r] = ("infeasible", None, w_max, 0)
+    open_rows = [r for r, o in enumerate(outcome) if o is None]
+    # Without a nonzero point no row stays open: all-ones verifies at w_min.
+    axs = np.abs(xs[~zero_mask])
+
+    rate = float(np.sum(axs)) / math.pi  # breakpoints per unit weight
+    block_w = max(_BLOCK_BREAKPOINTS / max(rate, 1e-12), 1.0)
+    used = 0
+    lo = w_min
+    while open_rows and lo < w_max:
+        hi = min(lo + block_w, w_max)
+        bps = np.concatenate([_breakpoints_in(ax, lo, hi) for ax in axs])
+        bps = np.unique(bps)
+        used += len(bps)
+        edges = np.concatenate([[lo], bps]) if len(bps) else np.array([lo])
+        if edges[-1] < hi:
+            edges = np.concatenate([edges, [hi]])
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        pattern = np.cos(np.outer(mids, xs)) >= 0.0
+        # Candidates in interval order, the left edge before the midpoint.
+        cands = np.column_stack([edges[:-1], mids])
+        for r in open_rows:
+            hits = map(float, cands[np.all(pattern == labs[r], axis=1)].flat)
+            witness = next((w for w in hits if verified(w, labs[r])), None)
+            if witness is not None:
+                outcome[r] = ("found", witness, witness, used)
+            elif used > budget:
+                outcome[r] = ("budget_exceeded", None, hi, used)
+        open_rows = [r for r in open_rows if outcome[r] is None]
+        lo = hi
+    for r in open_rows:
+        outcome[r] = ("infeasible", None, w_max, used)
+    return [ShatterResult(tuple(int(b) for b in lab), status, w,
+                          (w_min, covered), n_bps)
+            for lab, (status, w, covered, n_bps) in zip(labs, outcome)]
+
+
 def shatter_search(points, labels, w_max, alpha=DEFAULT_ALPHA, w_min=0.0,
                    budget=DEFAULT_BUDGET):
     """Least weight w in [w_min, w_max] realizing the labeling, if any.
@@ -264,55 +324,7 @@ def shatter_search(points, labels, w_max, alpha=DEFAULT_ALPHA, w_min=0.0,
     labs = np.asarray(labels, dtype=bool)
     if xs.shape != labs.shape:
         raise ValueError("points and labels must have equal length")
-    if len(np.unique(xs)) != len(xs):
-        raise ValueError("points must be pairwise distinct")
-    _check_alpha(alpha)
-    w_max = float(w_max)
-    w_min = float(w_min)
-    if not 0.0 <= w_min < w_max:
-        raise ValueError("need 0 <= w_min < w_max")
-
-    def verified(w):
-        return bool(np.all(output_labels(xs, w, alpha) == labs))
-
-    def result(status, w, covered, used):
-        return ShatterResult(tuple(int(b) for b in labs), status,
-                             w, (w_min, covered), used)
-
-    if verified(w_min):
-        return result("found", w_min, w_min, 0)
-    # A zero input always outputs 1, so a 0-label there is unsatisfiable.
-    zero_mask = xs == 0.0
-    if np.any(zero_mask & ~labs):
-        return result("infeasible", None, w_max, 0)
-    active = ~zero_mask
-    axs = np.abs(xs[active])
-    if axs.size == 0:
-        return result("infeasible", None, w_max, 0)
-
-    rate = float(np.sum(axs)) / math.pi  # breakpoints per unit weight
-    block_w = max(_BLOCK_BREAKPOINTS / max(rate, 1e-12), 1.0)
-    used = 0
-    lo = w_min
-    while lo < w_max:
-        hi = min(lo + block_w, w_max)
-        bps = np.concatenate([_breakpoints_in(ax, lo, hi) for ax in axs])
-        bps = np.unique(bps)
-        used += len(bps)
-        edges = np.concatenate([[lo], bps]) if len(bps) else np.array([lo])
-        if edges[-1] < hi:
-            edges = np.concatenate([edges, [hi]])
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        pattern = np.cos(np.outer(mids, xs)) >= 0.0
-        matches = np.nonzero(np.all(pattern == labs, axis=1))[0]
-        for j in matches:
-            for cand in (float(edges[j]), float(mids[j])):
-                if verified(cand):
-                    return result("found", cand, cand, used)
-        if used > budget:
-            return result("budget_exceeded", None, hi, used)
-        lo = hi
-    return result("infeasible", None, w_max, used)
+    return _sweep(xs, labs[None, :], w_max, alpha, w_min, budget)[0]
 
 
 @dataclass(frozen=True)
@@ -339,27 +351,20 @@ class CensusResult:
 
 def shatter_census(points, w_max, alpha=DEFAULT_ALPHA, threads=1,
                    budget=DEFAULT_BUDGET):
-    """Run shatter_search for every labeling of the points.
+    """Least witness for every labeling of the points, from one sweep.
 
-    Labeling i assigns bit (i >> j) & 1 to point j; results are merged in
-    labeling order, so the output is deterministic for any thread count.
+    Labeling i assigns bit (i >> j) & 1 to point j, and entry i equals
+    ``shatter_search(points, labeling i, w_max, alpha, budget=budget)``.
+    ``threads`` is accepted for compatibility and ignored.
     """
     points = tuple(float(p) for p in points)
     n = len(points)
     if n > MAX_CENSUS_POINTS:
         raise ValueError(f"census limited to {MAX_CENSUS_POINTS} points")
-
-    def run(i):
-        labels = tuple((i >> j) & 1 for j in range(n))
-        return shatter_search(points, labels, w_max, alpha=alpha, budget=budget)
-
-    indices = range(2 ** n)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            entries = tuple(pool.map(run, indices))
-    else:
-        entries = tuple(run(i) for i in indices)
-    return CensusResult(points, float(w_max), entries)
+    labs = ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1).astype(bool)
+    entries = _sweep(np.asarray(points, dtype=float), labs, w_max, alpha,
+                     0.0, budget)
+    return CensusResult(points, float(w_max), tuple(entries))
 
 
 def first_primes(n):

@@ -155,7 +155,7 @@ def test_enumeration_cap_exit_3(tmp_path):
 def test_invariant_violation_exit_4(tmp_path, monkeypatch):
     import paclab.cli as cli
 
-    def broken(config, out_dir, seed, threads):
+    def broken(config, out_dir, seed):
         raise AssertionError("internal invariant failed")
 
     monkeypatch.setitem(cli.HANDLERS, "figures", broken)

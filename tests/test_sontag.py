@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from paclab.sontag import (ArcSet, SontagParams, cos_sign_intervals,
-                           feasible_weights, first_primes, net_output,
-                           output_labels, phi, rationally_independent_points,
-                           rho, shatter_census, shatter_search)
+from paclab.sontag import (DEFAULT_BUDGET, ArcSet, SontagParams,
+                           cos_sign_intervals, feasible_weights, first_primes,
+                           net_output, output_labels, phi,
+                           rationally_independent_points, rho, shatter_census,
+                           shatter_search)
 
 PI = math.pi
 
@@ -148,9 +149,10 @@ def test_arcset_complement_is_involutive(s):
 
 @given(arc_sets(), arc_sets())
 def test_arcset_intersection_commutes(a, b):
-    b = ArcSet(b.intervals if b.w_max == a.w_max else
-               tuple((lo * a.w_max / b.w_max, hi * a.w_max / b.w_max)
-                     for lo, hi in b.intervals), a.w_max)
+    # from_arcs clips a rescaled end that rounds past a.w_max.
+    b = ArcSet.from_arcs(b.intervals if b.w_max == a.w_max else
+                         [(lo * a.w_max / b.w_max, hi * a.w_max / b.w_max)
+                          for lo, hi in b.intervals], a.w_max)
     assert a.intersect(b) == b.intersect(a)
 
 
@@ -265,11 +267,30 @@ def test_census_monotone_in_w_max():
     assert counts == sorted(counts)
 
 
-def test_census_threads_match_sequential():
-    points = rationally_independent_points(3)
-    seq = shatter_census(points, 100.0)
-    par = shatter_census(points, 100.0, threads=4)
-    assert [e.witness_w for e in seq.entries] == [e.witness_w for e in par.entries]
+def test_census_entries_match_single_searches():
+    # Entry i of the one-sweep census must equal the single search for
+    # labeling i, field for field: status, witness, range and breakpoints.
+    cases = [(rationally_independent_points(n), 1e4, DEFAULT_BUDGET)
+             for n in range(1, 6)]
+    cases += [([1.0, 2.0, 3.0], 1e4, DEFAULT_BUDGET),
+              ([0.0, 1.0, 2.0], 1e4, DEFAULT_BUDGET),
+              ([-2.0, -0.5, 1.0, 2.0], 1e4, DEFAULT_BUDGET),
+              ([-math.log(2), -math.log(3), math.log(5)], 1e4, DEFAULT_BUDGET),
+              (rationally_independent_points(5), 1e6, 10),
+              # -2 and 2 always share a label, so half the labelings are
+              # infeasible: swept over many blocks, or stopped by the budget.
+              ([-2.0, -0.5, 1.0, 2.0], 1e6, DEFAULT_BUDGET),
+              ([-2.0, -0.5, 1.0, 2.0], 1e6, 10)]
+    statuses = set()
+    for points, w_max, budget in cases:
+        census = shatter_census(points, w_max, threads=4, budget=budget)
+        assert census.total == 2 ** len(points)
+        for i, entry in enumerate(census.entries):
+            labels = [(i >> j) & 1 for j in range(len(points))]
+            assert entry == shatter_search(points, labels, w_max,
+                                           budget=budget)
+            statuses.add(entry.status)
+    assert statuses == {"found", "infeasible", "budget_exceeded"}
 
 
 def test_budget_exceeded_reports_partial_range():
