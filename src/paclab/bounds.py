@@ -102,7 +102,8 @@ def greedy_cover(family, eps):
             break
         centers.append(far)
         min_dist = np.minimum(min_dist, family.distances_to(far))
-    assert float(np.max(min_dist)) <= eps
+    if not float(np.max(min_dist)) <= eps:
+        raise AssertionError("greedy cover left a concept farther than eps")
     return tuple(centers), len(centers)
 
 

@@ -139,9 +139,23 @@ def run_complexity(config, out_dir, seed):
     return outputs
 
 
-def _points_from_config(config):
+def _points_from_config(config, n_labels):
+    """The config's points; ``n_labels`` is None for a census.
+
+    ``log_primes`` is checked before any prime is generated.
+    """
     if "log_primes" in config:
-        return sontag.rationally_independent_points(int(config["log_primes"]))
+        n = config["log_primes"]
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ConfigError(f"log_primes must be a positive integer, "
+                              f"got {n!r}")
+        if n_labels is None and n > sontag.MAX_CENSUS_POINTS:
+            raise ConfigError(f"log_primes {n} exceeds the census limit of "
+                              f"{sontag.MAX_CENSUS_POINTS} points")
+        if n_labels is not None and n != n_labels:
+            raise ConfigError(f"log_primes {n} does not match the "
+                              f"{n_labels} labels")
+        return sontag.rationally_independent_points(n)
     if "points" in config:
         return [float(p) for p in config["points"]]
     raise ConfigError("shatter config needs 'points' or 'log_primes'")
@@ -150,21 +164,22 @@ def _points_from_config(config):
 def run_shatter(config, out_dir, seed):
     _require(config, {"points", "log_primes", "labels", "census", "w_max",
                       "alpha", "budget"})
-    points = _points_from_config(config)
+    census = config.get("census")
+    labels = config.get("labels")
+    if not census and labels is None:
+        raise ConfigError("shatter config needs 'labels' or 'census': true")
+    points = _points_from_config(config, None if census else len(labels))
     w_max = float(config.get("w_max", 10 ** 4))
     alpha = float(config.get("alpha", sontag.DEFAULT_ALPHA))
     budget = int(config.get("budget", sontag.DEFAULT_BUDGET))
-    if config.get("census"):
-        census = sontag.shatter_census(points, w_max, alpha=alpha,
+    if census:
+        result = sontag.shatter_census(points, w_max, alpha=alpha,
                                        budget=budget)
-        _write_json(out_dir / "census.json", census.to_json())
-        if any(e.status == "budget_exceeded" for e in census.entries):
+        _write_json(out_dir / "census.json", result.to_json())
+        if any(e.status == "budget_exceeded" for e in result.entries):
             raise BudgetExceeded("some labelings exceeded the sweep budget",
                                  ["census.json"])
         return ["census.json"]
-    labels = config.get("labels")
-    if labels is None:
-        raise ConfigError("shatter config needs 'labels' or 'census': true")
     result = sontag.shatter_search(points, labels, w_max, alpha=alpha,
                                    budget=budget)
     _write_json(out_dir / "shatter.json", result.to_json())

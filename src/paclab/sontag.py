@@ -368,13 +368,22 @@ def shatter_census(points, w_max, alpha=DEFAULT_ALPHA, threads=1,
 
 
 def first_primes(n):
-    """The first n primes, by incremental trial division."""
-    primes: list[int] = []
-    candidate = 2
-    while len(primes) < n:
-        if all(candidate % p for p in primes if p * p <= candidate):
-            primes.append(candidate)
-        candidate += 1
+    """The first n primes as Python ints, by a sieve of Eratosthenes.
+
+    The sieve runs below n (ln n + ln ln n) + 1, which exceeds the n-th prime
+    for n >= 6 (Rosser 1939); smaller n sieve below 12 (the fifth prime is 11).
+    """
+    n = max(n, 0)
+    limit = 12 if n < 6 else int(n * (math.log(n) + math.log(math.log(n)))) + 1
+    sieve = np.ones(limit, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(limit - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = False
+    primes = np.flatnonzero(sieve)[:n].tolist()
+    if len(primes) < n:
+        raise AssertionError(f"sieve below {limit} found {len(primes)} of "
+                             f"{n} primes")
     return primes
 
 

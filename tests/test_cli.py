@@ -60,6 +60,28 @@ def test_shatter_census_counts(tmp_path):
     assert (doc["realized"], doc["total"]) == (8, 8)
 
 
+def test_bad_log_primes_exit_2_before_generating_primes(tmp_path,
+                                                        monkeypatch):
+    import paclab.cli as cli
+
+    def no_primes(n):
+        raise AssertionError("primes generated before log_primes was checked")
+
+    monkeypatch.setattr(cli.sontag, "rationally_independent_points", no_primes)
+    bad = [{"log_primes": 10 ** 12, "census": True},
+           {"log_primes": 10 ** 12, "labels": [1, 0]},
+           {"log_primes": 10 ** 12},
+           {"log_primes": 25, "census": True},
+           {"log_primes": 3, "labels": [1, 0]},
+           {"log_primes": 0, "census": True},
+           {"log_primes": 2.5, "labels": [1, 0]},
+           {"log_primes": True, "labels": [1]}]
+    for config in bad:
+        code, out = run(tmp_path, "shatter", config)
+        assert code == 2
+        assert not (out / "shatter_manifest.json").exists()
+
+
 def test_strict_budget_exit_3(tmp_path):
     code, out = run(tmp_path, "shatter",
                     {"points": [1.0, math.sqrt(2.0)], "labels": [1, 0],

@@ -314,6 +314,17 @@ def test_infeasible_zero_point_label_zero():
 
 def test_first_primes():
     assert first_primes(6) == [2, 3, 5, 7, 11, 13]
+    reference = []
+    candidate = 2
+    while len(reference) < 2000:
+        if all(candidate % p for p in reference if p * p <= candidate):
+            reference.append(candidate)
+        candidate += 1
+    for n in range(2001):
+        assert first_primes(n) == reference[:n]
+    primes = first_primes(15626)
+    assert len(primes) == 15626 and primes[-1] == 171539
+    assert all(type(p) is int for p in primes)
 
 
 def test_log_prime_points():
