@@ -52,17 +52,13 @@ class FiniteFamily:
         self._memberships = None
         self._masses = None
         if isinstance(measure, AtomicMeasure):
-            rows = [[bool(c.contains(a.location)) for a in measure.atoms]
-                    for c in concepts]
-            self._memberships = np.array(rows, dtype=bool)
+            self._memberships = np.array(
+                [measure.memberships(c) for c in concepts], dtype=bool)
             self._masses = measure.masses
         self._matrix = None
 
     def __len__(self):
         return len(self.concepts)
-
-    def distance(self, i, j):
-        return float(self.distance_matrix()[i, j])
 
     def distance_matrix(self):
         if self._matrix is None:
@@ -134,10 +130,6 @@ class PackingResult:
     def to_json(self):
         return {"selected": list(self.selected), "radius": self.radius,
                 "certified": self.certified, "size": self.size}
-
-
-def cover_to_json(centers, eps):
-    return {"centers": list(centers), "eps": float(eps), "size": len(centers)}
 
 
 def greedy_packing(family, radius):

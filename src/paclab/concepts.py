@@ -20,10 +20,12 @@ from itertools import combinations
 import numpy as np
 
 from . import sontag
-from .intervals import canonicalize, clip, contains_point, intersect, total_length
+from .intervals import (canonicalize, contains_many, contains_point, intersect,
+                        total_length)
 from .measures import (AtomicMeasure, CantorMeasure, UniformMeasure,
                        _contains_many, cantor_interval_mass,
-                       cantor_level_intervals, expect_indicator)
+                       cantor_level_intervals, expect_indicator,
+                       window_intervals)
 
 ENUMERATION_CAP = 10 ** 7
 MAX_SHATTER_LEVEL = 4
@@ -84,11 +86,7 @@ class IntervalUnion:
         return contains_point(self.intervals, x)
 
     def contains_many(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        out = np.zeros(xs.shape, dtype=bool)
-        for lo, hi in self.intervals:
-            out |= (xs >= float(lo)) & (xs <= float(hi))
-        return out
+        return contains_many(self.intervals, xs)
 
     def as_intervals_ae(self, lo, hi):
         return self.intervals
@@ -125,11 +123,7 @@ class GridUnion:
         return contains_point(self.intervals, x)
 
     def contains_many(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        out = np.zeros(xs.shape, dtype=bool)
-        for lo, hi in self.intervals:
-            out |= (xs >= lo) & (xs <= hi)
-        return out
+        return contains_many(self.intervals, xs)
 
     def as_intervals_ae(self, lo, hi):
         return self.intervals
@@ -267,21 +261,15 @@ def l1_distance(c1, c2, measure, **kw):
     propagating any resolution warnings.
     """
     if isinstance(measure, AtomicMeasure):
-        total = 0.0
-        for atom in measure.atoms:
-            if bool(c1.contains(atom.location)) != bool(c2.contains(atom.location)):
-                total += atom.mass
-        return total
+        return measure.mass(measure.memberships(c1) != measure.memberships(c2))
     if isinstance(measure, (UniformMeasure, CantorMeasure)):
         if isinstance(measure, UniformMeasure):
             lo, hi = measure.a, measure.b
         else:
             lo, hi = 0.0, 1.0
-        f1 = getattr(c1, "as_intervals_ae", None)
-        f2 = getattr(c2, "as_intervals_ae", None)
-        if f1 is not None and f2 is not None:
-            iv1 = clip(canonicalize(f1(lo, hi)), lo, hi)
-            iv2 = clip(canonicalize(f2(lo, hi)), lo, hi)
+        iv1 = window_intervals(c1, lo, hi)
+        iv2 = window_intervals(c2, lo, hi)
+        if iv1 is not None and iv2 is not None:
             both = intersect(iv1, iv2)
             if isinstance(measure, UniformMeasure):
                 width = hi - lo
@@ -320,9 +308,6 @@ class OrderIntervalClass:
     def count(self):
         return sum(math.comb(self.n, k)
                    for k in range(max_interval_count(self.n) + 1))
-
-    def members(self, cap=ENUMERATION_CAP):
-        return enumerate_order_class(self.n, cap=cap)
 
 
 def enumerate_order_class(n, cap=ENUMERATION_CAP):

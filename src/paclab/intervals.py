@@ -1,8 +1,10 @@
-"""Closed-interval set algebra for the exact expectation and distance paths.
+"""Closed-interval set algebra for the exact expectation and distance paths
+and for the weight-arc oracle of ``sontag.ArcSet``.
 
 Interval lists are kept canonical: sorted, non-overlapping, merged at
 touching endpoints.  Endpoints may be floats or Fractions; all operations
-are pure comparisons and additions, so exact endpoint types stay exact.
+but the vectorised membership test are pure comparisons and additions, so
+exact endpoint types stay exact.
 
 Set operations treat intervals as closed.  Results agree with true set
 algebra up to finitely many boundary points, which carry zero mass under
@@ -10,6 +12,8 @@ every non-atomic measure used by the integrators.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 def canonicalize(intervals):
@@ -64,3 +68,13 @@ def contains_point(intervals, x):
         if lo > x:
             return False
     return False
+
+
+def contains_many(intervals, xs):
+    """Closed membership of every x in xs in a list of intervals, as a bool
+    array; endpoints are compared as floats."""
+    xs = np.asarray(xs, dtype=float)
+    out = np.zeros(xs.shape, dtype=bool)
+    for lo, hi in intervals:
+        out |= (xs >= float(lo)) & (xs <= float(hi))
+    return out

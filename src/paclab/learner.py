@@ -80,11 +80,8 @@ def true_error(hypothesis, target, measure):
     """Exact L1(mu) risk: mass of atoms where hypothesis and target disagree."""
     if not isinstance(measure, AtomicMeasure):
         raise TypeError("true_error is exact only over atomic measures")
-    total = 0.0
-    for atom in measure.atoms:
-        if bool(hypothesis.contains(atom.location)) != bool(target.contains(atom.location)):
-            total += atom.mass
-    return total
+    return measure.mass(measure.memberships(hypothesis)
+                        != measure.memberships(target))
 
 
 def wilson_interval(successes, trials, z=_WILSON_Z):
@@ -263,10 +260,8 @@ def _census_deviations(family, measure, n, trials, seed):
                               seed), 0
     concepts = list(family)
     if isinstance(measure, AtomicMeasure):
-        rows = [[bool(c.contains(a.location)) for a in measure.atoms]
-                for c in concepts]
-        return _atomic_census(np.array(rows, dtype=bool), measure, n, trials,
-                              seed), 0
+        rows = np.array([measure.memberships(c) for c in concepts], dtype=bool)
+        return _atomic_census(rows, measure, n, trials, seed), 0
     true_means = np.array([expect_indicator(measure, c) for c in concepts])
     devs = []
     for t in range(trials):

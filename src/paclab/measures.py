@@ -54,6 +54,15 @@ def _intervals_of(concept, lo, hi):
     return f(lo, hi)
 
 
+def window_intervals(concept, lo, hi):
+    """The concept within [lo, hi] as a canonical interval list, or None
+    when it has no interval form."""
+    ivs = _intervals_of(concept, lo, hi)
+    if ivs is None:
+        return None
+    return clip(canonicalize(ivs), lo, hi)
+
+
 @dataclass(frozen=True)
 class Atom:
     """A point mass: location on the real line, mass in (0, 1]."""
@@ -113,14 +122,26 @@ class AtomicMeasure:
         idx = rng.choice(len(self.atoms), size=int(n), p=self.masses)
         return self.locations[idx]
 
-    def expect_indicator(self, concept, **_):
-        # Sequential sum in atom order: the exactness contract is equality
-        # with a brute-force loop, not just closeness.
+    def memberships(self, concept):
+        """One bool per atom, in atom order: does the concept contain it."""
+        return np.fromiter((bool(concept.contains(a.location)) for a in self.atoms),
+                           dtype=bool, count=len(self.atoms))
+
+    def mass(self, selected):
+        """Total mass of the atoms flagged in ``selected`` (one bool per atom).
+
+        Added one atom at a time in atom order, so the result equals a
+        brute-force loop bit for bit.  Not ``sum()``, which compensates from
+        Python 3.12, nor ``np.sum`` or ``@``, which reorder the additions.
+        """
         total = 0.0
-        for atom in self.atoms:
-            if concept.contains(atom.location):
+        for atom, hit in zip(self.atoms, selected):
+            if hit:
                 total += atom.mass
         return total
+
+    def expect_indicator(self, concept, **_):
+        return self.mass(self.memberships(concept))
 
     def to_json(self):
         return {"kind": "atomic",
@@ -146,9 +167,8 @@ class UniformMeasure:
         return _rng(seed).uniform(self.a, self.b, size=int(n))
 
     def expect_indicator(self, concept, cells=DEFAULT_GRID_CELLS, **_):
-        ivs = _intervals_of(concept, self.a, self.b)
-        if ivs is not None:
-            inside = clip(canonicalize(ivs), self.a, self.b)
+        inside = window_intervals(concept, self.a, self.b)
+        if inside is not None:
             return float(total_length(inside)) / (self.b - self.a)
         cells = int(cells)
         if cells < MIN_GRID_CELLS:

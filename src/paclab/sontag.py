@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import intervals as closed
+
 ALPHA_MIN = 2.0 * math.pi
 DEFAULT_ALPHA = 100.0
 DEFAULT_BUDGET = 10 ** 8
@@ -116,13 +118,18 @@ def cos_sign_intervals(w, lo, hi):
     return out
 
 
+def _half_open(intervals):
+    # A closed [lo, lo] is a point; as a half-open arc it is empty.
+    return tuple((lo, hi) for lo, hi in intervals if lo < hi)
+
+
 @dataclass(frozen=True)
 class ArcSet:
     """A finite union of half-open weight intervals [lo, hi) within [0, w_max].
 
-    Canonical: sorted, disjoint, touching arcs merged.  Complement and
-    intersection are exact endpoint arithmetic, and complementation within
-    [0, w_max) is an involution.
+    Canonical: sorted, disjoint, touching arcs merged.  An oracle over the
+    interval algebra of ``intervals.py``; complementation within [0, w_max)
+    is an involution.
     """
 
     intervals: tuple
@@ -130,17 +137,9 @@ class ArcSet:
 
     @classmethod
     def from_arcs(cls, arcs, w_max):
-        arcs = sorted((float(lo), float(hi)) for lo, hi in arcs)
-        merged: list[list[float]] = []
-        for lo, hi in arcs:
-            lo, hi = max(lo, 0.0), min(hi, w_max)
-            if hi <= lo:
-                continue
-            if merged and lo <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], hi)
-            else:
-                merged.append([lo, hi])
-        return cls(tuple((lo, hi) for lo, hi in merged), float(w_max))
+        w_max = float(w_max)
+        merged = closed.canonicalize((float(lo), float(hi)) for lo, hi in arcs)
+        return cls(_half_open(closed.clip(merged, 0.0, w_max)), w_max)
 
     def __post_init__(self):
         prev_hi = None
@@ -156,7 +155,7 @@ class ArcSet:
         return not self.intervals
 
     def total_length(self):
-        return sum(hi - lo for lo, hi in self.intervals)
+        return closed.total_length(self.intervals)
 
     def contains(self, w):
         return any(lo <= w < hi for lo, hi in self.intervals)
@@ -175,25 +174,15 @@ class ArcSet:
     def intersect(self, other):
         if self.w_max != other.w_max:
             raise ValueError("arc sets live on different weight ranges")
-        out = []
-        i = j = 0
-        a, b = self.intervals, other.intervals
-        while i < len(a) and j < len(b):
-            lo = max(a[i][0], b[j][0])
-            hi = min(a[i][1], b[j][1])
-            if lo < hi:
-                out.append((lo, hi))
-            if a[i][1] < b[j][1]:
-                i += 1
-            else:
-                j += 1
-        return ArcSet(tuple(out), self.w_max)
+        both = closed.intersect(self.intervals, other.intervals)
+        return ArcSet(_half_open(both), self.w_max)
 
 
 def feasible_weights(x, label, w_max):
     """Weights w in [0, w_max) whose network output at x equals the label.
 
-    For label 1 these are the arcs where cos(wx) >= 0; for label 0, their
+    For label 1 these are the arcs where cos(wx) >= 0, which is symmetric in
+    w and x, so ``cos_sign_intervals`` gives them; for label 0, their
     complement.  x == 0 forces label 1, so (x=0, label=0) yields the empty
     arc set rather than an exception.
     """
@@ -202,15 +191,7 @@ def feasible_weights(x, label, w_max):
         raise ValueError("w_max must be positive")
     if label not in (0, 1):
         raise ValueError("label must be 0 or 1")
-    if x == 0.0:
-        if label == 1:
-            return ArcSet(((0.0, w_max),), w_max)
-        return ArcSet((), w_max)
-    ax = abs(float(x))
-    k_hi = math.floor((w_max * ax + math.pi / 2) / (2 * math.pi)) + 1
-    arcs = [((2 * math.pi * k - math.pi / 2) / ax,
-             (2 * math.pi * k + math.pi / 2) / ax) for k in range(0, k_hi + 1)]
-    ones = ArcSet.from_arcs(arcs, w_max)
+    ones = ArcSet.from_arcs(cos_sign_intervals(abs(float(x)), 0.0, w_max), w_max)
     return ones if label == 1 else ones.complement()
 
 

@@ -268,6 +268,8 @@ def test_sontag_expectation_is_atom_mass_sum():
     inst = build_measure(sched)
     measure = inst.measure()
     concept = SontagConcept(17.3)
-    expected = sum(a.mass for a in measure.atoms
-                   if math.cos(17.3 * a.location) >= 0)
+    expected = 0.0
+    for a in measure.atoms:
+        if math.cos(17.3 * a.location) >= 0:
+            expected += a.mass
     assert expect_indicator(measure, concept) == expected

@@ -1,10 +1,11 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import given, strategies as st
 
-from paclab.intervals import (canonicalize, clip, contains_point, intersect,
-                              total_length)
+from paclab.intervals import (canonicalize, clip, contains_many,
+                              contains_point, intersect, total_length)
 
 
 def bounded_floats():
@@ -41,6 +42,7 @@ def test_canonicalize_is_sorted_disjoint_and_idempotent(ivs):
 @given(interval_lists(), bounded_floats())
 def test_canonicalize_preserves_membership(ivs, x):
     assert contains_point(canonicalize(ivs), x) == brute_membership(ivs, x)
+    assert contains_many(ivs, np.array([x]))[0] == brute_membership(ivs, x)
 
 
 @given(interval_lists(), interval_lists(), bounded_floats())

@@ -59,8 +59,10 @@ def test_erm_consistent_sample_has_zero_empirical_risk_and_bounded_error():
         sample = LabeledSample(tuple(points), labels)
         h = erm_learn(sample, m)
         assert empirical_risk(h, sample) == 0.0
-        unseen_mass = sum(a.mass for a in m.atoms
-                          if a.location not in set(points))
+        unseen_mass = 0.0
+        for a in m.atoms:
+            if a.location not in set(points):
+                unseen_mass += a.mass
         assert true_error(h, target, m) <= unseen_mass
 
 
