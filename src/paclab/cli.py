@@ -71,13 +71,12 @@ def _write_json(path, doc):
         fh.write("\n")
 
 
-def _manifest(out_dir, subcommand, config, seed, threads, strict, outputs):
+def _manifest(out_dir, subcommand, config, seed, strict, outputs):
     blob = json.dumps(config, sort_keys=True).encode()
     doc = {"subcommand": subcommand,
            "config": config,
            "config_sha256": hashlib.sha256(blob).hexdigest(),
            "seed": seed,
-           "threads": threads,
            "strict": strict,
            "versions": {"paclab": __version__,
                         "python": platform.python_version(),
@@ -334,7 +333,6 @@ def main(argv=None):
     parser.add_argument("subcommand", choices=sorted(HANDLERS))
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--strict", action="store_true",
                         help="treat budget exhaustion as a failure")
@@ -369,8 +367,8 @@ def main(argv=None):
     except AssertionError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    _manifest(out_dir, args.subcommand, config, args.seed, args.threads,
-              args.strict, outputs)
+    _manifest(out_dir, args.subcommand, config, args.seed, args.strict,
+              outputs)
     return EXIT_OK
 
 

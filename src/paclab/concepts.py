@@ -287,12 +287,9 @@ def l1_distance(c1, c2, measure, **kw):
 def max_interval_count(n):
     """Largest k with k^2 < n: members of the order-n class use < sqrt(n)
     grid cells, enforced in integer arithmetic."""
-    k = math.isqrt(n - 1) if n > 1 else 0
-    while (k + 1) ** 2 < n:
-        k += 1
-    while k ** 2 >= n:
-        k -= 1
-    return k
+    if n < 1:
+        raise ValueError(f"order must be >= 1, got {n}")
+    return math.isqrt(n - 1)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,11 @@ def canonicalize(intervals):
 
 
 def total_length(intervals):
-    return sum(hi - lo for lo, hi in intervals)
+    """Summed in list order: ``sum()`` compensates from Python 3.12."""
+    total = 0
+    for lo, hi in intervals:
+        total += hi - lo
+    return total
 
 
 def clip(intervals, lo, hi):

@@ -28,6 +28,7 @@ def test_construct_writes_instance_profile_and_manifest(tmp_path):
     manifest = json.loads((out / "construct_manifest.json").read_text())
     assert manifest["outputs"] == ["instance.json", "profile.json"]
     assert len(manifest["config_sha256"]) == 64
+    assert "threads" not in manifest
 
 
 def test_unknown_config_keys_exit_2(tmp_path):

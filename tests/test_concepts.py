@@ -176,6 +176,11 @@ def test_l1_under_cantor_measure():
 def test_max_interval_count_is_strict():
     assert [max_interval_count(n) for n in (1, 2, 4, 5, 9, 10, 16, 17)] == \
         [0, 1, 1, 2, 2, 3, 3, 4]
+    for n in range(1, 2001):
+        assert max_interval_count(n) == max(k for k in range(n) if k * k < n)
+    for n in (0, -3):
+        with pytest.raises(ValueError):
+            max_interval_count(n)
 
 
 def test_enumeration_counts():

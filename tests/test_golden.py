@@ -46,6 +46,11 @@ def test_outputs_match_golden(name, tmp_path):
     assert output_hashes(name, tmp_path) == golden[name]
 
 
+def test_golden_covers_exactly_the_shipped_configs():
+    golden = json.loads(GOLDEN.read_text())
+    assert set(golden) == {p.stem for p in CONFIGS.glob("*.json")}
+
+
 if __name__ == "__main__":
     import tempfile
 

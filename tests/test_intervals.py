@@ -37,6 +37,10 @@ def test_canonicalize_is_sorted_disjoint_and_idempotent(ivs):
     for (lo, hi), (lo2, hi2) in zip(canon, canon[1:]):
         assert hi < lo2
     assert canonicalize(canon) == canon
+    length = 0
+    for lo, hi in ivs:
+        length += hi - lo
+    assert total_length(ivs) == length
 
 
 @given(interval_lists(), bounded_floats())
