@@ -29,6 +29,6 @@ from .measures import (Atom, AtomicMeasure, CantorMeasure, IdentityMap,
                        UniformMeasure, cantor_level_intervals,
                        expect_indicator, measure_from_json, pushforward,
                        sample)
-from .sontag import (ArcSet, SontagParams, feasible_weights, net_output, phi,
+from .sontag import (SontagParams, net_output, phi,
                      rationally_independent_points, rho, shatter_census,
                      shatter_search)

@@ -38,7 +38,7 @@ class PackingShortfallError(RuntimeError):
 class FiniteFamily:
     """A finite list of concepts with L1 geometry from a fixed measure.
 
-    For an atomic measure the pairwise distances come from a cached
+    For an atomic measure each distance row comes from the cached
     membership matrix; any other measure falls back to pairwise exact or
     integrated distances.
     """
@@ -50,11 +50,9 @@ class FiniteFamily:
         self.concepts = concepts
         self.measure = measure
         self._memberships = None
-        self._masses = None
         if isinstance(measure, AtomicMeasure):
             self._memberships = np.array(
                 [measure.memberships(c) for c in concepts], dtype=bool)
-            self._masses = measure.masses
         self._matrix = None
 
     def __len__(self):
@@ -64,8 +62,7 @@ class FiniteFamily:
         if self._matrix is None:
             n = len(self.concepts)
             if self._memberships is not None:
-                diff = self._memberships[:, None, :] != self._memberships[None, :, :]
-                self._matrix = diff @ self._masses
+                self._matrix = np.array([self.distances_to(j) for j in range(n)])
             else:
                 mat = np.zeros((n, n))
                 for i in range(n):
@@ -77,7 +74,15 @@ class FiniteFamily:
         return self._matrix
 
     def distances_to(self, j):
+        if self._memberships is not None:
+            return _distance_row(self._memberships, self.measure.masses, j)
         return self.distance_matrix()[j]
+
+
+def _distance_row(memberships, masses, j):
+    # The one atomic distance kernel: the mass of each member's disagreement
+    # with member j.
+    return (memberships != memberships[j]) @ masses
 
 
 def greedy_cover(family, eps):
@@ -132,21 +137,25 @@ class PackingResult:
                 "certified": self.certified, "size": self.size}
 
 
+def _greedy_rows(count, row, radius):
+    # Index-order greedy: the first member still alive is selected, and its
+    # distance row retires every member closer than radius (itself included).
+    alive = np.ones(count, dtype=bool)
+    selected = []
+    rows = []
+    while alive.any():
+        i = int(np.argmax(alive))
+        selected.append(i)
+        rows.append(row(i))
+        alive &= rows[-1] >= radius
+    return tuple(selected), rows
+
+
 def greedy_packing(family, radius):
     """Maximal-by-inclusion greedy radius-separated subset, in index order."""
     if radius <= 0:
         raise ValueError("radius must be positive")
-    if getattr(family, "_memberships", None) is not None:
-        idx, rows = greedy_packing_memberships(family._memberships,
-                                               family._masses, radius)
-    else:
-        mat = family.distance_matrix()
-        idx = []
-        for i in range(len(family)):
-            if all(mat[i, j] >= radius for j in idx):
-                idx.append(i)
-        idx = tuple(idx)
-        rows = mat[list(idx)]
+    idx, rows = _greedy_rows(len(family), family.distances_to, radius)
     # The separation check reads the distance rows the selection itself used.
     dists = tuple(float(rows[i][b]) for i in range(len(idx))
                   for b in idx[i + 1:])
@@ -160,15 +169,8 @@ def greedy_packing_memberships(memberships, masses, radius):
     """
     memberships = np.asarray(memberships, dtype=bool)
     masses = np.asarray(masses, dtype=float)
-    alive = np.ones(len(memberships), dtype=bool)
-    selected = []
-    rows = []
-    while alive.any():
-        i = int(np.argmax(alive))
-        selected.append(i)
-        rows.append((memberships != memberships[i]) @ masses)
-        alive &= rows[-1] >= radius
-    return tuple(selected), rows
+    return _greedy_rows(len(memberships),
+                        lambda j: _distance_row(memberships, masses, j), radius)
 
 
 def exact_packing_number(family, radius):

@@ -162,25 +162,22 @@ def _points_from_config(config, n_labels):
 
 def run_shatter(config, out_dir, seed):
     _require(config, {"points", "log_primes", "labels", "census", "w_max",
-                      "alpha", "budget"})
+                      "budget"})
     census = config.get("census")
     labels = config.get("labels")
     if not census and labels is None:
         raise ConfigError("shatter config needs 'labels' or 'census': true")
     points = _points_from_config(config, None if census else len(labels))
     w_max = float(config.get("w_max", 10 ** 4))
-    alpha = float(config.get("alpha", sontag.DEFAULT_ALPHA))
     budget = int(config.get("budget", sontag.DEFAULT_BUDGET))
     if census:
-        result = sontag.shatter_census(points, w_max, alpha=alpha,
-                                       budget=budget)
+        result = sontag.shatter_census(points, w_max, budget=budget)
         _write_json(out_dir / "census.json", result.to_json())
         if any(e.status == "budget_exceeded" for e in result.entries):
             raise BudgetExceeded("some labelings exceeded the sweep budget",
                                  ["census.json"])
         return ["census.json"]
-    result = sontag.shatter_search(points, labels, w_max, alpha=alpha,
-                                   budget=budget)
+    result = sontag.shatter_search(points, labels, w_max, budget=budget)
     _write_json(out_dir / "shatter.json", result.to_json())
     if result.status == "budget_exceeded":
         raise BudgetExceeded("the sweep budget was exhausted", ["shatter.json"])
@@ -188,11 +185,10 @@ def run_shatter(config, out_dir, seed):
 
 
 def run_distances(config, out_dir, seed):
-    _require(config, {"weights", "alpha", "measure"}, {"weights", "measure"})
+    _require(config, {"weights", "measure"}, {"weights", "measure"})
     weights = [float(w) for w in config["weights"]]
-    alpha = float(config.get("alpha", sontag.DEFAULT_ALPHA))
     measure = _measure_from_config(config["measure"])
-    family = [concepts.SontagConcept(w, alpha) for w in weights]
+    family = [concepts.SontagConcept(w) for w in weights]
     rows = []
     for i, wi in enumerate(weights):
         row = [wi]
@@ -213,13 +209,16 @@ def run_gc(config, out_dir, seed):
     fam_doc = config["family"]
     kind = fam_doc.get("kind")
     if kind == "sontag":
-        family = concepts.SontagFamily(float(fam_doc.get("w_max", 10 ** 6)),
-                                       float(fam_doc.get("alpha", sontag.DEFAULT_ALPHA)))
+        _require(fam_doc, {"kind", "w_max"})
+        family = concepts.SontagFamily(float(fam_doc.get("w_max", 10 ** 6)))
     elif kind == "order_intervals":
+        _require(fam_doc, {"kind"})
         family = concepts.OrderIntervalFamily()
     elif kind == "order_class":
+        _require(fam_doc, {"kind", "n"}, {"n"})
         family = list(concepts.enumerate_order_class(int(fam_doc["n"])))
     elif kind == "concepts":
+        _require(fam_doc, {"kind", "members"}, {"members"})
         family = [concepts.concept_from_json(d) for d in fam_doc["members"]]
     else:
         raise ConfigError(f"unknown family kind {kind!r}")
@@ -300,7 +299,7 @@ def run_figures(config, out_dir, seed):
                zip(xs.tolist(), sontag.phi(xs, alpha).tolist()))
     _write_csv(out_dir / "composition.csv", ["x", "rho"],
                zip(xs.tolist(), sontag.rho(xs, w, alpha).tolist()))
-    bits = sontag.output_labels(xs, w, alpha).astype(int)
+    bits = sontag.output_labels(xs, w).astype(int)
     _write_csv(out_dir / "binary_output.csv", ["x", "y"],
                zip(xs.tolist(), bits.tolist()))
     rows = []

@@ -41,22 +41,21 @@ class SontagConcept:
     """The output-1 region of the network at weight w: {x : cos(wx) >= 0}."""
 
     w: float
-    alpha: float = sontag.DEFAULT_ALPHA
 
     def __post_init__(self):
-        sontag.SontagParams(self.w, self.alpha)
+        sontag.SontagParams(self.w)
 
     def contains(self, x):
-        return bool(sontag.rho(x, self.w, self.alpha) >= 0.0)
+        return bool(sontag.rho(x, self.w) >= 0.0)
 
     def contains_many(self, xs):
-        return sontag.output_labels(xs, self.w, self.alpha)
+        return sontag.output_labels(xs, self.w)
 
     def as_intervals_ae(self, lo, hi):
         return sontag.cos_sign_intervals(self.w, lo, hi)
 
     def to_json(self):
-        return {"kind": "sontag", "w": self.w, "alpha": self.alpha}
+        return {"kind": "sontag", "w": self.w}
 
 
 @dataclass(frozen=True)
@@ -460,10 +459,9 @@ class SontagFamily:
     """The weight-parameterized family {x : cos(wx) >= 0}, w in [0, w_max]."""
 
     w_max: float
-    alpha: float = sontag.DEFAULT_ALPHA
 
     def concept(self, w):
-        return SontagConcept(w, self.alpha)
+        return SontagConcept(w)
 
 
 @dataclass(frozen=True)
@@ -477,7 +475,7 @@ class OrderIntervalFamily:
 def concept_from_json(doc):
     kind = doc.get("kind")
     if kind == "sontag":
-        return SontagConcept(doc["w"], doc.get("alpha", sontag.DEFAULT_ALPHA))
+        return SontagConcept(doc["w"])
     if kind == "intervals":
         if "order" in doc:
             return GridUnion(doc["order"], tuple(doc["cells"]))

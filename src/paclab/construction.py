@@ -202,8 +202,11 @@ class Level:
 
     index: int
     locations: tuple
-    mass: float
     mass_exact: Fraction
+
+    @property
+    def mass(self):
+        return float(self.mass_exact)
 
     @property
     def size(self):
@@ -217,8 +220,11 @@ class ConstructedInstance:
     schedule: ComplexitySchedule
     levels: tuple
     residual_location: float
-    residual_mass: float
     residual_mass_exact: Fraction
+
+    @property
+    def residual_mass(self):
+        return float(self.residual_mass_exact)
 
     @property
     def f_values(self):
@@ -276,12 +282,11 @@ def build_measure(schedule, max_atoms=10 ** 6):
             warnings.warn(f"level {k + 1} is empty (flat rate stretch)",
                           EmptyLevelWarning, stacklevel=2)
         locs = tuple(locations[cursor:cursor + size])
-        levels.append(Level(k + 1, locs, float(masses[k]), masses[k]))
+        levels.append(Level(k + 1, locs, masses[k]))
         cursor += size
         prev_f = f_vals[k]
-    residual_exact = schedule.residual_mass()
     return ConstructedInstance(schedule, tuple(levels), locations[cursor],
-                               float(residual_exact), residual_exact)
+                               schedule.residual_mass())
 
 
 @dataclass(frozen=True)
@@ -416,8 +421,8 @@ class SontagInstanceBundle:
     censuses: tuple
 
 
-def sontag_instance(instance, w_max=10 ** 6, alpha=sontag.DEFAULT_ALPHA,
-                    census_atom_cap=12, budget=sontag.DEFAULT_BUDGET):
+def sontag_instance(instance, w_max=10 ** 6, census_atom_cap=12,
+                    budget=sontag.DEFAULT_BUDGET):
     """Pair the instance with the weight family on [0, w_max].
 
     Runs a shatter census over each level-prefix union of atoms when the
@@ -425,7 +430,7 @@ def sontag_instance(instance, w_max=10 ** 6, alpha=sontag.DEFAULT_ALPHA,
     budget decision is always explicit.
     """
     measure = instance.measure()
-    family = SontagFamily(float(w_max), alpha)
+    family = SontagFamily(float(w_max))
     censuses = []
     prefixes = []
     if instance.schedule.K == 0:
@@ -439,7 +444,7 @@ def sontag_instance(instance, w_max=10 ** 6, alpha=sontag.DEFAULT_ALPHA,
             censuses.append(LevelCensus(k, len(points), 0, 2 ** len(points),
                                         "skipped"))
             continue
-        census = sontag.shatter_census(points, w_max, alpha=alpha, budget=budget)
+        census = sontag.shatter_census(points, w_max, budget=budget)
         censuses.append(LevelCensus(k, len(points), census.realized,
                                     census.total, "complete"))
     return SontagInstanceBundle(measure, family, tuple(censuses))

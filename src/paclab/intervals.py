@@ -1,5 +1,4 @@
-"""Closed-interval set algebra for the exact expectation and distance paths
-and for the weight-arc oracle of ``sontag.ArcSet``.
+"""Closed-interval set algebra for the exact expectation and distance paths.
 
 Interval lists are kept canonical: sorted, non-overlapping, merged at
 touching endpoints.  Endpoints may be floats or Fractions; all operations

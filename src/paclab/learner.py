@@ -120,7 +120,7 @@ class ComplexityEstimate:
 
 
 def _universe_arrays(universe):
-    """(masses, random-target atom count) for an instance or atomic measure.
+    """(atomic measure, random-target atom count) for an instance or measure.
 
     Targets are uniform over labelings of the level atoms; a construction
     instance keeps its residual atom fixed at 0, a plain atomic measure
@@ -280,8 +280,8 @@ def _adversarial_deviations(family, measure, n, trials, seed, min_weight,
         xs = measure.sample(n, seed=[seed, t])
         if isinstance(family, SontagFamily):
             res = sontag.shatter_search(xs, np.ones(n, dtype=int),
-                                        family.w_max, alpha=family.alpha,
-                                        w_min=min_weight, budget=budget)
+                                        family.w_max, w_min=min_weight,
+                                        budget=budget)
             if not res.found:
                 failed += 1
                 continue

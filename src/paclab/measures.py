@@ -14,7 +14,6 @@ callers derive independent streams by seed offsetting.
 
 from __future__ import annotations
 
-import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -203,50 +202,36 @@ def cantor_level_intervals(n):
     return out
 
 
-def cantor_interval_mass(intervals):
-    """Haar mass of a union of intervals, by recursive cell subdivision.
+def _cantor_cdf_units(x):
+    # The Cantor function at x in [0, 1] in units of 2**-(D + 1), D =
+    # _EXACT_MASS_DEPTH: x's ternary digits with 2 read as a binary 1, up to
+    # the first ternary 1, where the function is flat.  Without a 1, x lies
+    # in a depth-D Cantor cell: exact at its left end, mid-cell elsewhere.
+    if x >= 1:
+        return 2 ** (_EXACT_MASS_DEPTH + 1)
+    cell, rest = divmod(x.numerator * 3 ** _EXACT_MASS_DEPTH, x.denominator)
+    units = 0
+    for i in range(_EXACT_MASS_DEPTH - 1, -1, -1):
+        digit, cell = divmod(cell, 3 ** i)
+        if digit == 1:
+            return units + (2 << i)
+        units += digit << i
+    return units + (1 if rest else 0)
 
-    Exact Fraction arithmetic throughout; cells still split at depth
-    ``_EXACT_MASS_DEPTH`` contribute their midpoint value, leaving an error
-    below 1e-17 per interval endpoint.
+
+def cantor_interval_mass(intervals):
+    """Haar mass of a union of intervals: F(hi) - F(lo) summed over its
+    canonical pieces, F the Cantor function, in exact integer units.
+
+    An endpoint inside a depth ``_EXACT_MASS_DEPTH`` cell is placed
+    mid-cell, leaving an error below 1e-17 per interval endpoint.
     """
     ivs = canonicalize([(Fraction(lo), Fraction(hi)) for lo, hi in intervals])
     ivs = clip(ivs, Fraction(0), Fraction(1))
-    if not ivs:
-        return 0.0
-    starts = [iv[0] for iv in ivs]
-
-    def relation(cl, ch):
-        # Returns "in", "out" or "split" for the cell [cl, ch].  Overlaps of
-        # zero length are "out": single points carry no Haar mass.
-        i = bisect.bisect_right(starts, cl) - 1
-        if i >= 0 and ivs[i][1] >= ch:
-            return "in"
-        j = max(i, 0)
-        while j < len(ivs) and ivs[j][0] < ch:
-            if ivs[j][1] > cl:
-                return "split"
-            j += 1
-        return "out"
-
-    committed = Fraction(0)
-    halves = Fraction(0)
-    stack = [(Fraction(0), Fraction(1), Fraction(1), 0)]
-    while stack:
-        cl, ch, mass, depth = stack.pop()
-        rel = relation(cl, ch)
-        if rel == "out":
-            continue
-        if rel == "in":
-            committed += mass
-            continue
-        if depth >= _EXACT_MASS_DEPTH:
-            halves += mass / 2
-            continue
-        third = (ch - cl) / 3
-        stack.append((cl, cl + third, mass / 2, depth + 1))
-        stack.append((ch - third, ch, mass / 2, depth + 1))
-    return float(committed + halves)
+    units = 0
+    for lo, hi in ivs:
+        units += _cantor_cdf_units(hi) - _cantor_cdf_units(lo)
+    return float(Fraction(units, 2 ** (_EXACT_MASS_DEPTH + 1)))
 
 
 class CantorMeasure:

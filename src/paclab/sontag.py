@@ -7,10 +7,11 @@ eta(rho(x)) with rho(x) = 2 cos(wx) / (alpha (1 + w^2 x^2)); since the
 prefactor is positive, the binary output equals the sign test
 cos(wx) >= 0 exactly.
 
-``shatter_search`` finds the least weight realizing a prescribed labeling
-of given points by sweeping the merged breakpoints of the per-point
-feasible-weight arc sets; ``shatter_census`` answers every labeling of the
-points from one such sweep, sharing its breakpoints and label patterns.
+The activation constant therefore shapes ``phi`` and ``rho`` but no label,
+so the search and census take none.  ``shatter_search`` finds the least
+weight realizing a prescribed labeling of given points by sweeping the
+merged zeros of cos(wx) over the points; ``shatter_census`` answers every
+labeling from one such sweep, sharing its breakpoints and label patterns.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from . import intervals as closed
 
 ALPHA_MIN = 2.0 * math.pi
 DEFAULT_ALPHA = 100.0
@@ -87,11 +86,11 @@ def net_output_composed(x, params):
     return int(phi(t, params.alpha) + phi(-t, params.alpha) - 1.0 >= 0.0)
 
 
-def output_labels(xs, w, alpha=DEFAULT_ALPHA):
-    """Vectorized network output over an array of inputs."""
-    _check_alpha(alpha)
-    t = w * np.asarray(xs, dtype=float)
-    return 2.0 * np.cos(t) / (alpha * (1.0 + t * t)) >= 0.0
+def output_labels(xs, w):
+    """Vectorized network output over an array of inputs, through the closed
+    form ``rho`` at ``DEFAULT_ALPHA``: every admissible activation constant
+    gives the same labels."""
+    return rho(xs, w) >= 0.0
 
 
 def cos_sign_intervals(w, lo, hi):
@@ -116,83 +115,6 @@ def cos_sign_intervals(w, lo, hi):
         if a2 <= b2:
             out.append((a2, b2))
     return out
-
-
-def _half_open(intervals):
-    # A closed [lo, lo] is a point; as a half-open arc it is empty.
-    return tuple((lo, hi) for lo, hi in intervals if lo < hi)
-
-
-@dataclass(frozen=True)
-class ArcSet:
-    """A finite union of half-open weight intervals [lo, hi) within [0, w_max].
-
-    Canonical: sorted, disjoint, touching arcs merged.  An oracle over the
-    interval algebra of ``intervals.py``; complementation within [0, w_max)
-    is an involution.
-    """
-
-    intervals: tuple
-    w_max: float
-
-    @classmethod
-    def from_arcs(cls, arcs, w_max):
-        w_max = float(w_max)
-        merged = closed.canonicalize((float(lo), float(hi)) for lo, hi in arcs)
-        return cls(_half_open(closed.clip(merged, 0.0, w_max)), w_max)
-
-    def __post_init__(self):
-        prev_hi = None
-        for lo, hi in self.intervals:
-            if not (0.0 <= lo < hi <= self.w_max):
-                raise ValueError(f"arc ({lo}, {hi}) outside [0, {self.w_max}]")
-            if prev_hi is not None and lo <= prev_hi:
-                raise ValueError("arcs must be sorted and disjoint")
-            prev_hi = hi
-
-    @property
-    def is_empty(self):
-        return not self.intervals
-
-    def total_length(self):
-        return closed.total_length(self.intervals)
-
-    def contains(self, w):
-        return any(lo <= w < hi for lo, hi in self.intervals)
-
-    def complement(self):
-        arcs = []
-        cursor = 0.0
-        for lo, hi in self.intervals:
-            if lo > cursor:
-                arcs.append((cursor, lo))
-            cursor = hi
-        if cursor < self.w_max:
-            arcs.append((cursor, self.w_max))
-        return ArcSet(tuple(arcs), self.w_max)
-
-    def intersect(self, other):
-        if self.w_max != other.w_max:
-            raise ValueError("arc sets live on different weight ranges")
-        both = closed.intersect(self.intervals, other.intervals)
-        return ArcSet(_half_open(both), self.w_max)
-
-
-def feasible_weights(x, label, w_max):
-    """Weights w in [0, w_max) whose network output at x equals the label.
-
-    For label 1 these are the arcs where cos(wx) >= 0, which is symmetric in
-    w and x, so ``cos_sign_intervals`` gives them; for label 0, their
-    complement.  x == 0 forces label 1, so (x=0, label=0) yields the empty
-    arc set rather than an exception.
-    """
-    w_max = float(w_max)
-    if w_max <= 0:
-        raise ValueError("w_max must be positive")
-    if label not in (0, 1):
-        raise ValueError("label must be 0 or 1")
-    ones = ArcSet.from_arcs(cos_sign_intervals(abs(float(x)), 0.0, w_max), w_max)
-    return ones if label == 1 else ones.complement()
 
 
 @dataclass(frozen=True)
@@ -227,20 +149,19 @@ def _breakpoints_in(ax, lo, hi):
     return bps[(bps > lo) & (bps <= hi)]
 
 
-def _sweep(xs, labs, w_max, alpha, w_min, budget):
+def _sweep(xs, labs, w_max, w_min, budget):
     """One ShatterResult per row of the boolean labeling matrix ``labs``:
     blocks, edges, midpoints and label patterns depend only on the points,
     so one sweep serves every row and only the final comparison is per row."""
     if len(np.unique(xs)) != len(xs):
         raise ValueError("points must be pairwise distinct")
-    _check_alpha(alpha)
     w_max = float(w_max)
     w_min = float(w_min)
     if not 0.0 <= w_min < w_max:
         raise ValueError("need 0 <= w_min < w_max")
 
     def verified(w, lab):
-        return bool(np.all(output_labels(xs, w, alpha) == lab))
+        return bool(np.all(output_labels(xs, w) == lab))
 
     # Per row: (status, witness, end of the range searched, breakpoints).
     outcome = [None] * len(labs)
@@ -287,8 +208,7 @@ def _sweep(xs, labs, w_max, alpha, w_min, budget):
             for lab, (status, w, covered, n_bps) in zip(labs, outcome)]
 
 
-def shatter_search(points, labels, w_max, alpha=DEFAULT_ALPHA, w_min=0.0,
-                   budget=DEFAULT_BUDGET):
+def shatter_search(points, labels, w_max, w_min=0.0, budget=DEFAULT_BUDGET):
     """Least weight w in [w_min, w_max] realizing the labeling, if any.
 
     Sweep-line over the merged breakpoints of the per-point feasible arcs:
@@ -305,7 +225,7 @@ def shatter_search(points, labels, w_max, alpha=DEFAULT_ALPHA, w_min=0.0,
     labs = np.asarray(labels, dtype=bool)
     if xs.shape != labs.shape:
         raise ValueError("points and labels must have equal length")
-    return _sweep(xs, labs[None, :], w_max, alpha, w_min, budget)[0]
+    return _sweep(xs, labs[None, :], w_max, w_min, budget)[0]
 
 
 @dataclass(frozen=True)
@@ -330,12 +250,11 @@ class CensusResult:
                 "entries": [e.to_json() for e in self.entries]}
 
 
-def shatter_census(points, w_max, alpha=DEFAULT_ALPHA, threads=1,
-                   budget=DEFAULT_BUDGET):
+def shatter_census(points, w_max, threads=1, budget=DEFAULT_BUDGET):
     """Least witness for every labeling of the points, from one sweep.
 
     Labeling i assigns bit (i >> j) & 1 to point j, and entry i equals
-    ``shatter_search(points, labeling i, w_max, alpha, budget=budget)``.
+    ``shatter_search(points, labeling i, w_max, budget=budget)``.
     ``threads`` is accepted for compatibility and ignored.
     """
     points = tuple(float(p) for p in points)
@@ -343,8 +262,8 @@ def shatter_census(points, w_max, alpha=DEFAULT_ALPHA, threads=1,
     if n > MAX_CENSUS_POINTS:
         raise ValueError(f"census limited to {MAX_CENSUS_POINTS} points")
     labs = ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1).astype(bool)
-    entries = _sweep(np.asarray(points, dtype=float), labs, w_max, alpha,
-                     0.0, budget)
+    entries = _sweep(np.asarray(points, dtype=float), labs, w_max, 0.0,
+                     budget)
     return CensusResult(points, float(w_max), tuple(entries))
 
 

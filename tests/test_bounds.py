@@ -215,3 +215,28 @@ def test_family_under_uniform_measure():
     assert abs(mat[0, 1] - 0.5) <= 1e-9
     packed = greedy_packing(fam, 0.4)
     assert packed.size == 3
+
+
+def test_distance_rows_match_the_pairwise_tensor_and_old_greedy_loop():
+    # Atomic: the stacked distance rows equal the k x k x atoms product bit
+    # for bit.
+    rng = np.random.default_rng(31)
+    for size in (1, 3, 7):
+        raw = rng.uniform(0.1, 1.0, size=size)
+        fam = labeling_family(list(raw / raw.sum()),
+                              indices=rng.permutation(2 ** size)[:12].tolist())
+        m = fam._memberships
+        expected = (m[:, None] != m[None]) @ fam.measure.masses
+        assert np.array_equal(fam.distance_matrix(), expected)
+    # Non-atomic: the alive-mask greedy selects what the index-order loop
+    # over the distance matrix selects.
+    u = UniformMeasure(0.0, 2.0 * math.pi)
+    fam = FiniteFamily([SontagConcept(w) for w in
+                        (0.0, 0.5, 1.0, 2.0, 2.5, 4.0, 8.0, 9.0)], u)
+    mat = fam.distance_matrix()
+    for radius in (0.05, 0.2, 0.3, 0.45, 0.5, 0.9):
+        loop = []
+        for i in range(len(fam)):
+            if all(mat[i, j] >= radius for j in loop):
+                loop.append(i)
+        assert greedy_packing(fam, radius).selected == tuple(loop)

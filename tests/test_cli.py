@@ -37,6 +37,35 @@ def test_unknown_config_keys_exit_2(tmp_path):
     assert code == 2
 
 
+def test_leftover_alpha_and_family_key_typos_exit_2(tmp_path):
+    # The sign-test path takes no activation constant, and each gc family
+    # kind checks its own keys: a typo must not fall back to a default.
+    uniform = {"kind": "uniform", "a": 0.0, "b": 1.0}
+
+    def gc(mode, family):
+        return {"mode": mode, "family": family, "measure": uniform,
+                "n_list": [4], "trials": 1}
+
+    member = {"kind": "intervals", "intervals": [[0.0, 0.5]]}
+    cases = [
+        ("shatter", {"points": [1.0, 2.0], "labels": [1, 0], "alpha": 100.0}),
+        ("shatter", {"log_primes": 3, "census": True, "alpha": 100.0}),
+        ("distances", {"weights": [2, 4], "alpha": 100.0, "measure": uniform}),
+        ("gc", gc("adversarial", {"kind": "sontag", "w_max": 1e3,
+                                  "alpha": 100.0})),
+        ("gc", gc("adversarial", {"kind": "sontag", "w_mx": 1e3})),
+        ("gc", gc("adversarial", {"kind": "order_intervals", "n": 4})),
+        ("gc", gc("census", {"kind": "order_class"})),
+        ("gc", gc("census", {"kind": "order_class", "n": 4, "m": 4})),
+        ("gc", gc("census", {"kind": "concepts", "members": [member],
+                             "extra": 1})),
+    ]
+    for subcommand, config in cases:
+        code, out = run(tmp_path, subcommand, config)
+        assert code == 2, (subcommand, config)
+        assert list(out.iterdir()) == []
+
+
 def test_missing_config_file_exits_2(tmp_path):
     code = main(["construct", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path)])

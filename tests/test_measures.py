@@ -1,12 +1,14 @@
+import bisect
 import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from paclab.concepts import IntervalUnion, SontagConcept
+from paclab.intervals import canonicalize, clip
 from paclab.measures import (Atom, AtomicMeasure, CantorMeasure, IdentityMap,
                              PartitionMap, ProductMeasure, ResolutionWarning,
                              UniformMeasure, cantor_interval_mass,
@@ -182,6 +184,85 @@ def test_cantor_expectation_exact_on_intervals():
     for lo, hi in cantor_level_intervals(3):
         assert cantor_interval_mass([(lo, hi)]) == 0.125
     assert cantor_interval_mass([(Fraction(1, 3), Fraction(2, 3))]) == 0.0
+
+
+def recursive_cantor_mass(intervals):
+    """The ternary mass by recursive cell subdivision: a cell inside the
+    union counts whole, a cell the union misses counts nothing, and a cell
+    still split at depth 60 counts half."""
+    depth = 60
+    ivs = clip(canonicalize([(Fraction(lo), Fraction(hi))
+                             for lo, hi in intervals]), Fraction(0), Fraction(1))
+    if not ivs:
+        return 0.0
+    starts = [iv[0] for iv in ivs]
+
+    def relation(cl, ch):
+        # Overlaps of zero length are "out" at cell edges.
+        i = bisect.bisect_right(starts, cl) - 1
+        if i >= 0 and ivs[i][1] >= ch:
+            return "in"
+        j = max(i, 0)
+        while j < len(ivs) and ivs[j][0] < ch:
+            if ivs[j][1] > cl:
+                return "split"
+            j += 1
+        return "out"
+
+    committed = Fraction(0)
+    halves = Fraction(0)
+    stack = [(Fraction(0), Fraction(1), Fraction(1), 0)]
+    while stack:
+        cl, ch, mass, level = stack.pop()
+        rel = relation(cl, ch)
+        if rel == "out":
+            continue
+        if rel == "in":
+            committed += mass
+            continue
+        if level >= depth:
+            halves += mass / 2
+            continue
+        third = (ch - cl) / 3
+        stack.append((cl, cl + third, mass / 2, level + 1))
+        stack.append((ch - third, ch, mass / 2, level + 1))
+    return float(committed + halves)
+
+
+_CELL = Fraction(1, 3 ** 60)
+_endpoints = st.one_of(
+    st.sampled_from([0, 1, 0.0, 1.0, Fraction(1, 3), Fraction(2, 3)]),
+    st.floats(min_value=-0.25, max_value=1.25),
+    st.builds(Fraction, st.integers(-3 ** 7, 2 * 3 ** 12),
+              st.sampled_from([3 ** 7, 3 ** 12, 10 ** 6, 2 ** 20])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_endpoints, _endpoints), max_size=6))
+def test_cantor_mass_matches_recursive_subdivision(pairs):
+    intervals = [(min(a, b), max(a, b)) for a, b in pairs]
+    ends = sorted(Fraction(x) for iv in clip(
+        canonicalize([(Fraction(lo), Fraction(hi)) for lo, hi in intervals]),
+        Fraction(0), Fraction(1)) for x in iv)
+    # Two endpoints inside one depth-60 cell count that cell half in the
+    # subdivision but not at all in the digit CDF (see the test below).
+    assume(all(b - a > _CELL for a, b in zip(ends, ends[1:])))
+    assert cantor_interval_mass(intervals) == recursive_cantor_mass(intervals)
+
+
+def test_cantor_mass_inside_one_deep_cell():
+    # The digit CDF places an endpoint inside a depth-60 cell mid-cell.  One
+    # such endpoint counts half the cell, 2**-61, as the subdivision does.
+    # Two in one cell count nothing, which is exact for a point, while the
+    # subdivision still counts half the cell.
+    for ivs in ([(0.0, 1e-300)], [(1 - Fraction(1, 10 ** 40), 1)]):
+        assert cantor_interval_mass(ivs) == recursive_cantor_mass(ivs)
+        assert cantor_interval_mass(ivs) == 2.0 ** -61
+    for ivs in ([(0.25, 0.25)], [(1e-300, 2e-300)]):
+        assert cantor_interval_mass(ivs) == 0.0
+        assert recursive_cantor_mass(ivs) == 2.0 ** -61
+    assert cantor_interval_mass([(0.0, 0.0), (1.0, 1.0)]) == 0.0
+    assert cantor_interval_mass([(-1.0, 2.0)]) == 1.0
 
 
 def test_cantor_monte_carlo_fallback():

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from paclab.sontag import (DEFAULT_BUDGET, ArcSet, SontagParams,
-                           cos_sign_intervals, feasible_weights, first_primes,
-                           net_output, output_labels, phi,
+from arcsets import ArcSet, feasible_weights
+from paclab.sontag import (DEFAULT_BUDGET, SontagParams, cos_sign_intervals,
+                           first_primes, net_output, output_labels, phi,
                            rationally_independent_points, rho, shatter_census,
                            shatter_search)
 
