@@ -92,6 +92,13 @@ def _measure_from_config(doc):
         raise ConfigError(f"bad measure config: {exc}") from exc
 
 
+def _concepts_from_config(docs):
+    try:
+        return [concepts.concept_from_json(d) for d in docs]
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"bad concept config: {exc}") from exc
+
+
 def run_construct(config, out_dir, seed):
     _require(config, {"schedule", "delta"}, {"schedule"})
     schedule = construction.ComplexitySchedule.from_json(config["schedule"])
@@ -207,6 +214,8 @@ def run_gc(config, out_dir, seed):
     measure = _measure_from_config(config["measure"])
     trials = int(config.get("trials", 100))
     fam_doc = config["family"]
+    if not isinstance(fam_doc, dict):
+        raise ConfigError(f"family must be an object, got {fam_doc!r}")
     kind = fam_doc.get("kind")
     if kind == "sontag":
         _require(fam_doc, {"kind", "w_max"})
@@ -219,7 +228,7 @@ def run_gc(config, out_dir, seed):
         family = list(concepts.enumerate_order_class(int(fam_doc["n"])))
     elif kind == "concepts":
         _require(fam_doc, {"kind", "members"}, {"members"})
-        family = [concepts.concept_from_json(d) for d in fam_doc["members"]]
+        family = _concepts_from_config(fam_doc["members"])
     else:
         raise ConfigError(f"unknown family kind {kind!r}")
     rows = []
@@ -256,7 +265,7 @@ def run_packing(config, out_dir, seed):
         _require(params, {"measure", "members", "radius"},
                  {"measure", "members", "radius"})
         measure = _measure_from_config(params["measure"])
-        members = [concepts.concept_from_json(d) for d in params["members"]]
+        members = _concepts_from_config(params["members"])
         family = bounds.FiniteFamily(members, measure)
         result = bounds.greedy_packing(family, float(params["radius"]))
         _write_json(out_dir / "greedy_packing.json", result.to_json())

@@ -54,6 +54,9 @@ class SontagConcept:
     def as_intervals_ae(self, lo, hi):
         return sontag.cos_sign_intervals(self.w, lo, hi)
 
+    def uniform_mass(self, lo, hi):
+        return sontag.cos_sign_fraction(self.w, lo, hi)
+
     def to_json(self):
         return {"kind": "sontag", "w": self.w}
 
@@ -472,17 +475,36 @@ class OrderIntervalFamily:
         return OrderIntervalClass(n)
 
 
+def _fields(doc, required, optional=()):
+    # The required fields of a concept document, in order; any other key
+    # but "kind" and the optional ones is an error.
+    unknown = set(doc) - {"kind", *required, *optional}
+    missing = [k for k in required if k not in doc]
+    if unknown or missing:
+        raise ValueError(f"{doc['kind']!r} concept: unknown keys "
+                         f"{sorted(unknown)}, missing keys {missing}")
+    return [doc[k] for k in required]
+
+
 def concept_from_json(doc):
+    if not isinstance(doc, dict):
+        raise ValueError(f"a concept must be an object, got {doc!r}")
     kind = doc.get("kind")
     if kind == "sontag":
-        return SontagConcept(doc["w"])
+        (w,) = _fields(doc, ["w"])
+        return SontagConcept(w)
+    if kind == "intervals" and "order" in doc:
+        # GridUnion.to_json also writes the cells as "intervals".
+        order, cells = _fields(doc, ["order", "cells"], ["intervals"])
+        return GridUnion(order, tuple(cells))
     if kind == "intervals":
-        if "order" in doc:
-            return GridUnion(doc["order"], tuple(doc["cells"]))
-        return IntervalUnion(tuple(tuple(iv) for iv in doc["intervals"]))
+        (intervals,) = _fields(doc, ["intervals"])
+        return IntervalUnion(tuple(tuple(iv) for iv in intervals))
     if kind == "atom_labels":
-        return AtomLabeling(tuple(doc["locations"]), tuple(doc["bits"]),
+        locations, bits = _fields(doc, ["locations", "bits"], ["default_bit"])
+        return AtomLabeling(tuple(locations), tuple(bits),
                             doc.get("default_bit", 0))
     if kind == "middle_thirds":
-        return MiddleThirdUnion(tuple(tuple(p) for p in doc["pieces"]))
+        (pieces,) = _fields(doc, ["pieces"])
+        return MiddleThirdUnion(tuple(tuple(p) for p in pieces))
     raise ValueError(f"unknown concept kind {kind!r}")

@@ -148,7 +148,12 @@ class AtomicMeasure:
 
 
 class UniformMeasure:
-    """The uniform (normalized Lebesgue) measure on an interval [a, b]."""
+    """The uniform (normalized Lebesgue) measure on an interval [a, b].
+
+    A concept with a closed-form ``uniform_mass(a, b)``, such as a sign-test
+    concept, is measured by it; other interval-reducible concepts by the
+    total length of their pieces.
+    """
 
     kind = "uniform"
 
@@ -166,6 +171,9 @@ class UniformMeasure:
         return _rng(seed).uniform(self.a, self.b, size=int(n))
 
     def expect_indicator(self, concept, cells=DEFAULT_GRID_CELLS, **_):
+        closed_form = getattr(concept, "uniform_mass", None)
+        if closed_form is not None:
+            return closed_form(self.a, self.b)
         inside = window_intervals(concept, self.a, self.b)
         if inside is not None:
             return float(total_length(inside)) / (self.b - self.a)
@@ -361,8 +369,6 @@ class _ComposedConcept:
         return _contains_many(self.concept, self.mapping.apply_many(xs))
 
     def as_intervals_ae(self, lo, hi):
-        if isinstance(self.mapping, IdentityMap):
-            return _intervals_of(self.concept, lo, hi)
         if isinstance(self.mapping, PartitionMap):
             return self.mapping.preimage_intervals(self.concept)
         return None
@@ -388,6 +394,8 @@ class PushforwardMeasure:
         return self.mapping.apply_many(self.base.sample(n, seed=seed))
 
     def expect_indicator(self, concept, **kw):
+        if isinstance(self.mapping, IdentityMap):
+            return self.base.expect_indicator(concept, **kw)
         return self.base.expect_indicator(_ComposedConcept(self.mapping, concept), **kw)
 
     def to_json(self):

@@ -10,8 +10,9 @@ cos(wx) >= 0 exactly.
 The activation constant therefore shapes ``phi`` and ``rho`` but no label,
 so the search and census take none.  ``shatter_search`` finds the least
 weight realizing a prescribed labeling of given points by sweeping the
-merged zeros of cos(wx) over the points; ``shatter_census`` answers every
-labeling from one such sweep, sharing its breakpoints and label patterns.
+merged zeros of cos(wx) over the points as events, each flipping one
+point's label; ``shatter_census`` answers every labeling from one such
+sweep, with a running mismatch count per labeling.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ import numpy as np
 ALPHA_MIN = 2.0 * math.pi
 DEFAULT_ALPHA = 100.0
 DEFAULT_BUDGET = 10 ** 8
-_BLOCK_BREAKPOINTS = 65_536
+_FIRST_BLOCK = 64
+_LARGEST_BLOCK = 1 << 18  # bounds the memory of one block of events
 MAX_CENSUS_POINTS = 24
 
 
@@ -117,6 +119,25 @@ def cos_sign_intervals(w, lo, hi):
     return out
 
 
+def _cos_sign_measure(t):
+    # |{s in [0, t] : cos s >= 0}|, signed for t < 0: pi per whole period
+    # plus the part below s of the period's arcs [0, pi/2] and [3pi/2, 2pi].
+    m, s = divmod(t, 2.0 * math.pi)
+    return m * math.pi + min(s, math.pi / 2) + max(0.0, s - 1.5 * math.pi)
+
+
+def cos_sign_fraction(w, lo, hi):
+    """The share of [lo, hi] where cos(wx) >= 0, in closed form:
+    (L(w hi) - L(w lo)) / (w (hi - lo)) with L(T) the length of
+    {s in [0, T] : cos s >= 0}; w == 0 gives 1."""
+    if w < 0:
+        raise ValueError("weight must be >= 0")
+    if w == 0.0:
+        return 1.0
+    return ((_cos_sign_measure(w * hi) - _cos_sign_measure(w * lo))
+            / (w * (hi - lo)))
+
+
 @dataclass(frozen=True)
 class ShatterResult:
     """Outcome of a feasible-weight search for one labeling."""
@@ -138,21 +159,34 @@ class ShatterResult:
                 "range_searched": list(self.range_searched)}
 
 
+def _last_index(ax, w):
+    # The largest k >= -1 whose computed breakpoint (k + 1/2) pi / ax is <= w,
+    # settled against the same float expression _breakpoints_in evaluates.
+    k = max(math.floor(w * ax / math.pi - 0.5), -1)
+    while k >= 0 and (k + 0.5) * math.pi / ax > w:
+        k -= 1
+    while (k + 1.5) * math.pi / ax <= w:
+        k += 1
+    return k
+
+
 def _breakpoints_in(ax, lo, hi):
-    # Zeros of cos(w*x) for w in (lo, hi]: w = (k + 1/2) * pi / |x|.
-    k_lo = math.ceil(lo * ax / math.pi - 0.5)
-    k_hi = math.floor(hi * ax / math.pi - 0.5)
-    if k_hi < k_lo:
-        return np.empty(0)
-    ks = np.arange(max(k_lo, 0), k_hi + 1)
-    bps = (ks + 0.5) * math.pi / ax
-    return bps[(bps > lo) & (bps <= hi)]
+    # Zeros of cos(w*x) for w in (lo, hi]: w = (k + 1/2) * pi / |x|, with
+    # their indices k.  Adjacent windows share no breakpoint and miss none.
+    ks = np.arange(_last_index(ax, lo) + 1, _last_index(ax, hi) + 1)
+    return (ks + 0.5) * math.pi / ax, ks
 
 
 def _sweep(xs, labs, w_max, w_min, budget):
-    """One ShatterResult per row of the boolean labeling matrix ``labs``:
-    blocks, edges, midpoints and label patterns depend only on the points,
-    so one sweep serves every row and only the final comparison is per row."""
+    """One ShatterResult per row of the boolean labeling matrix ``labs``.
+
+    The events are the breakpoints of the nonzero points in weight order.
+    After its breakpoint k a point is labelled ``k odd``, so each row's count
+    of mismatched points moves by one per event, and one cumsum per row
+    marks the elementary intervals where the count is zero.  Events come in
+    blocks that double from ``_FIRST_BLOCK`` breakpoints; the open interval
+    and every row's count carry across a block boundary, so no result
+    depends on the blocks.  At most ``budget`` breakpoints are swept."""
     if len(np.unique(xs)) != len(xs):
         raise ValueError("points must be pairwise distinct")
     w_max = float(w_max)
@@ -175,34 +209,58 @@ def _sweep(xs, labs, w_max, w_min, budget):
     open_rows = [r for r, o in enumerate(outcome) if o is None]
     # Without a nonzero point no row stays open: all-ones verifies at w_min.
     axs = np.abs(xs[~zero_mask])
+    targets = labs[:, ~zero_mask]
+    state = np.array([_last_index(ax, w_min) % 2 == 1 for ax in axs])
+    mismatch = {r: int(np.sum(state != targets[r])) for r in open_rows}
+
+    def search(r, edges, counts):
+        # Candidates in interval order, the left edge before the midpoint.
+        for j in np.flatnonzero(counts[:len(edges) - 1] == 0):
+            left, right = float(edges[j]), float(edges[j + 1])
+            for w in (left, 0.5 * (left + right)) if right > left else (left,):
+                if verified(w, labs[r]):
+                    outcome[r] = ("found", w, w, used + int(j))
+                    return
 
     rate = float(np.sum(axs)) / math.pi  # breakpoints per unit weight
-    block_w = max(_BLOCK_BREAKPOINTS / max(rate, 1e-12), 1.0)
-    used = 0
-    lo = w_min
-    while open_rows and lo < w_max:
-        hi = min(lo + block_w, w_max)
-        bps = np.concatenate([_breakpoints_in(ax, lo, hi) for ax in axs])
-        bps = np.unique(bps)
-        used += len(bps)
-        edges = np.concatenate([[lo], bps]) if len(bps) else np.array([lo])
-        if edges[-1] < hi:
-            edges = np.concatenate([edges, [hi]])
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        pattern = np.cos(np.outer(mids, xs)) >= 0.0
-        # Candidates in interval order, the left edge before the midpoint.
-        cands = np.column_stack([edges[:-1], mids])
+    size = _FIRST_BLOCK
+    used = 0  # breakpoints swept before this block
+    left = lo = w_min  # left edge of the open interval, end of the sweep
+    while open_rows:
+        hi = min(lo + size / max(rate, 1e-12), w_max)
+        per_point = [_breakpoints_in(ax, lo, hi) for ax in axs]
+        times = np.concatenate([t for t, _ in per_point])
+        order = np.argsort(times, kind="stable")
+        times = times[order]
+        point = np.repeat(np.arange(len(axs)),
+                          [len(t) for t, _ in per_point])[order]
+        label = np.concatenate([k for _, k in per_point])[order] % 2 == 1
+        # The last event of each group of equal times closes an interval.
+        ends = np.flatnonzero(np.append(times[1:] != times[:-1],
+                                        len(times) > 0))
+        exhausted = used + len(ends) > budget
+        ends = ends[:budget - used] if exhausted else ends
+        edges = np.append(left, times[ends])
+        last = exhausted or hi >= w_max
+        if last:
+            # The last interval ends with the sweep: at its own left edge
+            # when the budget stops it, else at w_max.
+            edges = np.append(edges, edges[-1] if exhausted else w_max)
         for r in open_rows:
-            hits = map(float, cands[np.all(pattern == labs[r], axis=1)].flat)
-            witness = next((w for w in hits if verified(w, labs[r])), None)
-            if witness is not None:
-                outcome[r] = ("found", witness, witness, used)
-            elif used > budget:
-                outcome[r] = ("budget_exceeded", None, hi, used)
+            steps = np.where(label == targets[r, point], -1, 1)
+            counts = np.append(mismatch[r], mismatch[r] + np.cumsum(steps)[ends])
+            search(r, edges, counts)
+            mismatch[r] = int(counts[-1])
+        used += len(ends)
+        left, lo = float(edges[-1]), hi
         open_rows = [r for r in open_rows if outcome[r] is None]
-        lo = hi
-    for r in open_rows:
-        outcome[r] = ("infeasible", None, w_max, used)
+        if last:
+            for r in open_rows:
+                outcome[r] = (("budget_exceeded", None, left, used)
+                              if exhausted
+                              else ("infeasible", None, w_max, used))
+            break
+        size = min(2 * size, _LARGEST_BLOCK)
     return [ShatterResult(tuple(int(b) for b in lab), status, w,
                           (w_min, covered), n_bps)
             for lab, (status, w, covered, n_bps) in zip(labs, outcome)]
@@ -218,8 +276,10 @@ def shatter_search(points, labels, w_max, w_min=0.0, budget=DEFAULT_BUDGET):
     region is an open endpoint, the midpoint of the elementary interval is
     returned instead.
 
-    Exceeding the breakpoint budget yields status "budget_exceeded" together
-    with the weight range actually covered.
+    A search that would sweep more than ``budget`` breakpoints stops after
+    the budget-th with status "budget_exceeded"; its range ends at that
+    breakpoint.  ``breakpoints`` counts those swept: for a found witness,
+    the ones at or below the left edge of its elementary interval.
     """
     xs = np.asarray(points, dtype=float)
     labs = np.asarray(labels, dtype=bool)

@@ -66,6 +66,38 @@ def test_leftover_alpha_and_family_key_typos_exit_2(tmp_path):
         assert list(out.iterdir()) == []
 
 
+PACKING_ATOMS = {"kind": "atomic", "atoms": [[0.1, 0.5], [0.9, 0.5]]}
+
+
+def packing(member):
+    return {"family": {"measure": PACKING_ATOMS, "radius": 0.3,
+                       "members": [{"kind": "sontag", "w": 3.0}, member]}}
+
+
+def test_unknown_concept_keys_exit_2(tmp_path):
+    for member in ({"kind": "sontag", "w": 30.0, "wq": 1},
+                   {"kind": "sontag", "w": 30.0, "alpha": 100.0}):
+        code, out = run(tmp_path, "packing", packing(member))
+        assert code == 2, member
+        assert list(out.iterdir()) == []
+
+
+def test_missing_concept_key_exits_2(tmp_path):
+    code, out = run(tmp_path, "packing",
+                    packing({"kind": "intervals", "intervls": [[0.0, 0.5]]}))
+    assert code == 2
+    assert list(out.iterdir()) == []
+
+
+def test_gc_family_that_is_not_an_object_exits_2(tmp_path):
+    code, out = run(tmp_path, "gc",
+                    {"mode": "adversarial", "family": "sontag",
+                     "measure": {"kind": "uniform", "a": 0.0, "b": 1.0},
+                     "n_list": [4], "trials": 1})
+    assert code == 2
+    assert list(out.iterdir()) == []
+
+
 def test_missing_config_file_exits_2(tmp_path):
     code = main(["construct", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path)])

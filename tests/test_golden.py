@@ -21,7 +21,7 @@ ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
 GOLDEN = Path(__file__).resolve().parent / "golden.json"
 SEED = 0
-# The full adversarial config takes about a minute; fewer trials still run
+# The full adversarial config takes about 5 s; fewer trials still run
 # every sweep path.
 OVERRIDES = {"gc_adversarial": {"trials": 20}}
 

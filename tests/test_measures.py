@@ -3,17 +3,19 @@ import json
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from paclab.concepts import IntervalUnion, SontagConcept
-from paclab.intervals import canonicalize, clip
+from paclab.intervals import canonicalize, clip, total_length
 from paclab.measures import (Atom, AtomicMeasure, CantorMeasure, IdentityMap,
                              PartitionMap, ProductMeasure, ResolutionWarning,
                              UniformMeasure, cantor_interval_mass,
                              cantor_level_intervals, expect_indicator,
-                             measure_from_json, pushforward, sample)
+                             measure_from_json, pushforward, sample,
+                             window_intervals)
 
 TWO_PI = 2.0 * math.pi
 
@@ -161,6 +163,39 @@ def test_uniform_sontag_expectation_is_exact_arc_measure():
     grid = np.linspace(0.0, TWO_PI, 2 * 10 ** 5, endpoint=False)
     oracle = np.mean(np.cos(2.0 * grid) >= 0)
     assert abs(value - oracle) <= 1e-4
+
+
+def _cos_sign_fraction_mp(w, a, b):
+    # 60-digit reference: L(T) = m pi + min(s, pi/2) + max(0, s - 3pi/2),
+    # m = floor(T / 2pi), s = T - 2pi m, on the exact binary inputs.
+    with mpmath.workdps(60):
+        w, a, b = mpmath.mpf(w), mpmath.mpf(a), mpmath.mpf(b)
+        pi = mpmath.pi
+
+        def measure(t):
+            m = mpmath.floor(t / (2 * pi))
+            s = t - 2 * pi * m
+            return m * pi + min(s, pi / 2) + max(0, s - 3 * pi / 2)
+
+        return (measure(w * b) - measure(w * a)) / (w * (b - a))
+
+
+def test_uniform_sontag_mass_closed_form_against_oracles():
+    rng = np.random.default_rng(77)
+    cases = [(0.0, -3.0, 2.0), (2.0, 0.0, TWO_PI), (1e5, 0.0, TWO_PI),
+             (1e5, -7.5, -1.25), (3.5e4, -TWO_PI, TWO_PI)]
+    cases += [(float(w), float(a), float(a + width)) for w, a, width in zip(
+        10.0 ** rng.uniform(-2, 5, 30), rng.uniform(-10, 5, 30),
+        rng.uniform(1, 10, 30))]
+    for w, a, b in cases:
+        u = UniformMeasure(a, b)
+        value = expect_indicator(u, SontagConcept(w))
+        intervals = window_intervals(SontagConcept(w), a, b)
+        assert abs(value - float(total_length(intervals)) / (b - a)) <= 1e-10
+        reference = float(_cos_sign_fraction_mp(w, a, b)) if w else 1.0
+        assert abs(value - reference) <= 1e-14
+    assert expect_indicator(UniformMeasure(-1.0, 4.0), SontagConcept(0.0)) \
+        == 1.0
 
 
 def test_uniform_interval_expectation_is_exact():
@@ -330,9 +365,11 @@ def test_pushforward_identity_preserves_expectations():
     base = UniformMeasure(0.0, 1.0)
     pf = pushforward(base, IdentityMap())
     rng = np.random.default_rng(3)
+    concepts = [SontagConcept(2.0), SontagConcept(3.5e4)]
     for _ in range(10):
         lo, hi = np.sort(rng.uniform(0, 1, size=2))
-        c = IntervalUnion(((float(lo), float(hi)),))
+        concepts.append(IntervalUnion(((float(lo), float(hi)),)))
+    for c in concepts:
         assert expect_indicator(pf, c) == expect_indicator(base, c)
 
 

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from arcsets import ArcSet, feasible_weights
+from paclab import sontag
 from paclab.sontag import (DEFAULT_BUDGET, SontagParams, cos_sign_intervals,
                            first_primes, net_output, output_labels, phi,
                            rationally_independent_points, rho, shatter_census,
@@ -300,6 +301,97 @@ def test_budget_exceeded_reports_partial_range():
     else:
         assert res.status == "budget_exceeded"
         assert res.range_searched[1] < 1e9
+    # 1 and -1 always share a label, so this sweep runs into its budget.
+    # It stops at the budget-th distinct breakpoint, 1 and -1 sharing theirs.
+    points = [1.0, math.sqrt(2), -1.0]
+    swept = sorted({(k + 0.5) * PI / abs(x) for x in points
+                    for k in range(200)})
+    for budget in (0, 1, 100, 101):
+        res = shatter_search(points, [1, 0, 0], 1e9, budget=budget)
+        assert res.status == "budget_exceeded"
+        assert res.breakpoints == budget
+        assert res.range_searched == (0.0, ([0.0] + swept)[budget])
+
+
+def test_witnesses_do_not_depend_on_the_blocks(monkeypatch):
+    # The open interval and the mismatch counts carry across a block
+    # boundary, so the first block's size must not show in any field.
+    rng = np.random.default_rng(7)
+    searches = [(rng.uniform(0.0, 2 * PI, size=n), [1] * n, 1e6, 32.0,
+                 DEFAULT_BUDGET) for n in (4, 8, 8, 12)]
+    searches += [([1.0, math.sqrt(2), -1.0], [1, 0, 0], 1e9, 0.0, 1000),
+                 ([1.0, math.sqrt(2)], [0, 0], 1e4, 3.0, DEFAULT_BUDGET)]
+    runs = []
+    for first_block in (1, 64, 65_536):
+        monkeypatch.setattr(sontag, "_FIRST_BLOCK", first_block)
+        runs.append(([shatter_search(xs, labels, w_max, w_min=w_min,
+                                     budget=budget)
+                      for xs, labels, w_max, w_min, budget in searches],
+                     shatter_census(rationally_independent_points(4), 1e4)))
+    assert runs[0] == runs[1] == runs[2]
+
+
+@st.composite
+def sweep_cases(draw):
+    x = draw(st.floats(min_value=0.3, max_value=3.0))
+    shape = draw(st.sampled_from(["free", "multiples", "near"]))
+    if shape == "multiples":
+        points = [x, 2 * x, 3 * x]
+    elif shape == "near":
+        points = [x, x + 1e-9] + draw(st.lists(
+            st.floats(min_value=0.3, max_value=3.0), max_size=1))
+    else:
+        points = [x] + draw(st.lists(st.floats(min_value=0.3, max_value=3.0),
+                                     max_size=2))
+    signs = draw(st.lists(st.sampled_from([1.0, -1.0]),
+                          min_size=len(points), max_size=len(points)))
+    points = [s * p for s, p in zip(signs, points)]
+    assume(len(set(points)) == len(points))
+    labels = draw(st.lists(st.sampled_from([0, 1]), min_size=len(points),
+                           max_size=len(points)))
+    w_min = draw(st.sampled_from([0.0, 0.0, 2.5, 7.0]))
+    return points, labels, w_min
+
+
+@settings(max_examples=150, deadline=None)
+@given(sweep_cases())
+def test_sweep_agrees_with_arcset_oracle_and_dense_grid(case):
+    points, labels, w_min = case
+    w_max = 25.0
+    inter = ArcSet.from_arcs([(w_min, w_max)], w_max)
+    for x, lab in zip(points, labels):
+        inter = inter.intersect(feasible_weights(x, lab, w_max))
+    res = shatter_search(points, labels, w_max, w_min=w_min)
+    slack = 1e-9
+    # Arcs narrower than float noise in the oracle may be missed.
+    wide = [(lo, hi) for lo, hi in inter.intervals if hi - lo > 1e-12]
+    if res.found:
+        assert output_labels(points, res.witness_w).tolist() == [
+            bool(b) for b in labels]
+        assert res.witness_w >= w_min
+        # A feasible set can hold isolated points, e.g. w x = pi/2 for the
+        # labels (1, 0, 1) of (x, 2x, 3x); they sit on a zero of some
+        # cos(w x), and half-open arcs cannot represent them.
+        phases = [res.witness_w * abs(x) / PI - 0.5 for x in points]
+        isolated = min(abs(t - round(t)) for t in phases) < 1e-9
+        assert isolated or any(lo - slack <= res.witness_w < hi + slack
+                               for lo, hi in inter.intervals)
+    if wide:
+        assert res.found
+        assert res.witness_w <= wide[0][1] + slack
+    else:
+        assert res.status in ("found", "infeasible")
+    grid = np.arange(w_min, w_max, 1e-3)
+    hits = np.all((np.cos(np.outer(grid, points)) >= 0.0)
+                  == np.array(labels, dtype=bool), axis=1)
+    if np.any(hits):
+        # The witness lies in the elementary interval of the first grid hit
+        # or earlier: below the next breakpoint of any point.
+        first = float(grid[int(np.argmax(hits))])
+        assert res.found
+        assert res.witness_w <= min(
+            (math.floor(first * abs(x) / PI - 0.5) + 1.5) * PI / abs(x)
+            for x in points) + slack
 
 
 def test_infeasible_zero_point_label_zero():
