@@ -6,8 +6,9 @@ hash, seed, and versions into the output directory.  Runs are fully
 deterministic for a fixed config and seed, so re-running a manifest
 reproduces byte-identical CSVs.
 
-Exit codes: 0 ok, 2 config error, 3 budget exceeded (with --strict),
-4 invariant violation.
+Exit codes: 0 ok, 2 config error, 3 budget exceeded (a search budget or
+sample-size cap with --strict; an enumeration cap, a packing shortfall or
+the estimator's memory cap always), 4 invariant violation.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 from . import __version__, bounds, concepts, construction, learner, measures, sontag
 from .bounds import PackingShortfallError
 from .concepts import EnumerationCapError
+from .learner import EpisodeMemoryError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -361,7 +363,8 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (EnumerationCapError, PackingShortfallError) as exc:
+    except (EnumerationCapError, EpisodeMemoryError,
+            PackingShortfallError) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except BudgetExceeded as exc:

@@ -253,14 +253,28 @@ class _XorConcept:
         return _contains_many(self.c1, xs) != _contains_many(self.c2, xs)
 
 
+def _uniform_mixed_distance(sign, other, pieces, measure):
+    # m(sign) + m(other) - 2 m(both), added as the two halves of the
+    # symmetric difference; m(both) is the closed-form share of each piece
+    # of ``other`` times the piece's share of the window.
+    width = measure.b - measure.a
+    both = math.fsum(sign.uniform_mass(a, b) * ((b - a) / width)
+                     for a, b in pieces if b > a)
+    return ((expect_indicator(measure, sign) - both)
+            + (expect_indicator(measure, other) - both))
+
+
 def l1_distance(c1, c2, measure, **kw):
     """L1(mu) distance between two concepts: the mass of their symmetric
     difference.
 
     Exact on atomic measures; exact interval/arc arithmetic under the
     uniform and ternary measures whenever both concepts reduce to interval
-    unions.  Otherwise delegated to the measure's integration machinery,
-    propagating any resolution warnings.
+    unions.  Under the uniform measure a sign-test concept against any
+    other interval-reducible concept is measured in closed form, so the
+    distance agrees with ``expect_indicator`` of either.  Otherwise
+    delegated to the measure's integration machinery, propagating any
+    resolution warnings.
     """
     if isinstance(measure, AtomicMeasure):
         return measure.mass(measure.memberships(c1) != measure.memberships(c2))
@@ -272,6 +286,13 @@ def l1_distance(c1, c2, measure, **kw):
         iv1 = window_intervals(c1, lo, hi)
         iv2 = window_intervals(c2, lo, hi)
         if iv1 is not None and iv2 is not None:
+            if isinstance(measure, UniformMeasure):
+                closed1 = hasattr(c1, "uniform_mass")
+                closed2 = hasattr(c2, "uniform_mass")
+                if closed1 and not closed2:
+                    return _uniform_mixed_distance(c1, c2, iv2, measure)
+                if closed2 and not closed1:
+                    return _uniform_mixed_distance(c2, c1, iv1, measure)
             both = intersect(iv1, iv2)
             if isinstance(measure, UniformMeasure):
                 width = hi - lo

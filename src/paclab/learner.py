@@ -31,6 +31,14 @@ DEFAULT_N_CAP = 10 ** 6
 ADVERSARIAL_MIN_WEIGHT = 32.0
 MAX_CENSUS_BITS = 20
 _WILSON_Z = 1.959963984540054  # two-sided 95%
+# One estimator probe holds a bool and, inside the matmul, a float64 per
+# trial and atom: the cap keeps that under about 300 MB.
+MAX_EPISODE_CELLS = 2 ** 25
+_EPISODE_DRAWS = 2 ** 16  # draws (and half the target bits) per chunk
+
+
+class EpisodeMemoryError(RuntimeError):
+    """The estimator's trials x atoms episode mask would exceed its cap."""
 
 
 @dataclass(frozen=True)
@@ -135,26 +143,51 @@ def _universe_arrays(universe):
     raise TypeError("universe must be a ConstructedInstance or AtomicMeasure")
 
 
+def _fair_bits(rng, count):
+    """``rng.integers(0, 2, size=count)`` as bools, read straight from the
+    raw 64-bit words of ``default_rng``'s PCG64 generator.
+
+    A bounded draw below 2 is the top bit of one 32-bit output, and each
+    64-bit word serves two 32-bit outputs, low half first: the bits, and
+    every 64-bit draw after them, are the same.  Chunks hold an even
+    number of bits, so no word is split between two of them.
+    """
+    bits = np.empty(count, dtype=bool)
+    for start in range(0, count, 2 * _EPISODE_DRAWS):
+        stop = min(start + 2 * _EPISODE_DRAWS, count)
+        words = rng.bit_generator.random_raw((stop - start + 1) // 2)
+        # little-endian words, so each low half comes first in the view
+        halves = words.astype("<u8", copy=False).view("<u4")[:stop - start]
+        np.greater_equal(halves, np.uint32(1 << 31), out=bits[start:stop])
+    return bits
+
+
 def _failure_count(measure, free_atoms, eps, trials, n, seed):
     """Episodes at sample size n: how many end with true error above eps.
 
     Vectorized form of draw-target / draw-sample / majority-vote / exact
     error.  With label-consistent samples the majority vote equals the
     target on seen atoms and 0 elsewhere, which the tests cross-check
-    against ``erm_learn`` episode by episode.
+    against ``erm_learn`` episode by episode.  ``missed`` starts as the
+    targets and loses every atom an episode draws, so memory grows with
+    trials x atoms and one chunk of draws, not with n.
     """
     rng = np.random.default_rng([seed, n])
     total = len(measure.atoms)
-    targets = np.zeros((trials, total), dtype=bool)
-    if free_atoms:
-        targets[:, :free_atoms] = rng.integers(
-            0, 2, size=(trials, free_atoms)).astype(bool)
-    seen = np.zeros((trials, total), dtype=bool)
+    missed = np.zeros((trials, total), dtype=bool)
+    missed[:, :free_atoms] = _fair_bits(rng, trials * free_atoms).reshape(
+        trials, free_atoms)
     if n > 0:
-        idx = rng.choice(total, size=(trials, n), p=measure.masses)
-        rows = np.repeat(np.arange(trials), n)
-        seen[rows, idx.ravel()] = True
-    errors = ((targets & ~seen) @ measure.masses)
+        # Rows of about _EPISODE_DRAWS draws each; chunks continue one
+        # stream, so the chunking never changes a draw.
+        flat = missed.reshape(-1)
+        rows = max(1, _EPISODE_DRAWS // n)
+        for start in range(0, trials, rows):
+            stop = min(start + rows, trials)
+            idx = measure.draw_indices(rng, (stop - start, n))
+            idx += np.arange(start * total, stop * total, total)[:, None]
+            flat[idx] = False
+    errors = missed @ measure.masses
     return int(np.sum(errors > eps))
 
 
@@ -174,6 +207,11 @@ def estimate_sample_complexity(universe, eps, delta, trials=400, seed=0,
     if trials < 100:
         raise ValueError("need at least 100 trials")
     measure, free_atoms = _universe_arrays(universe)
+    cells = trials * len(measure.atoms)
+    if cells > MAX_EPISODE_CELLS:
+        raise EpisodeMemoryError(
+            f"{trials} trials x {len(measure.atoms)} atoms = {cells} episode "
+            f"cells exceed the cap of {MAX_EPISODE_CELLS}")
     probes = {}
 
     def failure_rate(n):
@@ -240,13 +278,11 @@ class GcDeviationResult:
 def _atomic_census(memberships, measure, n, trials, seed):
     # Samples from an atomic measure are atom locations, so one frequency
     # vector per trial gives every concept's empirical mean at once.
-    locations = measure.locations
     true_means = memberships @ measure.masses
     devs = []
     for t in range(trials):
-        xs = measure.sample(n, seed=[seed, t])
-        idx = np.searchsorted(locations, xs)
-        counts = np.bincount(idx, minlength=len(locations)).astype(float)
+        idx = measure.draw_indices(np.random.default_rng([seed, t]), n)
+        counts = np.bincount(idx, minlength=len(measure)).astype(float)
         emp = memberships @ (counts / n)
         devs.append(float(np.max(np.abs(true_means - emp))))
     return devs

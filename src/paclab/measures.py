@@ -28,6 +28,9 @@ DEFAULT_GRID_CELLS = 100_000
 MIN_GRID_CELLS = 1_000
 DEFAULT_TERNARY_DEPTH = 40
 _EXACT_MASS_DEPTH = 60
+# Sampling buckets: about 64 per atom, between 2**4 and 2**20.
+_MIN_BUCKET_BITS = 4
+_MAX_BUCKET_BITS = 20
 
 
 class ResolutionWarning(UserWarning):
@@ -99,6 +102,7 @@ class AtomicMeasure:
         self.atoms = atoms
         self.locations = np.array([a.location for a in atoms])
         self.masses = np.array([a.mass for a in atoms])
+        self._buckets = None
 
     @classmethod
     def from_pairs(cls, pairs):
@@ -116,10 +120,42 @@ class AtomicMeasure:
     def __repr__(self):
         return f"AtomicMeasure({len(self.atoms)} atoms)"
 
+    def _bucket_table(self):
+        # rng.choice's cdf, and for 2**bits equal buckets of [0, 1) the
+        # first cdf index above each bucket's left edge.  A uniform in
+        # bucket j has its searchsorted index within ``width`` of first[j],
+        # width the largest bucket's atom count; padding the cdf with ones
+        # (never <= a uniform) keeps every probe of the search in range.
+        if self._buckets is None:
+            cdf = self.masses.cumsum()
+            cdf /= cdf[-1]
+            bits = min(max((64 * len(cdf)).bit_length(), _MIN_BUCKET_BITS),
+                       _MAX_BUCKET_BITS)
+            edges = np.arange(2 ** bits + 1) / 2 ** bits
+            first = cdf.searchsorted(edges, side="right")
+            steps = int(np.diff(first).max()).bit_length()
+            padded = np.concatenate([cdf, np.ones(2 ** steps - 1)])
+            self._buckets = (padded, float(2 ** bits), first[:-1], steps)
+        return self._buckets
+
+    def draw_indices(self, rng, shape):
+        """Atom indices of i.i.d. draws, equal to
+        ``rng.choice(len(self), size=shape, p=self.masses)``.
+
+        The same ``rng.random(shape)`` uniforms meet the same cdf; a bucket
+        table narrows each search to a few atoms, and a fixed-step
+        bisection there finishes it exactly whatever the mass profile.
+        """
+        cdf, scale, first, steps = self._bucket_table()
+        u = rng.random(shape)
+        idx = first[(u * scale).astype(np.intp)]
+        for shift in range(steps - 1, -1, -1):
+            half = 1 << shift
+            idx += half * (cdf[idx + (half - 1)] <= u)
+        return idx
+
     def sample(self, n, seed=0):
-        rng = _rng(seed)
-        idx = rng.choice(len(self.atoms), size=int(n), p=self.masses)
-        return self.locations[idx]
+        return self.locations[self.draw_indices(_rng(seed), int(n))]
 
     def memberships(self, concept):
         """One bool per atom, in atom order: does the concept contain it."""

@@ -236,6 +236,13 @@ def test_enumeration_cap_exit_3(tmp_path):
     assert code == 3
 
 
+def test_estimator_memory_cap_exit_3(tmp_path):
+    config = {"schedule": DEFAULT_SCHEDULE, "levels": [1], "trials": 10 ** 7}
+    code, out = run(tmp_path, "complexity", config)
+    assert code == 3
+    assert not (out / "complexity_manifest.json").exists()
+
+
 def test_invariant_violation_exit_4(tmp_path, monkeypatch):
     import paclab.cli as cli
 

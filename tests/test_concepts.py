@@ -13,8 +13,9 @@ from paclab.concepts import (AtomLabeling, EnumerationCapError, GridUnion,
                              enumerate_order_class, isolate_points,
                              l1_distance, max_interval_count, member,
                              middle_third_bounds, validate_order_member)
+from paclab.intervals import intersect, total_length
 from paclab.measures import (AtomicMeasure, CantorMeasure, UniformMeasure,
-                             expect_indicator)
+                             expect_indicator, window_intervals)
 
 TWO_PI = 2.0 * math.pi
 
@@ -146,6 +147,31 @@ def test_l1_interval_unions_under_uniform_is_exact():
     a = IntervalUnion(((0.0, 0.5),))
     b = IntervalUnion(((0.25, 0.75),))
     assert l1_distance(a, b, u) == pytest.approx(0.5, abs=1e-15)
+
+
+def test_l1_sign_test_against_intervals_uses_the_closed_form():
+    u = UniformMeasure(0.0, TWO_PI)
+
+    def arc_sum(c1, c2):
+        iv1, iv2 = (window_intervals(c, u.a, u.b) for c in (c1, c2))
+        return (float(total_length(iv1)) + float(total_length(iv2))
+                - 2.0 * float(total_length(intersect(iv1, iv2)))) / TWO_PI
+
+    wide = SontagConcept(3.5e4)
+    window = IntervalUnion(((0.0, TWO_PI),))
+    assert l1_distance(wide, window, u) == 1.0 - expect_indicator(u, wide)
+    assert l1_distance(window, wide, u) == 1.0 - expect_indicator(u, wide)
+    rng = np.random.default_rng(4)
+    for _ in range(30):
+        sign = SontagConcept(float(rng.uniform(0.5, 200.0)))
+        cuts = np.sort(rng.uniform(-1.0, TWO_PI + 1.0, size=6))
+        other = IntervalUnion(tuple(zip(cuts[::2], cuts[1::2])))
+        d = l1_distance(sign, other, u)
+        assert d == l1_distance(other, sign, u)
+        assert abs(d - arc_sum(sign, other)) <= 1e-12
+    # two sign-test concepts keep the arc sum
+    a, b = SontagConcept(2.0), SontagConcept(4.0)
+    assert l1_distance(a, b, u) == arc_sum(a, b)
 
 
 def test_l1_propagates_resolution_warning():

@@ -114,6 +114,52 @@ def test_vectorized_episodes_match_erm_learn():
     assert fails_fast == fails_slow
 
 
+def _reference_errors(measure, free, trials, n, seed):
+    # The estimator's episodes as first written: int64 targets, one
+    # rng.choice call for every draw, a trials x n index array.
+    rng = np.random.default_rng([seed, n])
+    total = len(measure.atoms)
+    targets = np.zeros((trials, total), dtype=bool)
+    targets[:, :free] = rng.integers(0, 2, size=(trials, free)).astype(bool)
+    seen = np.zeros((trials, total), dtype=bool)
+    if n > 0:
+        idx = rng.choice(total, size=(trials, n), p=measure.masses)
+        seen[np.repeat(np.arange(trials), n), idx.ravel()] = True
+    return (targets & ~seen) @ measure.masses
+
+
+@pytest.mark.parametrize("rows", [1, 7, "trials"])
+def test_failure_count_does_not_depend_on_the_row_chunks(monkeypatch, rows):
+    from paclab import learner
+    inst = small_instance(K=1, degree=1)
+    measure = inst.measure()
+    free = sum(lvl.size for lvl in inst.levels)
+    trials, seed = 101, 5  # odd trials x odd atoms splits a random word
+    assert trials * free % 2 == 1
+    for n in (0, 1, 12, 40):
+        width = max(n, 1)
+        chunk = trials if rows == "trials" else rows
+        monkeypatch.setattr(learner, "_EPISODE_DRAWS", chunk * width)
+        errors = _reference_errors(measure, free, trials, n, seed)
+        for eps in sorted(set(errors.tolist()))[::3] + [0.0, 1.0]:
+            assert (learner._failure_count(measure, free, eps, trials, n,
+                                           seed)
+                    == int(np.sum(errors > eps)))
+
+
+@pytest.mark.parametrize("chunk_words", [1, 3, 2 ** 18])
+def test_fair_bits_match_rng_integers(monkeypatch, chunk_words):
+    from paclab import learner
+    monkeypatch.setattr(learner, "_EPISODE_DRAWS", chunk_words)
+    for count in (0, 1, 2, 3, 1001, 4096):
+        ours = np.random.default_rng([count, 3])
+        theirs = np.random.default_rng([count, 3])
+        bits = learner._fair_bits(ours, count)
+        assert bits.dtype == bool
+        assert np.array_equal(bits, theirs.integers(0, 2, size=count) == 1)
+        assert np.array_equal(ours.random(5), theirs.random(5))
+
+
 # ---------------------------------------------------------------------------
 # sample-complexity estimation
 
@@ -165,6 +211,23 @@ def test_estimate_cap_status():
                                      n_cap=4)
     assert est.status == "cap_exceeded"
     assert est.n_hat is None
+
+
+def test_estimator_memory_guard_raises_before_allocating():
+    import tracemalloc
+
+    from paclab.learner import MAX_EPISODE_CELLS, EpisodeMemoryError
+    inst = small_instance(K=1, degree=1)
+    trials = 10 ** 7
+    assert trials * len(inst.measure()) > MAX_EPISODE_CELLS
+    tracemalloc.start()
+    try:
+        with pytest.raises(EpisodeMemoryError):
+            estimate_sample_complexity(inst, 0.1, 0.1, trials=trials)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_estimate_rejects_bad_parameters():

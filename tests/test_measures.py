@@ -96,6 +96,43 @@ def test_sample_zero_is_empty():
     assert len(sample(UniformMeasure(0, 1), 0, 0)) == 0
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.sampled_from(["spread", "heavy", "single"]),
+       st.sampled_from([0, 1, 37, (0,), (3, 0), (4, 5), (2, 300)]))
+def test_draw_indices_match_rng_choice(seed, profile, shape):
+    rng = np.random.default_rng(seed)
+    if profile == "heavy":
+        # One heavy atom among thousands of ~1e-7 atoms: a bucket then
+        # holds many atoms and the search takes several steps.
+        tiny = int(rng.integers(2000, 5000))
+        raw = np.full(tiny + 1, 1e-7)
+        raw[rng.integers(tiny + 1)] = 1.0
+    elif profile == "single":
+        raw = np.ones(1)
+    else:
+        raw = rng.uniform(0.0, 1.0, size=int(rng.integers(1, 3000))) ** 8
+        raw += 1e-12
+    m = AtomicMeasure.from_pairs(zip(range(len(raw)), raw / raw.sum()))
+    shapes = [shape]
+    if profile == "heavy":
+        assert m._bucket_table()[3] > 1
+        # The light atoms hold about 3e-4 of the mass: enough draws that
+        # some land there, at every depth of the search.
+        shapes.append((4, 2 ** 16))
+    for size in shapes:
+        choice_rng = np.random.default_rng([seed, 1])
+        kernel_rng = np.random.default_rng([seed, 1])
+        want = choice_rng.choice(len(m), size=size, p=m.masses)
+        got = m.draw_indices(kernel_rng, size)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert kernel_rng.random() == choice_rng.random()
+    assert np.array_equal(m.sample(7, seed=seed),
+                          m.locations[np.random.default_rng(seed).choice(
+                              len(m), size=7, p=m.masses)])
+
+
 def test_cantor_depth1_hits_two_values():
     xs = sample(CantorMeasure(depth=1), 7, 1000)
     values = set(np.unique(xs))
