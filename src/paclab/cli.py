@@ -112,18 +112,32 @@ def run_construct(config, out_dir, seed):
     return ["instance.json", "profile.json"]
 
 
+def _int_entry(value, name, least):
+    # JSON integers only: bools, floats and strings are config errors.
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ConfigError(f"{name} must be an integer >= {least}, "
+                          f"got {value!r}")
+    return value
+
+
 def run_complexity(config, out_dir, seed):
     _require(config, {"schedule", "delta", "trials", "levels", "n_cap"},
              {"schedule"})
     schedule = construction.ComplexitySchedule.from_json(config["schedule"])
-    delta = float(config.get("delta", 0.1))
-    trials = int(config.get("trials", 400))
-    n_cap = int(config.get("n_cap", learner.DEFAULT_N_CAP))
-    instance = construction.build_measure(schedule)
-    levels = [int(k) for k in config.get("levels",
-                                         range(1, schedule.K + 1))]
-    if any(not 1 <= k <= schedule.K for k in levels):
+    delta = config.get("delta", 0.1)
+    if (isinstance(delta, bool) or not isinstance(delta, (int, float))
+            or not 0 < delta < 1):
+        raise ConfigError(f"delta must be a number in (0, 1), got {delta!r}")
+    trials = _int_entry(config.get("trials", 400), "trials", 1)
+    n_cap = _int_entry(config.get("n_cap", learner.DEFAULT_N_CAP), "n_cap", 0)
+    levels = config.get("levels", list(range(1, schedule.K + 1)))
+    if not isinstance(levels, list):
+        raise ConfigError(f"levels must be a list, got {levels!r}")
+    levels = [_int_entry(k, "each level", 1) for k in levels]
+    if any(k > schedule.K for k in levels):
         raise ConfigError(f"levels must lie in 1..{schedule.K}")
+    delta = float(delta)
+    instance = construction.build_measure(schedule)
     rows = []
     summary = []
     for k in levels:
@@ -153,10 +167,7 @@ def _points_from_config(config, n_labels):
     ``log_primes`` is checked before any prime is generated.
     """
     if "log_primes" in config:
-        n = config["log_primes"]
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise ConfigError(f"log_primes must be a positive integer, "
-                              f"got {n!r}")
+        n = _int_entry(config["log_primes"], "log_primes", 1)
         if n_labels is None and n > sontag.MAX_CENSUS_POINTS:
             raise ConfigError(f"log_primes {n} exceeds the census limit of "
                               f"{sontag.MAX_CENSUS_POINTS} points")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +25,7 @@ import numpy as np
 from . import sontag
 from .bounds import bi_upper_from_log2, greedy_packing_memberships
 from .concepts import AtomLabeling, SontagFamily
-from .measures import AtomicMeasure, Atom
+from .measures import AtomicMeasure, Atom, _as_fraction
 
 PACKING_LOWER_RATE = 0.0128  # 2 * (0.5 - 0.42)^2, the cube-packing constant
 SMALL_FAMILY_LIMIT = 20
@@ -34,20 +34,6 @@ MATERIALIZE_LIMIT = 24
 
 class EmptyLevelWarning(UserWarning):
     """A construction level received zero atoms (flat stretch of the rate)."""
-
-
-def _as_fraction(value):
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, float):
-        # Floats are read as the decimal literal they print as, so JSON
-        # configs with 0.2 mean exactly 1/5.
-        return Fraction(str(value))
-    raise TypeError(f"cannot read {value!r} as an exact rational")
 
 
 @dataclass(frozen=True)
@@ -221,6 +207,8 @@ class ConstructedInstance:
     levels: tuple
     residual_location: float
     residual_mass_exact: Fraction
+    _measure: AtomicMeasure | None = field(default=None, init=False,
+                                           repr=False, compare=False)
 
     @property
     def residual_mass(self):
@@ -239,14 +227,20 @@ class ConstructedInstance:
         return self.level_locations + (self.residual_location,)
 
     def measure(self):
-        atoms = []
-        for lvl in self.levels:
-            if lvl.size == 0:
-                continue
-            per_atom = float(lvl.mass_exact / lvl.size)
-            atoms.extend(Atom(loc, per_atom) for loc in lvl.locations)
-        atoms.append(Atom(self.residual_location, self.residual_mass))
-        return AtomicMeasure(atoms)
+        """The instance as an atomic measure with exact masses, built on
+        the first call and shared after it."""
+        if self._measure is None:
+            atoms = []
+            for lvl in self.levels:
+                if lvl.size == 0:
+                    continue
+                exact = lvl.mass_exact / lvl.size
+                mass = float(exact)
+                atoms.extend(Atom(loc, mass, exact) for loc in lvl.locations)
+            atoms.append(Atom(self.residual_location, self.residual_mass,
+                              self.residual_mass_exact))
+            object.__setattr__(self, "_measure", AtomicMeasure(atoms))
+        return self._measure
 
     def to_json(self):
         return {"schedule": self.schedule.to_json(),

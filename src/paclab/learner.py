@@ -7,8 +7,10 @@ majorities minimizes empirical risk, so the vote IS an ERM hypothesis and
 experiments never enumerate the exponentially-large cover.
 
 ``estimate_sample_complexity`` measures the smallest sample size whose
-failure rate (true error above eps) drops to delta, by doubling then
-bisection over Monte-Carlo episode batches.  ``gc_deviation`` estimates the
+failure rate (true error above eps) drops to delta, in one pass over nested
+Monte-Carlo episodes: the error of a growing sample only falls, so the
+estimate is a quantile of the episodes' hitting times, each decided in
+exact integer mass units.  ``gc_deviation`` estimates the
 uniform deviation sup |E_mu - E_emp| either by enumerating a finite
 sub-class (census mode) or by adversarially fitting the all-ones labeling
 of each drawn sample (the non-convergence witness experiment).
@@ -25,16 +27,20 @@ from . import sontag
 from .concepts import (AtomLabeling, OrderIntervalFamily, SontagFamily,
                        isolate_points)
 from .construction import ConstructedInstance, LabelingFamily
-from .measures import AtomicMeasure, _contains_many, expect_indicator
+from .measures import (AtomicMeasure, _as_fraction, _contains_many,
+                       expect_indicator)
 
 DEFAULT_N_CAP = 10 ** 6
 ADVERSARIAL_MIN_WEIGHT = 32.0
 MAX_CENSUS_BITS = 20
 _WILSON_Z = 1.959963984540054  # two-sided 95%
-# One estimator probe holds a bool and, inside the matmul, a float64 per
-# trial and atom: the cap keeps that under about 300 MB.
+# One estimate holds a bool per trial and atom: the cap keeps that mask
+# at 32 MiB.
 MAX_EPISODE_CELLS = 2 ** 25
-_EPISODE_DRAWS = 2 ** 16  # draws (and half the target bits) per chunk
+# Most draws in one block of episode columns, and half the target bits
+# read in one chunk.
+_EPISODE_DRAWS = 2 ** 16
+NOT_HIT = np.iinfo(np.int64).max  # hitting time of a trial still above eps
 
 
 class EpisodeMemoryError(RuntimeError):
@@ -116,6 +122,7 @@ class ComplexityEstimate:
     confidence_interval: tuple
     seed: int
     status: str  # "converged" | "cap_exceeded"
+    draws: int = 0  # episode draws made
     probes: tuple = field(repr=False, default=())  # (n, failures) pairs
 
     def to_json(self):
@@ -124,6 +131,7 @@ class ComplexityEstimate:
                 "failure_rate_at_n_hat": self.failure_rate_at_n_hat,
                 "confidence_interval": list(self.confidence_interval),
                 "seed": self.seed, "status": self.status,
+                "draws": self.draws,
                 "probes": [list(p) for p in self.probes]}
 
 
@@ -162,43 +170,93 @@ def _fair_bits(rng, count):
     return bits
 
 
-def _failure_count(measure, free_atoms, eps, trials, n, seed):
-    """Episodes at sample size n: how many end with true error above eps.
+def _hitting_times(measure, free_atoms, eps, trials, seed, allowed=0,
+                   n_cap=DEFAULT_N_CAP):
+    """Nested episodes: (each trial's T = min{n : err_n <= eps}, draws made).
 
-    Vectorized form of draw-target / draw-sample / majority-vote / exact
-    error.  With label-consistent samples the majority vote equals the
-    target on seen atoms and 0 elsewhere, which the tests cross-check
-    against ``erm_learn`` episode by episode.  ``missed`` starts as the
-    targets and loses every atom an episode draws, so memory grows with
-    trials x atoms and one chunk of draws, not with n.
+    Trial t draws its random target first (``_fair_bits``, all trials
+    together), then its j-th sample point is entry (j, t) of
+    ``measure.draw_indices(rng, (n, trials))``: the generator is drawn
+    column-major, so no draw depends on the block widths or on which
+    trials have stopped.  With label-consistent samples the majority vote
+    equals the target on seen atoms and 0 elsewhere, so err_n is the exact
+    mass of the target atoms not yet drawn; each trial keeps it in the
+    measure's integer units, and only the first draw of a (trial, atom)
+    pair removes that atom's units.  The pass stops once at most
+    ``allowed`` trials are still above eps, or at ``n_cap`` draws per
+    trial; a trial still above eps then reads ``NOT_HIT``.
     """
-    rng = np.random.default_rng([seed, n])
-    total = len(measure.atoms)
-    missed = np.zeros((trials, total), dtype=bool)
-    missed[:, :free_atoms] = _fair_bits(rng, trials * free_atoms).reshape(
-        trials, free_atoms)
-    if n > 0:
-        # Rows of about _EPISODE_DRAWS draws each; chunks continue one
-        # stream, so the chunking never changes a draw.
-        flat = missed.reshape(-1)
-        rows = max(1, _EPISODE_DRAWS // n)
-        for start in range(0, trials, rows):
-            stop = min(start + rows, trials)
-            idx = measure.draw_indices(rng, (stop - start, n))
-            idx += np.arange(start * total, stop * total, total)[:, None]
-            flat[idx] = False
-    errors = missed @ measure.masses
-    return int(np.sum(errors > eps))
+    units, total_units = measure.units()
+    eps = _as_fraction(eps)
+    threshold = min(eps.numerator * total_units // eps.denominator,
+                    total_units)  # err <= eps  <=>  units <= floor(eps U)
+    rng = np.random.default_rng(seed)
+    # Only the first free_atoms atoms can be targets: the mask holds those.
+    atoms, units = free_atoms, units[:free_atoms]
+    missed = _fair_bits(rng, trials * atoms).reshape(trials, atoms)
+    remaining = np.fromiter((units @ row for row in missed), dtype=np.int64,
+                            count=trials)
+    times = np.where(remaining <= threshold, 0, NOT_HIT)
+    running = times == NOT_HIT
+    # Per atom, how many running trials still miss it: draws of other
+    # atoms change nothing and are never looked up.
+    missing = (np.count_nonzero(missed, axis=0)
+               - np.count_nonzero(missed[~running], axis=0))
+    flat = missed.reshape(-1)
+    columns = max(1, min(_EPISODE_DRAWS // trials, n_cap))
+    block = np.empty(columns * trials)
+    drawn = 0
+    width = 1
+    while np.count_nonzero(running) > allowed and drawn < n_cap:
+        width = min(width, n_cap - drawn)
+        u = rng.random(out=block[:width * trials].reshape(width, trials))
+        live = np.flatnonzero(missing)
+        lo, hi = measure.uniform_bounds(live[0], live[-1] + 1)
+        wanted = u >= lo
+        wanted &= u < hi
+        wanted &= running
+        draw, trial = np.divmod(np.flatnonzero(wanted), trials)
+        cells = trial * atoms + measure.indices_of(u[draw, trial])
+        new = flat[cells]
+        # The first draw in this block of each (trial, atom) still missed,
+        # in (trial, draw) order.
+        cells, first = np.unique(cells[new], return_index=True)
+        flat[cells] = False
+        draw, trial = draw[new][first], trial[new][first]
+        order = np.lexsort((draw, trial))
+        draw, trial, cells = draw[order], trial[order], cells[order]
+        gains = units[cells % atoms]
+        missing -= np.bincount(cells % atoms, minlength=atoms)
+        # Units removed so far within each trial's run of draws.
+        spent = np.cumsum(gains)
+        starts = np.flatnonzero(np.diff(trial, prepend=-1))
+        ends = np.flatnonzero(np.diff(trial, append=trials))
+        spent -= np.repeat(spent[starts] - gains[starts], ends - starts + 1)
+        left = remaining[trial] - spent
+        remaining[trial[ends]] = left[ends]
+        done = np.flatnonzero(left <= threshold)
+        firsts = done[np.diff(trial[done], prepend=-1) != 0]
+        hit = trial[firsts]
+        times[hit] = drawn + draw[firsts] + 1
+        running[hit] = False
+        missing -= np.count_nonzero(missed[hit], axis=0)
+        drawn += width
+        width = min(2 * width, columns)
+    return times, trials * drawn
 
 
 def estimate_sample_complexity(universe, eps, delta, trials=400, seed=0,
                                n_cap=DEFAULT_N_CAP):
     """Smallest n whose Monte-Carlo failure rate is at most delta.
 
-    Doubling finds a passing n, bisection then pins the threshold; the
-    returned estimate carries the full probe trail and a Wilson 95%
-    interval at the accepted n.  Identical seeds probe identical episodes
-    across eps values, so estimates are monotone in eps by construction.
+    One pass over ``trials`` nested episodes (``_hitting_times``): the
+    failure rate at n is the share of hitting times above n, so n_hat is
+    the (trials - allowed)-th smallest hitting time, ``allowed`` being the
+    most failures with failures / trials <= delta.  The estimate carries a
+    trail of failure counts at n = 0, 1, 2, 4, ... below n_hat and at
+    n_hat - 1 and n_hat (n_cap in place of n_hat when the cap is hit), and
+    a Wilson 95% interval at n_hat.  Every eps
+    sees the episodes of one seed, so estimates are monotone in eps.
     """
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
@@ -212,37 +270,25 @@ def estimate_sample_complexity(universe, eps, delta, trials=400, seed=0,
         raise EpisodeMemoryError(
             f"{trials} trials x {len(measure.atoms)} atoms = {cells} episode "
             f"cells exceed the cap of {MAX_EPISODE_CELLS}")
-    probes = {}
-
-    def failure_rate(n):
-        if n not in probes:
-            probes[n] = _failure_count(measure, free_atoms, eps, trials, n, seed)
-        return probes[n] / trials
-
-    def finish(n_hat, status):
-        trail = tuple(sorted(probes.items()))
-        if n_hat is None:
-            return ComplexityEstimate(None, eps, delta, trials, None,
-                                      (0.0, 1.0), seed, status, trail)
-        rate = failure_rate(n_hat)
-        ci = wilson_interval(probes[n_hat], trials)
-        return ComplexityEstimate(n_hat, eps, delta, trials, rate, ci, seed,
-                                  status, trail)
-
-    if failure_rate(0) <= delta:
-        return finish(0, "converged")
-    lo, hi = 0, 1
-    while failure_rate(hi) > delta:
-        lo, hi = hi, hi * 2
-        if hi > n_cap:
-            return finish(None, "cap_exceeded")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if failure_rate(mid) <= delta:
-            hi = mid
-        else:
-            lo = mid
-    return finish(hi, "converged")
+    allowed = int(delta * trials) + 1
+    while allowed / trials > delta:
+        allowed -= 1
+    times, draws = _hitting_times(measure, free_atoms, eps, trials, seed,
+                                  allowed, n_cap)
+    times.sort()
+    n_hat = int(times[trials - allowed - 1])
+    top = min(n_hat, n_cap)
+    below = max(top - 1, 0)
+    ns = {0, below, top, *(2 ** i for i in range(below.bit_length()))}
+    trail = tuple((n, trials - int(np.searchsorted(times, n, side="right")))
+                  for n in sorted(ns))
+    if n_hat > n_cap:
+        return ComplexityEstimate(None, eps, delta, trials, None, (0.0, 1.0),
+                                  seed, "cap_exceeded", draws, trail)
+    failures = dict(trail)[n_hat]
+    return ComplexityEstimate(n_hat, eps, delta, trials, failures / trials,
+                              wilson_interval(failures, trials), seed,
+                              "converged", draws, trail)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -65,18 +65,41 @@ def window_intervals(concept, lo, hi):
     return clip(canonicalize(ivs), lo, hi)
 
 
+def _as_fraction(value):
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        return Fraction(value)
+    if isinstance(value, float):
+        # Floats are read as the decimal literal they print as, so JSON
+        # configs with 0.2 mean exactly 1/5.
+        return Fraction(str(value))
+    raise TypeError(f"cannot read {value!r} as an exact rational")
+
+
 @dataclass(frozen=True)
 class Atom:
-    """A point mass: location on the real line, mass in (0, 1]."""
+    """A point mass: location on the real line, mass in (0, 1].
+
+    ``exact``, when given, is the mass as a rational whose float is
+    ``mass``; without it the mass is read as the decimal literal it prints
+    as.
+    """
 
     location: float
     mass: float
+    exact: Fraction | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not (0.0 < self.mass <= 1.0):
             raise ValueError(f"atom mass must lie in (0, 1], got {self.mass}")
         if not math.isfinite(self.location):
             raise ValueError("atom location must be finite")
+        if self.exact is not None and float(self.exact) != self.mass:
+            raise ValueError(f"exact mass {self.exact} does not round to "
+                             f"{self.mass!r}")
 
 
 class AtomicMeasure:
@@ -103,6 +126,7 @@ class AtomicMeasure:
         self.locations = np.array([a.location for a in atoms])
         self.masses = np.array([a.mass for a in atoms])
         self._buckets = None
+        self._units = None
 
     @classmethod
     def from_pairs(cls, pairs):
@@ -112,7 +136,8 @@ class AtomicMeasure:
     def uniform_on(cls, locations):
         locations = list(locations)
         n = len(locations)
-        return cls.from_pairs((loc, 1.0 / n) for loc in locations)
+        return cls([Atom(float(loc), 1.0 / n, Fraction(1, n))
+                     for loc in locations])
 
     def __len__(self):
         return len(self.atoms)
@@ -146,16 +171,48 @@ class AtomicMeasure:
         table narrows each search to a few atoms, and a fixed-step
         bisection there finishes it exactly whatever the mass profile.
         """
+        return self.indices_of(rng.random(shape))
+
+    def indices_of(self, u):
+        """The atom index ``draw_indices`` draws for each uniform in ``u``."""
         cdf, scale, first, steps = self._bucket_table()
-        u = rng.random(shape)
         idx = first[(u * scale).astype(np.intp)]
         for shift in range(steps - 1, -1, -1):
             half = 1 << shift
             idx += half * (cdf[idx + (half - 1)] <= u)
         return idx
 
+    def uniform_bounds(self, lo, hi):
+        """(a, b) such that a uniform u is drawn as an atom index in
+        [lo, hi) exactly when a <= u < b."""
+        cdf = self._bucket_table()[0]
+        return (cdf[lo - 1] if lo > 0 else 0.0), cdf[hi - 1]
+
     def sample(self, n, seed=0):
         return self.locations[self.draw_indices(_rng(seed), int(n))]
+
+    def units(self):
+        """The exact masses in integer units: (int64 per-atom units, their
+        Python-int total U), atom i weighing units[i] / U.
+
+        Built once from each atom's exact mass over a common denominator,
+        reduced by the units' gcd.  A measure whose units do not fit int64
+        raises ``OverflowError``; there is no float fallback.
+        """
+        if self._units is None:
+            exact = [a.exact if a.exact is not None else _as_fraction(a.mass)
+                     for a in self.atoms]
+            den = math.lcm(*(f.denominator for f in exact))
+            nums = [f.numerator * (den // f.denominator) for f in exact]
+            common = math.gcd(*nums)
+            nums = [x // common for x in nums]
+            total = sum(nums)
+            if total >= 2 ** 63:
+                raise OverflowError(
+                    f"the exact masses of {self!r} need {total.bit_length()}"
+                    "-bit units, more than int64 holds")
+            self._units = (np.array(nums, dtype=np.int64), total)
+        return self._units
 
     def memberships(self, concept):
         """One bool per atom, in atom order: does the concept contain it."""

@@ -4,8 +4,10 @@ Each test prints one PASS/FAIL line (run with ``pytest -s`` to see them all)
 and enforces the stated tolerance and runtime budget.
 """
 
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -23,6 +25,7 @@ from paclab.sontag import (output_labels, phi, rationally_independent_points,
                            rho, shatter_census)
 
 TWO_PI = 2.0 * math.pi
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def report(number, ok, detail):
@@ -155,6 +158,31 @@ def test_criterion_7_growth_bracket():
     elapsed = time.perf_counter() - start
     ok = ok and ratio >= 5.0 and elapsed < 600.0
     report(7, ok, ", ".join(details) + f", ratio {ratio:.1f}, {elapsed:.0f}s")
+
+
+def test_criterion_7_growth_bracket_three_levels():
+    # Criterion 7 one level deeper, on configs/complexity_k3.json.
+    config = json.loads((CONFIGS / "complexity_k3.json").read_text())
+    start = time.perf_counter()
+    instance = build_measure(ComplexitySchedule.from_json(config["schedule"]))
+    profile = theoretical_profile(instance, config["delta"])
+    ok = True
+    details = []
+    hats = []
+    for k in config["levels"]:
+        row = profile.rows[k - 1]
+        est = estimate_sample_complexity(instance, row.eps, config["delta"],
+                                         trials=config["trials"], seed=777)
+        floor = math.ceil(0.0128 * row.f_k)
+        ok = ok and est.status == "converged"
+        ok = ok and floor <= est.n_hat <= row.upper
+        details.append(f"eps_{k}: {floor}<={est.n_hat}<={row.upper}")
+        hats.append(est.n_hat)
+    ratios = [b / a for a, b in zip(hats, hats[1:])]
+    elapsed = time.perf_counter() - start
+    ok = ok and len(hats) == 3 and min(ratios) >= 5.0 and elapsed < 600.0
+    report("7 (K=3)", ok, ", ".join(details) + ", ratios "
+           + ", ".join(f"{r:.1f}" for r in ratios) + f", {elapsed:.0f}s")
 
 
 def test_criterion_8_construction_arithmetic():

@@ -227,6 +227,24 @@ def test_bad_level_index_exit_2(tmp_path):
     assert code == 2
 
 
+def test_complexity_config_types_exit_2(tmp_path):
+    base = {"schedule": {"eps": ["1/5", "1/25"],
+                         "f": {"kind": "poly", "degree": 1}, "K": 1},
+            "delta": 0.1, "trials": 100, "levels": [1], "n_cap": 1000}
+    wrong = {"levels": "1", "trials": 100.7, "delta": "0.1", "n_cap": 2.5}
+    for key, value in [*wrong.items(), ("levels", [1.9]),
+                       ("levels", [True]), ("trials", True),
+                       ("delta", 1), ("delta", float("nan"))]:
+        out = tmp_path / f"{key}_{value!r}"
+        out.mkdir()
+        code, written = run(out, "complexity", {**base, key: value})
+        assert code == 2, (key, value)
+        assert not (written / "complexity_manifest.json").exists()
+    code, written = run(tmp_path, "complexity", base)
+    assert code == 0
+    assert (written / "complexity_manifest.json").exists()
+
+
 def test_enumeration_cap_exit_3(tmp_path):
     config = {"mode": "census",
               "family": {"kind": "order_class", "n": 10 ** 6},

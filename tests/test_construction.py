@@ -108,6 +108,20 @@ def test_mass_telescoping_is_exact():
         assert total_levels + inst.residual_mass_exact == 1
 
 
+def test_instance_measure_is_built_once_with_exact_units():
+    inst = build_measure(ComplexitySchedule.default())
+    measure = inst.measure()
+    assert inst.measure() is measure
+    assert inst == build_measure(ComplexitySchedule.default())
+    assert hash(inst) == hash(build_measure(ComplexitySchedule.default()))
+    units, total = measure.units()
+    assert total == 3750  # K=2 masses are multiples of 1/3,750
+    exact = [lvl.mass_exact / lvl.size for lvl in inst.levels
+             for _ in range(lvl.size)] + [inst.residual_mass_exact]
+    assert [Fraction(int(u), total) for u in units] == exact
+    assert measure.masses.tolist() == [float(f) for f in exact]
+
+
 def test_empty_level_warns():
     sched = ComplexitySchedule(eps=geometric_eps(3),
                                f=RateFunction.table([(5, 3), (25, 3)]), K=2,

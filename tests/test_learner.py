@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paclab.concepts import (AtomLabeling, IntervalUnion, OrderIntervalFamily,
                              SontagFamily)
@@ -90,61 +92,141 @@ def test_true_error_single_atom_disagreement():
     assert true_error(h, t, m) == 0.008
 
 
+def _stream(measure, free, trials, n, seed):
+    # The estimator's episodes drawn the plain way: int64 targets, then
+    # rng.choice for n draws of every trial, column-major.
+    rng = np.random.default_rng(seed)
+    targets = np.zeros((trials, len(measure)), dtype=bool)
+    targets[:, :free] = rng.integers(0, 2, size=(trials, free)).astype(bool)
+    idx = rng.choice(len(measure), size=(n, trials), p=measure.masses).T
+    return targets, idx
+
+
 def test_vectorized_episodes_match_erm_learn():
-    # the estimator's fast path must agree with the per-episode operation
-    from paclab.learner import _failure_count
+    # erm_learn on the first n draws of trial t errs above eps exactly
+    # when the trial's hitting time is above n.
+    from paclab.learner import NOT_HIT, _hitting_times
     inst = small_instance(K=1, degree=1)
     measure = inst.measure()
     free = sum(lvl.size for lvl in inst.levels)
-    eps, trials, n, seed = 0.3, 64, 12, 99
-    fails_fast = _failure_count(measure, free, eps, trials, n, seed)
-    rng = np.random.default_rng([seed, n])
-    targets = rng.integers(0, 2, size=(trials, free)).astype(bool)
-    idx = rng.choice(len(measure.atoms), size=(trials, n), p=measure.masses)
-    fails_slow = 0
+    eps, trials, seed = 0.3, 64, 99
+    times, _ = _hitting_times(measure, free, eps, trials, seed)
+    assert NOT_HIT not in times
+    targets, idx = _stream(measure, free, trials, int(times.max()) + 2, seed)
     for t in range(trials):
-        bits = tuple(int(b) for b in targets[t]) + (0,) * (len(measure.atoms) - free)
-        target = AtomLabeling.for_measure(measure, bits)
-        points = tuple(measure.locations[idx[t]])
-        labels = tuple(int(target.contains(p)) for p in points)
-        h = erm_learn(LabeledSample(points, labels), measure)
-        assert empirical_risk(h, LabeledSample(points, labels)) == 0.0
-        if true_error(h, target, measure) > eps:
-            fails_slow += 1
-    assert fails_fast == fails_slow
+        target = AtomLabeling.for_measure(
+            measure, tuple(int(b) for b in targets[t]))
+        for n in sorted({0, 1, 5, 12, times[t] - 1, times[t], times[t] + 1}):
+            if n < 0:
+                continue
+            points = tuple(measure.locations[idx[t, :n]])
+            labels = tuple(int(target.contains(p)) for p in points)
+            h = erm_learn(LabeledSample(points, labels), measure)
+            assert empirical_risk(h, LabeledSample(points, labels)) == 0.0
+            assert (true_error(h, target, measure) > eps) == (times[t] > n)
 
 
-def _reference_errors(measure, free, trials, n, seed):
-    # The estimator's episodes as first written: int64 targets, one
-    # rng.choice call for every draw, a trials x n index array.
-    rng = np.random.default_rng([seed, n])
-    total = len(measure.atoms)
-    targets = np.zeros((trials, total), dtype=bool)
-    targets[:, :free] = rng.integers(0, 2, size=(trials, free)).astype(bool)
-    seen = np.zeros((trials, total), dtype=bool)
-    if n > 0:
-        idx = rng.choice(total, size=(trials, n), p=measure.masses)
-        seen[np.repeat(np.arange(trials), n), idx.ravel()] = True
-    return (targets & ~seen) @ measure.masses
+def _reference_times(measure, free, eps, trials, n, seed):
+    # Hitting times from the plain stream, err_n summed in exact units
+    # after each draw; NOT_HIT past n draws.
+    from paclab.learner import NOT_HIT
+    units, total = measure.units()
+    eps = Fraction(str(eps))
+    targets, idx = _stream(measure, free, trials, n, seed)
+    seen = np.zeros_like(targets)
+    times = np.full(trials, NOT_HIT)
+    for j in range(n + 1):
+        err = np.array([units[row].sum() for row in targets & ~seen])
+        times[(times == NOT_HIT) & (err * eps.denominator
+                                    <= eps.numerator * total)] = j
+        if j < n:
+            seen[np.arange(trials), idx[:, j]] = True
+    return times
 
 
-@pytest.mark.parametrize("rows", [1, 7, "trials"])
-def test_failure_count_does_not_depend_on_the_row_chunks(monkeypatch, rows):
+@pytest.mark.parametrize("width", [1, 7, "large"])
+def test_hitting_times_do_not_depend_on_the_block_width(monkeypatch, width):
     from paclab import learner
     inst = small_instance(K=1, degree=1)
     measure = inst.measure()
     free = sum(lvl.size for lvl in inst.levels)
-    trials, seed = 101, 5  # odd trials x odd atoms splits a random word
+    trials, seed, n = 101, 5, 40  # odd trials x odd atoms splits a random word
     assert trials * free % 2 == 1
-    for n in (0, 1, 12, 40):
-        width = max(n, 1)
-        chunk = trials if rows == "trials" else rows
-        monkeypatch.setattr(learner, "_EPISODE_DRAWS", chunk * width)
-        errors = _reference_errors(measure, free, trials, n, seed)
-        for eps in sorted(set(errors.tolist()))[::3] + [0.0, 1.0]:
-            assert (learner._failure_count(measure, free, eps, trials, n,
-                                           seed)
-                    == int(np.sum(errors > eps)))
+    columns = 2 ** 20 if width == "large" else width
+    monkeypatch.setattr(learner, "_EPISODE_DRAWS", columns * trials)
+    for eps in (0.0, 0.16, 0.3, 0.5, 1.0):
+        expected = _reference_times(measure, free, eps, trials, n, seed)
+        times, draws = learner._hitting_times(measure, free, eps, trials,
+                                              seed, n_cap=n)
+        assert np.array_equal(times, expected)
+        assert draws % trials == 0 and draws <= n * trials
+        # Stopping once at most `allowed` trials run leaves the rest as is.
+        times, _ = learner._hitting_times(measure, free, eps, trials, seed,
+                                          allowed=30, n_cap=n)
+        known = times != learner.NOT_HIT
+        assert np.array_equal(times[known], expected[known])
+        assert np.count_nonzero(~known) <= 30
+        assert np.all(expected[~known] > times[known].max(initial=0))
+
+
+def _sequential_times(masses, eps, trials, n, seed):
+    # One trial at a time, one draw at a time, in Fractions: the
+    # estimator's stream with err_n summed exactly after each draw.
+    exact = [Fraction(str(m)) for m in masses]
+    exact = [m / sum(exact) for m in exact]
+    eps = Fraction(str(eps))
+    rng = np.random.default_rng(seed)
+    targets = rng.integers(0, 2, size=(trials, len(masses)))
+    columns = [rng.choice(len(masses), size=trials, p=masses)
+               for _ in range(n)]
+    times = []
+    for t in range(trials):
+        missed = {i for i in range(len(masses)) if targets[t, i]}
+        time = None
+        for j in range(n + 1):
+            if sum((exact[i] for i in missed), Fraction(0)) <= eps:
+                time = j
+                break
+            if j < n:
+                missed.discard(int(columns[j][t]))
+        times.append(time)
+    return times
+
+
+@settings(max_examples=40, deadline=None)
+@given(cuts=st.sets(st.integers(1, 99), max_size=6),
+       picks=st.lists(st.booleans(), min_size=7, max_size=7),
+       trials=st.integers(1, 9), seed=st.integers(0, 2 ** 32 - 1))
+def test_hitting_times_match_sequential_fractions(cuts, picks, trials, seed):
+    from paclab.learner import NOT_HIT, _hitting_times
+    # Masses of whole hundredths read back exactly, and eps is the mass of
+    # a subset of atoms, so err_n == eps ties come up.
+    edges = [0, *sorted(cuts), 100]
+    weights = [b - a for a, b in zip(edges, edges[1:])]
+    masses = [w / 100 for w in weights]
+    measure = AtomicMeasure.from_pairs(enumerate(masses))
+    eps = max(sum(w for w, p in zip(weights, picks) if p), 1) / 100
+    n = 25
+    times, _ = _hitting_times(measure, len(masses), eps, trials, seed,
+                              n_cap=n)
+    expected = _sequential_times(masses, eps, trials, n, seed)
+    assert [None if t == NOT_HIT else int(t) for t in times] == expected
+
+
+def test_exact_error_equal_to_eps_is_not_a_failure():
+    from paclab.learner import _hitting_times
+    assert 0.1 + 0.2 > 0.3  # the float sum of the two light atoms
+    measure = AtomicMeasure.from_pairs([(0.0, 0.1), (1.0, 0.2), (2.0, 0.7)])
+    trials, seed = 200, 4
+    targets, _ = _stream(measure, 3, trials, 0, seed)
+    ties = np.all(targets == [True, True, False], axis=1)
+    assert ties.any()
+    times, _ = _hitting_times(measure, 3, 0.3, trials, seed, n_cap=0)
+    assert np.all(times[ties] == 0)
+    exact = targets @ np.array([1, 2, 7])  # tenths
+    est = estimate_sample_complexity(measure, 0.3, 0.5, trials=trials,
+                                     seed=seed)
+    assert dict(est.probes)[0] == np.count_nonzero(exact > 3)
 
 
 @pytest.mark.parametrize("chunk_words", [1, 3, 2 ** 18])
@@ -195,6 +277,24 @@ def test_estimate_threshold_property():
         assert probed[est.n_hat - 1] / est.trials > est.delta
     lo, hi = est.confidence_interval
     assert lo <= est.failure_rate_at_n_hat <= hi
+
+
+def test_n_hat_is_a_hitting_time_quantile():
+    from paclab.learner import _hitting_times
+    inst = small_instance(K=1, degree=1)
+    free = sum(lvl.size for lvl in inst.levels)
+    trials, seed, eps, delta = 300, 8, 0.1, 0.1
+    est = estimate_sample_complexity(inst, eps, delta, trials=trials,
+                                     seed=seed)
+    times, _ = _hitting_times(inst.measure(), free, eps, trials, seed)
+    allowed = 30  # the most failures f with f / 300 <= 0.1
+    assert est.n_hat == sorted(times)[trials - allowed - 1]
+    assert [f for _, f in est.probes] == [int(np.sum(times > n))
+                                          for n, _ in est.probes]
+    ns = [n for n, _ in est.probes]
+    assert ns[:2] == [0, 1] and ns[-2:] == [est.n_hat - 1, est.n_hat]
+    assert est.draws % trials == 0 and est.draws >= trials * est.n_hat
+    assert est.to_json()["draws"] == est.draws
 
 
 def test_estimate_bracket_on_linear_instance():

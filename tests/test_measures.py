@@ -80,6 +80,34 @@ def test_single_atom_sampling_is_constant():
         assert list(sample(m, seed, 5)) == [0.0] * 5
 
 
+def test_units_are_the_exact_masses():
+    # Decimal literals are read exactly, over one common denominator.
+    m = AtomicMeasure.from_pairs([(0.0, 0.1), (1.0, 0.2), (2.0, 0.7)])
+    units, total = m.units()
+    assert units.dtype == np.int64
+    assert units.tolist() == [1, 2, 7] and total == 10
+    # uniform_on carries 1/n, though the float 1/3 reads 0.3333333333333333.
+    units, total = AtomicMeasure.uniform_on([0.0, 1.0, 2.0]).units()
+    assert units.tolist() == [1, 1, 1] and total == 3
+    exact = [Fraction(3, 7), Fraction(4, 7)]
+    m = AtomicMeasure([Atom(1.0, float(exact[1]), exact[1]),
+                       Atom(0.0, float(exact[0]), exact[0])])
+    assert m.units()[0].tolist() == [3, 4]
+    assert m.masses.tolist() == [float(f) for f in exact]
+
+
+def test_units_that_overflow_int64_raise():
+    m = AtomicMeasure.from_pairs([(0.0, 0.5), (1.0, 0.5), (2.0, 1e-300)])
+    with pytest.raises(OverflowError, match="int64"):
+        m.units()
+
+
+def test_atom_exact_mass_must_round_to_its_float():
+    Atom(0.0, 1 / 3, Fraction(1, 3))
+    with pytest.raises(ValueError):
+        Atom(0.0, 0.3, Fraction(1, 3))
+
+
 def test_sampling_is_reproducible_and_seed_sensitive():
     m = AtomicMeasure.from_pairs([(0.0, 0.3), (1.0, 0.7)])
     u = UniformMeasure(0.0, 1.0)
@@ -128,6 +156,13 @@ def test_draw_indices_match_rng_choice(seed, profile, shape):
         assert got.shape == want.shape and got.dtype == want.dtype
         assert np.array_equal(got, want)
         assert kernel_rng.random() == choice_rng.random()
+    # A uniform lands in an atom range exactly inside that range's bounds.
+    u = np.random.default_rng([seed, 2]).random(4096)
+    idx = m.indices_of(u)
+    for lo, hi in {(0, len(m)), (len(m) // 3, len(m) // 3 + 1),
+                   (len(m) // 2, len(m))}:
+        a, b = m.uniform_bounds(lo, hi)
+        assert np.array_equal((a <= u) & (u < b), (lo <= idx) & (idx < hi))
     assert np.array_equal(m.sample(7, seed=seed),
                           m.locations[np.random.default_rng(seed).choice(
                               len(m), size=7, p=m.masses)])
