@@ -220,36 +220,60 @@ def run_distances(config, out_dir, seed):
     return ["distances.csv"]
 
 
+def _number_entry(value, name, least):
+    # Finite JSON numbers only: bools, strings, NaN and numbers past the
+    # float range are config errors.
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not least <= value <= sys.float_info.max):
+        raise ConfigError(f"{name} must be a number >= {least}, "
+                          f"got {value!r}")
+    return float(value)
+
+
 def run_gc(config, out_dir, seed):
     _require(config, {"mode", "family", "measure", "n_list", "trials",
                       "min_weight"}, {"mode", "family", "measure", "n_list"})
     mode = config["mode"]
+    if mode not in ("census", "adversarial"):
+        raise ConfigError(f"mode must be 'census' or 'adversarial', "
+                          f"got {mode!r}")
+    n_list = config["n_list"]
+    if not isinstance(n_list, list):
+        raise ConfigError(f"n_list must be a list, got {n_list!r}")
+    n_list = [_int_entry(n, "each n_list entry", 1) for n in n_list]
+    trials = _int_entry(config.get("trials", 100), "trials", 1)
+    min_weight = _number_entry(
+        config.get("min_weight", learner.ADVERSARIAL_MIN_WEIGHT),
+        "min_weight", 0)
     measure = _measure_from_config(config["measure"])
-    trials = int(config.get("trials", 100))
     fam_doc = config["family"]
     if not isinstance(fam_doc, dict):
         raise ConfigError(f"family must be an object, got {fam_doc!r}")
     kind = fam_doc.get("kind")
     if kind == "sontag":
         _require(fam_doc, {"kind", "w_max"})
-        family = concepts.SontagFamily(float(fam_doc.get("w_max", 10 ** 6)))
+        w_max = _number_entry(fam_doc.get("w_max", 10 ** 6), "w_max", 0)
+        if not w_max > min_weight:
+            raise ConfigError(f"w_max {w_max} must exceed min_weight "
+                              f"{min_weight}")
+        family = concepts.SontagFamily(w_max)
     elif kind == "order_intervals":
         _require(fam_doc, {"kind"})
         family = concepts.OrderIntervalFamily()
     elif kind == "order_class":
         _require(fam_doc, {"kind", "n"}, {"n"})
-        family = list(concepts.enumerate_order_class(int(fam_doc["n"])))
+        family = list(concepts.enumerate_order_class(
+            _int_entry(fam_doc["n"], "order-class n", 1)))
     elif kind == "concepts":
         _require(fam_doc, {"kind", "members"}, {"members"})
         family = _concepts_from_config(fam_doc["members"])
     else:
         raise ConfigError(f"unknown family kind {kind!r}")
     rows = []
-    for n in config["n_list"]:
-        res = learner.gc_deviation(family, measure, int(n), trials=trials,
+    for n in n_list:
+        res = learner.gc_deviation(family, measure, n, trials=trials,
                                    seed=seed, mode=mode,
-                                   min_weight=float(config.get("min_weight",
-                                                               learner.ADVERSARIAL_MIN_WEIGHT)))
+                                   min_weight=min_weight)
         rows.append([mode, res.n, res.trials, res.median, res.mean, res.max,
                      res.failed_trials, seed])
     _write_csv(out_dir / "gc.csv",

@@ -2,8 +2,8 @@
 
 Interval lists are kept canonical: sorted, non-overlapping, merged at
 touching endpoints.  Endpoints may be floats or Fractions; all operations
-but the vectorised membership test are pure comparisons and additions, so
-exact endpoint types stay exact.
+but the vectorised membership test and count are pure comparisons and
+additions, so exact endpoint types stay exact.
 
 Set operations treat intervals as closed.  Results agree with true set
 algebra up to finitely many boundary points, which carry zero mass under
@@ -81,3 +81,11 @@ def contains_many(intervals, xs):
     for lo, hi in intervals:
         out |= (xs >= float(lo)) & (xs <= float(hi))
     return out
+
+
+def count_sorted(los, his, xs):
+    """How many points of the sorted array xs lie in each closed interval
+    [los[i], his[i]]: the points <= hi less the points < lo.  A point in
+    two overlapping intervals counts in both."""
+    return (np.searchsorted(xs, his, side="right")
+            - np.searchsorted(xs, los, side="left"))

@@ -13,7 +13,10 @@ estimate is a quantile of the episodes' hitting times, each decided in
 exact integer mass units.  ``gc_deviation`` estimates the
 uniform deviation sup |E_mu - E_emp| either by enumerating a finite
 sub-class (census mode) or by adversarially fitting the all-ones labeling
-of each drawn sample (the non-convergence witness experiment).
+of each drawn sample (the non-convergence witness experiment).  Under a
+non-atomic measure the census sorts each sample once and counts every
+closed-interval concept by binary search, an exact integer count per
+concept.
 """
 
 from __future__ import annotations
@@ -24,9 +27,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sontag
-from .concepts import (AtomLabeling, OrderIntervalFamily, SontagFamily,
-                       isolate_points)
+from .concepts import (AtomLabeling, GridUnion, IntervalUnion,
+                       OrderIntervalFamily, SontagFamily, isolate_points)
 from .construction import ConstructedInstance, LabelingFamily
+from .intervals import canonicalize, count_sorted
 from .measures import (AtomicMeasure, _as_fraction, _contains_many,
                        expect_indicator)
 
@@ -345,11 +349,28 @@ def _census_deviations(family, measure, n, trials, seed):
         rows = np.array([measure.memberships(c) for c in concepts], dtype=bool)
         return _atomic_census(rows, measure, n, trials, seed), 0
     true_means = np.array([expect_indicator(measure, c) for c in concepts])
+    # Closed-interval concepts are counted in each sorted sample by binary
+    # search over their float pieces, merged where they overlap or touch
+    # once rounded so that no point counts twice.
+    counted = [i for i, c in enumerate(concepts)
+               if isinstance(c, (IntervalUnion, GridUnion))]
+    tested = [i for i, c in enumerate(concepts)
+              if not isinstance(c, (IntervalUnion, GridUnion))]
+    pieces = [canonicalize((float(lo), float(hi))
+                           for lo, hi in concepts[i].intervals)
+              for i in counted]
+    owner = np.repeat(np.array(counted, dtype=np.intp),
+                      [len(p) for p in pieces])
+    los = np.array([lo for p in pieces for lo, _ in p])
+    his = np.array([hi for p in pieces for _, hi in p])
     devs = []
     for t in range(trials):
-        xs = measure.sample(n, seed=[seed, t])
-        emp = np.array([float(np.mean(_contains_many(c, xs)))
-                        for c in concepts])
+        xs = np.sort(measure.sample(n, seed=[seed, t]), axis=None)
+        counts = np.bincount(owner, weights=count_sorted(los, his, xs),
+                             minlength=len(concepts))
+        for i in tested:
+            counts[i] = np.count_nonzero(_contains_many(concepts[i], xs))
+        emp = counts / len(xs)
         devs.append(float(np.max(np.abs(true_means - emp))))
     return devs, 0
 

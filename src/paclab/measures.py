@@ -151,13 +151,16 @@ class AtomicMeasure:
         # bucket j has its searchsorted index within ``width`` of first[j],
         # width the largest bucket's atom count; padding the cdf with ones
         # (never <= a uniform) keeps every probe of the search in range.
+        # first[j] counts the cdf entries <= j / 2**bits: the entry c lies
+        # at or below edge j from j = ceil(c * 2**bits) on, a product that
+        # a power of two leaves exact.
         if self._buckets is None:
             cdf = self.masses.cumsum()
             cdf /= cdf[-1]
             bits = min(max((64 * len(cdf)).bit_length(), _MIN_BUCKET_BITS),
                        _MAX_BUCKET_BITS)
-            edges = np.arange(2 ** bits + 1) / 2 ** bits
-            first = cdf.searchsorted(edges, side="right")
+            first = np.bincount(np.ceil(cdf * 2 ** bits).astype(np.intp),
+                                minlength=2 ** bits + 1).cumsum()
             steps = int(np.diff(first).max()).bit_length()
             padded = np.concatenate([cdf, np.ones(2 ** steps - 1)])
             self._buckets = (padded, float(2 ** bits), first[:-1], steps)

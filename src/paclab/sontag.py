@@ -12,7 +12,10 @@ so the search and census take none.  ``shatter_search`` finds the least
 weight realizing a prescribed labeling of given points by sweeping the
 merged zeros of cos(wx) over the points as events, each flipping one
 point's label; ``shatter_census`` answers every labeling from one such
-sweep, with a running mismatch count per labeling.
+sweep, with a running mismatch count per labeling.  The sweep makes each
+block of events array-wide from every point's last breakpoint index at
+the block's two ends; indices must stay below 2**52, where a float still
+holds k + 1/2 exactly, and weights beyond that raise ``ValueError``.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ ALPHA_MIN = 2.0 * math.pi
 DEFAULT_ALPHA = 100.0
 DEFAULT_BUDGET = 10 ** 8
 _FIRST_BLOCK = 64
-_LARGEST_BLOCK = 1 << 18  # bounds the memory of one block of events
+_LARGEST_BLOCK = 1 << 14  # bounds the memory of one block of events
+_INDEX_LIMIT = 2 ** 52  # breakpoint indices below it are exact in a float
 MAX_CENSUS_POINTS = 24
 
 
@@ -159,34 +163,39 @@ class ShatterResult:
                 "range_searched": list(self.range_searched)}
 
 
-def _last_index(ax, w):
-    # The largest k >= -1 whose computed breakpoint (k + 1/2) pi / ax is <= w,
-    # settled against the same float expression _breakpoints_in evaluates.
-    k = max(math.floor(w * ax / math.pi - 0.5), -1)
-    while k >= 0 and (k + 0.5) * math.pi / ax > w:
-        k -= 1
-    while (k + 1.5) * math.pi / ax <= w:
-        k += 1
+def _last_indices(axs, w):
+    # Per point, the largest k >= -1 whose computed breakpoint
+    # (k + 1/2) pi / ax is <= w, settled against the same float expression
+    # the events evaluate.  The float estimate is off by a few units at
+    # most, and k + 1.5 must stay exact, so indices stop short of 2**52.
+    turns = w * axs / math.pi
+    if np.any(turns >= _INDEX_LIMIT - 8):
+        raise ValueError(f"weight {w} is beyond exact breakpoint indexing: "
+                         f"indices reach 2**52")
+    k = np.maximum(np.floor(turns - 0.5), -1).astype(np.int64)
+    while np.any(over := (k >= 0) & ((k + 0.5) * math.pi / axs > w)):
+        k -= over
+    while np.any(under := (k + 1.5) * math.pi / axs <= w):
+        k += under
     return k
-
-
-def _breakpoints_in(ax, lo, hi):
-    # Zeros of cos(w*x) for w in (lo, hi]: w = (k + 1/2) * pi / |x|, with
-    # their indices k.  Adjacent windows share no breakpoint and miss none.
-    ks = np.arange(_last_index(ax, lo) + 1, _last_index(ax, hi) + 1)
-    return (ks + 0.5) * math.pi / ax, ks
 
 
 def _sweep(xs, labs, w_max, w_min, budget):
     """One ShatterResult per row of the boolean labeling matrix ``labs``.
 
-    The events are the breakpoints of the nonzero points in weight order.
-    After its breakpoint k a point is labelled ``k odd``, so each row's count
-    of mismatched points moves by one per event, and one cumsum per row
-    marks the elementary intervals where the count is zero.  Events come in
-    blocks that double from ``_FIRST_BLOCK`` breakpoints; the open interval
-    and every row's count carry across a block boundary, so no result
-    depends on the blocks.  At most ``budget`` breakpoints are swept."""
+    The events are the breakpoints of the nonzero points in weight order:
+    the zeros w = (k + 1/2) pi / |x| of cos(w x), k >= 0.  After its
+    breakpoint k a point is labelled ``k odd``, so each row's count of
+    mismatched points moves by one per event, and one cumsum per row marks
+    the elementary intervals where the count is zero.  Events come in
+    blocks that double from ``_FIRST_BLOCK`` to ``_LARGEST_BLOCK``
+    breakpoints; a block (lo, hi] holds, per point, the indices between
+    its last indices at lo and at hi, and each row reads its +-1 steps
+    from a table indexed by the event code 2 * point + (k & 1).  The open
+    interval and every row's count carry across a block boundary, so no
+    result depends on the blocks.  At most ``budget`` breakpoints are
+    swept; a sweep that would index a breakpoint at 2**52 or beyond raises
+    ``ValueError``."""
     if len(np.unique(xs)) != len(xs):
         raise ValueError("points must be pairwise distinct")
     w_max = float(w_max)
@@ -210,8 +219,10 @@ def _sweep(xs, labs, w_max, w_min, budget):
     # Without a nonzero point no row stays open: all-ones verifies at w_min.
     axs = np.abs(xs[~zero_mask])
     targets = labs[:, ~zero_mask]
-    state = np.array([_last_index(ax, w_min) % 2 == 1 for ax in axs])
-    mismatch = {r: int(np.sum(state != targets[r])) for r in open_rows}
+    parity = np.array([False, True])
+    k_lo = _last_indices(axs, w_min) if open_rows else None
+    mismatch = {r: int(np.sum(((k_lo & 1) == 1) != targets[r]))
+                for r in open_rows}
 
     def search(r, edges, counts):
         # Candidates in interval order, the left edge before the midpoint.
@@ -228,13 +239,17 @@ def _sweep(xs, labs, w_max, w_min, budget):
     left = lo = w_min  # left edge of the open interval, end of the sweep
     while open_rows:
         hi = min(lo + size / max(rate, 1e-12), w_max)
-        per_point = [_breakpoints_in(ax, lo, hi) for ax in axs]
-        times = np.concatenate([t for t, _ in per_point])
+        k_hi = _last_indices(axs, hi)
+        # Point p's events are its indices k_lo[p] + 1 .. k_hi[p], in
+        # point order.
+        per_point = k_hi - k_lo
+        point = np.repeat(np.arange(len(axs)), per_point)
+        ks = (np.repeat(k_lo + 1 - (np.cumsum(per_point) - per_point),
+                        per_point) + np.arange(len(point)))
+        times = (ks + 0.5) * math.pi / axs[point]
         order = np.argsort(times, kind="stable")
         times = times[order]
-        point = np.repeat(np.arange(len(axs)),
-                          [len(t) for t, _ in per_point])[order]
-        label = np.concatenate([k for _, k in per_point])[order] % 2 == 1
+        code = (2 * point + (ks & 1))[order]
         # The last event of each group of equal times closes an interval.
         ends = np.flatnonzero(np.append(times[1:] != times[:-1],
                                         len(times) > 0))
@@ -247,12 +262,13 @@ def _sweep(xs, labs, w_max, w_min, budget):
             # when the budget stops it, else at w_max.
             edges = np.append(edges, edges[-1] if exhausted else w_max)
         for r in open_rows:
-            steps = np.where(label == targets[r, point], -1, 1)
-            counts = np.append(mismatch[r], mismatch[r] + np.cumsum(steps)[ends])
+            steps = np.where(parity == targets[r, :, None], -1, 1).ravel()
+            counts = np.append(mismatch[r],
+                               mismatch[r] + np.cumsum(steps[code])[ends])
             search(r, edges, counts)
             mismatch[r] = int(counts[-1])
         used += len(ends)
-        left, lo = float(edges[-1]), hi
+        left, lo, k_lo = float(edges[-1]), hi, k_hi
         open_rows = [r for r in open_rows if outcome[r] is None]
         if last:
             for r in open_rows:

@@ -245,6 +245,48 @@ def test_complexity_config_types_exit_2(tmp_path):
     assert (written / "complexity_manifest.json").exists()
 
 
+def test_gc_config_types_exit_2(tmp_path, monkeypatch):
+    import paclab.cli as cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("sampled before the config was checked")
+
+    adversarial = {"mode": "adversarial",
+                   "family": {"kind": "sontag", "w_max": 1e6},
+                   "measure": {"kind": "uniform", "a": 0.0, "b": 6.0},
+                   "n_list": [4], "trials": 2, "min_weight": 32.0}
+    census = {"mode": "census", "family": {"kind": "order_class", "n": 4},
+              "measure": {"kind": "uniform", "a": 0.0, "b": 1.0},
+              "n_list": [10], "trials": 2}
+    wrong = [(adversarial, "n_list", "48"), (adversarial, "n_list", [0]),
+             (adversarial, "n_list", [4.0]), (adversarial, "trials", True),
+             (adversarial, "trials", 20.7), (adversarial, "trials", 0),
+             (adversarial, "min_weight", "32"),
+             (adversarial, "min_weight", -1.0),
+             (adversarial, "family", {"kind": "sontag", "w_max": "1e6"}),
+             (adversarial, "family", {"kind": "sontag", "w_max": 16.0}),
+             (adversarial, "family", {"kind": "sontag", "w_max": 10 ** 400}),
+             (adversarial, "min_weight", float("nan")),
+             (adversarial, "mode", "adversary"),
+             (census, "family", {"kind": "order_class", "n": 9.5}),
+             (census, "family", {"kind": "order_class", "n": True}),
+             (census, "mode", None)]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli.learner, "gc_deviation", no_run)
+        for i, (base, key, value) in enumerate(wrong):
+            out = tmp_path / str(i)
+            out.mkdir()
+            code, written = run(out, "gc", {**base, key: value})
+            assert code == 2, (key, value)
+            assert not (written / "gc_manifest.json").exists()
+    for i, base in enumerate((adversarial, census)):
+        out = tmp_path / f"ok{i}"
+        out.mkdir()
+        code, written = run(out, "gc", base)
+        assert code == 0
+        assert (written / "gc_manifest.json").exists()
+
+
 def test_enumeration_cap_exit_3(tmp_path):
     config = {"mode": "census",
               "family": {"kind": "order_class", "n": 10 ** 6},

@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paclab.concepts import (AtomLabeling, IntervalUnion, OrderIntervalFamily,
-                             SontagFamily)
+from paclab.concepts import (AtomLabeling, GridUnion, IntervalUnion,
+                             OrderIntervalFamily, SontagConcept, SontagFamily)
 from paclab.construction import (ComplexitySchedule, RateFunction,
                                  build_measure, shattering_subfamily)
 from paclab.learner import (LabeledSample, empirical_risk, erm_learn,
                             estimate_sample_complexity, gc_deviation,
                             true_error, wilson_interval)
-from paclab.measures import AtomicMeasure, UniformMeasure
+from paclab.measures import (AtomicMeasure, UniformMeasure, _contains_many,
+                             expect_indicator)
 
 TWO_PI = 2.0 * math.pi
 
@@ -371,6 +372,62 @@ def test_gc_census_generic_concepts_under_uniform():
     fam = [IntervalUnion(((0.0, 0.5),)), IntervalUnion(((0.25, 0.75),))]
     res = gc_deviation(fam, u, n=4000, trials=10, seed=6, mode="census")
     assert res.max <= 0.05
+
+
+@st.composite
+def census_families(draw):
+    # Endpoints from a small pool, so pieces touch, repeat and sit on the
+    # first trial's sample points: Fractions a hair off a point or off 1/3
+    # round onto the same float.
+    n = draw(st.integers(min_value=1, max_value=30))
+    seed = draw(st.integers(min_value=0, max_value=2 ** 16))
+    xs = UniformMeasure(0.0, 1.0).sample(n, seed=[seed, 0]).tolist()
+    tiny = Fraction(1, 10 ** 40)
+    pool = [0.0, 0.5, 1.0, Fraction(1, 3), Fraction(1, 3) + tiny,
+            Fraction(2, 7) - tiny, Fraction(2, 7), *xs,
+            *(Fraction(x) + tiny for x in xs[:3]),
+            *(Fraction(x) - tiny for x in xs[:3])]
+    kinds = st.sampled_from(["grid", "intervals", "sign", "atoms"])
+    family = []
+    for kind in draw(st.lists(kinds, min_size=1, max_size=5)):
+        if kind == "grid":
+            order = draw(st.integers(min_value=1, max_value=12))
+            cells = draw(st.sets(st.integers(min_value=0, max_value=order - 1)))
+            family.append(GridUnion(order, tuple(cells)))
+        elif kind == "intervals":
+            ends = sorted(draw(st.lists(st.sampled_from(pool), max_size=8)))
+            family.append(IntervalUnion(tuple(zip(ends[::2], ends[1::2]))))
+        elif kind == "sign":
+            family.append(SontagConcept(draw(st.floats(min_value=0.0,
+                                                       max_value=50.0))))
+        else:
+            locations = draw(st.lists(st.sampled_from(xs), unique=True))
+            family.append(AtomLabeling(
+                tuple(locations), tuple(draw(st.lists(
+                    st.sampled_from([0, 1]), min_size=len(locations),
+                    max_size=len(locations)))),
+                draw(st.sampled_from([0, 1]))))
+    return family, n, seed
+
+
+@settings(max_examples=150, deadline=None)
+@given(census_families())
+def test_gc_census_counts_match_the_membership_loop(case):
+    # The census counts closed-interval concepts in the sorted sample;
+    # every deviation equals the per-concept mean of the membership mask
+    # bit for bit.
+    family, n, seed = case
+    u = UniformMeasure(0.0, 1.0)
+    samples = [u.sample(n, seed=[seed, t]) for t in range(3)]
+    gaps = np.array([[abs(expect_indicator(u, c)
+                          - float(np.mean(_contains_many(c, xs))))
+                      for c in family] for xs in samples])
+    # Each concept alone, then the whole family at once.
+    for i, c in enumerate(family):
+        res = gc_deviation([c], u, n=n, trials=3, seed=seed, mode="census")
+        assert list(res.deviations) == gaps[:, i].tolist()
+    res = gc_deviation(family, u, n=n, trials=3, seed=seed, mode="census")
+    assert list(res.deviations) == gaps.max(axis=1).tolist()
 
 
 def test_gc_adversarial_sontag_deviation_does_not_decay():

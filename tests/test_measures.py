@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from paclab.concepts import IntervalUnion, SontagConcept
+from paclab.construction import ComplexitySchedule, build_measure
 from paclab.intervals import canonicalize, clip, total_length
 from paclab.measures import (Atom, AtomicMeasure, CantorMeasure, IdentityMap,
                              PartitionMap, ProductMeasure, ResolutionWarning,
@@ -118,6 +119,32 @@ def test_sampling_is_reproducible_and_seed_sensitive():
         other = sample(meas, 43, 1000)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, other)
+
+
+def test_bucket_table_counts_match_searchsorted_edges():
+    # The table counts each cdf entry into the first bucket edge at or
+    # above it; the searchsorted form probes every edge.
+    rng = np.random.default_rng(12)
+    profiles = [np.ones(7), np.ones(3), np.ones(2 ** 14 + 3),
+                np.array([0.8, 0.16, 0.04])]
+    for _ in range(100):
+        tiny = int(rng.integers(1, 5000))
+        raw = np.full(tiny + 1, 1e-7)
+        raw[rng.integers(tiny + 1)] = 1.0
+        profiles.append(raw)
+        profiles.append(rng.uniform(0.0, 1.0,
+                                    size=int(rng.integers(1, 3000))) ** 8
+                        + 1e-12)
+    instance = build_measure(ComplexitySchedule.default(K=3)).measure()
+    measures = [AtomicMeasure.from_pairs(zip(range(len(raw)), raw / raw.sum()))
+                for raw in profiles]
+    for m in [instance, *measures]:
+        cdf, scale, first, steps = m._bucket_table()
+        cdf = cdf[:len(m)]
+        edges = np.arange(scale + 1) / scale
+        want = cdf.searchsorted(edges, side="right")
+        assert np.array_equal(first, want[:-1])
+        assert steps == int(np.diff(want).max()).bit_length()
 
 
 def test_sample_zero_is_empty():

@@ -315,20 +315,65 @@ def test_budget_exceeded_reports_partial_range():
 
 def test_witnesses_do_not_depend_on_the_blocks(monkeypatch):
     # The open interval and the mismatch counts carry across a block
-    # boundary, so the first block's size must not show in any field.
+    # boundary, so neither the first block's size nor the largest block's
+    # may show in any field.
     rng = np.random.default_rng(7)
     searches = [(rng.uniform(0.0, 2 * PI, size=n), [1] * n, 1e6, 32.0,
                  DEFAULT_BUDGET) for n in (4, 8, 8, 12)]
     searches += [([1.0, math.sqrt(2), -1.0], [1, 0, 0], 1e9, 0.0, 1000),
                  ([1.0, math.sqrt(2)], [0, 0], 1e4, 3.0, DEFAULT_BUDGET)]
     runs = []
-    for first_block in (1, 64, 65_536):
+    for first_block, largest_block in [(1, 1), (1, 64), (64, 64),
+                                       (64, 2 ** 14), (65_536, 1),
+                                       (65_536, 2 ** 14)]:
         monkeypatch.setattr(sontag, "_FIRST_BLOCK", first_block)
+        monkeypatch.setattr(sontag, "_LARGEST_BLOCK", largest_block)
         runs.append(([shatter_search(xs, labels, w_max, w_min=w_min,
                                      budget=budget)
                       for xs, labels, w_max, w_min, budget in searches],
                      shatter_census(rationally_independent_points(4), 1e4)))
-    assert runs[0] == runs[1] == runs[2]
+    assert all(run == runs[0] for run in runs[1:])
+
+
+def test_last_indices_match_a_scan_of_the_definition():
+    # The largest k >= -1 whose computed breakpoint (k + 1/2) pi / ax is
+    # <= w, read off every k up to past w.
+    def scan(ax, w):
+        ks = np.arange(int(w * ax / PI) + 3)
+        hits = ks[(ks + 0.5) * PI / ax <= w]
+        return int(hits.max()) if len(hits) else -1
+
+    rng = np.random.default_rng(11)
+    axs = np.concatenate([[1.0, 2.0, math.log(2), math.sqrt(2), 0.1, 7.0],
+                          rng.uniform(0.05, 7.0, size=14)])
+    ws = [0.0, 5e-324, 1e-9]
+    for ax in axs:
+        first = 0.5 * PI / ax
+        ws += [0.5 * first, np.nextafter(first, 0.0)]
+        for k in (0, 1, 2, 3, int(rng.integers(4, 400))):
+            # Exactly on a computed breakpoint, and one ulp either side.
+            w = (k + 0.5) * PI / ax
+            ws += [w, np.nextafter(w, 0.0), np.nextafter(w, np.inf)]
+    ws += rng.uniform(0.0, 200.0, size=50).tolist()
+    for w in ws:
+        got = sontag._last_indices(axs, float(w))
+        assert got.tolist() == [scan(ax, float(w)) for ax in axs], w
+
+
+def test_weights_beyond_exact_breakpoint_indexing_raise():
+    with pytest.raises(ValueError, match="exact breakpoint indexing"):
+        shatter_search([1.0, 2.0], [1, 0], 1e22, w_min=1e21, budget=100)
+    # 1 and -1 always share a label: the sweep starts below 2**52 and
+    # raises once a block would index past it.
+    w_min = (2 ** 52 - 100) * PI
+    with pytest.raises(ValueError, match="exact breakpoint indexing"):
+        shatter_search([1.0, -1.0], [1, 0], 1e22, w_min=w_min)
+    # Rows settled at w_min need no index and are returned as before.
+    at_min = output_labels([1.0, 2.0], 1e21).astype(int).tolist()
+    res = shatter_search([1.0, 2.0], at_min, 1e22, w_min=1e21, budget=100)
+    assert (res.status, res.witness_w, res.breakpoints) == ("found", 1e21, 0)
+    res = shatter_search([0.0, 1.0], [0, 1], 1e22, w_min=1e21, budget=100)
+    assert res.status == "infeasible"
 
 
 @st.composite
