@@ -21,14 +21,12 @@ from .concepts import (AtomLabeling, GridUnion, IntervalUnion,
 from .construction import (ComplexityProfile, ComplexitySchedule,
                            ConstructedInstance, LabelingFamily, RateFunction,
                            build_measure, shattering_subfamily,
-                           sontag_instance, theoretical_profile)
+                           theoretical_profile)
 from .learner import (ComplexityEstimate, LabeledSample, erm_learn,
                       estimate_sample_complexity, gc_deviation, true_error)
-from .measures import (Atom, AtomicMeasure, CantorMeasure, IdentityMap,
-                       PartitionMap, ProductMeasure, PushforwardMeasure,
-                       UniformMeasure, cantor_level_intervals,
-                       expect_indicator, measure_from_json, pushforward,
-                       sample)
+from .measures import (Atom, AtomicMeasure, CantorMeasure, UniformMeasure,
+                       cantor_level_intervals, expect_indicator,
+                       measure_from_json, sample)
 from .sontag import (SontagParams, net_output, phi,
                      rationally_independent_points, rho, shatter_census,
                      shatter_search)

@@ -101,10 +101,19 @@ def _concepts_from_config(docs):
         raise ConfigError(f"bad concept config: {exc}") from exc
 
 
+def _delta_entry(config):
+    # A JSON number in (0, 1]; the estimator itself also rejects 1.
+    delta = config.get("delta", 0.1)
+    if (isinstance(delta, bool) or not isinstance(delta, (int, float))
+            or not 0 < delta <= 1):
+        raise ConfigError(f"delta must be a number in (0, 1], got {delta!r}")
+    return float(delta)
+
+
 def run_construct(config, out_dir, seed):
     _require(config, {"schedule", "delta"}, {"schedule"})
     schedule = construction.ComplexitySchedule.from_json(config["schedule"])
-    delta = float(config.get("delta", 0.1))
+    delta = _delta_entry(config)
     instance = construction.build_measure(schedule)
     profile = construction.theoretical_profile(instance, delta)
     _write_json(out_dir / "instance.json", instance.to_json())
@@ -120,14 +129,21 @@ def _int_entry(value, name, least):
     return value
 
 
+def _number_entry(value, name, least):
+    # Finite JSON numbers only: bools, strings, NaN and numbers past the
+    # float range are config errors.
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not least <= value <= sys.float_info.max):
+        raise ConfigError(f"{name} must be a number >= {least}, "
+                          f"got {value!r}")
+    return float(value)
+
+
 def run_complexity(config, out_dir, seed):
     _require(config, {"schedule", "delta", "trials", "levels", "n_cap"},
              {"schedule"})
     schedule = construction.ComplexitySchedule.from_json(config["schedule"])
-    delta = config.get("delta", 0.1)
-    if (isinstance(delta, bool) or not isinstance(delta, (int, float))
-            or not 0 < delta < 1):
-        raise ConfigError(f"delta must be a number in (0, 1), got {delta!r}")
+    delta = _delta_entry(config)
     trials = _int_entry(config.get("trials", 400), "trials", 1)
     n_cap = _int_entry(config.get("n_cap", learner.DEFAULT_N_CAP), "n_cap", 0)
     levels = config.get("levels", list(range(1, schedule.K + 1)))
@@ -136,7 +152,6 @@ def run_complexity(config, out_dir, seed):
     levels = [_int_entry(k, "each level", 1) for k in levels]
     if any(k > schedule.K for k in levels):
         raise ConfigError(f"levels must lie in 1..{schedule.K}")
-    delta = float(delta)
     instance = construction.build_measure(schedule)
     rows = []
     summary = []
@@ -176,7 +191,8 @@ def _points_from_config(config, n_labels):
                               f"{n_labels} labels")
         return sontag.rationally_independent_points(n)
     if "points" in config:
-        return [float(p) for p in config["points"]]
+        return [_number_entry(p, "each point", -sys.float_info.max)
+                for p in config["points"]]
     raise ConfigError("shatter config needs 'points' or 'log_primes'")
 
 
@@ -188,8 +204,9 @@ def run_shatter(config, out_dir, seed):
     if not census and labels is None:
         raise ConfigError("shatter config needs 'labels' or 'census': true")
     points = _points_from_config(config, None if census else len(labels))
-    w_max = float(config.get("w_max", 10 ** 4))
-    budget = int(config.get("budget", sontag.DEFAULT_BUDGET))
+    w_max = _number_entry(config.get("w_max", 10 ** 4), "w_max", 0)
+    budget = _int_entry(config.get("budget", sontag.DEFAULT_BUDGET),
+                        "budget", 0)
     if census:
         result = sontag.shatter_census(points, w_max, budget=budget)
         _write_json(out_dir / "census.json", result.to_json())
@@ -218,16 +235,6 @@ def run_distances(config, out_dir, seed):
     _write_csv(out_dir / "distances.csv",
                ["w"] + [_fmt(w) for w in weights], rows)
     return ["distances.csv"]
-
-
-def _number_entry(value, name, least):
-    # Finite JSON numbers only: bools, strings, NaN and numbers past the
-    # float range are config errors.
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not least <= value <= sys.float_info.max):
-        raise ConfigError(f"{name} must be a number >= {least}, "
-                          f"got {value!r}")
-    return float(value)
 
 
 def run_gc(config, out_dir, seed):

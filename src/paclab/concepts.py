@@ -23,7 +23,7 @@ from . import sontag
 from .intervals import (canonicalize, contains_many, contains_point, intersect,
                         total_length)
 from .measures import (AtomicMeasure, CantorMeasure, UniformMeasure,
-                       _contains_many, cantor_interval_mass,
+                       _contains_many, _fields, cantor_interval_mass,
                        cantor_level_intervals, expect_indicator,
                        window_intervals)
 
@@ -494,17 +494,6 @@ class OrderIntervalFamily:
 
     def order_class(self, n):
         return OrderIntervalClass(n)
-
-
-def _fields(doc, required, optional=()):
-    # The required fields of a concept document, in order; any other key
-    # but "kind" and the optional ones is an error.
-    unknown = set(doc) - {"kind", *required, *optional}
-    missing = [k for k in required if k not in doc]
-    if unknown or missing:
-        raise ValueError(f"{doc['kind']!r} concept: unknown keys "
-                         f"{sorted(unknown)}, missing keys {missing}")
-    return [doc[k] for k in required]
 
 
 def concept_from_json(doc):

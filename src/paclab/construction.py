@@ -24,8 +24,8 @@ import numpy as np
 
 from . import sontag
 from .bounds import bi_upper_from_log2, greedy_packing_memberships
-from .concepts import AtomLabeling, SontagFamily
-from .measures import AtomicMeasure, Atom, _as_fraction
+from .concepts import AtomLabeling
+from .measures import AtomicMeasure, Atom, _as_fraction, _fields
 
 PACKING_LOWER_RATE = 0.0128  # 2 * (0.5 - 0.42)^2, the cube-packing constant
 SMALL_FAMILY_LIMIT = 20
@@ -95,11 +95,14 @@ class RateFunction:
     def from_json(cls, doc):
         kind = doc.get("kind")
         if kind == "poly":
-            return cls.poly(doc["degree"], doc.get("scale", 1))
+            (degree,) = _fields(doc, ["degree"], ["scale"])
+            return cls.poly(degree, doc.get("scale", 1))
         if kind == "exp":
+            _fields(doc, [], ["base"])
             return cls.exponential(doc.get("base", 2))
         if kind == "table":
-            return cls.table(doc["points"])
+            (points,) = _fields(doc, ["points"])
+            return cls.table(points)
         raise ValueError(f"unknown rate kind {kind!r}")
 
 
@@ -173,12 +176,9 @@ class ComplexitySchedule:
 
     @classmethod
     def from_json(cls, doc):
-        known = {"eps", "f", "K", "linear_coeff"}
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(f"unknown schedule keys: {sorted(unknown)}")
-        return cls(eps=tuple(doc["eps"]), f=RateFunction.from_json(doc["f"]),
-                   K=int(doc["K"]),
+        eps, f, K = _fields(doc, ["eps", "f", "K"], ["linear_coeff"],
+                            name="schedule")
+        return cls(eps=tuple(eps), f=RateFunction.from_json(f), K=int(K),
                    linear_coeff=doc.get("linear_coeff", Fraction(1)))
 
 
@@ -394,51 +394,3 @@ class LabelingFamily:
 def shattering_subfamily(instance, k):
     """The 2**f_k labelings of the first k levels (default bit 0 elsewhere)."""
     return LabelingFamily(instance, k)
-
-
-@dataclass(frozen=True)
-class LevelCensus:
-    k: int
-    atom_count: int
-    realized: int
-    total: int
-    status: str  # "complete" | "skipped"
-
-
-@dataclass(frozen=True)
-class SontagInstanceBundle:
-    """The instance measure paired with the weight family, with per-level
-    shatter censuses confirming the labelings used by the learner exist."""
-
-    measure: AtomicMeasure
-    family: SontagFamily
-    censuses: tuple
-
-
-def sontag_instance(instance, w_max=10 ** 6, census_atom_cap=12,
-                    budget=sontag.DEFAULT_BUDGET):
-    """Pair the instance with the weight family on [0, w_max].
-
-    Runs a shatter census over each level-prefix union of atoms when the
-    prefix is small enough; larger prefixes report status "skipped" so the
-    budget decision is always explicit.
-    """
-    measure = instance.measure()
-    family = SontagFamily(float(w_max))
-    censuses = []
-    prefixes = []
-    if instance.schedule.K == 0:
-        prefixes.append((0, (instance.residual_location,)))
-    locs = []
-    for lvl in instance.levels:
-        locs.extend(lvl.locations)
-        prefixes.append((lvl.index, tuple(locs)))
-    for k, points in prefixes:
-        if len(points) > census_atom_cap:
-            censuses.append(LevelCensus(k, len(points), 0, 2 ** len(points),
-                                        "skipped"))
-            continue
-        census = sontag.shatter_census(points, w_max, budget=budget)
-        censuses.append(LevelCensus(k, len(points), census.realized,
-                                    census.total, "complete"))
-    return SontagInstanceBundle(measure, family, tuple(censuses))

@@ -365,7 +365,7 @@ def _census_deviations(family, measure, n, trials, seed):
     his = np.array([hi for p in pieces for _, hi in p])
     devs = []
     for t in range(trials):
-        xs = np.sort(measure.sample(n, seed=[seed, t]), axis=None)
+        xs = np.sort(measure.sample(n, seed=[seed, t]))
         counts = np.bincount(owner, weights=count_sorted(los, his, xs),
                              minlength=len(concepts))
         for i in tested:

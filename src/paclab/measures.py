@@ -1,11 +1,10 @@
 """Probability measures on the real line with seeded sampling and indicator
 expectations.
 
-Concrete kinds: purely atomic, uniform on an interval, the ternary-set Haar
-measure, a pushforward of a base measure through a partition map, and a
-product lift (base x uniform).  Expectations of concept indicators are exact
-on atomic measures, exact for interval-reducible concepts on the uniform and
-ternary measures, and fall back to grid / Monte-Carlo integration otherwise.
+Concrete kinds: purely atomic, uniform on an interval, and the ternary-set
+Haar measure.  Expectations of concept indicators are exact on atomic
+measures, exact for interval-reducible concepts on the uniform and ternary
+measures, and fall back to grid / Monte-Carlo integration otherwise.
 
 All measure values are immutable after construction.  Sampling takes an
 explicit seed (anything ``numpy.random.default_rng`` accepts), so parallel
@@ -376,159 +375,6 @@ class CantorMeasure:
         return {"kind": "cantor", "depth": self.depth}
 
 
-@dataclass(frozen=True)
-class IdentityMap:
-    """The identity mapping descriptor for pushforwards."""
-
-    def apply(self, x):
-        return x
-
-    def apply_many(self, xs):
-        return np.asarray(xs, dtype=float)
-
-    def to_json(self):
-        return {"kind": "identity"}
-
-
-@dataclass(frozen=True)
-class PartitionMap:
-    """A piecewise-constant map given by cells [lo, hi) -> target value.
-
-    Cells are half-open except the last, which includes its right endpoint.
-    Points outside every cell are a hard error when sampled through.
-    """
-
-    cells: tuple
-
-    def __post_init__(self):
-        cells = tuple((float(lo), float(hi), float(t)) for lo, hi, t in self.cells)
-        if not cells:
-            raise ValueError("a partition map needs at least one cell")
-        cells = tuple(sorted(cells))
-        for (lo, hi, _), (lo2, _, _) in zip(cells, cells[1:]):
-            if lo2 < hi:
-                raise ValueError("partition cells must not overlap")
-        for lo, hi, _ in cells:
-            if not hi > lo:
-                raise ValueError("partition cells must have positive width")
-        object.__setattr__(self, "cells", cells)
-
-    def _locate(self, x):
-        for i, (lo, hi, _) in enumerate(self.cells):
-            last = i == len(self.cells) - 1
-            if lo <= x < hi or (last and x == hi):
-                return i
-        return -1
-
-    def apply(self, x):
-        i = self._locate(x)
-        if i < 0:
-            raise ValueError(f"point {x!r} is outside the partition map")
-        return self.cells[i][2]
-
-    def apply_many(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        los = np.array([c[0] for c in self.cells])
-        his = np.array([c[1] for c in self.cells])
-        tgt = np.array([c[2] for c in self.cells])
-        idx = np.searchsorted(los, xs, side="right") - 1
-        ok = idx >= 0
-        inside = np.zeros_like(ok)
-        inside[ok] = xs[ok] < his[idx[ok]]
-        at_last_edge = (idx == len(self.cells) - 1) & (xs == his[-1])
-        good = ok & (inside | at_last_edge)
-        if not np.all(good):
-            bad = xs[~good][0]
-            raise ValueError(f"point {bad!r} is outside the partition map")
-        return tgt[idx]
-
-    def preimage_intervals(self, concept):
-        """Cells whose target lies in the concept, as canonical intervals."""
-        hit = [(lo, hi) for lo, hi, t in self.cells if concept.contains(t)]
-        return canonicalize(hit)
-
-    def to_json(self):
-        return {"kind": "partition", "cells": [list(c) for c in self.cells]}
-
-
-class _ComposedConcept:
-    """Indicator of a concept pulled back through a mapping descriptor."""
-
-    def __init__(self, mapping, concept):
-        self.mapping = mapping
-        self.concept = concept
-
-    def contains(self, x):
-        return self.concept.contains(self.mapping.apply(x))
-
-    def contains_many(self, xs):
-        return _contains_many(self.concept, self.mapping.apply_many(xs))
-
-    def as_intervals_ae(self, lo, hi):
-        if isinstance(self.mapping, PartitionMap):
-            return self.mapping.preimage_intervals(self.concept)
-        return None
-
-
-class PushforwardMeasure:
-    """The image of a base measure under a total mapping descriptor.
-
-    Sampling composes the map after base sampling; indicator expectations
-    delegate to the base through the preimage.
-    """
-
-    kind = "pushforward"
-
-    def __init__(self, base, mapping):
-        self.base = base
-        self.mapping = mapping
-
-    def __repr__(self):
-        return f"PushforwardMeasure({self.base!r})"
-
-    def sample(self, n, seed=0):
-        return self.mapping.apply_many(self.base.sample(n, seed=seed))
-
-    def expect_indicator(self, concept, **kw):
-        if isinstance(self.mapping, IdentityMap):
-            return self.base.expect_indicator(concept, **kw)
-        return self.base.expect_indicator(_ComposedConcept(self.mapping, concept), **kw)
-
-    def to_json(self):
-        return {"kind": "pushforward", "base": self.base.to_json(),
-                "map": self.mapping.to_json()}
-
-
-class ProductMeasure:
-    """Product lift of a base measure with a uniform measure.
-
-    The sampler returns (base, uniform) pairs.  Concepts are read as
-    cylinders over the first coordinate, so indicator expectations delegate
-    to the base measure.
-    """
-
-    kind = "product"
-
-    def __init__(self, base, uniform):
-        if not isinstance(uniform, UniformMeasure):
-            raise TypeError("second factor must be a UniformMeasure")
-        self.base = base
-        self.uniform = uniform
-
-    def sample(self, n, seed=0):
-        rng = _rng(seed)
-        xs = self.base.sample(n, seed=rng)
-        us = rng.uniform(self.uniform.a, self.uniform.b, size=int(n))
-        return np.column_stack([xs, us])
-
-    def expect_indicator(self, concept, **kw):
-        return self.base.expect_indicator(concept, **kw)
-
-    def to_json(self):
-        return {"kind": "product", "base": self.base.to_json(),
-                "uniform": self.uniform.to_json()}
-
-
 def sample(measure, seed, n):
     """n i.i.d. draws from the measure, deterministic for a fixed seed."""
     if n < 0:
@@ -546,32 +392,33 @@ def expect_indicator(measure, concept, **kw):
     return measure.expect_indicator(concept, **kw)
 
 
-def pushforward(base, mapping):
-    """Image measure of ``base`` under ``mapping`` (identity or partition)."""
-    return PushforwardMeasure(base, mapping)
+def _fields(doc, required, optional=(), name=None):
+    # The required fields of a JSON document, in order; any other key but
+    # the optional ones is an error.  A document read by its "kind" may
+    # hold that key and is named by it in the error; any other passes
+    # ``name``.
+    allowed = {*required, *optional}
+    if name is None:
+        allowed.add("kind")
+        name = f"kind {doc['kind']!r}"
+    unknown = set(doc) - allowed
+    missing = [k for k in required if k not in doc]
+    if unknown or missing:
+        raise ValueError(f"{name}: unknown keys {sorted(unknown)}, "
+                         f"missing keys {missing}")
+    return [doc[k] for k in required]
 
 
 def measure_from_json(doc):
     kind = doc.get("kind")
     if kind == "atomic":
-        return AtomicMeasure.from_pairs(doc["atoms"])
+        (atoms,) = _fields(doc, ["atoms"])
+        return AtomicMeasure.from_pairs(atoms)
     if kind == "uniform":
-        return UniformMeasure(doc["a"], doc["b"])
+        a, b = _fields(doc, ["a", "b"])
+        return UniformMeasure(a, b)
     if kind == "cantor":
+        _fields(doc, [], ["depth"])
         return CantorMeasure(doc.get("depth", DEFAULT_TERNARY_DEPTH))
-    if kind == "pushforward":
-        return PushforwardMeasure(measure_from_json(doc["base"]),
-                                  _map_from_json(doc["map"]))
-    if kind == "product":
-        return ProductMeasure(measure_from_json(doc["base"]),
-                              measure_from_json(doc["uniform"]))
     raise ValueError(f"unknown measure kind {kind!r}")
 
-
-def _map_from_json(doc):
-    kind = doc.get("kind")
-    if kind == "identity":
-        return IdentityMap()
-    if kind == "partition":
-        return PartitionMap(tuple(tuple(c) for c in doc["cells"]))
-    raise ValueError(f"unknown map kind {kind!r}")

@@ -32,9 +32,36 @@ def test_construct_writes_instance_profile_and_manifest(tmp_path):
 
 
 def test_unknown_config_keys_exit_2(tmp_path):
-    code, _ = run(tmp_path, "construct",
-                  {"schedule": DEFAULT_SCHEDULE, "typo": 1})
-    assert code == 2
+    # Measure, rate and schedule documents reject unknown and missing keys
+    # alike, and a measure of an unknown kind.
+    uniform = {"kind": "uniform", "a": 0.0, "b": 1.0}
+
+    def distances(measure):
+        return {"weights": [2, 4], "measure": measure}
+
+    def construct(**schedule):
+        return {"schedule": {**DEFAULT_SCHEDULE, **schedule}}
+
+    no_k = {k: v for k, v in DEFAULT_SCHEDULE.items() if k != "K"}
+    cases = [
+        ("construct", {"schedule": DEFAULT_SCHEDULE, "typo": 1}),
+        ("distances", distances({"kind": "cantor", "dpeth": 3})),
+        ("distances", distances({"kind": "uniform", "a": 0.0})),
+        ("distances", distances({"kind": "product", "base": uniform,
+                                 "uniform": uniform})),
+        ("distances", distances({"kind": "pushforward", "base": uniform,
+                                 "map": {"kind": "identity"}})),
+        ("construct", construct(f={"kind": "poly", "degree": 2,
+                                   "scael": 3})),
+        ("construct", construct(f={"kind": "poly"})),
+        ("construct", construct(f={"kind": "exp", "bse": 3})),
+        ("construct", construct(bogus=1)),
+        ("construct", {"schedule": no_k}),
+    ]
+    for subcommand, config in cases:
+        code, out = run(tmp_path, subcommand, config)
+        assert code == 2, (subcommand, config)
+        assert list(out.iterdir()) == []
 
 
 def test_leftover_alpha_and_family_key_typos_exit_2(tmp_path):
@@ -137,7 +164,14 @@ def test_bad_log_primes_exit_2_before_generating_primes(tmp_path,
            {"log_primes": 3, "labels": [1, 0]},
            {"log_primes": 0, "census": True},
            {"log_primes": 2.5, "labels": [1, 0]},
-           {"log_primes": True, "labels": [1]}]
+           {"log_primes": True, "labels": [1]},
+           {"points": [1, math.sqrt(2.0)], "labels": [1, 0],
+            "w_max": "1e4", "budget": 2.7},
+           {"points": [1, math.sqrt(2.0)], "labels": [1, 0], "budget": 2.7},
+           {"points": [1, math.sqrt(2.0)], "labels": [1, 0], "budget": -1},
+           {"points": ["1", 2.0], "labels": [1, 0]},
+           {"points": [1.0, float("nan")], "labels": [1, 0]},
+           {"points": [1.0, 2.0], "labels": [1, 0], "w_max": True}]
     for config in bad:
         code, out = run(tmp_path, "shatter", config)
         assert code == 2
@@ -243,6 +277,13 @@ def test_complexity_config_types_exit_2(tmp_path):
     code, written = run(tmp_path, "complexity", base)
     assert code == 0
     assert (written / "complexity_manifest.json").exists()
+    for value in ("0.1", True, 0, 1.5):
+        out = tmp_path / f"construct_{value!r}"
+        out.mkdir()
+        code, written = run(out, "construct",
+                            {"schedule": base["schedule"], "delta": value})
+        assert code == 2, value
+        assert not (written / "construct_manifest.json").exists()
 
 
 def test_gc_config_types_exit_2(tmp_path, monkeypatch):

@@ -7,8 +7,7 @@ import pytest
 from paclab.concepts import AtomLabeling, l1_distance
 from paclab.construction import (ComplexitySchedule, EmptyLevelWarning,
                                  RateFunction, build_measure,
-                                 shattering_subfamily, sontag_instance,
-                                 theoretical_profile)
+                                 shattering_subfamily, theoretical_profile)
 
 
 def geometric_eps(count):
@@ -86,6 +85,14 @@ def test_linear_rate_instance():
     assert inst.residual_mass == 0.04
     assert inst.levels[0].locations == tuple(
         math.log(p) for p in (2, 3, 5, 7, 11))
+
+
+def test_depth_zero_instance_is_the_residual_atom():
+    sched = ComplexitySchedule(eps=geometric_eps(1), f=RateFunction.poly(1),
+                               K=0)
+    inst = build_measure(sched)
+    assert inst.levels == ()
+    assert inst.residual_mass == 1.0
 
 
 def test_superexponential_rate():
@@ -243,35 +250,6 @@ def test_subfamily_len_overflows_for_huge_families():
     assert fam.size == 2 ** 625
     with pytest.raises(OverflowError):
         len(fam)
-
-
-# ---------------------------------------------------------------------------
-# pairing with the weight family
-
-
-def test_sontag_instance_census_linear_rate():
-    sched = ComplexitySchedule(eps=geometric_eps(2), f=RateFunction.poly(1),
-                               K=1)
-    bundle = sontag_instance(build_measure(sched), w_max=10 ** 6)
-    census = bundle.censuses[0]
-    assert (census.realized, census.total) == (32, 32)
-    assert census.status == "complete"
-
-
-def test_sontag_instance_degenerate_depth_zero():
-    sched = ComplexitySchedule(eps=geometric_eps(1), f=RateFunction.poly(1),
-                               K=0)
-    inst = build_measure(sched)
-    assert inst.levels == ()
-    assert inst.residual_mass == 1.0
-    bundle = sontag_instance(inst)
-    assert (bundle.censuses[0].realized, bundle.censuses[0].total) == (2, 2)
-
-
-def test_sontag_instance_skips_oversized_census():
-    inst = build_measure(ComplexitySchedule.default())
-    bundle = sontag_instance(inst, census_atom_cap=12)
-    assert all(c.status == "skipped" for c in bundle.censuses)
 
 
 def test_sontag_expectation_is_atom_mass_sum():

@@ -11,11 +11,10 @@ from hypothesis import assume, given, settings, strategies as st
 from paclab.concepts import IntervalUnion, SontagConcept
 from paclab.construction import ComplexitySchedule, build_measure
 from paclab.intervals import canonicalize, clip, total_length
-from paclab.measures import (Atom, AtomicMeasure, CantorMeasure, IdentityMap,
-                             PartitionMap, ProductMeasure, ResolutionWarning,
-                             UniformMeasure, cantor_interval_mass,
-                             cantor_level_intervals, expect_indicator,
-                             measure_from_json, pushforward, sample,
+from paclab.measures import (Atom, AtomicMeasure, CantorMeasure,
+                             ResolutionWarning, UniformMeasure,
+                             cantor_interval_mass, cantor_level_intervals,
+                             expect_indicator, measure_from_json, sample,
                              window_intervals)
 
 TWO_PI = 2.0 * math.pi
@@ -424,7 +423,6 @@ def test_empirical_means_converge_to_expectations():
         (UniformMeasure(0.0, 1.0), 101),
         (CantorMeasure(), 103),
         (AtomicMeasure.from_pairs([(0.0, 0.2), (0.25, 0.5), (0.9, 0.3)]), 105),
-        (pushforward(UniformMeasure(0.0, 1.0), IdentityMap()), 107),
     ]
     for measure, seed in cases:
         xs = sample(measure, seed, 10 ** 5)
@@ -436,67 +434,6 @@ def test_empirical_means_converge_to_expectations():
 
 
 # ---------------------------------------------------------------------------
-# pushforward and product
-
-
-def test_pushforward_threshold_partition_matches_atoms():
-    base = UniformMeasure(0.0, 1.0)
-    pf = pushforward(base, PartitionMap(((0.0, 0.8, 5.0), (0.8, 1.0, 7.0))))
-    target = AtomicMeasure.from_pairs([(5.0, 0.8), (7.0, 0.2)])
-    for loc in (5.0, 7.0):
-        ind = _PointConcept(loc)
-        assert expect_indicator(pf, ind) == pytest.approx(
-            expect_indicator(target, ind), abs=1e-12)
-    xs = sample(pf, 11, 2000)
-    assert set(np.unique(xs)) == {5.0, 7.0}
-    assert abs(np.mean(xs == 5.0) - 0.8) <= 0.03
-
-
-class _PointConcept:
-    def __init__(self, loc):
-        self.loc = loc
-
-    def contains(self, x):
-        return x == self.loc
-
-
-def test_pushforward_identity_preserves_expectations():
-    base = UniformMeasure(0.0, 1.0)
-    pf = pushforward(base, IdentityMap())
-    rng = np.random.default_rng(3)
-    concepts = [SontagConcept(2.0), SontagConcept(3.5e4)]
-    for _ in range(10):
-        lo, hi = np.sort(rng.uniform(0, 1, size=2))
-        concepts.append(IntervalUnion(((float(lo), float(hi)),)))
-    for c in concepts:
-        assert expect_indicator(pf, c) == expect_indicator(base, c)
-
-
-def test_pushforward_cantor_level1_partition():
-    pf = pushforward(CantorMeasure(),
-                     PartitionMap(((0.0, 0.5, -1.0), (0.5, 1.0, 1.0))))
-    assert expect_indicator(pf, _PointConcept(-1.0)) == 0.5
-    assert expect_indicator(pf, _PointConcept(1.0)) == 0.5
-
-
-def test_pushforward_non_total_map_is_hard_error():
-    pf = pushforward(UniformMeasure(0.0, 1.0),
-                     PartitionMap(((0.0, 0.4, 1.0),)))
-    with pytest.raises(ValueError):
-        sample(pf, 0, 100)
-
-
-def test_product_measure_samples_pairs():
-    pm = ProductMeasure(AtomicMeasure.from_pairs([(2.0, 1.0)]),
-                        UniformMeasure(0.0, 1.0))
-    pairs = sample(pm, 5, 50)
-    assert pairs.shape == (50, 2)
-    assert np.all(pairs[:, 0] == 2.0)
-    assert np.all((pairs[:, 1] >= 0) & (pairs[:, 1] <= 1))
-    assert expect_indicator(pm, _PointConcept(2.0)) == 1.0
-
-
-# ---------------------------------------------------------------------------
 # serialization
 
 
@@ -505,9 +442,6 @@ def test_measure_json_round_trip():
         AtomicMeasure.from_pairs([(0.0, 0.4), (2.5, 0.6)]),
         UniformMeasure(-1.0, 3.0),
         CantorMeasure(depth=12),
-        pushforward(UniformMeasure(0, 1),
-                    PartitionMap(((0.0, 0.5, 1.0), (0.5, 1.0, 2.0)))),
-        ProductMeasure(CantorMeasure(), UniformMeasure(0, 1)),
     ]
     for m in docs:
         doc = json.loads(json.dumps(m.to_json()))
