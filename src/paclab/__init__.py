@@ -10,8 +10,8 @@ estimator that brackets measured complexity between the theoretical bounds.
 __version__ = "0.1.0"
 
 from .bounds import (FiniteFamily, PackingResult, bi_lower, bi_upper,
-                     exact_cover_number, exact_packing_number, greedy_cover,
-                     greedy_packing, hamming_packing, hamming_packing_bound)
+                     greedy_cover, greedy_packing, hamming_packing,
+                     hamming_packing_bound)
 from .concepts import (AtomLabeling, GridUnion, IntervalUnion,
                        MiddleThirdUnion, OrderIntervalClass,
                        OrderIntervalFamily, SontagConcept, SontagFamily,

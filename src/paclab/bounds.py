@@ -3,9 +3,7 @@
 The upper bound turns an eps/2-cover of size k into a sample count
 ceil((32/eps) * log2(k/delta)); the lower bound is the base-2 log of a
 2eps-packing.  Greedy constructions provide verified covers and packings
-over finite concept families; exact (branch-and-bound / exhaustive)
-routines exist for small families so the standard sandwich
-M(2eps) <= N(eps) <= M(eps) can be checked outright.
+over finite concept families.
 
 ``hamming_packing`` realizes the binary-cube packing guarantee: at least
 ceil(exp(2 (0.5 - 2 eps)^2 n)) codewords at pairwise normalized Hamming
@@ -22,8 +20,6 @@ import numpy as np
 from .concepts import l1_distance
 from .measures import AtomicMeasure
 
-EXACT_PACKING_LIMIT = 24
-EXACT_COVER_LIMIT = 16
 HAMMING_RESTARTS = 50
 
 
@@ -171,54 +167,6 @@ def greedy_packing_memberships(memberships, masses, radius):
     masses = np.asarray(masses, dtype=float)
     return _greedy_rows(len(memberships),
                         lambda j: _distance_row(memberships, masses, j), radius)
-
-
-def exact_packing_number(family, radius):
-    """The exact maximum size of a radius-separated subset (<= 24 members),
-    by branch and bound on the conflict graph."""
-    n = len(family)
-    if n > EXACT_PACKING_LIMIT:
-        raise ValueError(f"exact packing limited to {EXACT_PACKING_LIMIT} members")
-    mat = family.distance_matrix()
-    conflict = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if i != j and mat[i, j] < radius:
-                conflict[i] |= 1 << j
-    best = 0
-
-    def rec(cand, size):
-        nonlocal best
-        if size + bin(cand).count("1") <= best:
-            return
-        if cand == 0:
-            best = max(best, size)
-            return
-        v = (cand & -cand).bit_length() - 1
-        rec(cand & ~(1 << v) & ~conflict[v], size + 1)
-        rec(cand & ~(1 << v), size)
-
-    rec((1 << n) - 1, 0)
-    return best
-
-
-def exact_cover_number(family, eps):
-    """The exact minimum size of an eps-cover with centers drawn from the
-    family itself (<= 16 members), by exhaustive subset search."""
-    from itertools import combinations
-    n = len(family)
-    if n > EXACT_COVER_LIMIT:
-        raise ValueError(f"exact cover limited to {EXACT_COVER_LIMIT} members")
-    mat = family.distance_matrix()
-    covered_by = [frozenset(j for j in range(n) if mat[i, j] <= eps)
-                  for i in range(n)]
-    everything = frozenset(range(n))
-    for k in range(1, n + 1):
-        for centers in combinations(range(n), k):
-            hit = frozenset().union(*(covered_by[c] for c in centers))
-            if hit == everything:
-                return k
-    raise AssertionError("the family always covers itself")
 
 
 def bi_upper(eps, delta, k):

@@ -1,14 +1,16 @@
 """Command-line front door: experiment configs in, CSV/JSON artifacts out.
 
-Every subcommand reads a strict JSON config (unknown keys rejected), runs
-one library operation, writes its outputs plus a manifest with the config
-hash, seed, and versions into the output directory.  Runs are fully
-deterministic for a fixed config and seed, so re-running a manifest
-reproduces byte-identical CSVs.
+Every subcommand reads its JSON config through one typed field reader
+(``measures.Field``: unknown keys, wrong types and out-of-range values are
+rejected before any work), runs one library operation, writes its outputs
+plus a manifest with the config hash, seed, and versions into the output
+directory.  Runs are fully deterministic for a fixed config and seed, so
+re-running a manifest reproduces byte-identical CSVs.
 
 Exit codes: 0 ok, 2 config error, 3 budget exceeded (a search budget or
-sample-size cap with --strict; an enumeration cap, a packing shortfall or
-the estimator's memory cap always), 4 invariant violation.
+sample-size cap with --strict; an enumeration cap, the instance's atom cap,
+the cantor subset cap, a packing shortfall or the estimator's memory cap
+always), 4 internal error or invariant violation (traceback on stderr).
 """
 
 from __future__ import annotations
@@ -17,8 +19,10 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import platform
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -27,30 +31,22 @@ from . import __version__, bounds, concepts, construction, learner, measures, so
 from .bounds import PackingShortfallError
 from .concepts import EnumerationCapError
 from .learner import EpisodeMemoryError
+from .measures import ConfigError, Document, Field, read_fields, read_kind
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_BUDGET = 3
-EXIT_INVARIANT = 4
+EXIT_INTERNAL = 4
 
-
-class ConfigError(ValueError):
-    pass
+SCHEDULE = Field(construction.ComplexitySchedule.from_json)
+MEASURE = Field(measures.measure_from_json)
+CONCEPTS = Field("list", least=1, of=Field(concepts.concept_from_json))
 
 
 class BudgetExceeded(RuntimeError):
     def __init__(self, message, outputs=()):
         super().__init__(message)
         self.outputs = list(outputs)
-
-
-def _require(config, known, required=()):
-    unknown = set(config) - set(known)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    missing = set(required) - set(config)
-    if missing:
-        raise ConfigError(f"missing config keys: {sorted(missing)}")
 
 
 def _fmt(x):
@@ -87,33 +83,10 @@ def _manifest(out_dir, subcommand, config, seed, strict, outputs):
     _write_json(out_dir / f"{subcommand}_manifest.json", doc)
 
 
-def _measure_from_config(doc):
-    try:
-        return measures.measure_from_json(doc)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"bad measure config: {exc}") from exc
-
-
-def _concepts_from_config(docs):
-    try:
-        return [concepts.concept_from_json(d) for d in docs]
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad concept config: {exc}") from exc
-
-
-def _delta_entry(config):
-    # A JSON number in (0, 1]; the estimator itself also rejects 1.
-    delta = config.get("delta", 0.1)
-    if (isinstance(delta, bool) or not isinstance(delta, (int, float))
-            or not 0 < delta <= 1):
-        raise ConfigError(f"delta must be a number in (0, 1], got {delta!r}")
-    return float(delta)
-
-
 def run_construct(config, out_dir, seed):
-    _require(config, {"schedule", "delta"}, {"schedule"})
-    schedule = construction.ComplexitySchedule.from_json(config["schedule"])
-    delta = _delta_entry(config)
+    schedule, delta = read_fields(
+        config, "construct config", schedule=SCHEDULE,
+        delta=Field("number", 0.1, above=0, most=1))
     instance = construction.build_measure(schedule)
     profile = construction.theoretical_profile(instance, delta)
     _write_json(out_dir / "instance.json", instance.to_json())
@@ -121,37 +94,16 @@ def run_construct(config, out_dir, seed):
     return ["instance.json", "profile.json"]
 
 
-def _int_entry(value, name, least):
-    # JSON integers only: bools, floats and strings are config errors.
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ConfigError(f"{name} must be an integer >= {least}, "
-                          f"got {value!r}")
-    return value
-
-
-def _number_entry(value, name, least):
-    # Finite JSON numbers only: bools, strings, NaN and numbers past the
-    # float range are config errors.
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not least <= value <= sys.float_info.max):
-        raise ConfigError(f"{name} must be a number >= {least}, "
-                          f"got {value!r}")
-    return float(value)
-
-
 def run_complexity(config, out_dir, seed):
-    _require(config, {"schedule", "delta", "trials", "levels", "n_cap"},
-             {"schedule"})
-    schedule = construction.ComplexitySchedule.from_json(config["schedule"])
-    delta = _delta_entry(config)
-    trials = _int_entry(config.get("trials", 400), "trials", 1)
-    n_cap = _int_entry(config.get("n_cap", learner.DEFAULT_N_CAP), "n_cap", 0)
-    levels = config.get("levels", list(range(1, schedule.K + 1)))
-    if not isinstance(levels, list):
-        raise ConfigError(f"levels must be a list, got {levels!r}")
-    levels = [_int_entry(k, "each level", 1) for k in levels]
-    if any(k > schedule.K for k in levels):
-        raise ConfigError(f"levels must lie in 1..{schedule.K}")
+    get = Document(config, "complexity config",
+                   ("schedule", "delta", "trials", "levels", "n_cap"))
+    schedule = get("schedule", SCHEDULE)
+    # The estimator takes delta below 1 and at least 100 trials.
+    delta = get("delta", Field("number", 0.1, above=0, below=1))
+    trials = get("trials", Field("int", 400, least=100))
+    n_cap = get("n_cap", Field("int", learner.DEFAULT_N_CAP, least=0))
+    levels = get("levels", Field("list", list(range(1, schedule.K + 1)),
+                                 of=Field("int", least=1, most=schedule.K)))
     instance = construction.build_measure(schedule)
     rows = []
     summary = []
@@ -176,37 +128,24 @@ def run_complexity(config, out_dir, seed):
     return outputs
 
 
-def _points_from_config(config, n_labels):
-    """The config's points; ``n_labels`` is None for a census.
-
-    ``log_primes`` is checked before any prime is generated.
-    """
-    if "log_primes" in config:
-        n = _int_entry(config["log_primes"], "log_primes", 1)
-        if n_labels is None and n > sontag.MAX_CENSUS_POINTS:
-            raise ConfigError(f"log_primes {n} exceeds the census limit of "
-                              f"{sontag.MAX_CENSUS_POINTS} points")
-        if n_labels is not None and n != n_labels:
-            raise ConfigError(f"log_primes {n} does not match the "
-                              f"{n_labels} labels")
-        return sontag.rationally_independent_points(n)
-    if "points" in config:
-        return [_number_entry(p, "each point", -sys.float_info.max)
-                for p in config["points"]]
-    raise ConfigError("shatter config needs 'points' or 'log_primes'")
-
-
 def run_shatter(config, out_dir, seed):
-    _require(config, {"points", "log_primes", "labels", "census", "w_max",
-                      "budget"})
-    census = config.get("census")
-    labels = config.get("labels")
-    if not census and labels is None:
-        raise ConfigError("shatter config needs 'labels' or 'census': true")
-    points = _points_from_config(config, None if census else len(labels))
-    w_max = _number_entry(config.get("w_max", 10 ** 4), "w_max", 0)
-    budget = _int_entry(config.get("budget", sontag.DEFAULT_BUDGET),
-                        "budget", 0)
+    get = Document(config, "shatter config", ("points", "log_primes", "labels",
+                                              "census", "w_max", "budget"))
+    census = get("census", Field((True, False), False))
+    w_max = get("w_max", Field("number", 10 ** 4, above=0))
+    budget = get("budget", Field("int", sontag.DEFAULT_BUDGET, least=0))
+    labels = None if census else get(
+        "labels", Field("list", least=1, of=Field("int", least=0, most=1)))
+    # A census takes up to MAX_CENSUS_POINTS points, a search one per label;
+    # log_primes is read before any prime is generated.
+    least, most = ((1, sontag.MAX_CENSUS_POINTS) if census
+                   else (len(labels), len(labels)))
+    if "log_primes" in config:
+        points = sontag.rationally_independent_points(
+            get("log_primes", Field("int", least=least, most=most)))
+    else:
+        points = get("points", Field("list", least=least, most=most,
+                                     of=Field("number"), distinct=True))
     if census:
         result = sontag.shatter_census(points, w_max, budget=budget)
         _write_json(out_dir / "census.json", result.to_json())
@@ -222,9 +161,9 @@ def run_shatter(config, out_dir, seed):
 
 
 def run_distances(config, out_dir, seed):
-    _require(config, {"weights", "measure"}, {"weights", "measure"})
-    weights = [float(w) for w in config["weights"]]
-    measure = _measure_from_config(config["measure"])
+    weights, measure = read_fields(
+        config, "distances config",
+        weights=Field("list", of=Field("number", least=0)), measure=MEASURE)
     family = [concepts.SontagConcept(w) for w in weights]
     rows = []
     for i, wi in enumerate(weights):
@@ -238,44 +177,32 @@ def run_distances(config, out_dir, seed):
 
 
 def run_gc(config, out_dir, seed):
-    _require(config, {"mode", "family", "measure", "n_list", "trials",
-                      "min_weight"}, {"mode", "family", "measure", "n_list"})
-    mode = config["mode"]
-    if mode not in ("census", "adversarial"):
-        raise ConfigError(f"mode must be 'census' or 'adversarial', "
-                          f"got {mode!r}")
-    n_list = config["n_list"]
-    if not isinstance(n_list, list):
-        raise ConfigError(f"n_list must be a list, got {n_list!r}")
-    n_list = [_int_entry(n, "each n_list entry", 1) for n in n_list]
-    trials = _int_entry(config.get("trials", 100), "trials", 1)
-    min_weight = _number_entry(
-        config.get("min_weight", learner.ADVERSARIAL_MIN_WEIGHT),
-        "min_weight", 0)
-    measure = _measure_from_config(config["measure"])
-    fam_doc = config["family"]
-    if not isinstance(fam_doc, dict):
-        raise ConfigError(f"family must be an object, got {fam_doc!r}")
-    kind = fam_doc.get("kind")
-    if kind == "sontag":
-        _require(fam_doc, {"kind", "w_max"})
-        w_max = _number_entry(fam_doc.get("w_max", 10 ** 6), "w_max", 0)
-        if not w_max > min_weight:
-            raise ConfigError(f"w_max {w_max} must exceed min_weight "
-                              f"{min_weight}")
-        family = concepts.SontagFamily(w_max)
-    elif kind == "order_intervals":
-        _require(fam_doc, {"kind"})
-        family = concepts.OrderIntervalFamily()
-    elif kind == "order_class":
-        _require(fam_doc, {"kind", "n"}, {"n"})
-        family = list(concepts.enumerate_order_class(
-            _int_entry(fam_doc["n"], "order-class n", 1)))
-    elif kind == "concepts":
-        _require(fam_doc, {"kind", "members"}, {"members"})
-        family = _concepts_from_config(fam_doc["members"])
+    get = Document(config, "gc config", ("mode", "family", "measure",
+                                         "n_list", "trials", "min_weight"))
+    mode = get("mode", Field(("census", "adversarial")))
+    n_list = get("n_list", Field("list", of=Field("int", least=1)))
+    trials = get("trials", Field("int", 100, least=1))
+    min_weight = get("min_weight", Field(
+        "number", learner.ADVERSARIAL_MIN_WEIGHT, least=0))
+    measure = get("measure", MEASURE)
+    # The families each mode takes.  A census enumerates a finite one.  An
+    # adversarial fit needs pairwise distinct sample points, so no atoms,
+    # and an isolating grid union needs them inside [0, 1].
+    if mode == "census":
+        families = {
+            "order_class": (lambda n: list(concepts.enumerate_order_class(n)),
+                            {"n": Field("int", least=1)}),
+            "concepts": (list, {"members": CONCEPTS})}
+    elif isinstance(measure, measures.AtomicMeasure):
+        families = {}
     else:
-        raise ConfigError(f"unknown family kind {kind!r}")
+        families = {"sontag": (concepts.SontagFamily, {"w_max": Field(
+            "number", 10 ** 6, above=min_weight)})}
+        if (isinstance(measure, measures.CantorMeasure)
+                or 0 <= measure.a and measure.b <= 1):
+            families["order_intervals"] = (concepts.OrderIntervalFamily, {})
+    family = get("family", Field(lambda doc: read_kind(
+        doc, f"{mode} family under {measure!r}", families)))
     rows = []
     for n in n_list:
         res = learner.gc_deviation(family, measure, n, trials=trials,
@@ -290,45 +217,50 @@ def run_gc(config, out_dir, seed):
 
 
 def run_packing(config, out_dir, seed):
-    _require(config, {"hamming", "family"})
+    hamming, family = read_fields(
+        config, "packing config",
+        hamming=Field({"n": Field("int", least=1),
+                       "eps": Field("number", above=0, most=0.25)}, None),
+        family=Field({"measure": MEASURE, "members": CONCEPTS,
+                      "radius": Field("number", above=0)}, None))
+    if hamming is None and family is None:
+        raise ConfigError("packing config needs 'hamming' and/or 'family'")
     outputs = []
-    if "hamming" in config:
-        params = config["hamming"]
-        _require(params, {"n", "eps"}, {"n", "eps"})
-        words = bounds.hamming_packing(int(params["n"]), float(params["eps"]),
-                                       seed=seed)
-        doc = {"n": int(params["n"]), "eps": float(params["eps"]),
-               "bound": bounds.hamming_packing_bound(int(params["n"]),
-                                                     float(params["eps"])),
+    if hamming is not None:
+        n, eps = hamming
+        words = bounds.hamming_packing(n, eps, seed=seed)
+        doc = {"n": n, "eps": eps,
+               "bound": bounds.hamming_packing_bound(n, eps),
                "count": len(words),
                "codewords": ["".join(str(b) for b in word) for word in words]}
         _write_json(out_dir / "hamming_packing.json", doc)
         outputs.append("hamming_packing.json")
-    if "family" in config:
-        params = config["family"]
-        _require(params, {"measure", "members", "radius"},
-                 {"measure", "members", "radius"})
-        measure = _measure_from_config(params["measure"])
-        members = _concepts_from_config(params["members"])
-        family = bounds.FiniteFamily(members, measure)
-        result = bounds.greedy_packing(family, float(params["radius"]))
+    if family is not None:
+        measure, members, radius = family
+        result = bounds.greedy_packing(bounds.FiniteFamily(members, measure),
+                                       radius)
         _write_json(out_dir / "greedy_packing.json", result.to_json())
         outputs.append("greedy_packing.json")
-    if not outputs:
-        raise ConfigError("packing config needs 'hamming' and/or 'family'")
     return outputs
 
 
 def run_cantor(config, out_dir, seed):
-    _require(config, {"level", "orders", "subsets"}, {"level", "orders"})
-    level = int(config["level"])
-    orders = [int(n) for n in config["orders"]]
-    subsets = config.get("subsets", "all")
-    if subsets == "all":
+    get = Document(config, "cantor config", ("level", "orders", "subsets"))
+    level = get("level", Field("int", least=0))
+    orders = get("orders", Field("list", of=Field("int", least=1)))
+    every = config.get("subsets", "all") == "all"
+    # The layout lists 2^level intervals, and "all" 2^(2^level) subsets.
+    cap = math.log2(concepts.ENUMERATION_CAP)
+    if level > cap or (every and 2 ** level > cap):
+        raise EnumerationCapError(
+            f"cantor level {level} with {'all' if every else 'listed'} "
+            f"subsets exceeds the enumeration cap {concepts.ENUMERATION_CAP}")
+    if every:
         index_sets = [[j + 1 for j in range(2 ** level) if (mask >> j) & 1]
                       for mask in range(2 ** (2 ** level))]
     else:
-        index_sets = [[int(j) for j in js] for js in subsets]
+        index_sets = get("subsets", Field("list", of=Field("list", of=Field(
+            "int", least=1, most=2 ** level))))
     layout = [[str(lo), str(hi)]
               for lo, hi in measures.cantor_level_intervals(level)]
     reports = []
@@ -342,12 +274,15 @@ def run_cantor(config, out_dir, seed):
 
 
 def run_figures(config, out_dir, seed):
-    _require(config, {"alpha", "w", "x_range", "points", "cantor_levels"})
-    alpha = float(config.get("alpha", sontag.DEFAULT_ALPHA))
-    w = float(config.get("w", 5.0))
-    lo, hi = config.get("x_range", [-10.0, 10.0])
-    count = int(config.get("points", 2001))
-    xs = np.linspace(float(lo), float(hi), count)
+    alpha, w, (lo, hi), count, cantor_levels = read_fields(
+        config, "figures config",
+        alpha=Field("number", sontag.DEFAULT_ALPHA, least=sontag.ALPHA_MIN),
+        w=Field("number", 5.0),
+        x_range=Field("list", [-10.0, 10.0], least=2, most=2,
+                      of=Field("number")),
+        points=Field("int", 2001, least=0),
+        cantor_levels=Field("int", 3, least=0))
+    xs = np.linspace(lo, hi, count)
     _write_csv(out_dir / "activation.csv", ["x", "phi"],
                zip(xs.tolist(), sontag.phi(xs, alpha).tolist()))
     _write_csv(out_dir / "composition.csv", ["x", "rho"],
@@ -356,7 +291,7 @@ def run_figures(config, out_dir, seed):
     _write_csv(out_dir / "binary_output.csv", ["x", "y"],
                zip(xs.tolist(), bits.tolist()))
     rows = []
-    for level in range(int(config.get("cantor_levels", 3)) + 1):
+    for level in range(cantor_levels + 1):
         for i, (a, b) in enumerate(measures.cantor_level_intervals(level)):
             rows.append([level, i, float(a), float(b)])
     _write_csv(out_dir / "cantor_levels.csv", ["level", "index", "lo", "hi"],
@@ -414,12 +349,9 @@ def main(argv=None):
             print(f"budget exceeded: {exc}", file=sys.stderr)
             return EXIT_BUDGET
         outputs = exc.outputs
-    except (ValueError, TypeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except AssertionError as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
     _manifest(out_dir, args.subcommand, config, args.seed, args.strict,
               outputs)
     return EXIT_OK

@@ -22,9 +22,9 @@ import numpy as np
 from . import sontag
 from .intervals import (canonicalize, contains_many, contains_point, intersect,
                         total_length)
-from .measures import (AtomicMeasure, CantorMeasure, UniformMeasure,
-                       _contains_many, _fields, cantor_interval_mass,
-                       cantor_level_intervals, expect_indicator,
+from .measures import (AtomicMeasure, CantorMeasure, Field, UniformMeasure,
+                       _contains_many, cantor_interval_mass,
+                       cantor_level_intervals, expect_indicator, read_kind,
                        window_intervals)
 
 ENUMERATION_CAP = 10 ** 7
@@ -497,24 +497,22 @@ class OrderIntervalFamily:
 
 
 def concept_from_json(doc):
-    if not isinstance(doc, dict):
-        raise ValueError(f"a concept must be an object, got {doc!r}")
-    kind = doc.get("kind")
-    if kind == "sontag":
-        (w,) = _fields(doc, ["w"])
-        return SontagConcept(w)
-    if kind == "intervals" and "order" in doc:
+    number = Field("number")
+    bits = Field("list", of=Field("int", least=0, most=1))
+    pairs = Field("list", of=Field("list", least=2, most=2, of=number))
+    if (isinstance(doc, dict) and doc.get("kind") == "intervals"
+            and "order" in doc):
         # GridUnion.to_json also writes the cells as "intervals".
-        order, cells = _fields(doc, ["order", "cells"], ["intervals"])
-        return GridUnion(order, tuple(cells))
-    if kind == "intervals":
-        (intervals,) = _fields(doc, ["intervals"])
-        return IntervalUnion(tuple(tuple(iv) for iv in intervals))
-    if kind == "atom_labels":
-        locations, bits = _fields(doc, ["locations", "bits"], ["default_bit"])
-        return AtomLabeling(tuple(locations), tuple(bits),
-                            doc.get("default_bit", 0))
-    if kind == "middle_thirds":
-        (pieces,) = _fields(doc, ["pieces"])
-        return MiddleThirdUnion(tuple(tuple(p) for p in pieces))
-    raise ValueError(f"unknown concept kind {kind!r}")
+        return read_kind(doc, "concept", {"intervals": (
+            lambda order, cells, _: GridUnion(order, cells),
+            {"order": Field("int"), "cells": Field("list", of=Field("int")),
+             "intervals": Field("list", None)})})
+    return read_kind(doc, "concept", {
+        "sontag": (SontagConcept, {"w": number}),
+        "intervals": (IntervalUnion, {"intervals": pairs}),
+        "atom_labels": (AtomLabeling, {
+            "locations": Field("list", of=number), "bits": bits,
+            "default_bit": Field("int", 0, least=0, most=1)}),
+        "middle_thirds": (MiddleThirdUnion, {
+            "pieces": Field("list", of=Field("list", least=2, most=2,
+                                             of=Field("int")))})})

@@ -24,8 +24,9 @@ import numpy as np
 
 from . import sontag
 from .bounds import bi_upper_from_log2, greedy_packing_memberships
-from .concepts import AtomLabeling
-from .measures import AtomicMeasure, Atom, _as_fraction, _fields
+from .concepts import AtomLabeling, EnumerationCapError
+from .measures import (AtomicMeasure, Atom, Field, _as_fraction, read_fields,
+                       read_kind)
 
 PACKING_LOWER_RATE = 0.0128  # 2 * (0.5 - 0.42)^2, the cube-packing constant
 SMALL_FAMILY_LIMIT = 20
@@ -53,11 +54,11 @@ class RateFunction:
 
     @classmethod
     def poly(cls, degree, scale=1):
-        return cls("poly", degree=int(degree), scale=_as_fraction(scale))
+        return cls("poly", degree=degree, scale=_as_fraction(scale))
 
     @classmethod
     def exponential(cls, base=2):
-        return cls("exp", base=int(base))
+        return cls("exp", base=base)
 
     @classmethod
     def table(cls, points):
@@ -93,17 +94,11 @@ class RateFunction:
 
     @classmethod
     def from_json(cls, doc):
-        kind = doc.get("kind")
-        if kind == "poly":
-            (degree,) = _fields(doc, ["degree"], ["scale"])
-            return cls.poly(degree, doc.get("scale", 1))
-        if kind == "exp":
-            _fields(doc, [], ["base"])
-            return cls.exponential(doc.get("base", 2))
-        if kind == "table":
-            (points,) = _fields(doc, ["points"])
-            return cls.table(points)
-        raise ValueError(f"unknown rate kind {kind!r}")
+        return read_kind(doc, "rate", {
+            "poly": (cls.poly, {"degree": Field("int"),
+                                "scale": Field(_as_fraction, 1)}),
+            "exp": (cls.exponential, {"base": Field("int", 2)}),
+            "table": (cls.table, {"points": Field("list")})})
 
 
 EPS_FIRST = Fraction(1, 5)
@@ -176,10 +171,11 @@ class ComplexitySchedule:
 
     @classmethod
     def from_json(cls, doc):
-        eps, f, K = _fields(doc, ["eps", "f", "K"], ["linear_coeff"],
-                            name="schedule")
-        return cls(eps=tuple(eps), f=RateFunction.from_json(f), K=int(K),
-                   linear_coeff=doc.get("linear_coeff", Fraction(1)))
+        eps, f, K, linear_coeff = read_fields(
+            doc, "schedule", eps=Field("list"),
+            f=Field(RateFunction.from_json), K=Field("int"),
+            linear_coeff=Field(_as_fraction, 1))
+        return cls(eps=tuple(eps), f=f, K=K, linear_coeff=linear_coeff)
 
 
 @dataclass(frozen=True)
@@ -259,13 +255,16 @@ def build_measure(schedule, max_atoms=10 ** 6):
     Atom locations are logs of successive primes, so every finite union of
     levels is a rationally-independent-style tuple that the weight family
     can shatter.  Level masses follow m_k = 5 (eps_k - eps_{k+1}); the
-    residual atom carries exactly 5 eps_{K+1}.
+    residual atom carries exactly 5 eps_{K+1}.  An instance of more than
+    ``max_atoms`` atoms raises ``EnumerationCapError`` before any prime is
+    generated.
     """
     f_vals = schedule.f_values()
     masses = schedule.level_masses()
     total_atoms = (f_vals[-1] if f_vals else 0) + 1
     if total_atoms > max_atoms:
-        raise ValueError(f"instance needs {total_atoms} atoms, cap is {max_atoms}")
+        raise EnumerationCapError(f"instance needs {total_atoms} atoms, "
+                                  f"cap is {max_atoms}")
     locations = sontag.rationally_independent_points(total_atoms)
     levels = []
     prev_f = 0

@@ -14,6 +14,8 @@ callers derive independent streams by seed offsetting.
 from __future__ import annotations
 
 import math
+import operator
+import sys
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -348,7 +350,6 @@ class CantorMeasure:
     kind = "cantor"
 
     def __init__(self, depth=DEFAULT_TERNARY_DEPTH):
-        depth = int(depth)
         if depth < 1:
             raise ValueError("depth must be >= 1")
         self.depth = depth
@@ -392,33 +393,126 @@ def expect_indicator(measure, concept, **kw):
     return measure.expect_indicator(concept, **kw)
 
 
-def _fields(doc, required, optional=(), name=None):
-    # The required fields of a JSON document, in order; any other key but
-    # the optional ones is an error.  A document read by its "kind" may
-    # hold that key and is named by it in the error; any other passes
-    # ``name``.
-    allowed = {*required, *optional}
-    if name is None:
-        allowed.add("kind")
-        name = f"kind {doc['kind']!r}"
-    unknown = set(doc) - allowed
-    missing = [k for k in required if k not in doc]
-    if unknown or missing:
-        raise ValueError(f"{name}: unknown keys {sorted(unknown)}, "
-                         f"missing keys {missing}")
-    return [doc[k] for k in required]
+class ConfigError(ValueError):
+    """A JSON config document that does not match its declared fields."""
+
+
+_REQUIRED = object()
+_TYPES = {"int": (int, "an integer"), "list": (list, "a list"),
+          "number": ((int, float), "a finite number")}
+_LIMITS = (("least", ">=", operator.ge), ("above", ">", operator.gt),
+           ("most", "<=", operator.le), ("below", "<", operator.lt))
+
+
+@dataclass(frozen=True)
+class Field:
+    """One field of a JSON config document: its kind, bounds and default.
+
+    ``kind`` is "int" (a JSON integer, not a bool), "number" (a finite JSON
+    number, read as a float), "list" (its entries read by ``of``), a tuple
+    of the values allowed, a dict of a nested object's fields (read as
+    their values), or a callable building a nested document.  The bounds
+    hold for a number or for a list's length, and ``distinct`` asks a list
+    for distinct entries.  A field without a default is required; a None
+    default leaves it None, and any other is read like a given value.
+    """
+
+    kind: object
+    default: object = _REQUIRED
+    least: float | None = None
+    most: float | None = None
+    above: float | None = None
+    below: float | None = None
+    of: Field | None = None
+    distinct: bool = False
+
+    def read(self, value, name):
+        kind = self.kind
+        if isinstance(kind, tuple):
+            if value not in kind:
+                raise ConfigError(f"{name} must be one of {list(kind)}, "
+                                  f"got {value!r}")
+            return value
+        if isinstance(kind, dict):
+            return read_fields(value, name, **kind)
+        if callable(kind):
+            # The one point where a nested document's own checks (its
+            # constructor's ValueError or TypeError) become config errors.
+            try:
+                return kind(value)
+            except ConfigError:
+                raise
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{name}: {exc}") from exc
+        types, noun = _TYPES[kind]
+        limits = [(f"{sign} {bound}", bound, test)
+                  for attr, sign, test in _LIMITS
+                  if (bound := getattr(self, attr)) is not None]
+        if (isinstance(value, bool) or not isinstance(value, types)
+                or kind == "number" and not abs(value) <= sys.float_info.max
+                or not all(test(len(value) if kind == "list" else value, b)
+                           for _, b, test in limits)):
+            expected = " and ".join(text for text, _, _ in limits)
+            if expected:
+                noun += " of length " if kind == "list" else " "
+            raise ConfigError(f"{name} must be {noun}{expected}, "
+                              f"got {value!r}")
+        if kind == "number":
+            return float(value)
+        if self.of is not None:
+            value = [self.of.read(v, f"{name}[{i}]")
+                     for i, v in enumerate(value)]
+        if self.distinct and len(set(value)) < len(value):
+            raise ConfigError(f"{name} must hold distinct entries, "
+                              f"got {value!r}")
+        return value
+
+
+class Document:
+    """A JSON object read field by field: a key outside ``keys`` is an
+    error, and so is a missing key whose field has no default."""
+
+    def __init__(self, doc, name, keys):
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{name} must be an object, got {doc!r}")
+        if unknown := set(doc) - set(keys):
+            raise ConfigError(f"{name}: unknown keys {sorted(unknown)}")
+        self.doc, self.name = doc, name
+
+    def __call__(self, key, field):
+        name = f"{self.name}: {key}"
+        if key in self.doc:
+            return field.read(self.doc[key], name)
+        if field.default is _REQUIRED:
+            raise ConfigError(f"{self.name}: missing key {key!r}")
+        return None if field.default is None else field.read(field.default,
+                                                             name)
+
+
+def read_fields(doc, name, **spec):
+    """The values of a JSON object's fields, in ``spec`` order; ``spec``
+    maps every key the object may hold to its ``Field``."""
+    get = Document(doc, name, spec)
+    return [get(key, field) for key, field in spec.items()]
+
+
+def read_kind(doc, name, kinds):
+    """The value a JSON object of several kinds describes: ``kinds`` maps
+    each allowed value of its "kind" key to (build, spec), and build takes
+    the values of the spec's fields in order."""
+    # Any key may stand beside "kind" until the kind names the others.
+    kind = Document(doc, name, doc)("kind", Field(tuple(kinds)))
+    build, spec = kinds[kind]
+    return build(*read_fields(doc, f"{name} kind {kind!r}",
+                              kind=Field((kind,)), **spec)[1:])
 
 
 def measure_from_json(doc):
-    kind = doc.get("kind")
-    if kind == "atomic":
-        (atoms,) = _fields(doc, ["atoms"])
-        return AtomicMeasure.from_pairs(atoms)
-    if kind == "uniform":
-        a, b = _fields(doc, ["a", "b"])
-        return UniformMeasure(a, b)
-    if kind == "cantor":
-        _fields(doc, [], ["depth"])
-        return CantorMeasure(doc.get("depth", DEFAULT_TERNARY_DEPTH))
-    raise ValueError(f"unknown measure kind {kind!r}")
-
+    pair = Field("list", least=2, most=2, of=Field("number"))
+    return read_kind(doc, "measure", {
+        "atomic": (AtomicMeasure.from_pairs,
+                   {"atoms": Field("list", of=pair)}),
+        "uniform": (UniformMeasure, {"a": Field("number"),
+                                     "b": Field("number")}),
+        "cantor": (CantorMeasure,
+                   {"depth": Field("int", DEFAULT_TERNARY_DEPTH)})})

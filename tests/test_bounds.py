@@ -1,15 +1,70 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from paclab.bounds import (FiniteFamily, PackingShortfallError, bi_lower,
-                           bi_upper, bi_upper_from_log2, exact_cover_number,
-                           exact_packing_number, greedy_cover, greedy_packing,
-                           hamming_packing, hamming_packing_bound)
+                           bi_upper, bi_upper_from_log2, greedy_cover,
+                           greedy_packing, hamming_packing,
+                           hamming_packing_bound)
 from paclab.concepts import AtomLabeling, SontagConcept
 from paclab.measures import AtomicMeasure, UniformMeasure
+
+
+# Exact packing and cover numbers of small families: the oracles the
+# greedy constructions and the sandwich M(2eps) <= N(eps) <= M(eps) are
+# checked against.
+EXACT_PACKING_LIMIT = 24
+EXACT_COVER_LIMIT = 16
+
+
+def exact_packing_number(family, radius):
+    """The exact maximum size of a radius-separated subset (<= 24 members),
+    by branch and bound on the conflict graph."""
+    n = len(family)
+    if n > EXACT_PACKING_LIMIT:
+        raise ValueError(f"exact packing limited to {EXACT_PACKING_LIMIT} members")
+    mat = family.distance_matrix()
+    conflict = [0] * n
+    for i in range(n):
+        for j in range(n):
+            if i != j and mat[i, j] < radius:
+                conflict[i] |= 1 << j
+    best = 0
+
+    def rec(cand, size):
+        nonlocal best
+        if size + bin(cand).count("1") <= best:
+            return
+        if cand == 0:
+            best = max(best, size)
+            return
+        v = (cand & -cand).bit_length() - 1
+        rec(cand & ~(1 << v) & ~conflict[v], size + 1)
+        rec(cand & ~(1 << v), size)
+
+    rec((1 << n) - 1, 0)
+    return best
+
+
+def exact_cover_number(family, eps):
+    """The exact minimum size of an eps-cover with centers drawn from the
+    family itself (<= 16 members), by exhaustive subset search."""
+    n = len(family)
+    if n > EXACT_COVER_LIMIT:
+        raise ValueError(f"exact cover limited to {EXACT_COVER_LIMIT} members")
+    mat = family.distance_matrix()
+    covered_by = [frozenset(j for j in range(n) if mat[i, j] <= eps)
+                  for i in range(n)]
+    everything = frozenset(range(n))
+    for k in range(1, n + 1):
+        for centers in combinations(range(n), k):
+            hit = frozenset().union(*(covered_by[c] for c in centers))
+            if hit == everything:
+                return k
+    raise AssertionError("the family always covers itself")
 
 
 def labeling_family(masses, indices=None):

@@ -2,6 +2,9 @@ import csv
 import json
 import math
 
+import pytest
+
+from paclab import bounds, concepts, construction, learner, measures, sontag
 from paclab.cli import main
 
 
@@ -386,3 +389,119 @@ def test_complexity_csv_schema(tmp_path):
     assert len(rows) > 2
     summary = json.loads((out / "complexity_summary.json").read_text())
     assert summary["estimates"][0]["status"] == "converged"
+
+
+UNIT = {"kind": "uniform", "a": 0.0, "b": 1.0}
+CIRCLE = {"kind": "uniform", "a": 0.0, "b": 2.0 * math.pi}
+SMALL_SCHEDULE = {"eps": ["1/5", "1/25"], "f": {"kind": "poly", "degree": 1},
+                  "K": 1}
+COMPLEXITY = {"schedule": SMALL_SCHEDULE, "levels": [1], "trials": 100}
+SEARCH = {"points": [1.0, 2.0], "labels": [1, 0]}
+ADVERSARIAL = {"mode": "adversarial", "family": {"kind": "sontag",
+                                                 "w_max": 1e3},
+               "measure": CIRCLE, "n_list": [4], "trials": 1}
+HAMMING = {"hamming": {"n": 50, "eps": 0.21}}
+
+
+def schedule(**fields):
+    return {"schedule": {**DEFAULT_SCHEDULE, **fields}}
+
+
+def family(**fields):
+    doc = packing({"kind": "sontag", "w": 30.0})
+    doc["family"].update(fields)
+    return doc
+
+
+# (exit code, subcommand, config).  Every case fails while its config is
+# read: at the parent, the casts let the first eleven through or escape
+# as tracebacks, and the rest failed only after work had started.
+BAD_CONFIGS = [
+    (2, "construct", schedule(K=2.7)),
+    (2, "construct", schedule(f={"kind": "poly", "degree": "2"})),
+    (2, "construct", schedule(f=3)),
+    (2, "construct", {"schedule": 3}),
+    (2, "distances", {"weights": [2, 4], "measure": 3}),
+    (2, "distances", {"weights": [2, 4],
+                      "measure": {"kind": "cantor", "depth": 3.9}}),
+    (2, "distances", {"weights": ["2", 4], "measure": UNIT}),
+    (2, "packing", {"hamming": {"n": "50", "eps": 0.21}}),
+    (2, "packing", family(radius="0.3")),
+    (2, "cantor", {"level": 1.5, "orders": [3]}),
+    (2, "figures", {"points": "7"}),
+    (2, "complexity", {**COMPLEXITY, "trials": 50}),
+    (2, "complexity", {**COMPLEXITY, "delta": 1.0}),
+    (2, "shatter", {**SEARCH, "w_max": 0}),
+    (2, "shatter", {**SEARCH, "labels": [2, 0]}),
+    (2, "shatter", {**SEARCH, "labels": [1]}),
+    (2, "shatter", {"points": [1.0, 1.0], "labels": [1, 0]}),
+    (2, "shatter", {"points": [float(p) for p in range(1, 26)],
+                    "census": True}),
+    (2, "gc", {**ADVERSARIAL, "mode": "census"}),
+    (2, "gc", {**ADVERSARIAL, "family": {"kind": "order_class", "n": 4}}),
+    (2, "gc", {**ADVERSARIAL, "family": {"kind": "order_intervals"}}),
+    (2, "gc", {**ADVERSARIAL, "measure": PACKING_ATOMS}),
+    (2, "gc", {**ADVERSARIAL, "mode": "census",
+               "family": {"kind": "concepts", "members": []}}),
+    (2, "packing", {"hamming": {"n": 50, "eps": 0.3}}),
+    (2, "packing", family(radius=0.0)),
+    (2, "packing", family(members=[])),
+    (2, "cantor", {"level": -1, "orders": [3]}),
+    (2, "cantor", {"level": 1, "orders": [3], "subsets": [[3]]}),
+    (2, "cantor", {"level": 1, "orders": [3], "subsets": [[0]]}),
+    (2, "figures", {"alpha": 6.0}),
+    (2, "figures", {"points": -1}),
+    (2, "figures", {"x_range": [0.0]}),
+    (3, "construct", schedule(f={"kind": "exp"})),  # 33,554,433 atoms
+    (3, "cantor", {"level": 5, "orders": [3]}),  # 2^32 subsets
+]
+
+WORK = [(sontag, "rationally_independent_points"), (sontag, "shatter_search"),
+        (sontag, "shatter_census"), (sontag, "phi"),
+        (learner, "estimate_sample_complexity"), (learner, "gc_deviation"),
+        (bounds, "hamming_packing"), (bounds, "greedy_packing"),
+        (concepts, "l1_distance"), (concepts, "cantor_shatter_search"),
+        (measures, "cantor_level_intervals")]
+
+
+@pytest.mark.parametrize("code, subcommand, config", BAD_CONFIGS)
+def test_bad_configs_exit_before_any_work(tmp_path, monkeypatch, code,
+                                          subcommand, config):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the config was read")
+
+    for module, name in WORK:
+        monkeypatch.setattr(module, name, no_work)
+    got, out = run(tmp_path, subcommand, config)
+    assert got == code
+    assert list(out.iterdir()) == []
+
+
+INTERNAL = [
+    ("construct", {"schedule": DEFAULT_SCHEDULE}, construction,
+     "theoretical_profile"),
+    ("complexity", COMPLEXITY, learner, "estimate_sample_complexity"),
+    ("shatter", SEARCH, sontag, "shatter_search"),
+    ("distances", {"weights": [2, 4], "measure": UNIT}, concepts,
+     "l1_distance"),
+    ("gc", ADVERSARIAL, learner, "gc_deviation"),
+    ("packing", HAMMING, bounds, "hamming_packing"),
+    ("cantor", {"level": 1, "orders": [5], "subsets": [[1]]}, concepts,
+     "cantor_shatter_search"),
+    ("figures", {}, sontag, "phi"),
+]
+
+
+@pytest.mark.parametrize("subcommand, config, module, name", INTERNAL,
+                         ids=[case[0] for case in INTERNAL])
+def test_internal_value_error_exits_4_with_traceback(
+        tmp_path, monkeypatch, capsys, subcommand, config, module, name):
+    def broken(*args, **kwargs):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr(module, name, broken)
+    code, out = run(tmp_path, subcommand, config)
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "ValueError: internal failure" in err
+    assert not (out / f"{subcommand}_manifest.json").exists()

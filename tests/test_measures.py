@@ -11,11 +11,11 @@ from hypothesis import assume, given, settings, strategies as st
 from paclab.concepts import IntervalUnion, SontagConcept
 from paclab.construction import ComplexitySchedule, build_measure
 from paclab.intervals import canonicalize, clip, total_length
-from paclab.measures import (Atom, AtomicMeasure, CantorMeasure,
-                             ResolutionWarning, UniformMeasure,
+from paclab.measures import (Atom, AtomicMeasure, CantorMeasure, ConfigError,
+                             Field, ResolutionWarning, UniformMeasure,
                              cantor_interval_mass, cantor_level_intervals,
-                             expect_indicator, measure_from_json, sample,
-                             window_intervals)
+                             expect_indicator, measure_from_json, read_fields,
+                             sample, window_intervals)
 
 TWO_PI = 2.0 * math.pi
 
@@ -449,3 +449,36 @@ def test_measure_json_round_trip():
         assert m2.to_json() == m.to_json()
     atoms = AtomicMeasure.from_pairs([(1.0, 0.25), (2.0, 0.75)]).to_json()["atoms"]
     assert atoms == sorted(atoms)
+
+
+def test_field_reader_kinds_bounds_and_defaults():
+    assert Field("int", least=1).read(3, "n") == 3
+    assert repr(Field("number", above=0, most=1).read(1, "delta")) == "1.0"
+    assert Field("list", least=2, most=2, of=Field("number")).read(
+        [0, 2], "xs") == [0.0, 2.0]
+    assert Field(("a", "b")).read("b", "mode") == "b"
+    bad = [(Field("int"), True), (Field("int"), 2.0), (Field("int"), "2"),
+           (Field("number"), "1"), (Field("number"), False),
+           (Field("number"), float("nan")), (Field("number"), math.inf),
+           (Field("number"), 10 ** 400), (Field("number", above=0), 0),
+           (Field("number", below=1), 1), (Field("int", most=4), 5),
+           (Field("list", least=2, most=2), [1]), (Field("list"), "ab"),
+           (Field(("a", "b")), "c"), (Field("list", of=Field("int")), [1, "2"]),
+           (Field("list", distinct=True), [1.0, 1.0]),
+           (Field({"a": Field("int")}), {"a": 1, "b": 2})]
+    for field, value in bad:
+        with pytest.raises(ConfigError):
+            field.read(value, "f")
+    spec = {"a": Field("int"), "b": Field("number", 5), "c": Field("list", None)}
+    assert read_fields({"a": 1}, "doc", **spec) == [1, 5.0, None]
+    with pytest.raises(ConfigError, match="unknown keys"):
+        read_fields({"a": 1, "z": 1}, "doc", **spec)
+    with pytest.raises(ConfigError, match="missing key"):
+        read_fields({}, "doc", **spec)
+    with pytest.raises(ConfigError, match="must be an object"):
+        read_fields([1], "doc", **spec)
+    # A nested document's own checks become config errors where it is read.
+    for doc in ({"kind": "uniform", "a": 1.0, "b": 0.0}, {"kind": "point"},
+                {"kind": "atomic", "atoms": [[0.0, 0.5]]}):
+        with pytest.raises(ConfigError):
+            Field(measure_from_json).read(doc, "measure")
