@@ -7,7 +7,8 @@ over finite concept families.
 
 ``hamming_packing`` realizes the binary-cube packing guarantee: at least
 ceil(exp(2 (0.5 - 2 eps)^2 n)) codewords at pairwise normalized Hamming
-distance >= 2 eps, built greedily from fair-coin candidates.
+distance >= 2 eps, built greedily from fair-coin candidates; a guarantee
+beyond ``ENUMERATION_CAP`` codewords is refused with ``EnumerationCapError``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .concepts import l1_distance
+from .concepts import ENUMERATION_CAP, EnumerationCapError, l1_distance
 from .measures import AtomicMeasure
 
 HAMMING_RESTARTS = 50
@@ -35,8 +36,7 @@ class FiniteFamily:
     """A finite list of concepts with L1 geometry from a fixed measure.
 
     For an atomic measure each distance row comes from the cached
-    membership matrix; any other measure falls back to pairwise exact or
-    integrated distances.
+    membership matrix; any other measure takes exact pairwise distances.
     """
 
     def __init__(self, concepts, measure):
@@ -202,10 +202,15 @@ def _check_eps_delta(eps, delta):
 
 
 def hamming_packing_bound(n, eps):
-    """Guaranteed packing size in the n-cube: ceil(exp(2 (0.5-2 eps)^2 n))."""
+    """Guaranteed packing size in the n-cube: ceil(exp(2 (0.5-2 eps)^2 n)),
+    refused by its exponent before ``exp`` when beyond ``ENUMERATION_CAP``."""
     if not 0 < eps <= 0.25:
         raise ValueError("eps must lie in (0, 1/4]")
-    return math.ceil(math.exp(2.0 * (0.5 - 2.0 * eps) ** 2 * n))
+    exponent = 2.0 * (0.5 - 2.0 * eps) ** 2 * n
+    if exponent > math.log(ENUMERATION_CAP):
+        raise EnumerationCapError(f"a packing of exp({exponent:.6g}) codewords"
+                                  f" exceeds the cap {ENUMERATION_CAP}")
+    return math.ceil(math.exp(exponent))
 
 
 def hamming_packing(n, eps, seed=0, restarts=HAMMING_RESTARTS):

@@ -9,8 +9,9 @@ re-running a manifest reproduces byte-identical CSVs.
 
 Exit codes: 0 ok, 2 config error, 3 budget exceeded (a search budget or
 sample-size cap with --strict; an enumeration cap, the instance's atom cap,
-the cantor subset cap, a packing shortfall or the estimator's memory cap
-always), 4 internal error or invariant violation (traceback on stderr).
+the cantor subset cap, the hamming packing bound's cap, the figures' cantor
+level cap, a packing shortfall or the estimator's memory cap always), 4
+internal error or invariant violation (traceback on stderr).
 """
 
 from __future__ import annotations
@@ -228,10 +229,9 @@ def run_packing(config, out_dir, seed):
     outputs = []
     if hamming is not None:
         n, eps = hamming
+        bound = bounds.hamming_packing_bound(n, eps)
         words = bounds.hamming_packing(n, eps, seed=seed)
-        doc = {"n": n, "eps": eps,
-               "bound": bounds.hamming_packing_bound(n, eps),
-               "count": len(words),
+        doc = {"n": n, "eps": eps, "bound": bound, "count": len(words),
                "codewords": ["".join(str(b) for b in word) for word in words]}
         _write_json(out_dir / "hamming_packing.json", doc)
         outputs.append("hamming_packing.json")
@@ -282,6 +282,11 @@ def run_figures(config, out_dir, seed):
                       of=Field("number")),
         points=Field("int", 2001, least=0),
         cantor_levels=Field("int", 3, least=0))
+    # Level L alone lists 2^L intervals, capped as in the cantor layout.
+    if cantor_levels > math.log2(concepts.ENUMERATION_CAP):
+        raise EnumerationCapError(
+            f"cantor_levels {cantor_levels} exceeds the enumeration cap "
+            f"{concepts.ENUMERATION_CAP}")
     xs = np.linspace(lo, hi, count)
     _write_csv(out_dir / "activation.csv", ["x", "phi"],
                zip(xs.tolist(), sontag.phi(xs, alpha).tolist()))

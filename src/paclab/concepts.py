@@ -1,10 +1,13 @@
 """Concept classes as first-class values.
 
 A concept is a membership predicate over real inputs plus a structured
-descriptor.  Families implemented here: sign-test concepts of the sigmoidal
-network (one per weight), unions of closed intervals (including grid-cell
-unions of a given order), per-atom labelings of an atomic measure, and
-finite unions of deleted middle thirds.
+descriptor.  Every concept provides ``contains``, ``contains_many``,
+``as_intervals_ae`` (closed intervals equal to it almost everywhere under
+the non-atomic measures) and ``to_json``; the closed-form share of a
+window, ``uniform_mass``, is the one optional method.  Families: sign-test
+concepts of the sigmoidal network (one per weight), unions of closed
+intervals (including grid-cell unions of a given order), per-atom labelings
+of an atomic measure, and finite unions of deleted middle thirds.
 
 Concept equality is structural (descriptor equality), never measure-a.e.
 equality.
@@ -22,10 +25,9 @@ import numpy as np
 from . import sontag
 from .intervals import (canonicalize, contains_many, contains_point, intersect,
                         total_length)
-from .measures import (AtomicMeasure, CantorMeasure, Field, UniformMeasure,
-                       _contains_many, cantor_interval_mass,
-                       cantor_level_intervals, expect_indicator, read_kind,
-                       window_intervals)
+from .measures import (AtomicMeasure, CantorMeasure, Field,
+                       cantor_interval_mass, cantor_level_intervals,
+                       expect_indicator, read_kind, window_intervals)
 
 ENUMERATION_CAP = 10 ** 7
 MAX_SHATTER_LEVEL = 4
@@ -228,6 +230,9 @@ class MiddleThirdUnion:
         fx = Fraction(x)
         return any(lo < fx < hi for lo, hi in self._bounds)
 
+    def contains_many(self, xs):
+        return np.vectorize(self.contains, otypes=[bool])(xs)
+
     def as_intervals_ae(self, lo, hi):
         return list(self._bounds)
 
@@ -238,19 +243,6 @@ class MiddleThirdUnion:
 def member(concept, x):
     """Pointwise membership: 1 iff x belongs to the concept."""
     return int(bool(concept.contains(x)))
-
-
-class _XorConcept:
-    """Symmetric difference of two concepts, for integration fallbacks."""
-
-    def __init__(self, c1, c2):
-        self.c1, self.c2 = c1, c2
-
-    def contains(self, x):
-        return bool(self.c1.contains(x)) != bool(self.c2.contains(x))
-
-    def contains_many(self, xs):
-        return _contains_many(self.c1, xs) != _contains_many(self.c2, xs)
 
 
 def _uniform_mixed_distance(sign, other, pieces, measure):
@@ -264,43 +256,32 @@ def _uniform_mixed_distance(sign, other, pieces, measure):
             + (expect_indicator(measure, other) - both))
 
 
-def l1_distance(c1, c2, measure, **kw):
+def l1_distance(c1, c2, measure):
     """L1(mu) distance between two concepts: the mass of their symmetric
     difference.
 
-    Exact on atomic measures; exact interval/arc arithmetic under the
-    uniform and ternary measures whenever both concepts reduce to interval
-    unions.  Under the uniform measure a sign-test concept against any
-    other interval-reducible concept is measured in closed form, so the
-    distance agrees with ``expect_indicator`` of either.  Otherwise
-    delegated to the measure's integration machinery, propagating any
-    resolution warnings.
+    Exact on atomic measures, and exact interval/arc arithmetic on the
+    concepts' interval forms under the ternary and uniform measures.  Under
+    the uniform measure a sign-test concept against any other concept is
+    measured in closed form, so the distance agrees with
+    ``expect_indicator`` of either.
     """
     if isinstance(measure, AtomicMeasure):
         return measure.mass(measure.memberships(c1) != measure.memberships(c2))
-    if isinstance(measure, (UniformMeasure, CantorMeasure)):
-        if isinstance(measure, UniformMeasure):
-            lo, hi = measure.a, measure.b
-        else:
-            lo, hi = 0.0, 1.0
-        iv1 = window_intervals(c1, lo, hi)
-        iv2 = window_intervals(c2, lo, hi)
-        if iv1 is not None and iv2 is not None:
-            if isinstance(measure, UniformMeasure):
-                closed1 = hasattr(c1, "uniform_mass")
-                closed2 = hasattr(c2, "uniform_mass")
-                if closed1 and not closed2:
-                    return _uniform_mixed_distance(c1, c2, iv2, measure)
-                if closed2 and not closed1:
-                    return _uniform_mixed_distance(c2, c1, iv1, measure)
-            both = intersect(iv1, iv2)
-            if isinstance(measure, UniformMeasure):
-                width = hi - lo
-                return (float(total_length(iv1)) + float(total_length(iv2))
-                        - 2.0 * float(total_length(both))) / width
-            return (cantor_interval_mass(iv1) + cantor_interval_mass(iv2)
-                    - 2.0 * cantor_interval_mass(both))
-    return expect_indicator(measure, _XorConcept(c1, c2), **kw)
+    if isinstance(measure, CantorMeasure):
+        iv1, iv2 = (window_intervals(c, 0.0, 1.0) for c in (c1, c2))
+        return (cantor_interval_mass(iv1) + cantor_interval_mass(iv2)
+                - 2.0 * cantor_interval_mass(intersect(iv1, iv2)))
+    lo, hi = measure.a, measure.b
+    iv1, iv2 = (window_intervals(c, lo, hi) for c in (c1, c2))
+    closed1 = hasattr(c1, "uniform_mass")
+    closed2 = hasattr(c2, "uniform_mass")
+    if closed1 and not closed2:
+        return _uniform_mixed_distance(c1, c2, iv2, measure)
+    if closed2 and not closed1:
+        return _uniform_mixed_distance(c2, c1, iv1, measure)
+    return (float(total_length(iv1)) + float(total_length(iv2))
+            - 2.0 * float(total_length(intersect(iv1, iv2)))) / (hi - lo)
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,7 @@ from .concepts import (AtomLabeling, GridUnion, IntervalUnion,
                        OrderIntervalFamily, SontagFamily, isolate_points)
 from .construction import ConstructedInstance, LabelingFamily
 from .intervals import canonicalize, count_sorted
-from .measures import (AtomicMeasure, _as_fraction, _contains_many,
-                       expect_indicator)
+from .measures import AtomicMeasure, _as_fraction, expect_indicator
 
 DEFAULT_N_CAP = 10 ** 6
 ADVERSARIAL_MIN_WEIGHT = 32.0
@@ -369,7 +368,7 @@ def _census_deviations(family, measure, n, trials, seed):
         counts = np.bincount(owner, weights=count_sorted(los, his, xs),
                              minlength=len(concepts))
         for i in tested:
-            counts[i] = np.count_nonzero(_contains_many(concepts[i], xs))
+            counts[i] = np.count_nonzero(concepts[i].contains_many(xs))
         emp = counts / len(xs)
         devs.append(float(np.max(np.abs(true_means - emp))))
     return devs, 0

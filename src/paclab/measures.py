@@ -2,9 +2,10 @@
 expectations.
 
 Concrete kinds: purely atomic, uniform on an interval, and the ternary-set
-Haar measure.  Expectations of concept indicators are exact on atomic
-measures, exact for interval-reducible concepts on the uniform and ternary
-measures, and fall back to grid / Monte-Carlo integration otherwise.
+Haar measure.  Expectations of concept indicators are exact: a mass sum
+over member atoms, or arithmetic on the concept's interval form under the
+uniform and ternary measures.  A concept without an interval form is
+refused there (``AttributeError``), never approximated.
 
 All measure values are immutable after construction.  Sampling takes an
 explicit seed (anything ``numpy.random.default_rng`` accepts), so parallel
@@ -16,7 +17,6 @@ from __future__ import annotations
 import math
 import operator
 import sys
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -25,8 +25,6 @@ import numpy as np
 from .intervals import canonicalize, clip, total_length
 
 MASS_TOLERANCE = 1e-12
-DEFAULT_GRID_CELLS = 100_000
-MIN_GRID_CELLS = 1_000
 DEFAULT_TERNARY_DEPTH = 40
 _EXACT_MASS_DEPTH = 60
 # Sampling buckets: about 64 per atom, between 2**4 and 2**20.
@@ -34,36 +32,13 @@ _MIN_BUCKET_BITS = 4
 _MAX_BUCKET_BITS = 20
 
 
-class ResolutionWarning(UserWarning):
-    """Grid integration was requested with fewer cells than the safe minimum."""
-
-
 def _rng(seed):
     return np.random.default_rng(seed)
 
 
-def _contains_many(concept, xs):
-    f = getattr(concept, "contains_many", None)
-    if f is not None:
-        return np.asarray(f(xs), dtype=bool)
-    return np.fromiter((bool(concept.contains(float(x))) for x in xs),
-                       dtype=bool, count=len(xs))
-
-
-def _intervals_of(concept, lo, hi):
-    f = getattr(concept, "as_intervals_ae", None)
-    if f is None:
-        return None
-    return f(lo, hi)
-
-
 def window_intervals(concept, lo, hi):
-    """The concept within [lo, hi] as a canonical interval list, or None
-    when it has no interval form."""
-    ivs = _intervals_of(concept, lo, hi)
-    if ivs is None:
-        return None
-    return clip(canonicalize(ivs), lo, hi)
+    """The concept within [lo, hi] as a canonical interval list."""
+    return clip(canonicalize(concept.as_intervals_ae(lo, hi)), lo, hi)
 
 
 def _as_fraction(value):
@@ -236,7 +211,7 @@ class AtomicMeasure:
                 total += atom.mass
         return total
 
-    def expect_indicator(self, concept, **_):
+    def expect_indicator(self, concept):
         return self.mass(self.memberships(concept))
 
     def to_json(self):
@@ -248,8 +223,8 @@ class UniformMeasure:
     """The uniform (normalized Lebesgue) measure on an interval [a, b].
 
     A concept with a closed-form ``uniform_mass(a, b)``, such as a sign-test
-    concept, is measured by it; other interval-reducible concepts by the
-    total length of their pieces.
+    concept, is measured by it; any other by the total length of its
+    interval form within [a, b].
     """
 
     kind = "uniform"
@@ -267,21 +242,12 @@ class UniformMeasure:
     def sample(self, n, seed=0):
         return _rng(seed).uniform(self.a, self.b, size=int(n))
 
-    def expect_indicator(self, concept, cells=DEFAULT_GRID_CELLS, **_):
+    def expect_indicator(self, concept):
         closed_form = getattr(concept, "uniform_mass", None)
         if closed_form is not None:
             return closed_form(self.a, self.b)
         inside = window_intervals(concept, self.a, self.b)
-        if inside is not None:
-            return float(total_length(inside)) / (self.b - self.a)
-        cells = int(cells)
-        if cells < MIN_GRID_CELLS:
-            warnings.warn(
-                f"grid integration with {cells} cells (< {MIN_GRID_CELLS}); "
-                "the result may be too coarse", ResolutionWarning, stacklevel=2)
-        edges = np.linspace(self.a, self.b, cells + 1)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        return float(np.mean(_contains_many(concept, mids)))
+        return float(total_length(inside)) / (self.b - self.a)
 
     def to_json(self):
         return {"kind": "uniform", "a": self.a, "b": self.b}
@@ -365,12 +331,8 @@ class CantorMeasure:
             vals = (vals + digits[:, i]) / 3.0
         return vals
 
-    def expect_indicator(self, concept, mc_samples=200_000, seed=0, **_):
-        ivs = _intervals_of(concept, 0.0, 1.0)
-        if ivs is not None:
-            return cantor_interval_mass(ivs)
-        xs = self.sample(mc_samples, seed=seed)
-        return float(np.mean(_contains_many(concept, xs)))
+    def expect_indicator(self, concept):
+        return cantor_interval_mass(concept.as_intervals_ae(0.0, 1.0))
 
     def to_json(self):
         return {"kind": "cantor", "depth": self.depth}
@@ -383,14 +345,13 @@ def sample(measure, seed, n):
     return measure.sample(n, seed=seed)
 
 
-def expect_indicator(measure, concept, **kw):
+def expect_indicator(measure, concept):
     """Expectation of the concept's indicator under the measure.
 
-    Exact for atomic measures (mass sum over member atoms) and for
-    interval-reducible concepts under the uniform and ternary measures;
-    grid or Monte-Carlo integration otherwise.
+    Exact for atomic measures (mass sum over member atoms) and, through the
+    concept's interval form, under the uniform and ternary measures.
     """
-    return measure.expect_indicator(concept, **kw)
+    return measure.expect_indicator(concept)
 
 
 class ConfigError(ValueError):

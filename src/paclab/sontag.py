@@ -15,7 +15,8 @@ point's label; ``shatter_census`` answers every labeling from one such
 sweep, with a running mismatch count per labeling.  The sweep makes each
 block of events array-wide from every point's last breakpoint index at
 the block's two ends; indices must stay below 2**52, where a float still
-holds k + 1/2 exactly, and weights beyond that raise ``ValueError``.
+holds k + 1/2 exactly, so the sweep stops short of that index as it stops
+at its budget, leaving the rows still open "budget_exceeded".
 """
 
 from __future__ import annotations
@@ -194,8 +195,9 @@ def _sweep(xs, labs, w_max, w_min, budget):
     from a table indexed by the event code 2 * point + (k & 1).  The open
     interval and every row's count carry across a block boundary, so no
     result depends on the blocks.  At most ``budget`` breakpoints are
-    swept; a sweep that would index a breakpoint at 2**52 or beyond raises
-    ``ValueError``."""
+    swept, all of them below ``w_stop``, where indices near 2**52 begin;
+    either limit ends the rows still open as "budget_exceeded", their range
+    ending at the last breakpoint swept (w_min when there is none)."""
     if len(np.unique(xs)) != len(xs):
         raise ValueError("points must be pairwise distinct")
     w_max = float(w_max)
@@ -220,6 +222,13 @@ def _sweep(xs, labs, w_max, w_min, budget):
     axs = np.abs(xs[~zero_mask])
     targets = labs[:, ~zero_mask]
     parity = np.array([False, True])
+    # The sweep stops at w_stop, 8 indices short of the guard in
+    # _last_indices to absorb the rounding of this quotient.
+    w_stop = ((_INDEX_LIMIT - 16) * math.pi / axs.max() if len(axs)
+              else math.inf)
+    if w_min >= w_stop:
+        outcome = [o or ("budget_exceeded", None, w_min, 0) for o in outcome]
+        open_rows = []
     k_lo = _last_indices(axs, w_min) if open_rows else None
     mismatch = {r: int(np.sum(((k_lo & 1) == 1) != targets[r]))
                 for r in open_rows}
@@ -238,7 +247,7 @@ def _sweep(xs, labs, w_max, w_min, budget):
     used = 0  # breakpoints swept before this block
     left = lo = w_min  # left edge of the open interval, end of the sweep
     while open_rows:
-        hi = min(lo + size / max(rate, 1e-12), w_max)
+        hi = min(lo + size / max(rate, 1e-12), w_max, w_stop)
         k_hi = _last_indices(axs, hi)
         # Point p's events are its indices k_lo[p] + 1 .. k_hi[p], in
         # point order.
@@ -255,11 +264,12 @@ def _sweep(xs, labs, w_max, w_min, budget):
                                         len(times) > 0))
         exhausted = used + len(ends) > budget
         ends = ends[:budget - used] if exhausted else ends
+        exhausted = exhausted or w_stop < w_max and hi == w_stop
         edges = np.append(left, times[ends])
         last = exhausted or hi >= w_max
         if last:
             # The last interval ends with the sweep: at its own left edge
-            # when the budget stops it, else at w_max.
+            # when the budget or w_stop stops it, else at w_max.
             edges = np.append(edges, edges[-1] if exhausted else w_max)
         for r in open_rows:
             steps = np.where(parity == targets[r, :, None], -1, 1).ravel()

@@ -226,6 +226,19 @@ def test_gc_adversarial_csv(tmp_path):
     assert float(rows[1][3]) >= 0.4  # median deviation
 
 
+def test_gc_adversarial_past_exact_indexing_counts_failed_trials(tmp_path):
+    # At w >= 1e5 a point near 1e12 has breakpoint indices beyond 2**52:
+    # every search stops there, and each trial counts as failed.
+    code, out = run(tmp_path, "gc",
+                    {"mode": "adversarial", "family": {"kind": "sontag"},
+                     "measure": {"kind": "uniform", "a": 0, "b": 1e12},
+                     "n_list": [8], "trials": 2, "min_weight": 1e5})
+    assert code == 0
+    with open(out / "gc.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["failed_trials"] for row in rows] == ["2"]
+
+
 def test_packing_outputs(tmp_path):
     code, out = run(tmp_path, "packing",
                     {"hamming": {"n": 50, "eps": 0.21}})
@@ -454,6 +467,9 @@ BAD_CONFIGS = [
     (2, "figures", {"x_range": [0.0]}),
     (3, "construct", schedule(f={"kind": "exp"})),  # 33,554,433 atoms
     (3, "cantor", {"level": 5, "orders": [3]}),  # 2^32 subsets
+    (3, "packing", {"hamming": {"n": 100000, "eps": 0.01}}),  # e^46080
+    (3, "packing", {"hamming": {"n": 1000, "eps": 0.01}}),  # e^460.8
+    (3, "figures", {"cantor_levels": 40}),  # 2^40 intervals
 ]
 
 WORK = [(sontag, "rationally_independent_points"), (sontag, "shatter_search"),

@@ -174,17 +174,26 @@ def test_l1_sign_test_against_intervals_uses_the_closed_form():
     assert l1_distance(a, b, u) == arc_sum(a, b)
 
 
-def test_l1_propagates_resolution_warning():
-    from paclab.measures import ResolutionWarning
-
+def test_non_atomic_measures_refuse_a_concept_without_interval_form():
     class Halfline:
         def contains(self, x):
             return x < 0.3
 
-    u = UniformMeasure(0.0, 1.0)
-    with pytest.warns(ResolutionWarning):
-        d = l1_distance(Halfline(), IntervalUnion(((0.0, 0.3),)), u, cells=20)
-    assert d <= 0.1
+    other = IntervalUnion(((0.0, 0.3),))
+    for measure in (UniformMeasure(0.0, 1.0), CantorMeasure()):
+        with pytest.raises(AttributeError):
+            expect_indicator(measure, Halfline())
+        for pair in ((Halfline(), other), (other, Halfline())):
+            with pytest.raises(AttributeError):
+                l1_distance(*pair, measure)
+    # The middle thirds carry the whole protocol too: contains_many agrees
+    # with the exact rational contains, also next to the float endpoints.
+    mt = MiddleThirdUnion(((1, 0), (2, 1), (5, 3), (33, 7)))
+    ends = [float(b) for piece in mt.as_intervals_ae(0.0, 1.0) for b in piece]
+    ends += [math.nextafter(x, d) for x in ends for d in (-1.0, 2.0)]
+    for xs in (CantorMeasure().sample(2000, seed=3), np.array(ends),
+               np.random.default_rng(5).uniform(0.0, 1.0, 2000)):
+        assert mt.contains_many(xs).tolist() == [mt.contains(x) for x in xs]
 
 
 def test_l1_under_cantor_measure():

@@ -13,8 +13,7 @@ from paclab.construction import (ComplexitySchedule, RateFunction,
 from paclab.learner import (LabeledSample, empirical_risk, erm_learn,
                             estimate_sample_complexity, gc_deviation,
                             true_error, wilson_interval)
-from paclab.measures import (AtomicMeasure, UniformMeasure, _contains_many,
-                             expect_indicator)
+from paclab.measures import AtomicMeasure, UniformMeasure, expect_indicator
 
 TWO_PI = 2.0 * math.pi
 
@@ -420,7 +419,7 @@ def test_gc_census_counts_match_the_membership_loop(case):
     u = UniformMeasure(0.0, 1.0)
     samples = [u.sample(n, seed=[seed, t]) for t in range(3)]
     gaps = np.array([[abs(expect_indicator(u, c)
-                          - float(np.mean(_contains_many(c, xs))))
+                          - float(np.mean(c.contains_many(xs))))
                       for c in family] for xs in samples])
     # Each concept alone, then the whole family at once.
     for i, c in enumerate(family):

@@ -12,7 +12,7 @@ from paclab.concepts import IntervalUnion, SontagConcept
 from paclab.construction import ComplexitySchedule, build_measure
 from paclab.intervals import canonicalize, clip, total_length
 from paclab.measures import (Atom, AtomicMeasure, CantorMeasure, ConfigError,
-                             Field, ResolutionWarning, UniformMeasure,
+                             Field, UniformMeasure,
                              cantor_interval_mass, cantor_level_intervals,
                              expect_indicator, measure_from_json, read_fields,
                              sample, window_intervals)
@@ -21,16 +21,14 @@ TWO_PI = 2.0 * math.pi
 
 
 class _Halfline:
-    """Threshold concept {x : x < cut}; deliberately not interval-reducible."""
+    """Threshold concept {x : x < cut}: a membership test alone, which the
+    atomic measures need and nothing more."""
 
     def __init__(self, cut):
         self.cut = cut
 
     def contains(self, x):
         return x < self.cut
-
-    def contains_many(self, xs):
-        return np.asarray(xs) < self.cut
 
 
 # ---------------------------------------------------------------------------
@@ -302,14 +300,6 @@ def test_uniform_interval_expectation_is_exact():
     assert expect_indicator(u, c) == pytest.approx(0.5, abs=1e-15)
 
 
-def test_uniform_grid_fallback_and_resolution_warning():
-    u = UniformMeasure(0.0, 1.0)
-    concept = _Halfline(0.3)
-    assert expect_indicator(u, concept) == pytest.approx(0.3, abs=1e-3)
-    with pytest.warns(ResolutionWarning):
-        expect_indicator(u, concept, cells=10)
-
-
 def test_cantor_expectation_exact_on_intervals():
     c = CantorMeasure()
     left_half = IntervalUnion(((Fraction(0), Fraction(1, 3)),))
@@ -396,12 +386,6 @@ def test_cantor_mass_inside_one_deep_cell():
         assert recursive_cantor_mass(ivs) == 2.0 ** -61
     assert cantor_interval_mass([(0.0, 0.0), (1.0, 1.0)]) == 0.0
     assert cantor_interval_mass([(-1.0, 2.0)]) == 1.0
-
-
-def test_cantor_monte_carlo_fallback():
-    c = CantorMeasure()
-    value = expect_indicator(c, _Halfline(0.5), mc_samples=50_000, seed=4)
-    assert abs(value - 0.5) <= 0.01
 
 
 def test_cantor_level_intervals_examples():

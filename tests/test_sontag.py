@@ -360,14 +360,18 @@ def test_last_indices_match_a_scan_of_the_definition():
         assert got.tolist() == [scan(ax, float(w)) for ax in axs], w
 
 
-def test_weights_beyond_exact_breakpoint_indexing_raise():
-    with pytest.raises(ValueError, match="exact breakpoint indexing"):
-        shatter_search([1.0, 2.0], [1, 0], 1e22, w_min=1e21, budget=100)
+def test_weights_beyond_exact_breakpoint_indexing_stop_the_sweep():
+    # No breakpoint above w_min can be indexed: the range ends at w_min.
+    res = shatter_search([1.0, 2.0], [1, 0], 1e22, w_min=1e21, budget=100)
+    assert (res.status, res.range_searched, res.breakpoints) == (
+        "budget_exceeded", (1e21, 1e21), 0)
     # 1 and -1 always share a label: the sweep starts below 2**52 and
-    # raises once a block would index past it.
+    # stops at the last breakpoint it can index, as at a budget.
     w_min = (2 ** 52 - 100) * PI
-    with pytest.raises(ValueError, match="exact breakpoint indexing"):
-        shatter_search([1.0, -1.0], [1, 0], 1e22, w_min=w_min)
+    res = shatter_search([1.0, -1.0], [1, 0], 1e22, w_min=w_min)
+    assert res.status == "budget_exceeded"
+    assert 0 < res.breakpoints < 100
+    assert w_min < res.range_searched[1] < (2 ** 52 - 8) * PI
     # Rows settled at w_min need no index and are returned as before.
     at_min = output_labels([1.0, 2.0], 1e21).astype(int).tolist()
     res = shatter_search([1.0, 2.0], at_min, 1e22, w_min=1e21, budget=100)
