@@ -8,7 +8,8 @@ over finite concept families.
 ``hamming_packing`` realizes the binary-cube packing guarantee: at least
 ceil(exp(2 (0.5 - 2 eps)^2 n)) codewords at pairwise normalized Hamming
 distance >= 2 eps, built greedily from fair-coin candidates; a guarantee
-beyond ``ENUMERATION_CAP`` codewords is refused with ``EnumerationCapError``.
+beyond ``ENUMERATION_CAP`` codewords or bound * bound * n bit comparisons
+is refused with ``EnumerationCapError``.
 """
 
 from __future__ import annotations
@@ -115,14 +116,13 @@ class PackingResult:
     selected: tuple
     radius: float
     certified: bool
-    _distances: tuple = field(default=None, repr=False, compare=False)
+    _distances: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self._distances is not None:
-            for d in self._distances:
-                if d < self.radius:
-                    raise ValueError("selected concepts are not separated "
-                                     f"by {self.radius}")
+        if (self._distances is not None
+                and not np.all(np.asarray(self._distances) >= self.radius)):
+            raise ValueError("selected concepts are not separated "
+                             f"by {self.radius}")
 
     @property
     def size(self):
@@ -152,9 +152,8 @@ def greedy_packing(family, radius):
     if radius <= 0:
         raise ValueError("radius must be positive")
     idx, rows = _greedy_rows(len(family), family.distances_to, radius)
-    # The separation check reads the distance rows the selection itself used.
-    dists = tuple(float(rows[i][b]) for i in range(len(idx))
-                  for b in idx[i + 1:])
+    # The separation check reads the selected columns of the rows it used.
+    dists = np.array(rows)[:, idx][np.triu_indices(len(idx), k=1)]
     return PackingResult(idx, float(radius), False, dists)
 
 
@@ -203,14 +202,20 @@ def _check_eps_delta(eps, delta):
 
 def hamming_packing_bound(n, eps):
     """Guaranteed packing size in the n-cube: ceil(exp(2 (0.5-2 eps)^2 n)),
-    refused by its exponent before ``exp`` when beyond ``ENUMERATION_CAP``."""
+    refused by its exponent before ``exp`` when beyond ``ENUMERATION_CAP``,
+    and when bound * bound * n, the greedy's bit comparisons, is."""
     if not 0 < eps <= 0.25:
         raise ValueError("eps must lie in (0, 1/4]")
     exponent = 2.0 * (0.5 - 2.0 * eps) ** 2 * n
     if exponent > math.log(ENUMERATION_CAP):
         raise EnumerationCapError(f"a packing of exp({exponent:.6g}) codewords"
                                   f" exceeds the cap {ENUMERATION_CAP}")
-    return math.ceil(math.exp(exponent))
+    bound = math.ceil(math.exp(exponent))
+    if bound * bound * n > ENUMERATION_CAP:
+        raise EnumerationCapError(f"{bound} codewords of length {n} take "
+                                  f"{bound * bound * n:.3g} comparisons, "
+                                  f"beyond the cap {ENUMERATION_CAP}")
+    return bound
 
 
 def hamming_packing(n, eps, seed=0, restarts=HAMMING_RESTARTS):
@@ -230,16 +235,18 @@ def hamming_packing(n, eps, seed=0, restarts=HAMMING_RESTARTS):
     best = 0
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
-        selected = np.zeros((1, n), dtype=np.uint8)
+        selected = np.zeros((bound, n), dtype=np.uint8)
+        count = 1  # rows selected, the zero codeword first
         for _ in range(50 * bound):
-            if len(selected) >= bound:
+            if count >= bound:
                 break
             cand = rng.integers(0, 2, size=n, dtype=np.uint8)
-            dists = np.mean(selected != cand, axis=1)
+            dists = np.mean(selected[:count] != cand, axis=1)
             if float(np.min(dists)) >= threshold:
-                selected = np.vstack([selected, cand])
-        best = max(best, len(selected))
-        if len(selected) >= bound:
+                selected[count] = cand
+                count += 1
+        best = max(best, count)
+        if count >= bound:
             return selected
     raise PackingShortfallError(
         f"packing of size {bound} not reached after {restarts} restarts "

@@ -262,15 +262,12 @@ def cantor_level_intervals(n):
     n = int(n)
     if n < 0:
         raise ValueError("level must be >= 0")
+    # [a, a + 1] / 3**k keeps the thirds from 3a and 3a + 2 over 3**(k + 1).
+    nums = [0]
+    for _ in range(n):
+        nums = [c for a in nums for c in (3 * a, 3 * a + 2)]
     den = 3 ** n
-    out = []
-    for m in range(2 ** n):
-        num = 0
-        for i in range(n):
-            bit = (m >> (n - 1 - i)) & 1
-            num += 2 * bit * 3 ** (n - 1 - i)
-        out.append((Fraction(num, den), Fraction(num + 1, den)))
-    return out
+    return [(Fraction(a, den), Fraction(a + 1, den)) for a in nums]
 
 
 def _cantor_cdf_units(x):

@@ -12,11 +12,12 @@ so the search and census take none.  ``shatter_search`` finds the least
 weight realizing a prescribed labeling of given points by sweeping the
 merged zeros of cos(wx) over the points as events, each flipping one
 point's label; ``shatter_census`` answers every labeling from one such
-sweep, with a running mismatch count per labeling.  The sweep makes each
-block of events array-wide from every point's last breakpoint index at
-the block's two ends; indices must stay below 2**52, where a float still
-holds k + 1/2 exactly, so the sweep stops short of that index as it stops
-at its budget, leaving the rows still open "budget_exceeded".
+sweep, the open labelings of a block sharing one cumulative sum of their
+mismatch steps.  The sweep makes each block of events array-wide from
+every point's last breakpoint index at the block's two ends; indices must
+stay below 2**52, where a float still holds k + 1/2 exactly, so the sweep
+stops short of that index as it stops at its budget, leaving the rows
+still open "budget_exceeded".
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ DEFAULT_ALPHA = 100.0
 DEFAULT_BUDGET = 10 ** 8
 _FIRST_BLOCK = 64
 _LARGEST_BLOCK = 1 << 14  # bounds the memory of one block of events
+_BLOCK_CELLS = 1 << 18  # bounds a block's open rows x events in one cumsum
 _INDEX_LIMIT = 2 ** 52  # breakpoint indices below it are exact in a float
 MAX_CENSUS_POINTS = 24
 
@@ -187,17 +189,19 @@ def _sweep(xs, labs, w_max, w_min, budget):
     The events are the breakpoints of the nonzero points in weight order:
     the zeros w = (k + 1/2) pi / |x| of cos(w x), k >= 0.  After its
     breakpoint k a point is labelled ``k odd``, so each row's count of
-    mismatched points moves by one per event, and one cumsum per row marks
-    the elementary intervals where the count is zero.  Events come in
-    blocks that double from ``_FIRST_BLOCK`` to ``_LARGEST_BLOCK``
-    breakpoints; a block (lo, hi] holds, per point, the indices between
-    its last indices at lo and at hi, and each row reads its +-1 steps
-    from a table indexed by the event code 2 * point + (k & 1).  The open
-    interval and every row's count carry across a block boundary, so no
-    result depends on the blocks.  At most ``budget`` breakpoints are
-    swept, all of them below ``w_stop``, where indices near 2**52 begin;
-    either limit ends the rows still open as "budget_exceeded", their range
-    ending at the last breakpoint swept (w_min when there is none)."""
+    mismatched points moves by one per event.  Events come in blocks that
+    double from ``_FIRST_BLOCK`` to ``_LARGEST_BLOCK`` breakpoints; a block
+    (lo, hi] holds, per point, the indices between its last indices at lo
+    and at hi.  The open rows read their +-1 steps from a table built once
+    and indexed by the event code 2 * point + (k & 1); one take/cumsum/take
+    over at most ``_BLOCK_CELLS`` row x event cells gives a chunk of rows
+    their counts, and only rows whose count reaches zero are searched.  The
+    open interval and every row's count carry across block and chunk
+    boundaries, so no result depends on them.  At most ``budget``
+    breakpoints are swept, all of them below ``w_stop``, where indices near
+    2**52 begin; either limit ends the rows still open as
+    "budget_exceeded", their range ending at the last breakpoint swept
+    (w_min when there is none)."""
     if len(np.unique(xs)) != len(xs):
         raise ValueError("points must be pairwise distinct")
     w_max = float(w_max)
@@ -205,48 +209,48 @@ def _sweep(xs, labs, w_max, w_min, budget):
     if not 0.0 <= w_min < w_max:
         raise ValueError("need 0 <= w_min < w_max")
 
-    def verified(w, lab):
-        return bool(np.all(output_labels(xs, w) == lab))
-
-    # Per row: (status, witness, end of the range searched, breakpoints).
-    outcome = [None] * len(labs)
     # A zero input always outputs 1, so a 0-label there is unsatisfiable.
     zero_mask = xs == 0.0
-    for r, lab in enumerate(labs):
-        if verified(w_min, lab):
-            outcome[r] = ("found", w_min, w_min, 0)
-        elif np.any(zero_mask & ~lab):
-            outcome[r] = ("infeasible", None, w_max, 0)
-    open_rows = [r for r, o in enumerate(outcome) if o is None]
+    at_min = (output_labels(xs, w_min) == labs).all(axis=1)
+    blocked = ~labs[:, zero_mask].all(axis=1)
+    # Per row: (status, witness, end of the range searched, breakpoints).
+    outcome = [("found", w_min, w_min, 0) if f
+               else ("infeasible", None, w_max, 0) if b else None
+               for f, b in zip(at_min.tolist(), blocked.tolist())]
+    live = (~(at_min | blocked)).nonzero()[0]  # the rows still open
     # Without a nonzero point no row stays open: all-ones verifies at w_min.
     axs = np.abs(xs[~zero_mask])
-    targets = labs[:, ~zero_mask]
-    parity = np.array([False, True])
     # The sweep stops at w_stop, 8 indices short of the guard in
     # _last_indices to absorb the rounding of this quotient.
     w_stop = ((_INDEX_LIMIT - 16) * math.pi / axs.max() if len(axs)
               else math.inf)
     if w_min >= w_stop:
         outcome = [o or ("budget_exceeded", None, w_min, 0) for o in outcome]
-        open_rows = []
-    k_lo = _last_indices(axs, w_min) if open_rows else None
-    mismatch = {r: int(np.sum(((k_lo & 1) == 1) != targets[r]))
-                for r in open_rows}
+        live = live[:0]
+    targets = labs[live][:, ~zero_mask]
+    # Event code 2 * point + parity steps a row's count down where the
+    # point reaches its target label, and up elsewhere.
+    steps = np.where(targets[:, :, None] == np.array([False, True]),
+                     np.int8(-1), np.int8(1)).reshape(len(live), 2 * len(axs))
+    k_lo = (_last_indices(axs, w_min) if len(live)
+            else np.zeros(len(axs), dtype=np.int64))
+    mismatch = (((k_lo & 1) == 1) != targets).sum(axis=1, keepdims=True)
 
     def search(r, edges, counts):
-        # Candidates in interval order, the left edge before the midpoint.
+        # Intervals of count zero in order, the left edge before the midpoint.
         for j in np.flatnonzero(counts[:len(edges) - 1] == 0):
             left, right = float(edges[j]), float(edges[j + 1])
             for w in (left, 0.5 * (left + right)) if right > left else (left,):
-                if verified(w, labs[r]):
+                if np.all(output_labels(xs, w) == labs[r]):
                     outcome[r] = ("found", w, w, used + int(j))
-                    return
+                    return True
+        return False
 
     rate = float(np.sum(axs)) / math.pi  # breakpoints per unit weight
     size = _FIRST_BLOCK
     used = 0  # breakpoints swept before this block
     left = lo = w_min  # left edge of the open interval, end of the sweep
-    while open_rows:
+    while len(live):
         hi = min(lo + size / max(rate, 1e-12), w_max, w_stop)
         k_hi = _last_indices(axs, hi)
         # Point p's events are its indices k_lo[p] + 1 .. k_hi[p], in
@@ -271,17 +275,29 @@ def _sweep(xs, labs, w_max, w_min, budget):
             # The last interval ends with the sweep: at its own left edge
             # when the budget or w_stop stops it, else at w_max.
             edges = np.append(edges, edges[-1] if exhausted else w_max)
-        for r in open_rows:
-            steps = np.where(parity == targets[r, :, None], -1, 1).ravel()
-            counts = np.append(mismatch[r],
-                               mismatch[r] + np.cumsum(steps[code])[ends])
-            search(r, edges, counts)
-            mismatch[r] = int(counts[-1])
+        chunk = max(1, _BLOCK_CELLS // max(len(code), 1))
+        settled = []
+        for start in range(0, len(live), chunk):
+            part = slice(start, start + chunk)
+            # Counts before the block, then after each interval it closes.
+            sums = steps[part].astype(np.int64).take(code, axis=1)
+            sums.cumsum(1, out=sums)
+            before = mismatch[part]
+            counts = np.concatenate(
+                (before, before + sums.take(ends, axis=1)), axis=1)
+            # Counts are never negative: a row hits zero where its least is 0.
+            hits = counts[:, :len(edges) - 1].min(axis=1, initial=1) == 0
+            settled += [start + i for i in hits.nonzero()[0]
+                        if search(live[start + i], edges, counts[i])]
+            mismatch[part] = counts[:, -1:]
         used += len(ends)
         left, lo, k_lo = float(edges[-1]), hi, k_hi
-        open_rows = [r for r in open_rows if outcome[r] is None]
+        if settled:
+            keep = np.ones(len(live), dtype=bool)
+            keep[settled] = False
+            live, steps, mismatch = live[keep], steps[keep], mismatch[keep]
         if last:
-            for r in open_rows:
+            for r in live:
                 outcome[r] = (("budget_exceeded", None, left, used)
                               if exhausted
                               else ("infeasible", None, w_max, used))

@@ -9,7 +9,7 @@ from paclab.bounds import (FiniteFamily, PackingShortfallError, bi_lower,
                            bi_upper, bi_upper_from_log2, greedy_cover,
                            greedy_packing, hamming_packing,
                            hamming_packing_bound)
-from paclab.concepts import AtomLabeling, SontagConcept
+from paclab.concepts import AtomLabeling, EnumerationCapError, SontagConcept
 from paclab.measures import AtomicMeasure, UniformMeasure
 
 
@@ -145,6 +145,14 @@ def test_packing_result_rejects_bad_separation():
     from paclab.bounds import PackingResult
     with pytest.raises(ValueError):
         PackingResult((0, 1), 0.5, False, (0.3,))
+    # A NaN distance fails the check instead of passing it.
+    with pytest.raises(ValueError):
+        PackingResult((0, 1), 0.5, False, (math.nan,))
+    # The greedy hands over an ndarray of the upper triangle.
+    with pytest.raises(ValueError):
+        PackingResult((0, 1, 2), 0.5, False, np.array([0.6, 0.7, 0.4]))
+    assert PackingResult((0, 1, 2), 0.5, False,
+                         np.array([0.6, 0.5, 0.7])).size == 3
 
 
 @settings(max_examples=25, deadline=None)
@@ -216,6 +224,11 @@ def test_hamming_bound_values():
     assert hamming_packing_bound(1, 0.25) == 1
     assert hamming_packing_bound(1, 0.1) == 2
     assert hamming_packing_bound(200, 0.21) == 13
+    # 1,008,526 codewords of length 30 would take about 3e13 comparisons.
+    with pytest.raises(EnumerationCapError):
+        hamming_packing_bound(30, 0.01)
+    with pytest.raises(EnumerationCapError):
+        hamming_packing(30, 0.01)
 
 
 def test_hamming_packing_degenerate_eps():

@@ -470,6 +470,7 @@ BAD_CONFIGS = [
     (3, "packing", {"hamming": {"n": 100000, "eps": 0.01}}),  # e^46080
     (3, "packing", {"hamming": {"n": 1000, "eps": 0.01}}),  # e^460.8
     (3, "figures", {"cantor_levels": 40}),  # 2^40 intervals
+    (3, "packing", {"hamming": {"n": 30, "eps": 0.01}}),  # 1,008,526^2 * 30
 ]
 
 WORK = [(sontag, "rationally_independent_points"), (sontag, "shatter_search"),

@@ -401,6 +401,25 @@ def test_cantor_level_intervals_examples():
         assert all(hi - lo == Fraction(1, 3 ** n) for lo, hi in ivs)
 
 
+def _digit_level_intervals(n):
+    # Interval m's ternary digits are twice the binary digits of m, most
+    # significant first.
+    den = 3 ** n
+    out = []
+    for m in range(2 ** n):
+        num = 0
+        for i in range(n):
+            bit = (m >> (n - 1 - i)) & 1
+            num += 2 * bit * 3 ** (n - 1 - i)
+        out.append((Fraction(num, den), Fraction(num + 1, den)))
+    return out
+
+
+def test_cantor_level_intervals_match_the_digit_formula():
+    for n in range(13):
+        assert cantor_level_intervals(n) == _digit_level_intervals(n)
+
+
 def test_empirical_means_converge_to_expectations():
     concept = IntervalUnion(((0.1, 0.4),))
     cases = [

@@ -315,7 +315,8 @@ def test_budget_exceeded_reports_partial_range():
 
 def test_witnesses_do_not_depend_on_the_blocks(monkeypatch):
     # The open interval and the mismatch counts carry across a block
-    # boundary, so neither the first block's size nor the largest block's
+    # boundary, and the rows of a block share one cumsum in chunks, so
+    # neither the first block's size, the largest block's nor the chunk's
     # may show in any field.
     rng = np.random.default_rng(7)
     searches = [(rng.uniform(0.0, 2 * PI, size=n), [1] * n, 1e6, 32.0,
@@ -323,11 +324,15 @@ def test_witnesses_do_not_depend_on_the_blocks(monkeypatch):
     searches += [([1.0, math.sqrt(2), -1.0], [1, 0, 0], 1e9, 0.0, 1000),
                  ([1.0, math.sqrt(2)], [0, 0], 1e4, 3.0, DEFAULT_BUDGET)]
     runs = []
-    for first_block, largest_block in [(1, 1), (1, 64), (64, 64),
-                                       (64, 2 ** 14), (65_536, 1),
-                                       (65_536, 2 ** 14)]:
+    # One cell forces one row per chunk; 2**8 cells several chunks of the
+    # census's 15 open rows in every block of 64 or more events.
+    for first_block, largest_block, cells in [
+            (1, 1, 2 ** 20), (1, 64, 1), (64, 64, 2 ** 8),
+            (64, 2 ** 14, 2 ** 20), (64, 2 ** 14, 1), (65_536, 1, 2 ** 8),
+            (65_536, 2 ** 14, 2 ** 8), (65_536, 2 ** 14, 2 ** 20)]:
         monkeypatch.setattr(sontag, "_FIRST_BLOCK", first_block)
         monkeypatch.setattr(sontag, "_LARGEST_BLOCK", largest_block)
+        monkeypatch.setattr(sontag, "_BLOCK_CELLS", cells)
         runs.append(([shatter_search(xs, labels, w_max, w_min=w_min,
                                      budget=budget)
                       for xs, labels, w_max, w_min, budget in searches],
