@@ -36,8 +36,8 @@ class PackingShortfallError(RuntimeError):
 class FiniteFamily:
     """A finite list of concepts with L1 geometry from a fixed measure.
 
-    For an atomic measure each distance row comes from the cached
-    membership matrix; any other measure takes exact pairwise distances.
+    For an atomic measure distance rows come from one ``membership_matrix``;
+    any other measure takes exact pairwise distances.
     """
 
     def __init__(self, concepts, measure):
@@ -46,10 +46,8 @@ class FiniteFamily:
             raise ValueError("a finite family needs at least one concept")
         self.concepts = concepts
         self.measure = measure
-        self._memberships = None
-        if isinstance(measure, AtomicMeasure):
-            self._memberships = np.array(
-                [measure.memberships(c) for c in concepts], dtype=bool)
+        self._memberships = (measure.membership_matrix(concepts)
+                             if isinstance(measure, AtomicMeasure) else None)
         self._matrix = None
 
     def __len__(self):

@@ -138,12 +138,15 @@ def run_shatter(config, out_dir, seed):
     labels = None if census else get(
         "labels", Field("list", least=1, of=Field("int", least=0, most=1)))
     # A census takes up to MAX_CENSUS_POINTS points, a search one per label;
-    # log_primes is read before any prime is generated.
+    # more log_primes is an enumeration cap, met before any prime exists.
     least, most = ((1, sontag.MAX_CENSUS_POINTS) if census
                    else (len(labels), len(labels)))
     if "log_primes" in config:
-        points = sontag.rationally_independent_points(
-            get("log_primes", Field("int", least=least, most=most)))
+        count = get("log_primes", Field("int", least=least,
+                                        most=None if census else most))
+        if count > most:
+            raise EnumerationCapError(f"census of {count} > {most} points")
+        points = sontag.rationally_independent_points(count)
     else:
         points = get("points", Field("list", least=least, most=most,
                                      of=Field("number"), distinct=True))

@@ -345,8 +345,8 @@ def _census_deviations(family, measure, n, trials, seed):
                               seed), 0
     concepts = list(family)
     if isinstance(measure, AtomicMeasure):
-        rows = np.array([measure.memberships(c) for c in concepts], dtype=bool)
-        return _atomic_census(rows, measure, n, trials, seed), 0
+        return _atomic_census(measure.membership_matrix(concepts), measure,
+                              n, trials, seed), 0
     true_means = np.array([expect_indicator(measure, c) for c in concepts])
     # Closed-interval concepts are counted in each sorted sample by binary
     # search over their float pieces, merged where they overlap or touch

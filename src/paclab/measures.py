@@ -3,9 +3,10 @@ expectations.
 
 Concrete kinds: purely atomic, uniform on an interval, and the ternary-set
 Haar measure.  Expectations of concept indicators are exact: a mass sum
-over member atoms, or arithmetic on the concept's interval form under the
-uniform and ternary measures.  A concept without an interval form is
-refused there (``AttributeError``), never approximated.
+over the atoms flagged by ``AtomicMeasure.membership_matrix``, the one
+atomic membership kernel, or arithmetic on the concept's interval form
+under the uniform and ternary measures.  A concept without an interval
+form is refused there (``AttributeError``), never approximated.
 
 All measure values are immutable after construction.  Sampling takes an
 explicit seed (anything ``numpy.random.default_rng`` accepts), so parallel
@@ -193,10 +194,18 @@ class AtomicMeasure:
             self._units = (np.array(nums, dtype=np.int64), total)
         return self._units
 
+    def membership_matrix(self, concepts):
+        """One row of bools per concept, atoms in atom order: does the
+        concept contain the atom.  The one atomic membership kernel."""
+        concepts, locations = tuple(concepts), self.locations.tolist()
+        return np.fromiter(
+            (bool(c.contains(x)) for c in concepts for x in locations),
+            dtype=bool, count=len(concepts) * len(locations)).reshape(
+                len(concepts), len(locations))
+
     def memberships(self, concept):
         """One bool per atom, in atom order: does the concept contain it."""
-        return np.fromiter((bool(concept.contains(a.location)) for a in self.atoms),
-                           dtype=bool, count=len(self.atoms))
+        return self.membership_matrix((concept,))[0]
 
     def mass(self, selected):
         """Total mass of the atoms flagged in ``selected`` (one bool per atom).

@@ -14,10 +14,10 @@ merged zeros of cos(wx) over the points as events, each flipping one
 point's label; ``shatter_census`` answers every labeling from one such
 sweep, the open labelings of a block sharing one cumulative sum of their
 mismatch steps.  The sweep makes each block of events array-wide from
-every point's last breakpoint index at the block's two ends; indices must
-stay below 2**52, where a float still holds k + 1/2 exactly, so the sweep
-stops short of that index as it stops at its budget, leaving the rows
-still open "budget_exceeded".
+every point's last breakpoint index at the block's two ends and sorts
+them as packed uint64 keys; indices must stay below 2**52, where a float
+still holds k + 1/2 exactly, so the sweep stops short of that index as it
+stops at its budget, leaving the rows still open "budget_exceeded".
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ _FIRST_BLOCK = 64
 _LARGEST_BLOCK = 1 << 14  # bounds the memory of one block of events
 _BLOCK_CELLS = 1 << 18  # bounds a block's open rows x events in one cumsum
 _INDEX_LIMIT = 2 ** 52  # breakpoint indices below it are exact in a float
-MAX_CENSUS_POINTS = 24
+MAX_CENSUS_POINTS = 18
+_INF_BITS = 0x7FF0000000000000  # the bit pattern of +inf
 
 
 def _check_alpha(alpha):
@@ -192,15 +193,17 @@ def _sweep(xs, labs, w_max, w_min, budget):
     mismatched points moves by one per event.  Events come in blocks that
     double from ``_FIRST_BLOCK`` to ``_LARGEST_BLOCK`` breakpoints; a block
     (lo, hi] holds, per point, the indices between its last indices at lo
-    and at hi.  The open rows read their +-1 steps from a table built once
-    and indexed by the event code 2 * point + (k & 1); one take/cumsum/take
-    over at most ``_BLOCK_CELLS`` row x event cells gives a chunk of rows
-    their counts, and only rows whose count reaches zero are searched.  The
-    open interval and every row's count carry across block and chunk
-    boundaries, so no result depends on them.  At most ``budget``
-    breakpoints are swept, all of them below ``w_stop``, where indices near
-    2**52 begin; either limit ends the rows still open as
-    "budget_exceeded", their range ending at the last breakpoint swept
+    and at hi.  One sort of uint64 keys orders them: a key is the event
+    time's bit offset from the block's base above the event code
+    2 * point + (k & 1), and hi is capped so that every offset fits.  The
+    open rows read their +-1 steps from a table indexed by the event code;
+    one take/cumsum/take over at most ``_BLOCK_CELLS`` row x event cells
+    gives a chunk of rows their counts, and only rows whose count reaches
+    zero are searched.  The open interval and every row's count carry
+    across block and chunk boundaries, so no result depends on them.  At
+    most ``budget`` breakpoints are swept, all of them below ``w_stop``,
+    where indices near 2**52 begin; either limit ends the rows still open
+    as "budget_exceeded", their range ending at the last breakpoint swept
     (w_min when there is none)."""
     if len(np.unique(xs)) != len(xs):
         raise ValueError("points must be pairwise distinct")
@@ -247,11 +250,18 @@ def _sweep(xs, labs, w_max, w_min, budget):
         return False
 
     rate = float(np.sum(axs)) / math.pi  # breakpoints per unit weight
+    # Codes fit below bit ``shift``; no event lies below lo or ``first``.
+    shift = (2 * len(axs) - 1).bit_length()
+    first = 0.5 * math.pi / axs.max() if len(axs) else math.inf
     size = _FIRST_BLOCK
     used = 0  # breakpoints swept before this block
     left = lo = w_min  # left edge of the open interval, end of the sweep
     while len(live):
-        hi = min(lo + size / max(rate, 1e-12), w_max, w_stop)
+        # The block ends before its bit offsets overflow the key.
+        base = np.float64(max(lo, first)).view(np.uint64)
+        top = min(base + ((1 << 64 - shift) - 1), _INF_BITS)
+        hi = min(lo + size / max(rate, 1e-12), w_max, w_stop,
+                 float(np.uint64(top).view(np.float64)))
         k_hi = _last_indices(axs, hi)
         # Point p's events are its indices k_lo[p] + 1 .. k_hi[p], in
         # point order.
@@ -259,17 +269,21 @@ def _sweep(xs, labs, w_max, w_min, budget):
         point = np.repeat(np.arange(len(axs)), per_point)
         ks = (np.repeat(k_lo + 1 - (np.cumsum(per_point) - per_point),
                         per_point) + np.arange(len(point)))
-        times = (ks + 0.5) * math.pi / axs[point]
-        order = np.argsort(times, kind="stable")
-        times = times[order]
-        code = (2 * point + (ks & 1))[order]
+        key = ((ks + 0.5) * math.pi / axs[point]).view(np.uint64)
+        key -= base
+        key <<= shift
+        key |= (2 * point + (ks & 1)).view(np.uint64)
+        # Counts are read only at the last event of a group of equal
+        # times, so the order within a group needs no stable sort.
+        key.sort()
+        code = (key & ((1 << shift) - 1)).view(np.int64)
+        key >>= shift
         # The last event of each group of equal times closes an interval.
-        ends = np.flatnonzero(np.append(times[1:] != times[:-1],
-                                        len(times) > 0))
+        ends = np.flatnonzero(np.append(key[1:] != key[:-1], len(key) > 0))
         exhausted = used + len(ends) > budget
         ends = ends[:budget - used] if exhausted else ends
         exhausted = exhausted or w_stop < w_max and hi == w_stop
-        edges = np.append(left, times[ends])
+        edges = np.append(left, (key[ends] + base).view(np.float64))
         last = exhausted or hi >= w_max
         if last:
             # The last interval ends with the sweep: at its own left edge

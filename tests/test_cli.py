@@ -160,10 +160,8 @@ def test_bad_log_primes_exit_2_before_generating_primes(tmp_path,
         raise AssertionError("primes generated before log_primes was checked")
 
     monkeypatch.setattr(cli.sontag, "rationally_independent_points", no_primes)
-    bad = [{"log_primes": 10 ** 12, "census": True},
-           {"log_primes": 10 ** 12, "labels": [1, 0]},
+    bad = [{"log_primes": 10 ** 12, "labels": [1, 0]},
            {"log_primes": 10 ** 12},
-           {"log_primes": 25, "census": True},
            {"log_primes": 3, "labels": [1, 0]},
            {"log_primes": 0, "census": True},
            {"log_primes": 2.5, "labels": [1, 0]},
@@ -178,6 +176,23 @@ def test_bad_log_primes_exit_2_before_generating_primes(tmp_path,
     for config in bad:
         code, out = run(tmp_path, "shatter", config)
         assert code == 2
+        assert not (out / "shatter_manifest.json").exists()
+
+
+def test_census_above_the_cap_exits_3_before_generating_primes(
+        tmp_path, monkeypatch):
+    import paclab.cli as cli
+
+    def no_primes(n):
+        raise AssertionError("primes generated before the census cap")
+
+    monkeypatch.setattr(cli.sontag, "rationally_independent_points", no_primes)
+    for config in [{"log_primes": 25, "census": True},
+                   {"log_primes": 10 ** 12, "census": True},
+                   {"log_primes": cli.sontag.MAX_CENSUS_POINTS + 1,
+                    "census": True}]:
+        code, out = run(tmp_path, "shatter", config)
+        assert code == 3
         assert not (out / "shatter_manifest.json").exists()
 
 

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from paclab.concepts import IntervalUnion, SontagConcept
+from paclab.concepts import (AtomLabeling, GridUnion, IntervalUnion,
+                             MiddleThirdUnion, SontagConcept)
 from paclab.construction import ComplexitySchedule, build_measure
 from paclab.intervals import canonicalize, clip, total_length
 from paclab.measures import (Atom, AtomicMeasure, CantorMeasure, ConfigError,
@@ -249,6 +250,43 @@ def test_atomic_expectation_matches_brute_force(size, seed):
         if concept.contains(atom.location):
             brute += atom.mass
     assert expect_indicator(m, concept) == brute
+
+
+class _NumpyBoolHalfline(_Halfline):
+    def contains(self, x):
+        return np.float64(x) < self.cut
+
+
+class _IntHalfline(_Halfline):
+    def contains(self, x):
+        return int(x < self.cut)
+
+
+def test_membership_matrix_matches_the_per_atom_loop():
+    # Every concept kind against bool(c.contains(location)), atom by atom;
+    # the atoms sit on interval and grid-cell endpoints, inside and outside
+    # middle thirds, and off the labelled locations.
+    m = AtomicMeasure.uniform_on([-1.0, 0.0, 0.1, 0.25, 1 / 3, 0.4, 0.5,
+                                  0.75, 0.8, 1.0, 2.5])
+    labelled = [a.location for a in m.atoms[::2]]
+    family = [AtomLabeling(labelled, [1, 0, 1, 1, 0, 1]),
+              AtomLabeling(labelled, [0, 0, 1, 0, 1, 0], default_bit=1),
+              AtomLabeling.for_measure(m, [0] * len(m)),
+              SontagConcept(0.0), SontagConcept(1.0), SontagConcept(7.5),
+              IntervalUnion(()), IntervalUnion(((0.0, 0.25), (0.5, 0.8))),
+              IntervalUnion(((Fraction(1, 3), Fraction(1, 2)),)),
+              GridUnion(4, ()), GridUnion(4, (1, 3)), GridUnion(10, (8,)),
+              MiddleThirdUnion(()), MiddleThirdUnion(((1, 0), (2, 1))),
+              _Halfline(0.3), _NumpyBoolHalfline(0.3), _IntHalfline(0.3)]
+    expected = [[bool(c.contains(a.location)) for a in m.atoms]
+                for c in family]
+    matrix = m.membership_matrix(family)
+    assert matrix.dtype == bool and matrix.shape == (len(family), len(m))
+    assert matrix.tolist() == expected
+    assert m.membership_matrix(iter(family)).tolist() == expected
+    assert m.membership_matrix([]).shape == (0, len(m))
+    for concept, row in zip(family, expected):
+        assert m.memberships(concept).tolist() == row
 
 
 def test_uniform_sontag_expectation_is_exact_arc_measure():

@@ -454,6 +454,143 @@ def test_infeasible_zero_point_label_zero():
     assert res.witness_w is None
 
 
+def test_sort_keys_stay_exact_across_wide_blocks():
+    # With 300 points a key keeps 54 bits for time offsets, four binades
+    # above the block's base; the point at 100 makes the first block span
+    # forty times its least breakpoint, so the block must be cut short
+    # there.  Only point 0 is labelled 0, and it flips first.
+    xs = np.concatenate([[100.0], np.random.default_rng(2).uniform(
+        0.5, 1.0, 299)])
+    res = shatter_search(xs, [0] + [1] * 299, 50.0, w_min=0.0)
+    assert (res.status, res.witness_w, res.breakpoints) == (
+        "found", 0.015707963267948967, 1)
+
+
+def _argsort_sweep(xs, labs, w_max, w_min, budget):
+    # The sweep as it was with a stable argsort of each block's event
+    # times, kept as the oracle of the packed-key sort.
+    if len(np.unique(xs)) != len(xs):
+        raise ValueError("points must be pairwise distinct")
+    w_max = float(w_max)
+    w_min = float(w_min)
+    if not 0.0 <= w_min < w_max:
+        raise ValueError("need 0 <= w_min < w_max")
+    zero_mask = xs == 0.0
+    at_min = (output_labels(xs, w_min) == labs).all(axis=1)
+    blocked = ~labs[:, zero_mask].all(axis=1)
+    outcome = [("found", w_min, w_min, 0) if f
+               else ("infeasible", None, w_max, 0) if b else None
+               for f, b in zip(at_min.tolist(), blocked.tolist())]
+    live = (~(at_min | blocked)).nonzero()[0]
+    axs = np.abs(xs[~zero_mask])
+    w_stop = ((sontag._INDEX_LIMIT - 16) * PI / axs.max() if len(axs)
+              else math.inf)
+    if w_min >= w_stop:
+        outcome = [o or ("budget_exceeded", None, w_min, 0) for o in outcome]
+        live = live[:0]
+    targets = labs[live][:, ~zero_mask]
+    steps = np.where(targets[:, :, None] == np.array([False, True]),
+                     np.int8(-1), np.int8(1)).reshape(len(live), 2 * len(axs))
+    k_lo = (sontag._last_indices(axs, w_min) if len(live)
+            else np.zeros(len(axs), dtype=np.int64))
+    mismatch = (((k_lo & 1) == 1) != targets).sum(axis=1, keepdims=True)
+
+    def search(r, edges, counts):
+        for j in np.flatnonzero(counts[:len(edges) - 1] == 0):
+            left, right = float(edges[j]), float(edges[j + 1])
+            for w in (left, 0.5 * (left + right)) if right > left else (left,):
+                if np.all(output_labels(xs, w) == labs[r]):
+                    outcome[r] = ("found", w, w, used + int(j))
+                    return True
+        return False
+
+    rate = float(np.sum(axs)) / PI
+    size = sontag._FIRST_BLOCK
+    used = 0
+    left = lo = w_min
+    while len(live):
+        hi = min(lo + size / max(rate, 1e-12), w_max, w_stop)
+        k_hi = sontag._last_indices(axs, hi)
+        per_point = k_hi - k_lo
+        point = np.repeat(np.arange(len(axs)), per_point)
+        ks = (np.repeat(k_lo + 1 - (np.cumsum(per_point) - per_point),
+                        per_point) + np.arange(len(point)))
+        times = (ks + 0.5) * PI / axs[point]
+        order = np.argsort(times, kind="stable")
+        times = times[order]
+        code = (2 * point + (ks & 1))[order]
+        ends = np.flatnonzero(np.append(times[1:] != times[:-1],
+                                        len(times) > 0))
+        exhausted = used + len(ends) > budget
+        ends = ends[:budget - used] if exhausted else ends
+        exhausted = exhausted or w_stop < w_max and hi == w_stop
+        edges = np.append(left, times[ends])
+        last = exhausted or hi >= w_max
+        if last:
+            edges = np.append(edges, edges[-1] if exhausted else w_max)
+        chunk = max(1, sontag._BLOCK_CELLS // max(len(code), 1))
+        settled = []
+        for start in range(0, len(live), chunk):
+            part = slice(start, start + chunk)
+            sums = steps[part].astype(np.int64).take(code, axis=1)
+            sums.cumsum(1, out=sums)
+            before = mismatch[part]
+            counts = np.concatenate(
+                (before, before + sums.take(ends, axis=1)), axis=1)
+            hits = counts[:, :len(edges) - 1].min(axis=1, initial=1) == 0
+            settled += [start + i for i in hits.nonzero()[0]
+                        if search(live[start + i], edges, counts[i])]
+            mismatch[part] = counts[:, -1:]
+        used += len(ends)
+        left, lo, k_lo = float(edges[-1]), hi, k_hi
+        if settled:
+            keep = np.ones(len(live), dtype=bool)
+            keep[settled] = False
+            live, steps, mismatch = live[keep], steps[keep], mismatch[keep]
+        if last:
+            for r in live:
+                outcome[r] = (("budget_exceeded", None, left, used)
+                              if exhausted
+                              else ("infeasible", None, w_max, used))
+            break
+        size = min(2 * size, sontag._LARGEST_BLOCK)
+    return [sontag.ShatterResult(tuple(int(b) for b in lab), status, w,
+                                 (w_min, covered), n_bps)
+            for lab, (status, w, covered, n_bps) in zip(labs, outcome)]
+
+
+@st.composite
+def oracle_sweeps(draw):
+    magnitude = st.floats(min_value=0.2, max_value=5.0)
+    points = draw(st.lists(magnitude, min_size=1, max_size=6))
+    points = [draw(st.sampled_from([1.0, -1.0])) * x for x in points]
+    # x and -x share every breakpoint; 0 is labelled 1 at every weight; a
+    # point at 100 puts a block's events far above its least breakpoint.
+    points += draw(st.sampled_from([[], [-points[0]], [0.0], [100.0],
+                                    [-points[0], 100.0]]))
+    assume(len(set(points)) == len(points))
+    labs = draw(st.lists(st.lists(st.booleans(), min_size=len(points),
+                                  max_size=len(points)),
+                         min_size=1, max_size=4))
+    w_min = draw(st.sampled_from([0.0, 0.0, 1e-3, 2.5,
+                                  draw(st.floats(0.0, 40.0))]))
+    w_max = w_min + draw(st.floats(min_value=0.5, max_value=300.0))
+    budget = draw(st.sampled_from([0, 1, 2, 7, 40, DEFAULT_BUDGET]))
+    return np.array(points), np.array(labs, dtype=bool), w_max, w_min, budget
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_sweeps())
+def test_sweep_matches_the_argsort_oracle(case):
+    # Every field, breakpoints included, for every row of the labeling
+    # matrix and for the row searched alone.
+    xs, labs, w_max, w_min, budget = case
+    expected = _argsort_sweep(xs, labs, w_max, w_min, budget)
+    assert sontag._sweep(xs, labs, w_max, w_min, budget) == expected
+    assert shatter_search(xs, labs[0], w_max, w_min=w_min,
+                          budget=budget) == expected[0]
+
+
 # ---------------------------------------------------------------------------
 # rationally independent points
 
