@@ -9,24 +9,21 @@ estimator that brackets measured complexity between the theoretical bounds.
 
 __version__ = "0.1.0"
 
-from .bounds import (FiniteFamily, PackingResult, bi_lower, bi_upper,
-                     greedy_cover, greedy_packing, hamming_packing,
-                     hamming_packing_bound)
+from .bounds import (FiniteFamily, PackingResult, bi_lower,
+                     bi_upper_from_log2, greedy_cover, greedy_packing,
+                     hamming_packing, hamming_packing_bound)
 from .concepts import (AtomLabeling, GridUnion, IntervalUnion,
-                       MiddleThirdUnion, OrderIntervalClass,
-                       OrderIntervalFamily, SontagConcept, SontagFamily,
-                       cantor_shatter_search, concept_from_json,
-                       enumerate_order_class, isolate_points, l1_distance,
-                       member)
+                       MiddleThirdUnion, OrderIntervalFamily, SontagConcept,
+                       SontagFamily, cantor_shatter_search, concept_from_json,
+                       enumerate_order_class, isolate_points, l1_distance)
 from .construction import (ComplexityProfile, ComplexitySchedule,
-                           ConstructedInstance, LabelingFamily, RateFunction,
-                           build_measure, shattering_subfamily,
+                           ConstructedInstance, RateFunction, build_measure,
                            theoretical_profile)
 from .learner import (ComplexityEstimate, LabeledSample, erm_learn,
                       estimate_sample_complexity, gc_deviation, true_error)
 from .measures import (Atom, AtomicMeasure, CantorMeasure, UniformMeasure,
                        cantor_level_intervals, expect_indicator,
-                       measure_from_json, sample)
+                       measure_from_json)
 from .sontag import (SontagParams, net_output, phi,
                      rationally_independent_points, rho, shatter_census,
                      shatter_search)

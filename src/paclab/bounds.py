@@ -166,18 +166,10 @@ def greedy_packing_memberships(memberships, masses, radius):
                         lambda j: _distance_row(memberships, masses, j), radius)
 
 
-def bi_upper(eps, delta, k):
-    """Sample count sufficient for ERM given an eps/2-cover of size k:
-    ceil((32/eps) * log2(k/delta)).  Base-2 logs throughout."""
-    _check_eps_delta(eps, delta)
-    if k < 1:
-        raise ValueError("cover size must be >= 1")
-    return bi_upper_from_log2(eps, delta, math.log2(k))
-
-
 def bi_upper_from_log2(eps, delta, log2_k):
-    """Upper bound with the cover size given as log2(k), for covers too
-    large to materialize."""
+    """Sample count sufficient for ERM given an eps/2-cover of size k:
+    ceil((32/eps) * log2(k/delta)), base-2 logs throughout.  The cover size
+    is given as log2(k), so covers too large to materialize need none."""
     _check_eps_delta(eps, delta)
     value = (32.0 / eps) * (log2_k + math.log2(1.0 / delta))
     return max(0, math.ceil(value))
@@ -216,14 +208,15 @@ def hamming_packing_bound(n, eps):
     return bound
 
 
-def hamming_packing(n, eps, seed=0, restarts=HAMMING_RESTARTS):
+def hamming_packing(n, eps, seed=0):
     """Binary codewords at pairwise normalized Hamming distance >= 2 eps,
     at least ceil(exp(2 (0.5-2 eps)^2 n)) of them.
 
     Greedy selection over fair-coin candidates, starting from the zero
-    codeword, with seeded restarts; the per-restart candidate budget is
-    50 * bound.  Exhausting every restart raises, carrying the best count
-    found, since the guarantee says a packing of that size exists.
+    codeword, with ``HAMMING_RESTARTS`` seeded restarts, read at each call;
+    the per-restart candidate budget is 50 * bound.  Exhausting every
+    restart raises ``PackingShortfallError``, carrying the best count found,
+    since the guarantee says a packing of that size exists.
     """
     n = int(n)
     if n < 1:
@@ -231,7 +224,7 @@ def hamming_packing(n, eps, seed=0, restarts=HAMMING_RESTARTS):
     bound = hamming_packing_bound(n, eps)
     threshold = 2.0 * eps
     best = 0
-    for r in range(restarts):
+    for r in range(HAMMING_RESTARTS):
         rng = np.random.default_rng([seed, r])
         selected = np.zeros((bound, n), dtype=np.uint8)
         count = 1  # rows selected, the zero codeword first
@@ -247,5 +240,5 @@ def hamming_packing(n, eps, seed=0, restarts=HAMMING_RESTARTS):
         if count >= bound:
             return selected
     raise PackingShortfallError(
-        f"packing of size {bound} not reached after {restarts} restarts "
-        f"(best {best})", best)
+        f"packing of size {bound} not reached after {HAMMING_RESTARTS} "
+        f"restarts (best {best})", best)

@@ -137,19 +137,21 @@ def run_shatter(config, out_dir, seed):
     budget = get("budget", Field("int", sontag.DEFAULT_BUDGET, least=0))
     labels = None if census else get(
         "labels", Field("list", least=1, of=Field("int", least=0, most=1)))
-    # A census takes up to MAX_CENSUS_POINTS points, a search one per label;
-    # more log_primes is an enumeration cap, met before any prime exists.
-    least, most = ((1, sontag.MAX_CENSUS_POINTS) if census
-                   else (len(labels), len(labels)))
+    # A census takes at least one point, a search one per label.
+    least, most = (1, None) if census else (len(labels), len(labels))
     if "log_primes" in config:
-        count = get("log_primes", Field("int", least=least,
-                                        most=None if census else most))
-        if count > most:
-            raise EnumerationCapError(f"census of {count} > {most} points")
-        points = sontag.rationally_independent_points(count)
+        count = get("log_primes", Field("int", least=least, most=most))
     else:
         points = get("points", Field("list", least=least, most=most,
                                      of=Field("number"), distinct=True))
+        count = len(points)
+    # More census points than MAX_CENSUS_POINTS, listed or as log_primes,
+    # is an enumeration cap, met before any prime or sweep.
+    if census and count > sontag.MAX_CENSUS_POINTS:
+        raise EnumerationCapError(f"census of {count} > "
+                                  f"{sontag.MAX_CENSUS_POINTS} points")
+    if "log_primes" in config:
+        points = sontag.rationally_independent_points(count)
     if census:
         result = sontag.shatter_census(points, w_max, budget=budget)
         _write_json(out_dir / "census.json", result.to_json())

@@ -25,17 +25,13 @@ import numpy as np
 from . import sontag
 from .intervals import (canonicalize, contains_many, contains_point, intersect,
                         total_length)
-from .measures import (AtomicMeasure, CantorMeasure, Field,
-                       cantor_interval_mass, cantor_level_intervals,
+from .measures import (AtomicMeasure, CantorMeasure, EnumerationCapError,
+                       Field, cantor_interval_mass, cantor_level_intervals,
                        expect_indicator, read_kind, window_intervals)
 
 ENUMERATION_CAP = 10 ** 7
 MAX_SHATTER_LEVEL = 4
 MAX_SHATTER_ORDER = 10 ** 4
-
-
-class EnumerationCapError(RuntimeError):
-    """A concept-class enumeration would exceed the configured cap."""
 
 
 @dataclass(frozen=True)
@@ -240,11 +236,6 @@ class MiddleThirdUnion:
         return {"kind": "middle_thirds", "pieces": [list(p) for p in self.pieces]}
 
 
-def member(concept, x):
-    """Pointwise membership: 1 iff x belongs to the concept."""
-    return int(bool(concept.contains(x)))
-
-
 def _uniform_mixed_distance(sign, other, pieces, measure):
     # m(sign) + m(other) - 2 m(both), added as the two halves of the
     # symmetric difference; m(both) is the closed-form share of each piece
@@ -296,32 +287,18 @@ def max_interval_count(n):
     return math.isqrt(n - 1)
 
 
-@dataclass(frozen=True)
-class OrderIntervalClass:
-    """All unions of fewer than sqrt(n) grid cells of order n."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("order must be >= 1")
-
-    def count(self):
-        return sum(math.comb(self.n, k)
-                   for k in range(max_interval_count(self.n) + 1))
-
-
-def enumerate_order_class(n, cap=ENUMERATION_CAP):
-    """Lazy stream of every member of the order-n class, smallest unions
-    first; refuses upfront when the total member count exceeds the cap."""
-    cls = OrderIntervalClass(n)
-    total = cls.count()
-    if total > cap:
-        raise EnumerationCapError(
-            f"order-{n} class has {total} members, beyond the cap {cap}")
+def enumerate_order_class(n):
+    """Lazy stream of every member of the order-n class, the unions of fewer
+    than sqrt(n) grid cells of order n, smallest unions first; refuses
+    upfront when the total member count exceeds ``ENUMERATION_CAP``."""
+    most = max_interval_count(n)
+    total = sum(math.comb(n, k) for k in range(most + 1))
+    if total > ENUMERATION_CAP:
+        raise EnumerationCapError(f"order-{n} class has {total} members, "
+                                  f"beyond the cap {ENUMERATION_CAP}")
 
     def gen():
-        for k in range(max_interval_count(n) + 1):
+        for k in range(most + 1):
             for cells in combinations(range(n), k):
                 yield GridUnion(n, cells)
 
@@ -397,16 +374,15 @@ class CantorShatterReport:
                 "forced_cells": list(self.forced_cells), "reason": self.reason}
 
 
-def cantor_shatter_search(level, order, selected,
-                          max_level=MAX_SHATTER_LEVEL,
-                          max_order=MAX_SHATTER_ORDER):
+def cantor_shatter_search(level, order, selected):
     """Search for a member of the order class containing every selected
     level interval and disjoint from every unselected one.
 
     Any valid union must include every grid cell whose interior meets a
     selected interval, so the forced-cell set is a minimal cover; the
-    verdict is exact.  Selected indices are 1-based.  Arguments beyond the
-    configured caps return status "unchecked" rather than failing silently.
+    verdict is exact.  Selected indices are 1-based.  A level above
+    ``MAX_SHATTER_LEVEL`` or an order above ``MAX_SHATTER_ORDER`` returns
+    status "unchecked" rather than failing silently.
     """
     level, order = int(level), int(order)
     selected = tuple(sorted(set(int(j) for j in selected)))
@@ -414,10 +390,11 @@ def cantor_shatter_search(level, order, selected,
         raise ValueError("level must be >= 0 and order >= 1")
     if any(not 1 <= j <= 2 ** level for j in selected):
         raise ValueError("selected indices must lie in 1..2^level")
-    if level > max_level or order > max_order:
-        return CantorShatterReport(level, order, selected, "unchecked", None, (),
-                                   f"caps exceeded (level<={max_level}, "
-                                   f"order<={max_order})")
+    if level > MAX_SHATTER_LEVEL or order > MAX_SHATTER_ORDER:
+        return CantorShatterReport(
+            level, order, selected, "unchecked", None, (),
+            f"caps exceeded (level<={MAX_SHATTER_LEVEL}, "
+            f"order<={MAX_SHATTER_ORDER})")
     ivs = cantor_level_intervals(level)
     chosen = [ivs[j - 1] for j in selected]
     avoided = [ivs[j - 1] for j in range(1, 2 ** level + 1) if j not in selected]
@@ -465,16 +442,10 @@ class SontagFamily:
 
     w_max: float
 
-    def concept(self, w):
-        return SontagConcept(w)
-
 
 @dataclass(frozen=True)
 class OrderIntervalFamily:
     """The union over all orders n of the order-n classes."""
-
-    def order_class(self, n):
-        return OrderIntervalClass(n)
 
 
 def concept_from_json(doc):

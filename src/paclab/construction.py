@@ -24,13 +24,13 @@ import numpy as np
 
 from . import sontag
 from .bounds import bi_upper_from_log2, greedy_packing_memberships
-from .concepts import AtomLabeling, EnumerationCapError
+from .concepts import EnumerationCapError
 from .measures import (AtomicMeasure, Atom, Field, _as_fraction, read_fields,
                        read_kind)
 
 PACKING_LOWER_RATE = 0.0128  # 2 * (0.5 - 0.42)^2, the cube-packing constant
 SMALL_FAMILY_LIMIT = 20
-MATERIALIZE_LIMIT = 24
+MAX_ATOMS = 10 ** 6
 
 
 class EmptyLevelWarning(UserWarning):
@@ -210,18 +210,6 @@ class ConstructedInstance:
     def residual_mass(self):
         return float(self.residual_mass_exact)
 
-    @property
-    def f_values(self):
-        return self.schedule.f_values()
-
-    @property
-    def level_locations(self):
-        return tuple(loc for lvl in self.levels for loc in lvl.locations)
-
-    @property
-    def atom_locations(self):
-        return self.level_locations + (self.residual_location,)
-
     def measure(self):
         """The instance as an atomic measure with exact masses, built on
         the first call and shared after it."""
@@ -249,22 +237,22 @@ class ConstructedInstance:
                              "mass": self.residual_mass}}
 
 
-def build_measure(schedule, max_atoms=10 ** 6):
+def build_measure(schedule):
     """Materialize the schedule: levels of log-prime atoms plus the residual.
 
     Atom locations are logs of successive primes, so every finite union of
     levels is a rationally-independent-style tuple that the weight family
     can shatter.  Level masses follow m_k = 5 (eps_k - eps_{k+1}); the
     residual atom carries exactly 5 eps_{K+1}.  An instance of more than
-    ``max_atoms`` atoms raises ``EnumerationCapError`` before any prime is
+    ``MAX_ATOMS`` atoms raises ``EnumerationCapError`` before any prime is
     generated.
     """
     f_vals = schedule.f_values()
     masses = schedule.level_masses()
     total_atoms = (f_vals[-1] if f_vals else 0) + 1
-    if total_atoms > max_atoms:
+    if total_atoms > MAX_ATOMS:
         raise EnumerationCapError(f"instance needs {total_atoms} atoms, "
-                                  f"cap is {max_atoms}")
+                                  f"cap is {MAX_ATOMS}")
     locations = sontag.rationally_independent_points(total_atoms)
     levels = []
     prev_f = 0
@@ -314,27 +302,30 @@ class ComplexityProfile:
         return {"rows": [r.to_json() for r in self.rows]}
 
 
-def theoretical_profile(instance, delta, small_family_limit=SMALL_FAMILY_LIMIT):
+def theoretical_profile(instance, delta):
     """Per-level sample-complexity bracket for the instance.
 
     Upper: the covering bound with the 2**f_k labeling cover, computed via
     log2 without materializing the cover.  Lower: the packing-rate floor
-    ceil(0.0128 f_k), sharpened by an explicit greedy packing when the
-    labeling family is small enough to enumerate.
+    ceil(0.0128 f_k), sharpened by an explicit greedy packing of the 2**f_k
+    labelings of levels 1..k when f_k is at most ``SMALL_FAMILY_LIMIT``.
     """
     if not 0 < delta <= 1:
         raise ValueError("delta must lie in (0, 1]")
     rows = []
-    f_vals = instance.f_values
+    f_vals = instance.schedule.f_values()
     measure = instance.measure()
     for k in range(1, instance.schedule.K + 1):
         f_k = f_vals[k - 1]
         eps_k = float(instance.schedule.eps[k - 1])
         upper = bi_upper_from_log2(eps_k, delta, float(f_k))
         lower = math.ceil(PACKING_LOWER_RATE * f_k)
-        if 0 < f_k <= small_family_limit:
-            family = shattering_subfamily(instance, k)
-            memberships = family.membership_matrix()
+        if 0 < f_k <= SMALL_FAMILY_LIMIT:
+            # Labeling i gives bit (i >> j) & 1 to the j-th atom of levels
+            # 1..k, the first f_k atoms in location order, and 0 to the rest.
+            memberships = np.zeros((2 ** f_k, len(measure)), dtype=bool)
+            memberships[:, :f_k] = (np.arange(2 ** f_k)[:, None]
+                                    >> np.arange(f_k)) & 1
             packed, _ = greedy_packing_memberships(memberships, measure.masses,
                                                    2.0 * eps_k)
             lower = max(lower, math.ceil(math.log2(len(packed))))
@@ -342,54 +333,3 @@ def theoretical_profile(instance, delta, small_family_limit=SMALL_FAMILY_LIMIT):
                                math.ceil((8.0 / eps_k ** 2)
                                          * (f_k + math.log2(1.0 / delta)))))
     return ComplexityProfile(tuple(rows))
-
-
-class LabelingFamily:
-    """All labelings of the atoms of levels 1..k, indexed by integers.
-
-    Labeling i assigns bit (i >> j) & 1 to the j-th level atom; atoms beyond
-    the covered levels take the default bit 0.  The family is an eps_k-net
-    for the full labeling class whenever consecutive schedule ratios stay
-    at or below 1/5.
-    """
-
-    def __init__(self, instance, k):
-        if not 0 <= k <= instance.schedule.K:
-            raise ValueError(f"level must lie in 0..{instance.schedule.K}")
-        self.instance = instance
-        self.k = k
-        self.locations = tuple(loc for lvl in instance.levels[:k]
-                               for loc in lvl.locations)
-        self.universe = instance.atom_locations
-        self.size = 2 ** len(self.locations)
-
-    def __len__(self):
-        return self.size
-
-    def __getitem__(self, index):
-        if not 0 <= index < self.size:
-            raise IndexError(index)
-        bits = tuple((index >> j) & 1 for j in range(len(self.locations)))
-        return AtomLabeling(self.locations, bits, default_bit=0)
-
-    def __iter__(self):
-        return (self[i] for i in range(self.size))
-
-    def materialize(self, cap=MATERIALIZE_LIMIT):
-        if len(self.locations) > cap:
-            raise ValueError(f"family of 2^{len(self.locations)} members is "
-                             "too large to materialize")
-        return [self[i] for i in range(self.size)]
-
-    def membership_matrix(self):
-        """Bit matrix of every labeling against the full atom universe."""
-        m = len(self.locations)
-        idx = np.arange(self.size, dtype=np.uint64)
-        bits = (idx[:, None] >> np.arange(m, dtype=np.uint64)[None, :]) & 1
-        pad = np.zeros((self.size, len(self.universe) - m), dtype=bool)
-        return np.concatenate([bits.astype(bool), pad], axis=1)
-
-
-def shattering_subfamily(instance, k):
-    """The 2**f_k labelings of the first k levels (default bit 0 elsewhere)."""
-    return LabelingFamily(instance, k)

@@ -28,14 +28,14 @@ import numpy as np
 
 from . import sontag
 from .concepts import (AtomLabeling, GridUnion, IntervalUnion,
-                       OrderIntervalFamily, SontagFamily, isolate_points)
-from .construction import ConstructedInstance, LabelingFamily
+                       OrderIntervalFamily, SontagConcept, SontagFamily,
+                       isolate_points)
+from .construction import ConstructedInstance
 from .intervals import canonicalize, count_sorted
 from .measures import AtomicMeasure, _as_fraction, expect_indicator
 
 DEFAULT_N_CAP = 10 ** 6
 ADVERSARIAL_MIN_WEIGHT = 32.0
-MAX_CENSUS_BITS = 20
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 # One estimate holds a bool per trial and atom: the cap keeps that mask
 # at 32 MiB.
@@ -101,8 +101,9 @@ def true_error(hypothesis, target, measure):
                         != measure.memberships(target))
 
 
-def wilson_interval(successes, trials, z=_WILSON_Z):
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes, trials):
+    """Wilson 95% score interval for a binomial proportion."""
+    z = _WILSON_Z
     if trials == 0:
         return 0.0, 1.0
     p = successes / trials
@@ -338,11 +339,6 @@ def _atomic_census(memberships, measure, n, trials, seed):
 
 
 def _census_deviations(family, measure, n, trials, seed):
-    if isinstance(family, LabelingFamily):
-        if family.size > 2 ** MAX_CENSUS_BITS:
-            raise ValueError("labeling family too large for census mode")
-        return _atomic_census(family.membership_matrix(), measure, n, trials,
-                              seed), 0
     concepts = list(family)
     if isinstance(measure, AtomicMeasure):
         return _atomic_census(measure.membership_matrix(concepts), measure,
@@ -374,20 +370,18 @@ def _census_deviations(family, measure, n, trials, seed):
     return devs, 0
 
 
-def _adversarial_deviations(family, measure, n, trials, seed, min_weight,
-                            budget):
+def _adversarial_deviations(family, measure, n, trials, seed, min_weight):
     devs = []
     failed = 0
     for t in range(trials):
         xs = measure.sample(n, seed=[seed, t])
         if isinstance(family, SontagFamily):
             res = sontag.shatter_search(xs, np.ones(n, dtype=int),
-                                        family.w_max, w_min=min_weight,
-                                        budget=budget)
+                                        family.w_max, w_min=min_weight)
             if not res.found:
                 failed += 1
                 continue
-            concept = family.concept(res.witness_w)
+            concept = SontagConcept(res.witness_w)
         else:
             _, concept = isolate_points([float(x) for x in xs])
         # All sample points lie inside the fitted concept, so the empirical
@@ -397,12 +391,11 @@ def _adversarial_deviations(family, measure, n, trials, seed, min_weight,
 
 
 def gc_deviation(family, measure, n, trials=100, seed=0, mode="census",
-                 min_weight=ADVERSARIAL_MIN_WEIGHT,
-                 budget=sontag.DEFAULT_BUDGET):
+                 min_weight=ADVERSARIAL_MIN_WEIGHT):
     """Uniform-deviation statistics sup_C |E_mu(C) - E_emp(C)| at sample
     size n.
 
-    Census mode enumerates a finite sub-class and reports the per-trial
+    Census mode takes a finite list of concepts and reports the per-trial
     suprema.  Adversarial mode fits, per trial, a concept labeling the whole
     drawn sample 1 (a weight-family witness above ``min_weight``, or an
     isolating grid union for the order-interval family) and reports
@@ -418,7 +411,7 @@ def gc_deviation(family, measure, n, trials=100, seed=0, mode="census",
             raise TypeError("adversarial mode needs the weight family or the "
                             "order-interval family")
         devs, failed = _adversarial_deviations(family, measure, n, trials,
-                                               seed, min_weight, budget)
+                                               seed, min_weight)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return GcDeviationResult(mode, int(n), int(trials), int(seed),

@@ -33,27 +33,15 @@ _MIN_BUCKET_BITS = 4
 _MAX_BUCKET_BITS = 20
 
 
-def _rng(seed):
-    return np.random.default_rng(seed)
-
-
 def window_intervals(concept, lo, hi):
     """The concept within [lo, hi] as a canonical interval list."""
     return clip(canonicalize(concept.as_intervals_ae(lo, hi)), lo, hi)
 
 
 def _as_fraction(value):
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, float):
-        # Floats are read as the decimal literal they print as, so JSON
-        # configs with 0.2 mean exactly 1/5.
-        return Fraction(str(value))
-    raise TypeError(f"cannot read {value!r} as an exact rational")
+    # Floats are read as the decimal literal they print as, so JSON configs
+    # with 0.2 mean exactly 1/5; Fraction reads ints, strings and Fractions.
+    return Fraction(str(value) if isinstance(value, float) else value)
 
 
 @dataclass(frozen=True)
@@ -169,7 +157,8 @@ class AtomicMeasure:
         return (cdf[lo - 1] if lo > 0 else 0.0), cdf[hi - 1]
 
     def sample(self, n, seed=0):
-        return self.locations[self.draw_indices(_rng(seed), int(n))]
+        rng = np.random.default_rng(seed)
+        return self.locations[self.draw_indices(rng, int(n))]
 
     def units(self):
         """The exact masses in integer units: (int64 per-atom units, their
@@ -249,7 +238,7 @@ class UniformMeasure:
         return f"UniformMeasure({self.a}, {self.b})"
 
     def sample(self, n, seed=0):
-        return _rng(seed).uniform(self.a, self.b, size=int(n))
+        return np.random.default_rng(seed).uniform(self.a, self.b, size=int(n))
 
     def expect_indicator(self, concept):
         closed_form = getattr(concept, "uniform_mass", None)
@@ -330,7 +319,7 @@ class CantorMeasure:
         return f"CantorMeasure(depth={self.depth})"
 
     def sample(self, n, seed=0):
-        rng = _rng(seed)
+        rng = np.random.default_rng(seed)
         digits = 2.0 * rng.integers(0, 2, size=(int(n), self.depth))
         vals = np.zeros(int(n))
         for i in range(self.depth - 1, -1, -1):
@@ -344,13 +333,6 @@ class CantorMeasure:
         return {"kind": "cantor", "depth": self.depth}
 
 
-def sample(measure, seed, n):
-    """n i.i.d. draws from the measure, deterministic for a fixed seed."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return measure.sample(n, seed=seed)
-
-
 def expect_indicator(measure, concept):
     """Expectation of the concept's indicator under the measure.
 
@@ -362,6 +344,10 @@ def expect_indicator(measure, concept):
 
 class ConfigError(ValueError):
     """A JSON config document that does not match its declared fields."""
+
+
+class EnumerationCapError(RuntimeError):
+    """A concept-class enumeration would exceed the configured cap."""
 
 
 _REQUIRED = object()

@@ -27,6 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .measures import EnumerationCapError
+
 ALPHA_MIN = 2.0 * math.pi
 DEFAULT_ALPHA = 100.0
 DEFAULT_BUDGET = 10 ** 8
@@ -371,12 +373,15 @@ def shatter_census(points, w_max, threads=1, budget=DEFAULT_BUDGET):
 
     Labeling i assigns bit (i >> j) & 1 to point j, and entry i equals
     ``shatter_search(points, labeling i, w_max, budget=budget)``.
-    ``threads`` is accepted for compatibility and ignored.
+    ``threads`` is accepted for compatibility and ignored.  More than
+    ``MAX_CENSUS_POINTS`` points raise ``EnumerationCapError`` before any
+    sweep.
     """
     points = tuple(float(p) for p in points)
     n = len(points)
     if n > MAX_CENSUS_POINTS:
-        raise ValueError(f"census limited to {MAX_CENSUS_POINTS} points")
+        raise EnumerationCapError(f"census of {n} > {MAX_CENSUS_POINTS} "
+                                  "points")
     labs = ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1).astype(bool)
     entries = _sweep(np.asarray(points, dtype=float), labs, w_max, 0.0,
                      budget)

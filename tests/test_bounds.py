@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from paclab import bounds
 from paclab.bounds import (FiniteFamily, PackingShortfallError, bi_lower,
-                           bi_upper, bi_upper_from_log2, greedy_cover,
-                           greedy_packing, hamming_packing,
-                           hamming_packing_bound)
+                           bi_upper_from_log2, greedy_cover, greedy_packing,
+                           hamming_packing, hamming_packing_bound)
 from paclab.concepts import AtomLabeling, EnumerationCapError, SontagConcept
 from paclab.measures import AtomicMeasure, UniformMeasure
 
@@ -185,20 +185,19 @@ def test_exact_packing_on_known_family():
 
 
 def test_bi_upper_examples():
-    assert bi_upper(0.2, 0.1, 1) == 532
-    assert bi_upper(0.5, 1.0, 1) == 0  # k/delta == 1
-    base = bi_upper(0.2, 0.1, 8)
-    doubled = bi_upper(0.2, 0.1, 16)
+    assert bi_upper_from_log2(0.2, 0.1, 0.0) == 532  # k == 1
+    assert bi_upper_from_log2(0.5, 1.0, 0.0) == 0  # k/delta == 1
+    base = bi_upper_from_log2(0.2, 0.1, 3.0)  # k == 8
+    doubled = bi_upper_from_log2(0.2, 0.1, 4.0)
     assert abs((doubled - base) - 32 / 0.2) <= 1.0
     with pytest.raises(ValueError):
-        bi_upper(0.2, 0.1, 0)
-    with pytest.raises(ValueError):
-        bi_upper(1.5, 0.1, 4)
+        bi_upper_from_log2(1.5, 0.1, 2.0)
 
 
 def test_bi_upper_log2_route_matches_direct():
     for k in (1, 2, 1024):
-        assert bi_upper_from_log2(0.1, 0.05, math.log2(k)) == bi_upper(0.1, 0.05, k)
+        assert (bi_upper_from_log2(0.1, 0.05, math.log2(k))
+                == math.ceil((32 / 0.1) * math.log2(k / 0.05)))
 
 
 def test_bi_lower_examples():
@@ -262,11 +261,13 @@ def test_hamming_packing_deterministic_per_seed():
     assert np.array_equal(a, b)
 
 
-def test_hamming_packing_shortfall_is_hard_error():
+def test_hamming_packing_shortfall_is_hard_error(monkeypatch):
     # eps just above the geometric limit for two codewords in one dimension
-    # cannot happen within the precondition, so force failure via restarts=0
+    # cannot happen within the precondition, so force failure with zero
+    # restarts.
+    monkeypatch.setattr(bounds, "HAMMING_RESTARTS", 0)
     with pytest.raises(PackingShortfallError) as info:
-        hamming_packing(4, 0.2, restarts=0)
+        hamming_packing(4, 0.2)
     assert info.value.best_found == 0
 
 

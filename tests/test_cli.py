@@ -463,7 +463,7 @@ BAD_CONFIGS = [
     (2, "shatter", {**SEARCH, "labels": [2, 0]}),
     (2, "shatter", {**SEARCH, "labels": [1]}),
     (2, "shatter", {"points": [1.0, 1.0], "labels": [1, 0]}),
-    (2, "shatter", {"points": [float(p) for p in range(1, 26)],
+    (3, "shatter", {"points": [float(p) for p in range(1, 26)],
                     "census": True}),
     (2, "gc", {**ADVERSARIAL, "mode": "census"}),
     (2, "gc", {**ADVERSARIAL, "family": {"kind": "order_class", "n": 4}}),

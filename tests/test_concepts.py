@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from paclab.concepts import (AtomLabeling, EnumerationCapError, GridUnion,
-                             IntervalUnion, MiddleThirdUnion,
-                             OrderIntervalClass, SontagConcept,
+                             IntervalUnion, MiddleThirdUnion, SontagConcept,
                              cantor_shatter_search, concept_from_json,
                              enumerate_order_class, isolate_points,
-                             l1_distance, max_interval_count, member,
+                             l1_distance, max_interval_count,
                              middle_third_bounds, validate_order_member)
 from paclab.intervals import intersect, total_length
 from paclab.measures import (AtomicMeasure, CantorMeasure, UniformMeasure,
@@ -26,13 +25,13 @@ TWO_PI = 2.0 * math.pi
 
 def test_member_examples():
     c = IntervalUnion(((0.0, 0.2), (0.4, 0.6)))
-    assert member(c, 0.5) == 1
-    assert member(c, 0.3) == 0
+    assert int(c.contains(0.5)) == 1
+    assert int(c.contains(0.3)) == 0
     lab = AtomLabeling((1.0, 2.0, 3.0), (1, 0, 1))
-    assert member(lab, 2.0) == 0
-    assert member(lab, 1.0) == 1
-    assert member(lab, 9.9) == 0
-    assert member(SontagConcept(0.0), -17.3) == 1
+    assert int(lab.contains(2.0)) == 0
+    assert int(lab.contains(1.0)) == 1
+    assert int(lab.contains(9.9)) == 0
+    assert int(SontagConcept(0.0).contains(-17.3)) == 1
 
 
 def test_interval_union_validation():
@@ -43,13 +42,13 @@ def test_interval_union_validation():
     # touching endpoints are allowed and preserved unmerged
     c = IntervalUnion(((0.0, 0.2), (0.2, 0.4)))
     assert len(c.intervals) == 2
-    assert member(c, 0.2) == 1
+    assert int(c.contains(0.2)) == 1
 
 
 def test_grid_union_structure():
     g = GridUnion(5, (0, 4))
     assert g.intervals == ((0.0, 0.2), (0.8, 1.0))
-    assert member(g, 0.1) == 1 and member(g, 0.5) == 0
+    assert int(g.contains(0.1)) == 1 and int(g.contains(0.5)) == 0
     with pytest.raises(ValueError):
         GridUnion(5, (5,))
     with pytest.raises(ValueError):
@@ -61,10 +60,10 @@ def test_middle_third_bounds_and_membership():
     assert middle_third_bounds(2, 0) == (Fraction(1, 9), Fraction(2, 9))
     assert middle_third_bounds(2, 1) == (Fraction(7, 9), Fraction(8, 9))
     mt = MiddleThirdUnion(((1, 0), (2, 1)))
-    assert member(mt, 0.5) == 1
-    assert member(mt, 1.0 / 3.0) == 0  # open interval, endpoint excluded
-    assert member(mt, 7.5 / 9.0) == 1
-    assert member(mt, 0.1) == 0
+    assert int(mt.contains(0.5)) == 1
+    assert int(mt.contains(1.0 / 3.0)) == 0  # open interval, endpoint excluded
+    assert int(mt.contains(7.5 / 9.0)) == 1
+    assert int(mt.contains(0.1)) == 0
 
 
 def test_middle_thirds_have_unit_interval_mass_but_no_ternary_mass():
@@ -220,9 +219,10 @@ def test_max_interval_count_is_strict():
 
 def test_enumeration_counts():
     assert [len(list(enumerate_order_class(n))) for n in (1, 4, 9)] == [1, 5, 46]
-    assert OrderIntervalClass(9).count() == 46
-    assert OrderIntervalClass(25).count() == sum(
+    assert len(list(enumerate_order_class(25))) == sum(
         math.comb(25, k) for k in range(5))
+    with pytest.raises(ValueError):
+        enumerate_order_class(0)
 
 
 def test_enumeration_members_are_structurally_valid():
@@ -234,7 +234,7 @@ def test_enumeration_members_are_structurally_valid():
 
 def test_enumeration_cap_refuses_upfront():
     with pytest.raises(EnumerationCapError):
-        enumerate_order_class(200, cap=1000)
+        enumerate_order_class(200)
 
 
 def test_isolate_points_examples():
@@ -262,7 +262,7 @@ def test_isolate_points_contract(grid):
     k = len(pts)
     assert n > k * k
     for p in pts:
-        assert member(concept, p) == 1
+        assert int(concept.contains(p)) == 1
     validate_order_member(concept, n)
     lebesgue = expect_indicator(UniformMeasure(0.0, 1.0), concept)
     assert lebesgue <= n ** -0.5 + 1e-12

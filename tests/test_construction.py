@@ -4,10 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from paclab.bounds import FiniteFamily, greedy_cover, greedy_packing
 from paclab.concepts import AtomLabeling, l1_distance
 from paclab.construction import (ComplexitySchedule, EmptyLevelWarning,
                                  RateFunction, build_measure,
-                                 shattering_subfamily, theoretical_profile)
+                                 theoretical_profile)
 
 
 def geometric_eps(count):
@@ -188,52 +189,57 @@ def test_profile_lower_is_monotone_when_rate_is():
     assert lowers == sorted(lowers)
 
 
-def test_profile_small_family_sharpening():
-    sched = ComplexitySchedule(eps=geometric_eps(2), f=RateFunction.poly(1),
-                               K=1)
-    prof = theoretical_profile(build_measure(sched), 0.1)
-    # f_1 = 5: the explicit packing of 32 labelings beats ceil(0.0128 * 5) = 1
-    assert prof.rows[0].lower >= 1
-
-
-# ---------------------------------------------------------------------------
-# shattering subfamilies
-
-
 def small_instance():
     sched = ComplexitySchedule(eps=geometric_eps(3),
                                f=RateFunction.poly(1, Fraction(2, 5)), K=2,
                                linear_coeff=Fraction(2, 5))
-    return build_measure(sched)
+    return build_measure(sched)  # f = (2, 10): level sizes 2 and 8
 
 
-def test_subfamily_size_and_indexing():
-    inst = small_instance()  # f = (2, 10): level sizes 2 and 8
-    fam = shattering_subfamily(inst, 1)
-    assert fam.size == 4
-    members = fam.materialize()
-    assert len(members) == 4
-    assert members[3].bits == (1, 1)
-    assert members[1].contains(inst.levels[0].locations[0])
+def level_labelings(inst, k):
+    """The 2**f_k labelings of the atoms of levels 1..k as explicit
+    concepts: labeling i gives bit (i >> j) & 1 to the j-th of those atoms
+    and 0 to every other point."""
+    locations = [loc for lvl in inst.levels[:k] for loc in lvl.locations]
+    return [AtomLabeling(locations, [(i >> j) & 1
+                                     for j in range(len(locations))])
+            for i in range(2 ** len(locations))]
+
+
+def test_profile_small_family_sharpening():
+    # The floor ceil(0.0128 f_k) is 1 at f_k = 2, 5 and 10; the greedy
+    # 2eps_k-packing of the explicit labelings sharpens it.
+    poly1 = build_measure(ComplexitySchedule(eps=geometric_eps(2),
+                                             f=RateFunction.poly(1), K=1))
+    for inst, lowers in ((poly1, [2]), (small_instance(), [2, 6])):
+        prof = theoretical_profile(inst, 0.1)
+        for row in prof.rows:
+            family = FiniteFamily(level_labelings(inst, row.k),
+                                  inst.measure())
+            packed = greedy_packing(family, 2.0 * row.eps)
+            assert row.lower == math.ceil(math.log2(packed.size))
+        assert [row.lower for row in prof.rows] == lowers
+
+
+# ---------------------------------------------------------------------------
+# the labelings of the first levels
 
 
 def test_subfamily_is_its_own_zero_radius_cover():
-    from paclab.bounds import FiniteFamily, greedy_cover
     inst = small_instance()
-    fam = shattering_subfamily(inst, 1)
-    finite = FiniteFamily(fam.materialize(), inst.measure())
+    finite = FiniteFamily(level_labelings(inst, 1), inst.measure())
     centers, k = greedy_cover(finite, 1e-9)
-    assert k == fam.size
+    assert k == 4
 
 
 def test_subfamily_net_radius_bound():
     inst = small_instance()
     measure = inst.measure()
     rng = np.random.default_rng(5)
-    universe = inst.level_locations
+    universe = [loc for lvl in inst.levels for loc in lvl.locations]
     for k in (1, 2):
-        fam = shattering_subfamily(inst, k)
-        prefix = len(fam.locations)
+        fam = level_labelings(inst, k)
+        prefix = len(fam[0].locations)
         tail_bound = float(5 * inst.schedule.eps[k])
         for _ in range(50):
             bits = [int(b) for b in rng.integers(0, 2, size=len(universe))]
@@ -242,14 +248,6 @@ def test_subfamily_net_radius_bound():
             nearest = fam[index]
             d = l1_distance(target, nearest, measure)
             assert d <= tail_bound + 1e-12
-
-
-def test_subfamily_len_overflows_for_huge_families():
-    inst = build_measure(ComplexitySchedule.default())
-    fam = shattering_subfamily(inst, 2)
-    assert fam.size == 2 ** 625
-    with pytest.raises(OverflowError):
-        len(fam)
 
 
 def test_sontag_expectation_is_atom_mass_sum():

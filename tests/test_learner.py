@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from paclab.concepts import (AtomLabeling, GridUnion, IntervalUnion,
                              OrderIntervalFamily, SontagConcept, SontagFamily)
-from paclab.construction import (ComplexitySchedule, RateFunction,
-                                 build_measure, shattering_subfamily)
+from paclab.construction import ComplexitySchedule, RateFunction, build_measure
 from paclab.learner import (LabeledSample, empirical_risk, erm_learn,
                             estimate_sample_complexity, gc_deviation,
                             true_error, wilson_interval)
@@ -357,7 +356,10 @@ def test_gc_single_atom_deviation_is_zero():
 
 def test_gc_census_shrinks_with_n():
     inst = small_instance(K=1, degree=1)
-    fam = shattering_subfamily(inst, 1)
+    # The 32 labelings of the five level atoms, 0 on the residual atom.
+    locations = inst.levels[0].locations
+    fam = [AtomLabeling(locations, [(i >> j) & 1 for j in range(5)])
+           for i in range(2 ** 5)]
     measure = inst.measure()
     small = gc_deviation(fam, measure, n=20, trials=30, seed=2, mode="census")
     large = gc_deviation(fam, measure, n=10 ** 4, trials=30, seed=2,

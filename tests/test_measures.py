@@ -16,7 +16,7 @@ from paclab.measures import (Atom, AtomicMeasure, CantorMeasure, ConfigError,
                              Field, UniformMeasure,
                              cantor_interval_mass, cantor_level_intervals,
                              expect_indicator, measure_from_json, read_fields,
-                             sample, window_intervals)
+                             window_intervals)
 
 TWO_PI = 2.0 * math.pi
 
@@ -76,7 +76,7 @@ def test_uniform_measure_rejects_empty_interval():
 def test_single_atom_sampling_is_constant():
     m = AtomicMeasure.from_pairs([(0.0, 1.0)])
     for seed in (0, 1, 12345):
-        assert list(sample(m, seed, 5)) == [0.0] * 5
+        assert list(m.sample(5, seed=seed)) == [0.0] * 5
 
 
 def test_units_are_the_exact_masses():
@@ -112,9 +112,9 @@ def test_sampling_is_reproducible_and_seed_sensitive():
     u = UniformMeasure(0.0, 1.0)
     c = CantorMeasure()
     for meas in (m, u, c):
-        a = sample(meas, 42, 1000)
-        b = sample(meas, 42, 1000)
-        other = sample(meas, 43, 1000)
+        a = meas.sample(1000, seed=42)
+        b = meas.sample(1000, seed=42)
+        other = meas.sample(1000, seed=43)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, other)
 
@@ -146,7 +146,7 @@ def test_bucket_table_counts_match_searchsorted_edges():
 
 
 def test_sample_zero_is_empty():
-    assert len(sample(UniformMeasure(0, 1), 0, 0)) == 0
+    assert len(UniformMeasure(0, 1).sample(0, seed=0)) == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -194,7 +194,7 @@ def test_draw_indices_match_rng_choice(seed, profile, shape):
 
 
 def test_cantor_depth1_hits_two_values():
-    xs = sample(CantorMeasure(depth=1), 7, 1000)
+    xs = CantorMeasure(depth=1).sample(1000, seed=7)
     values = set(np.unique(xs))
     assert values <= {0.0, 2.0 / 3.0}
     freq = np.mean(xs == 0.0)
@@ -202,7 +202,7 @@ def test_cantor_depth1_hits_two_values():
 
 
 def test_uniform_mean_on_circle_interval():
-    xs = sample(UniformMeasure(0.0, TWO_PI), 5, 10 ** 5)
+    xs = UniformMeasure(0.0, TWO_PI).sample(10 ** 5, seed=5)
     assert abs(np.mean(xs) - math.pi) <= 0.02
 
 
@@ -210,7 +210,7 @@ def test_cantor_samples_have_ternary_digits_in_0_2():
     # At depth 25 the lattice spacing 3**-25 dwarfs the double rounding, so
     # the sampled float determines its lattice point uniquely.
     depth = 25
-    xs = sample(CantorMeasure(depth=depth), 99, 200)
+    xs = CantorMeasure(depth=depth).sample(200, seed=99)
     scale = 3 ** depth
     for x in xs:
         num = round(Fraction(x) * scale)
@@ -223,7 +223,7 @@ def test_cantor_samples_have_ternary_digits_in_0_2():
 
 
 def test_cantor_samples_stay_in_unit_interval():
-    xs = sample(CantorMeasure(), 5, 500)
+    xs = CantorMeasure().sample(500, seed=5)
     assert np.all((xs >= 0.0) & (xs <= 1.0))
 
 
@@ -466,7 +466,7 @@ def test_empirical_means_converge_to_expectations():
         (AtomicMeasure.from_pairs([(0.0, 0.2), (0.25, 0.5), (0.9, 0.3)]), 105),
     ]
     for measure, seed in cases:
-        xs = sample(measure, seed, 10 ** 5)
+        xs = measure.sample(10 ** 5, seed=seed)
         emp = np.mean([concept.contains(float(x)) for x in xs[:10 ** 4]])
         emp_full = np.mean(concept.contains_many(np.asarray(xs)))
         exact = expect_indicator(measure, concept)

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from arcsets import ArcSet, feasible_weights
 from paclab import sontag
+from paclab.concepts import EnumerationCapError
 from paclab.sontag import (DEFAULT_BUDGET, SontagParams, cos_sign_intervals,
                            first_primes, net_output, output_labels, phi,
                            rationally_independent_points, rho, shatter_census,
@@ -266,6 +267,16 @@ def test_census_monotone_in_w_max():
     points = [1.0, 1.1, 2.7]
     counts = [shatter_census(points, w).realized for w in (0.5, 2.0, 20.0, 200.0)]
     assert counts == sorted(counts)
+
+
+def test_census_above_the_cap_raises_before_any_sweep(monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept before the census cap was checked")
+
+    monkeypatch.setattr(sontag, "_sweep", no_sweep)
+    points = [float(p) for p in range(1, sontag.MAX_CENSUS_POINTS + 2)]
+    with pytest.raises(EnumerationCapError):
+        shatter_census(points, 1e4)
 
 
 def test_census_entries_match_single_searches():
