@@ -37,7 +37,8 @@ class FiniteFamily:
     """A finite list of concepts with L1 geometry from a fixed measure.
 
     For an atomic measure distance rows come from one ``membership_matrix``;
-    any other measure takes exact pairwise distances.
+    under any other measure a row is the exact ``l1_distance`` to each
+    member.
     """
 
     def __init__(self, concepts, measure):
@@ -48,30 +49,18 @@ class FiniteFamily:
         self.measure = measure
         self._memberships = (measure.membership_matrix(concepts)
                              if isinstance(measure, AtomicMeasure) else None)
-        self._matrix = None
 
     def __len__(self):
         return len(self.concepts)
 
     def distance_matrix(self):
-        if self._matrix is None:
-            n = len(self.concepts)
-            if self._memberships is not None:
-                self._matrix = np.array([self.distances_to(j) for j in range(n)])
-            else:
-                mat = np.zeros((n, n))
-                for i in range(n):
-                    for j in range(i + 1, n):
-                        d = l1_distance(self.concepts[i], self.concepts[j],
-                                        self.measure)
-                        mat[i, j] = mat[j, i] = d
-                self._matrix = mat
-        return self._matrix
+        return np.array([self.distances_to(j) for j in range(len(self))])
 
     def distances_to(self, j):
         if self._memberships is not None:
             return _distance_row(self._memberships, self.measure.masses, j)
-        return self.distance_matrix()[j]
+        return np.array([l1_distance(self.concepts[j], c, self.measure)
+                         for c in self.concepts])
 
 
 def _distance_row(memberships, masses, j):
@@ -170,7 +159,10 @@ def bi_upper_from_log2(eps, delta, log2_k):
     """Sample count sufficient for ERM given an eps/2-cover of size k:
     ceil((32/eps) * log2(k/delta)), base-2 logs throughout.  The cover size
     is given as log2(k), so covers too large to materialize need none."""
-    _check_eps_delta(eps, delta)
+    if not 0 < eps < 1:
+        raise ValueError("eps must lie in (0, 1)")
+    if not 0 < delta <= 1:
+        raise ValueError("delta must lie in (0, 1]")
     value = (32.0 / eps) * (log2_k + math.log2(1.0 / delta))
     return max(0, math.ceil(value))
 
@@ -181,13 +173,6 @@ def bi_lower(eps, family):
         raise ValueError("eps must lie in (0, 1)")
     size = greedy_packing(family, 2.0 * eps).size
     return max(0, math.ceil(math.log2(size)))
-
-
-def _check_eps_delta(eps, delta):
-    if not 0 < eps < 1:
-        raise ValueError("eps must lie in (0, 1)")
-    if not 0 < delta <= 1:
-        raise ValueError("delta must lie in (0, 1]")
 
 
 def hamming_packing_bound(n, eps):

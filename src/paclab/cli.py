@@ -7,11 +7,12 @@ plus a manifest with the config hash, seed, and versions into the output
 directory.  Runs are fully deterministic for a fixed config and seed, so
 re-running a manifest reproduces byte-identical CSVs.
 
-Exit codes: 0 ok, 2 config error, 3 budget exceeded (a search budget or
-sample-size cap with --strict; an enumeration cap, the instance's atom cap,
-the cantor subset cap, the hamming packing bound's cap, the figures' cantor
-level cap, a packing shortfall or the estimator's memory cap always), 4
-internal error or invariant violation (traceback on stderr).
+Exit codes: 0 ok, 2 config error (a schedule leaving a level without atoms
+among them), 3 budget exceeded (a search budget or sample-size cap with
+--strict; an enumeration cap, the instance's atom cap, the cantor search
+caps, the hamming packing bound's cap, the figures' cantor level cap, a
+packing shortfall or the estimator's memory cap always), 4 internal error or
+invariant violation (traceback on stderr).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import platform
 import sys
 import traceback
@@ -31,7 +31,6 @@ import numpy as np
 from . import __version__, bounds, concepts, construction, learner, measures, sontag
 from .bounds import PackingShortfallError
 from .concepts import EnumerationCapError
-from .learner import EpisodeMemoryError
 from .measures import ConfigError, Document, Field, read_fields, read_kind
 
 EXIT_OK = 0
@@ -253,14 +252,15 @@ def run_cantor(config, out_dir, seed):
     get = Document(config, "cantor config", ("level", "orders", "subsets"))
     level = get("level", Field("int", least=0))
     orders = get("orders", Field("list", of=Field("int", least=1)))
-    every = config.get("subsets", "all") == "all"
-    # The layout lists 2^level intervals, and "all" 2^(2^level) subsets.
-    cap = math.log2(concepts.ENUMERATION_CAP)
-    if level > cap or (every and 2 ** level > cap):
+    # The search caps, met before any layout, bound it too: at the level
+    # cap "all" is 2^16 subsets.
+    if (level > concepts.MAX_SHATTER_LEVEL
+            or max(orders, default=1) > concepts.MAX_SHATTER_ORDER):
         raise EnumerationCapError(
-            f"cantor level {level} with {'all' if every else 'listed'} "
-            f"subsets exceeds the enumeration cap {concepts.ENUMERATION_CAP}")
-    if every:
+            f"cantor level {level} or an order in {orders} is beyond the "
+            f"search caps (level <= {concepts.MAX_SHATTER_LEVEL}, "
+            f"order <= {concepts.MAX_SHATTER_ORDER})")
+    if config.get("subsets", "all") == "all":
         index_sets = [[j + 1 for j in range(2 ** level) if (mask >> j) & 1]
                       for mask in range(2 ** (2 ** level))]
     else:
@@ -287,11 +287,11 @@ def run_figures(config, out_dir, seed):
                       of=Field("number")),
         points=Field("int", 2001, least=0),
         cantor_levels=Field("int", 3, least=0))
-    # Level L alone lists 2^L intervals, capped as in the cantor layout.
-    if cantor_levels > math.log2(concepts.ENUMERATION_CAP):
+    # Level L alone lists 2^L intervals.
+    if cantor_levels > measures.MAX_CANTOR_LEVELS:
         raise EnumerationCapError(
-            f"cantor_levels {cantor_levels} exceeds the enumeration cap "
-            f"{concepts.ENUMERATION_CAP}")
+            f"cantor_levels {cantor_levels} is beyond the cap "
+            f"{measures.MAX_CANTOR_LEVELS}")
     xs = np.linspace(lo, hi, count)
     _write_csv(out_dir / "activation.csv", ["x", "phi"],
                zip(xs.tolist(), sontag.phi(xs, alpha).tolist()))
@@ -350,8 +350,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (EnumerationCapError, EpisodeMemoryError,
-            PackingShortfallError) as exc:
+    except (EnumerationCapError, PackingShortfallError) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except BudgetExceeded as exc:

@@ -98,11 +98,13 @@ class IntervalUnion:
 
 
 @dataclass(frozen=True)
-class GridUnion:
-    """A union of grid cells [i/order, (i+1)/order] named by their indices."""
+class GridUnion(IntervalUnion):
+    """A union of grid cells [i/order, (i+1)/order] named by their indices;
+    its intervals follow from the cells, so equality reads order and cells."""
 
     order: int
     cells: tuple
+    intervals: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.order < 1:
@@ -113,20 +115,8 @@ class GridUnion:
         if cells and not (0 <= cells[0] and cells[-1] < self.order):
             raise ValueError("cells must lie in [0, order)")
         object.__setattr__(self, "cells", cells)
-
-    @property
-    def intervals(self):
-        n = self.order
-        return tuple((c / n, (c + 1) / n) for c in self.cells)
-
-    def contains(self, x):
-        return contains_point(self.intervals, x)
-
-    def contains_many(self, xs):
-        return contains_many(self.intervals, xs)
-
-    def as_intervals_ae(self, lo, hi):
-        return self.intervals
+        object.__setattr__(self, "intervals", tuple(
+            (c / self.order, (c + 1) / self.order) for c in cells))
 
     def to_json(self):
         return {"kind": "intervals", "order": self.order,
@@ -196,11 +186,9 @@ def middle_third_bounds(level, index):
         raise ValueError("level must be >= 1")
     if not 0 <= index < 2 ** (level - 1):
         raise ValueError(f"index {index} out of range for level {level}")
-    prefix = 0
-    for i in range(level - 1):
-        bit = (index >> (level - 2 - i)) & 1
-        prefix += 2 * bit * 3 ** (level - 2 - i)
-    lo = Fraction(3 * prefix + 1, 3 ** level)
+    # The index's binary digits, read in base 3, give the left end of the
+    # kept interval [2t, 2t + 1] / 3**(level - 1) it splits.
+    lo = Fraction(6 * int(f"{index:b}", 3) + 1, 3 ** level)
     return lo, lo + Fraction(1, 3 ** level)
 
 
@@ -362,7 +350,7 @@ class CantorShatterReport:
     level: int
     order: int
     selected: tuple
-    status: str  # "feasible" | "infeasible" | "unchecked"
+    status: str  # "feasible" | "infeasible"
     witness: GridUnion | None
     forced_cells: tuple
     reason: str
@@ -381,33 +369,26 @@ def cantor_shatter_search(level, order, selected):
     Any valid union must include every grid cell whose interior meets a
     selected interval, so the forced-cell set is a minimal cover; the
     verdict is exact.  Selected indices are 1-based.  A level above
-    ``MAX_SHATTER_LEVEL`` or an order above ``MAX_SHATTER_ORDER`` returns
-    status "unchecked" rather than failing silently.
+    ``MAX_SHATTER_LEVEL`` or an order above ``MAX_SHATTER_ORDER`` raises
+    ``EnumerationCapError``.
     """
     level, order = int(level), int(order)
     selected = tuple(sorted(set(int(j) for j in selected)))
     if level < 0 or order < 1:
         raise ValueError("level must be >= 0 and order >= 1")
+    if level > MAX_SHATTER_LEVEL or order > MAX_SHATTER_ORDER:
+        raise EnumerationCapError(
+            f"cantor search at level {level}, order {order} is beyond the "
+            f"caps (level <= {MAX_SHATTER_LEVEL}, order <= {MAX_SHATTER_ORDER})")
     if any(not 1 <= j <= 2 ** level for j in selected):
         raise ValueError("selected indices must lie in 1..2^level")
-    if level > MAX_SHATTER_LEVEL or order > MAX_SHATTER_ORDER:
-        return CantorShatterReport(
-            level, order, selected, "unchecked", None, (),
-            f"caps exceeded (level<={MAX_SHATTER_LEVEL}, "
-            f"order<={MAX_SHATTER_ORDER})")
     ivs = cantor_level_intervals(level)
     chosen = [ivs[j - 1] for j in selected]
     avoided = [ivs[j - 1] for j in range(1, 2 ** level + 1) if j not in selected]
 
-    forced = set()
-    for a, b in chosen:
-        for i in range(math.floor(a * order), math.ceil(b * order) + 1):
-            if not 0 <= i < order:
-                continue
-            cell_lo, cell_hi = Fraction(i, order), Fraction(i + 1, order)
-            if max(a, cell_lo) < min(b, cell_hi):
-                forced.add(i)
-    forced = tuple(sorted(forced))
+    # Cell i's interior meets [a, b] exactly when a * order - 1 < i < b * order.
+    forced = tuple(sorted({i for a, b in chosen for i in range(
+        math.floor(a * order), math.ceil(b * order))}))
 
     for i in forced:
         cell_lo, cell_hi = Fraction(i, order), Fraction(i + 1, order)

@@ -16,7 +16,6 @@ telescoping identities hold exactly.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -31,10 +30,6 @@ from .measures import (AtomicMeasure, Atom, Field, _as_fraction, read_fields,
 PACKING_LOWER_RATE = 0.0128  # 2 * (0.5 - 0.42)^2, the cube-packing constant
 SMALL_FAMILY_LIMIT = 20
 MAX_ATOMS = 10 ** 6
-
-
-class EmptyLevelWarning(UserWarning):
-    """A construction level received zero atoms (flat stretch of the rate)."""
 
 
 @dataclass(frozen=True)
@@ -110,9 +105,9 @@ class ComplexitySchedule:
 
     Needs eps values for levels 1..K+1, strictly decreasing with
     eps_1 = 1/5 exactly (the normalization making level masses sum to 1).
-    The rate must be non-decreasing and at least ``linear_coeff * x`` on the
-    grid of evaluation points 1/eps_k, and the rounded cardinalities
-    f_k = ceil(f(1/eps_k)) must stay non-decreasing.
+    The rate must be at least ``linear_coeff * x`` on the grid of evaluation
+    points 1/eps_k, and the rounded cardinalities f_k = ceil(f(1/eps_k))
+    must increase strictly from f_0 = 0, so every level holds an atom.
     """
 
     eps: tuple
@@ -136,17 +131,17 @@ class ComplexitySchedule:
             raise ValueError(f"eps_1 must equal 1/5 exactly, got {eps[0]}")
         grid = [Fraction(1) / e for e in eps[:self.K]]
         values = [self.f(x) for x in grid]
-        for a, b in zip(values, values[1:]):
-            if b < a:
-                raise ValueError("rate function must be non-decreasing")
         for x, v in zip(grid, values):
             if v < self.linear_coeff * x:
                 raise ValueError(
                     f"rate below the declared linear floor at x={x}")
-        f_vals = [math.ceil(v) for v in values[:self.K]]
-        for a, b in zip(f_vals, f_vals[1:]):
-            if b < a:
-                raise ValueError("ceiled cardinalities must be non-decreasing")
+        f_vals = [0] + [math.ceil(v) for v in values]
+        for k in range(1, self.K + 1):
+            if f_vals[k] <= f_vals[k - 1]:
+                raise ValueError(
+                    f"level {k} would hold f_{k} - f_{k - 1} = "
+                    f"{f_vals[k] - f_vals[k - 1]} atoms; the ceiled rate "
+                    "must increase strictly from f_0 = 0")
 
     @classmethod
     def default(cls, K=2, degree=2):
@@ -159,7 +154,7 @@ class ComplexitySchedule:
         return tuple(math.ceil(self.f(Fraction(1) / e)) for e in self.eps[:self.K])
 
     def level_masses(self):
-        """Exact m_k = 5 (eps_k - eps_{k+1}), non-negative by monotonicity."""
+        """Exact m_k = 5 (eps_k - eps_{k+1}), positive by monotonicity."""
         return tuple(5 * (self.eps[k] - self.eps[k + 1]) for k in range(self.K))
 
     def residual_mass(self):
@@ -216,8 +211,6 @@ class ConstructedInstance:
         if self._measure is None:
             atoms = []
             for lvl in self.levels:
-                if lvl.size == 0:
-                    continue
                 exact = lvl.mass_exact / lvl.size
                 mass = float(exact)
                 atoms.extend(Atom(loc, mass, exact) for loc in lvl.locations)
@@ -259,9 +252,6 @@ def build_measure(schedule):
     cursor = 0
     for k in range(schedule.K):
         size = f_vals[k] - prev_f
-        if size == 0:
-            warnings.warn(f"level {k + 1} is empty (flat rate stretch)",
-                          EmptyLevelWarning, stacklevel=2)
         locs = tuple(locations[cursor:cursor + size])
         levels.append(Level(k + 1, locs, masses[k]))
         cursor += size

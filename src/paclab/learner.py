@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sontag
-from .concepts import (AtomLabeling, GridUnion, IntervalUnion,
+from .concepts import (AtomLabeling, EnumerationCapError, IntervalUnion,
                        OrderIntervalFamily, SontagConcept, SontagFamily,
                        isolate_points)
 from .construction import ConstructedInstance
@@ -44,10 +44,6 @@ MAX_EPISODE_CELLS = 2 ** 25
 # read in one chunk.
 _EPISODE_DRAWS = 2 ** 16
 NOT_HIT = np.iinfo(np.int64).max  # hitting time of a trial still above eps
-
-
-class EpisodeMemoryError(RuntimeError):
-    """The estimator's trials x atoms episode mask would exceed its cap."""
 
 
 @dataclass(frozen=True)
@@ -147,9 +143,7 @@ def _universe_arrays(universe):
     randomizes every atom.
     """
     if isinstance(universe, ConstructedInstance):
-        measure = universe.measure()
-        free = sum(lvl.size for lvl in universe.levels)
-        return measure, free
+        return universe.measure(), sum(lvl.size for lvl in universe.levels)
     if isinstance(universe, AtomicMeasure):
         return universe, len(universe.atoms)
     raise TypeError("universe must be a ConstructedInstance or AtomicMeasure")
@@ -271,7 +265,7 @@ def estimate_sample_complexity(universe, eps, delta, trials=400, seed=0,
     measure, free_atoms = _universe_arrays(universe)
     cells = trials * len(measure.atoms)
     if cells > MAX_EPISODE_CELLS:
-        raise EpisodeMemoryError(
+        raise EnumerationCapError(
             f"{trials} trials x {len(measure.atoms)} atoms = {cells} episode "
             f"cells exceed the cap of {MAX_EPISODE_CELLS}")
     allowed = int(delta * trials) + 1
@@ -348,9 +342,9 @@ def _census_deviations(family, measure, n, trials, seed):
     # search over their float pieces, merged where they overlap or touch
     # once rounded so that no point counts twice.
     counted = [i for i, c in enumerate(concepts)
-               if isinstance(c, (IntervalUnion, GridUnion))]
+               if isinstance(c, IntervalUnion)]
     tested = [i for i, c in enumerate(concepts)
-              if not isinstance(c, (IntervalUnion, GridUnion))]
+              if not isinstance(c, IntervalUnion)]
     pieces = [canonicalize((float(lo), float(hi))
                            for lo, hi in concepts[i].intervals)
               for i in counted]

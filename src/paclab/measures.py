@@ -251,6 +251,11 @@ class UniformMeasure:
         return {"kind": "uniform", "a": self.a, "b": self.b}
 
 
+# The most levels ``figures`` lists, for a budget of 10 s and 512 MB: levels
+# 0-18 took 5.7-7.6 s and 210 MB on 2 vCPUs, levels 0-19 17 s and 386 MB.
+MAX_CANTOR_LEVELS = 18
+
+
 def cantor_level_intervals(n):
     """The 2**n closed intervals left after n middle-third deletions.
 
@@ -347,7 +352,7 @@ class ConfigError(ValueError):
 
 
 class EnumerationCapError(RuntimeError):
-    """A concept-class enumeration would exceed the configured cap."""
+    """An input beyond one of the caps."""
 
 
 _REQUIRED = object()

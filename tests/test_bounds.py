@@ -9,8 +9,10 @@ from paclab import bounds
 from paclab.bounds import (FiniteFamily, PackingShortfallError, bi_lower,
                            bi_upper_from_log2, greedy_cover, greedy_packing,
                            hamming_packing, hamming_packing_bound)
-from paclab.concepts import AtomLabeling, EnumerationCapError, SontagConcept
-from paclab.measures import AtomicMeasure, UniformMeasure
+from paclab.concepts import (AtomLabeling, EnumerationCapError, GridUnion,
+                             IntervalUnion, MiddleThirdUnion, SontagConcept,
+                             l1_distance)
+from paclab.measures import AtomicMeasure, CantorMeasure, UniformMeasure
 
 
 # Exact packing and cover numbers of small families: the oracles the
@@ -309,3 +311,42 @@ def test_distance_rows_match_the_pairwise_tensor_and_old_greedy_loop():
             if all(mat[i, j] >= radius for j in loop):
                 loop.append(i)
         assert greedy_packing(fam, radius).selected == tuple(loop)
+
+
+MIXED_FAMILY = [SontagConcept(3.0), SontagConcept(7.5),
+                IntervalUnion(((0.1, 0.4),)),
+                IntervalUnion(((0.0, 0.25), (0.5, 0.9))),
+                GridUnion(4, (1,)), GridUnion(9, (0, 4, 8)),
+                GridUnion(27, (2, 20)), MiddleThirdUnion(((1, 0),)),
+                MiddleThirdUnion(((2, 0), (2, 1)))]
+# (greedy packing, greedy cover) selections per radius, as the pairwise
+# i < j matrix gave them.
+MIXED_SELECTIONS = {
+    "unit": {0.05: ((0, 1, 2, 3, 4, 5, 6, 7, 8), (0, 1, 6, 7, 5, 8, 3, 4, 2)),
+             0.2: ((0, 1, 2, 3, 4, 5, 6, 7, 8), (0, 1, 6, 7, 5, 8, 3, 4, 2)),
+             0.4: ((0, 1, 5, 7), (0, 1, 6, 7))},
+    "circle": {0.05: ((0, 1, 2, 3, 5, 6, 7), (0, 3, 1, 4, 5, 8)),
+               0.2: ((0, 1, 2), (0, 3, 1)),
+               0.4: ((0, 1, 2), (0, 3, 1))},
+    "cantor": {0.05: ((0, 1, 2, 3, 4, 5, 6, 7), (0, 1, 6, 4, 3, 5, 7, 2)),
+               0.2: ((0, 1, 2, 3, 5, 6, 7), (0, 1, 6, 4, 3, 5)),
+               0.4: ((0, 1, 6), (0, 1, 6))},
+}
+
+
+@pytest.mark.parametrize("name, measure", [
+    ("unit", UniformMeasure(0.0, 1.0)),
+    ("circle", UniformMeasure(0.0, 2.0 * math.pi)),
+    ("cantor", CantorMeasure())])
+def test_non_atomic_rows_are_exact_distances_to_each_member(name, measure):
+    fam = FiniteFamily(MIXED_FAMILY, measure)
+    mat = fam.distance_matrix()
+    assert not np.any(np.diag(mat))
+    assert np.array_equal(mat, mat.T)
+    for j, c in enumerate(MIXED_FAMILY):
+        assert np.array_equal(mat[j], [l1_distance(c, d, measure)
+                                       for d in MIXED_FAMILY])
+        assert np.array_equal(fam.distances_to(j), mat[j])
+    for radius, (packed, centers) in MIXED_SELECTIONS[name].items():
+        assert greedy_packing(fam, radius).selected == packed
+        assert greedy_cover(fam, radius)[0] == centers

@@ -424,6 +424,13 @@ CIRCLE = {"kind": "uniform", "a": 0.0, "b": 2.0 * math.pi}
 SMALL_SCHEDULE = {"eps": ["1/5", "1/25"], "f": {"kind": "poly", "degree": 1},
                   "K": 1}
 COMPLEXITY = {"schedule": SMALL_SCHEDULE, "levels": [1], "trials": 100}
+# f_2 = f_1 = 30: level 2 gets no atoms.
+FLAT_LEVEL_2 = {"eps": ["1/5", "1/25", "1/125"],
+                "f": {"kind": "table", "points": [[5, 30], [25, 30]]}, "K": 2}
+# f_1 = f_0 = 0: level 1 gets no atoms.
+EMPTY_LEVEL_1 = {"eps": ["1/5", "1/25"],
+                 "f": {"kind": "table", "points": [[1, 0]]}, "K": 1,
+                 "linear_coeff": 0}
 SEARCH = {"points": [1.0, 2.0], "labels": [1, 0]}
 ADVERSARIAL = {"mode": "adversarial", "family": {"kind": "sontag",
                                                  "w_max": 1e3},
@@ -481,11 +488,19 @@ BAD_CONFIGS = [
     (2, "figures", {"points": -1}),
     (2, "figures", {"x_range": [0.0]}),
     (3, "construct", schedule(f={"kind": "exp"})),  # 33,554,433 atoms
-    (3, "cantor", {"level": 5, "orders": [3]}),  # 2^32 subsets
+    (3, "cantor", {"level": 5, "orders": [3]}),  # above the search level cap
     (3, "packing", {"hamming": {"n": 100000, "eps": 0.01}}),  # e^46080
     (3, "packing", {"hamming": {"n": 1000, "eps": 0.01}}),  # e^460.8
     (3, "figures", {"cantor_levels": 40}),  # 2^40 intervals
     (3, "packing", {"hamming": {"n": 30, "eps": 0.01}}),  # 1,008,526^2 * 30
+    # A schedule leaving a level without atoms is a config error; cantor
+    # and figures inputs beyond their caps exit 3 before any layout.
+    (2, "construct", {"schedule": FLAT_LEVEL_2}),
+    (2, "complexity", {**COMPLEXITY, "schedule": FLAT_LEVEL_2}),
+    (2, "construct", {"schedule": EMPTY_LEVEL_1}),
+    (3, "cantor", {"level": 5, "orders": [3], "subsets": [[1]]}),
+    (3, "cantor", {"level": 1, "orders": [3, 10001], "subsets": [[1]]}),
+    (3, "figures", {"cantor_levels": 19}),
 ]
 
 WORK = [(sontag, "rationally_independent_points"), (sontag, "shatter_search"),

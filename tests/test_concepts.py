@@ -55,6 +55,28 @@ def test_grid_union_structure():
         GridUnion(5, (1, 1))
 
 
+def test_grid_union_is_an_interval_union_named_by_its_cells():
+    cases = [(GridUnion(5, (4, 0)), "GridUnion(order=5, cells=(0, 4))",
+              [[0.0, 0.2], [0.8, 1.0]]),
+             (GridUnion(1, ()), "GridUnion(order=1, cells=())", []),
+             (GridUnion(4, (1,)), "GridUnion(order=4, cells=(1,))",
+              [[0.25, 0.5]])]
+    for g, text, intervals in cases:
+        assert isinstance(g, IntervalUnion)
+        assert repr(g) == text
+        assert g.to_json() == {"kind": "intervals", "order": g.order,
+                               "cells": list(g.cells), "intervals": intervals}
+        assert concept_from_json(g.to_json()) == g
+        # Equality and hash read the order and the cells alone.
+        twin = GridUnion(g.order, tuple(reversed(g.cells)))
+        assert twin == g and hash(twin) == hash(g) == hash((g.order, g.cells))
+    assert GridUnion(4, (1,)) != IntervalUnion(((0.25, 0.5),))
+    assert IntervalUnion(((0.25, 0.5),)) != GridUnion(4, (1,))
+    assert GridUnion(4, (1,)) != GridUnion(8, (2, 3))
+    with pytest.raises(TypeError):
+        GridUnion(4, (1,), intervals=((0.25, 0.5),))
+
+
 def test_middle_third_bounds_and_membership():
     assert middle_third_bounds(1, 0) == (Fraction(1, 3), Fraction(2, 3))
     assert middle_third_bounds(2, 0) == (Fraction(1, 9), Fraction(2, 9))
@@ -327,9 +349,11 @@ def _covers(cells, a, b):
     return cursor >= b
 
 
-def test_cantor_shatter_caps_report_unchecked():
-    assert cantor_shatter_search(5, 10, [1]).status == "unchecked"
-    assert cantor_shatter_search(1, 10 ** 5, [1]).status == "unchecked"
+def test_cantor_shatter_caps_raise():
+    with pytest.raises(EnumerationCapError):
+        cantor_shatter_search(5, 10, [1])
+    with pytest.raises(EnumerationCapError):
+        cantor_shatter_search(1, 10 ** 5, [1])
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,8 @@ import pytest
 
 from paclab.bounds import FiniteFamily, greedy_cover, greedy_packing
 from paclab.concepts import AtomLabeling, l1_distance
-from paclab.construction import (ComplexitySchedule, EmptyLevelWarning,
-                                 RateFunction, build_measure,
-                                 theoretical_profile)
+from paclab.construction import (ComplexitySchedule, RateFunction,
+                                 build_measure, theoretical_profile)
 
 
 def geometric_eps(count):
@@ -130,13 +129,17 @@ def test_instance_measure_is_built_once_with_exact_units():
     assert measure.masses.tolist() == [float(f) for f in exact]
 
 
-def test_empty_level_warns():
-    sched = ComplexitySchedule(eps=geometric_eps(3),
-                               f=RateFunction.table([(5, 3), (25, 3)]), K=2,
-                               linear_coeff=Fraction(1, 10))
-    with pytest.warns(EmptyLevelWarning):
-        inst = build_measure(sched)
-    assert [lvl.size for lvl in inst.levels] == [3, 0]
+def test_empty_level_is_refused():
+    # A flat stretch of the rate empties level 2 (f_2 = f_1 = 3) ...
+    with pytest.raises(ValueError, match="level 2 would hold"):
+        ComplexitySchedule(eps=geometric_eps(3),
+                           f=RateFunction.table([(5, 3), (25, 3)]), K=2,
+                           linear_coeff=Fraction(1, 10))
+    # ... and a zero rate empties level 1 (f_1 = f_0 = 0).
+    with pytest.raises(ValueError, match="level 1 would hold"):
+        ComplexitySchedule(eps=geometric_eps(2),
+                           f=RateFunction.table([(1, 0)]), K=1,
+                           linear_coeff=0)
 
 
 def test_non_integer_rate_values_are_ceiled():

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paclab.concepts import (AtomLabeling, GridUnion, IntervalUnion,
-                             OrderIntervalFamily, SontagConcept, SontagFamily)
+from paclab.concepts import (AtomLabeling, EnumerationCapError, GridUnion,
+                             IntervalUnion, OrderIntervalFamily, SontagConcept,
+                             SontagFamily)
 from paclab.construction import ComplexitySchedule, RateFunction, build_measure
 from paclab.learner import (LabeledSample, empirical_risk, erm_learn,
                             estimate_sample_complexity, gc_deviation,
@@ -315,13 +316,13 @@ def test_estimate_cap_status():
 def test_estimator_memory_guard_raises_before_allocating():
     import tracemalloc
 
-    from paclab.learner import MAX_EPISODE_CELLS, EpisodeMemoryError
+    from paclab.learner import MAX_EPISODE_CELLS
     inst = small_instance(K=1, degree=1)
     trials = 10 ** 7
     assert trials * len(inst.measure()) > MAX_EPISODE_CELLS
     tracemalloc.start()
     try:
-        with pytest.raises(EpisodeMemoryError):
+        with pytest.raises(EnumerationCapError):
             estimate_sample_complexity(inst, 0.1, 0.1, trials=trials)
         _, peak = tracemalloc.get_traced_memory()
     finally:
