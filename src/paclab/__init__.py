@@ -20,7 +20,7 @@ from .construction import (ComplexityProfile, ComplexitySchedule,
                            ConstructedInstance, RateFunction, build_measure,
                            theoretical_profile)
 from .learner import (ComplexityEstimate, LabeledSample, erm_learn,
-                      estimate_sample_complexity, gc_deviation, true_error)
+                      estimate_sample_complexity, gc_deviation)
 from .measures import (Atom, AtomicMeasure, CantorMeasure, UniformMeasure,
                        cantor_level_intervals, expect_indicator,
                        measure_from_json)

@@ -10,9 +10,10 @@ re-running a manifest reproduces byte-identical CSVs.
 Exit codes: 0 ok, 2 config error (a schedule leaving a level without atoms
 among them), 3 budget exceeded (a search budget or sample-size cap with
 --strict; an enumeration cap, the instance's atom cap, the cantor search
-caps, the hamming packing bound's cap, the figures' cantor level cap, a
-packing shortfall or the estimator's memory cap always), 4 internal error or
-invariant violation (traceback on stderr).
+caps, the cantor run's cap on the grid cells its searches span
+(``concepts.MAX_CANTOR_CELLS``), the hamming packing bound's cap, the
+figures' cantor level cap, a packing shortfall or the estimator's memory
+cap always), 4 internal error or invariant violation (traceback on stderr).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import json
 import platform
 import sys
 import traceback
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -260,19 +262,22 @@ def run_cantor(config, out_dir, seed):
             f"cantor level {level} or an order in {orders} is beyond the "
             f"search caps (level <= {concepts.MAX_SHATTER_LEVEL}, "
             f"order <= {concepts.MAX_SHATTER_ORDER})")
-    if config.get("subsets", "all") == "all":
+    all_subsets = config.get("subsets", "all") == "all"
+    index_sets = None if all_subsets else get("subsets", Field("list", of=Field(
+        "list", of=Field("int", least=1, most=2 ** level))))
+    # Each search counts its order plus 64 cells for its fixed cost.
+    cells = ((2 ** 2 ** level if all_subsets else len(index_sets))
+             * sum(order + 64 for order in orders))
+    if cells > concepts.MAX_CANTOR_CELLS:
+        raise EnumerationCapError(f"cantor run spans {cells} grid cells, "
+                                  f"beyond {concepts.MAX_CANTOR_CELLS}")
+    if all_subsets:
         index_sets = [[j + 1 for j in range(2 ** level) if (mask >> j) & 1]
                       for mask in range(2 ** (2 ** level))]
-    else:
-        index_sets = get("subsets", Field("list", of=Field("list", of=Field(
-            "int", least=1, most=2 ** level))))
-    layout = [[str(lo), str(hi)]
-              for lo, hi in measures.cantor_level_intervals(level)]
-    reports = []
-    for order in orders:
-        for js in index_sets:
-            rep = concepts.cantor_shatter_search(level, order, js)
-            reports.append(rep.to_json())
+    layout = [[str(Fraction(a, 3 ** level)), str(Fraction(a + 1, 3 ** level))]
+              for a in measures.cantor_level_intervals(level)]
+    reports = [concepts.cantor_shatter_search(level, order, js).to_json()
+               for order in orders for js in index_sets]
     _write_json(out_dir / "cantor.json",
                 {"level": level, "intervals": layout, "reports": reports})
     return ["cantor.json"]
@@ -300,10 +305,10 @@ def run_figures(config, out_dir, seed):
     bits = sontag.output_labels(xs, w).astype(int)
     _write_csv(out_dir / "binary_output.csv", ["x", "y"],
                zip(xs.tolist(), bits.tolist()))
-    rows = []
-    for level in range(cantor_levels + 1):
-        for i, (a, b) in enumerate(measures.cantor_level_intervals(level)):
-            rows.append([level, i, float(a), float(b)])
+    # Int true division rounds correctly, as float(Fraction) does.
+    rows = [[level, i, a / 3 ** level, (a + 1) / 3 ** level]
+            for level in range(cantor_levels + 1)
+            for i, a in enumerate(measures.cantor_level_intervals(level))]
     _write_csv(out_dir / "cantor_levels.csv", ["level", "index", "lo", "hi"],
                rows)
     return ["activation.csv", "composition.csv", "binary_output.csv",

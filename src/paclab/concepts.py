@@ -32,6 +32,9 @@ from .measures import (AtomicMeasure, CantorMeasure, EnumerationCapError,
 ENUMERATION_CAP = 10 ** 7
 MAX_SHATTER_LEVEL = 4
 MAX_SHATTER_ORDER = 10 ** 4
+# The most grid cells a ``cantor`` run may span, each search counting its
+# order plus 64 for its fixed cost: 10 s and 512 MB at the edge (README).
+MAX_CANTOR_CELLS = 5 * 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -293,18 +296,6 @@ def enumerate_order_class(n):
     return gen()
 
 
-def validate_order_member(concept, n=None):
-    """Structural check: grid cells of the stated order, distinct, and
-    strictly fewer than sqrt(order) of them."""
-    if not isinstance(concept, GridUnion):
-        raise TypeError("order-class members are grid-cell unions")
-    if n is not None and concept.order != n:
-        raise ValueError(f"expected order {n}, got {concept.order}")
-    k = len(concept.cells)
-    if k * k >= concept.order:
-        raise ValueError(f"{k} cells is not fewer than sqrt({concept.order})")
-
-
 def isolate_points(points):
     """Smallest valid order isolating the points, with the covering union.
 
@@ -382,21 +373,24 @@ def cantor_shatter_search(level, order, selected):
             f"caps (level <= {MAX_SHATTER_LEVEL}, order <= {MAX_SHATTER_ORDER})")
     if any(not 1 <= j <= 2 ** level for j in selected):
         raise ValueError("selected indices must lie in 1..2^level")
-    ivs = cantor_level_intervals(level)
-    chosen = [ivs[j - 1] for j in selected]
-    avoided = [ivs[j - 1] for j in range(1, 2 ** level + 1) if j not in selected]
+    # Level interval a is [a, a + 1] / den and cell i is [i, i + 1] / order.
+    den = 3 ** level
+    lefts = cantor_level_intervals(level)
+    chosen = [lefts[j - 1] for j in selected]
+    avoided = [a for j, a in enumerate(lefts, 1) if j not in selected]
 
-    # Cell i's interior meets [a, b] exactly when a * order - 1 < i < b * order.
-    forced = tuple(sorted({i for a, b in chosen for i in range(
-        math.floor(a * order), math.ceil(b * order))}))
-
+    # Forced: the cells whose interior meets a chosen interval a, that is
+    #   a * order < (i + 1) * den and i * den < (a + 1) * order.
+    # Clashing: the closed cells that meet an avoided one, the same with <=.
+    forced = tuple(sorted({i for a in chosen for i in range(
+        a * order // den, -(-(a + 1) * order // den))}))
+    clashing = {i for b in avoided for i in range(
+        -(-b * order // den) - 1, (b + 1) * order // den + 1)}
     for i in forced:
-        cell_lo, cell_hi = Fraction(i, order), Fraction(i + 1, order)
-        for a, b in avoided:
-            if cell_lo <= b and a <= cell_hi:
-                return CantorShatterReport(
-                    level, order, selected, "infeasible", None, forced,
-                    f"forced cell {i} meets an unselected level interval")
+        if i in clashing:
+            return CantorShatterReport(
+                level, order, selected, "infeasible", None, forced,
+                f"forced cell {i} meets an unselected level interval")
     k = len(forced)
     if k * k >= order:
         return CantorShatterReport(
@@ -404,10 +398,10 @@ def cantor_shatter_search(level, order, selected):
             f"minimal cover needs {k} cells, and {k}^2 >= {order}")
 
     witness = GridUnion(order, forced)
-    merged = canonicalize([(Fraction(i, order), Fraction(i + 1, order))
-                           for i in forced])
-    for a, b in chosen:
-        if not any(lo <= a and b <= hi for lo, hi in merged):
+    runs = canonicalize([(i, i + 1) for i in forced])
+    for a in chosen:
+        if not any(lo * den <= a * order and (a + 1) * order <= hi * den
+                   for lo, hi in runs):
             raise AssertionError("witness fails exact containment check")
     return CantorShatterReport(level, order, selected, "feasible", witness,
                                forced, "forced cells form a valid union")

@@ -1,9 +1,9 @@
 """Closed-interval set algebra for the exact expectation and distance paths.
 
 Interval lists are kept canonical: sorted, non-overlapping, merged at
-touching endpoints.  Endpoints may be floats or Fractions; all operations
-but the vectorised membership test and count are pure comparisons and
-additions, so exact endpoint types stay exact.
+touching endpoints.  Endpoints may be floats, ints or Fractions; all
+operations but the vectorised membership test and count are pure
+comparisons and additions, so exact endpoint types stay exact.
 
 Set operations treat intervals as closed.  Results agree with true set
 algebra up to finitely many boundary points, which carry zero mass under

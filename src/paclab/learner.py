@@ -89,14 +89,6 @@ def empirical_risk(hypothesis, sample):
     return wrong / len(sample.points)
 
 
-def true_error(hypothesis, target, measure):
-    """Exact L1(mu) risk: mass of atoms where hypothesis and target disagree."""
-    if not isinstance(measure, AtomicMeasure):
-        raise TypeError("true_error is exact only over atomic measures")
-    return measure.mass(measure.memberships(hypothesis)
-                        != measure.memberships(target))
-
-
 def wilson_interval(successes, trials):
     """Wilson 95% score interval for a binomial proportion."""
     z = _WILSON_Z

@@ -252,16 +252,14 @@ class UniformMeasure:
 
 
 # The most levels ``figures`` lists, for a budget of 10 s and 512 MB: levels
-# 0-18 took 5.7-7.6 s and 210 MB on 2 vCPUs, levels 0-19 17 s and 386 MB.
+# 0-18 took 4.2-4.8 s and 144 MB on 2 vCPUs, levels 0-19 7.9 s and 255 MB.
 MAX_CANTOR_LEVELS = 18
 
 
 def cantor_level_intervals(n):
-    """The 2**n closed intervals left after n middle-third deletions.
-
-    Returned in increasing order as (lo, hi) Fraction pairs, each of length
-    3**-n and each carrying mass 2**-n under the Haar measure.
-    """
+    """The 2**n closed intervals left after n middle-third deletions, as
+    their integer left ends a in increasing order: each is [a, a + 1] / 3**n,
+    of mass 2**-n under the Haar measure."""
     n = int(n)
     if n < 0:
         raise ValueError("level must be >= 0")
@@ -269,18 +267,17 @@ def cantor_level_intervals(n):
     nums = [0]
     for _ in range(n):
         nums = [c for a in nums for c in (3 * a, 3 * a + 2)]
-    den = 3 ** n
-    return [(Fraction(a, den), Fraction(a + 1, den)) for a in nums]
+    return nums
 
 
-def _cantor_cdf_units(x):
-    # The Cantor function at x in [0, 1] in units of 2**-(D + 1), D =
-    # _EXACT_MASS_DEPTH: x's ternary digits with 2 read as a binary 1, up to
-    # the first ternary 1, where the function is flat.  Without a 1, x lies
-    # in a depth-D Cantor cell: exact at its left end, mid-cell elsewhere.
-    if x >= 1:
+def _cantor_cdf_units(num, den):
+    # The Cantor function at num / den in [0, 1] in units of 2**-(D + 1), D =
+    # _EXACT_MASS_DEPTH: its ternary digits with 2 read as a binary 1, up to
+    # the first ternary 1, where it is flat.  Without a 1, the point lies in
+    # a depth-D Cantor cell: exact at its left end, mid-cell elsewhere.
+    if num >= den:
         return 2 ** (_EXACT_MASS_DEPTH + 1)
-    cell, rest = divmod(x.numerator * 3 ** _EXACT_MASS_DEPTH, x.denominator)
+    cell, rest = divmod(num * 3 ** _EXACT_MASS_DEPTH, den)
     units = 0
     for i in range(_EXACT_MASS_DEPTH - 1, -1, -1):
         digit, cell = divmod(cell, 3 ** i)
@@ -297,11 +294,12 @@ def cantor_interval_mass(intervals):
     An endpoint inside a depth ``_EXACT_MASS_DEPTH`` cell is placed
     mid-cell, leaving an error below 1e-17 per interval endpoint.
     """
-    ivs = canonicalize([(Fraction(lo), Fraction(hi)) for lo, hi in intervals])
-    ivs = clip(ivs, Fraction(0), Fraction(1))
     units = 0
-    for lo, hi in ivs:
-        units += _cantor_cdf_units(hi) - _cantor_cdf_units(lo)
+    for piece in clip(canonicalize(intervals), 0, 1):
+        # numpy's ints lack as_integer_ratio() and read as ints.
+        lo, hi = (x.as_integer_ratio() if hasattr(x, "as_integer_ratio")
+                  else (operator.index(x), 1) for x in piece)
+        units += _cantor_cdf_units(*hi) - _cantor_cdf_units(*lo)
     return float(Fraction(units, 2 ** (_EXACT_MASS_DEPTH + 1)))
 
 

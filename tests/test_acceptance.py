@@ -17,8 +17,7 @@ from paclab.concepts import (SontagConcept, cantor_shatter_search,
                              l1_distance)
 from paclab.construction import (ComplexitySchedule, build_measure,
                                  theoretical_profile)
-from paclab.learner import (estimate_sample_complexity, gc_deviation,
-                            true_error)
+from paclab.learner import estimate_sample_complexity, gc_deviation
 from paclab.measures import AtomicMeasure, UniformMeasure, expect_indicator
 from paclab.concepts import AtomLabeling, IntervalUnion, SontagFamily
 from paclab.sontag import (output_labels, phi, rationally_independent_points,
@@ -227,7 +226,7 @@ def test_criterion_10_oracle_identities():
         brute_err = brute_mass(m, lambda x: h.contains(x) != t.contains(x))
         brute_exp = brute_mass(m, c.contains)
         brute_l1 = brute_mass(m, lambda x: c.contains(x) != t.contains(x))
-        ok = ok and true_error(h, t, m) == brute_err
+        ok = ok and l1_distance(h, t, m) == brute_err
         ok = ok and expect_indicator(m, c) == brute_exp
         ok = ok and l1_distance(c, t, m) == brute_l1
     from paclab.bounds import greedy_cover

@@ -501,6 +501,8 @@ BAD_CONFIGS = [
     (3, "cantor", {"level": 5, "orders": [3], "subsets": [[1]]}),
     (3, "cantor", {"level": 1, "orders": [3, 10001], "subsets": [[1]]}),
     (3, "figures", {"cantor_levels": 19}),
+    # All 65,536 subsets at order 10^4 span 659,554,304 grid cells.
+    (3, "cantor", {"level": 4, "orders": [10000]}),
 ]
 
 WORK = [(sontag, "rationally_independent_points"), (sontag, "shatter_search"),

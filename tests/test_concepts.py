@@ -11,7 +11,7 @@ from paclab.concepts import (AtomLabeling, EnumerationCapError, GridUnion,
                              cantor_shatter_search, concept_from_json,
                              enumerate_order_class, isolate_points,
                              l1_distance, max_interval_count,
-                             middle_third_bounds, validate_order_member)
+                             middle_third_bounds)
 from paclab.intervals import intersect, total_length
 from paclab.measures import (AtomicMeasure, CantorMeasure, UniformMeasure,
                              expect_indicator, window_intervals)
@@ -249,7 +249,7 @@ def test_enumeration_counts():
 
 def test_enumeration_members_are_structurally_valid():
     for concept in enumerate_order_class(9):
-        validate_order_member(concept, 9)
+        assert concept.order == 9 and len(concept.cells) ** 2 < 9
     first = next(iter(enumerate_order_class(4)))
     assert first.cells == ()
 
@@ -285,7 +285,7 @@ def test_isolate_points_contract(grid):
     assert n > k * k
     for p in pts:
         assert int(concept.contains(p)) == 1
-    validate_order_member(concept, n)
+    assert concept.order == n and len(concept.cells) ** 2 < n
     lebesgue = expect_indicator(UniformMeasure(0.0, 1.0), concept)
     assert lebesgue <= n ** -0.5 + 1e-12
     if k > 1:
@@ -347,6 +347,69 @@ def _covers(cells, a, b):
         if cursor >= b:
             return True
     return cursor >= b
+
+
+def _fraction_level_intervals(level):
+    # The middle-third construction in Fractions, one deletion per level.
+    ivs = [(Fraction(0), Fraction(1))]
+    for _ in range(level):
+        ivs = [piece for lo, hi in ivs for piece in (
+            (lo, lo + (hi - lo) / 3), (hi - (hi - lo) / 3, hi))]
+    return ivs
+
+
+def _cell_relations(level, order):
+    # For each level interval, every cell [i, i + 1] / order decided against
+    # it in Fractions, left to right up to the first cell past it: the
+    # closed cells that meet it, and the cells whose interior meets it.
+    touch, inner = [], []
+    for lo, hi in _fraction_level_intervals(level):
+        lo, hi = lo * order, hi * order
+        cells = []
+        for i in range(order):
+            if lo <= i + 1:
+                if i > hi:
+                    break
+                cells.append(i)
+        touch.append(set(cells))
+        inner.append({i for i in cells if lo < i + 1 and i < hi})
+    return touch, inner
+
+
+def _check_against_oracle(level, order, subsets):
+    # Status, forced cells, first clashing cell and witness cells.
+    touch, inner = _cell_relations(level, order)
+    for selected in subsets:
+        forced = sorted(set().union(*(inner[j - 1] for j in selected)))
+        clash = set().union(*(cells for j, cells in enumerate(touch, start=1)
+                              if j not in selected))
+        first = next((i for i in forced if i in clash), None)
+        feasible = first is None and len(forced) ** 2 < order
+        rep = cantor_shatter_search(level, order, selected)
+        same = (rep.status == ("feasible" if feasible else "infeasible")
+                and list(rep.forced_cells) == forced
+                and (first is None or rep.reason == f"forced cell {first} "
+                     "meets an unselected level interval")
+                and (rep.witness.cells if feasible else rep.witness)
+                == (tuple(forced) if feasible else None))
+        assert same, rep
+
+
+def test_cantor_shatter_matches_fraction_oracle_at_levels_0_to_3():
+    for level in range(4):
+        subsets = [[j + 1 for j in range(2 ** level) if mask >> j & 1]
+                   for mask in range(2 ** 2 ** level)]
+        for order in (*range(1, 131), 243, 729, 2187, 6561, 10 ** 4):
+            _check_against_oracle(level, order, subsets)
+
+
+def test_cantor_shatter_matches_fraction_oracle_at_level_4():
+    rng = np.random.default_rng(44)
+    for order in (80, 81, 82, 100, 162, 243, 1000, 10 ** 4):
+        masks = rng.integers(0, 2 ** 16, size=12)
+        _check_against_oracle(4, order, [
+            [j + 1 for j in range(16) if int(mask) >> j & 1]
+            for mask in masks])
 
 
 def test_cantor_shatter_caps_raise():

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from paclab.concepts import (AtomLabeling, EnumerationCapError, GridUnion,
                              IntervalUnion, OrderIntervalFamily, SontagConcept,
-                             SontagFamily)
+                             SontagFamily, l1_distance)
 from paclab.construction import ComplexitySchedule, RateFunction, build_measure
 from paclab.learner import (LabeledSample, empirical_risk, erm_learn,
                             estimate_sample_complexity, gc_deviation,
-                            true_error, wilson_interval)
+                            wilson_interval)
 from paclab.measures import AtomicMeasure, UniformMeasure, expect_indicator
 
 TWO_PI = 2.0 * math.pi
@@ -65,15 +65,15 @@ def test_erm_consistent_sample_has_zero_empirical_risk_and_bounded_error():
         for a in m.atoms:
             if a.location not in set(points):
                 unseen_mass += a.mass
-        assert true_error(h, target, m) <= unseen_mass
+        assert l1_distance(h, target, m) <= unseen_mass
 
 
 def test_true_error_examples_and_brute_force():
     m = AtomicMeasure.uniform_on([float(i) for i in range(5)])
     target = AtomLabeling.for_measure(m, (1, 1, 1, 1, 1))
     zeros = AtomLabeling.for_measure(m, (0, 0, 0, 0, 0))
-    assert true_error(zeros, target, m) == 1.0
-    assert true_error(target, target, m) == 0.0
+    assert l1_distance(zeros, target, m) == 1.0
+    assert l1_distance(target, target, m) == 0.0
     rng = np.random.default_rng(23)
     for _ in range(50):
         h = AtomLabeling.for_measure(m, [int(b) for b in rng.integers(0, 2, 5)])
@@ -82,14 +82,14 @@ def test_true_error_examples_and_brute_force():
         for atom in m.atoms:
             if h.contains(atom.location) != t.contains(atom.location):
                 brute += atom.mass
-        assert true_error(h, t, m) == brute
+        assert l1_distance(h, t, m) == brute
 
 
 def test_true_error_single_atom_disagreement():
     m = AtomicMeasure.from_pairs([(0.0, 0.992), (1.0, 0.008)])
     h = AtomLabeling.for_measure(m, (0, 0))
     t = AtomLabeling.for_measure(m, (0, 1))
-    assert true_error(h, t, m) == 0.008
+    assert l1_distance(h, t, m) == 0.008
 
 
 def _stream(measure, free, trials, n, seed):
@@ -123,7 +123,7 @@ def test_vectorized_episodes_match_erm_learn():
             labels = tuple(int(target.contains(p)) for p in points)
             h = erm_learn(LabeledSample(points, labels), measure)
             assert empirical_risk(h, LabeledSample(points, labels)) == 0.0
-            assert (true_error(h, target, measure) > eps) == (times[t] > n)
+            assert (l1_distance(h, target, measure) > eps) == (times[t] > n)
 
 
 def _reference_times(measure, free, eps, trials, n, seed):

@@ -342,8 +342,9 @@ def test_cantor_expectation_exact_on_intervals():
     c = CantorMeasure()
     left_half = IntervalUnion(((Fraction(0), Fraction(1, 3)),))
     assert expect_indicator(c, left_half) == 0.5
-    for lo, hi in cantor_level_intervals(3):
-        assert cantor_interval_mass([(lo, hi)]) == 0.125
+    for a in cantor_level_intervals(3):
+        assert cantor_interval_mass([(Fraction(a, 27), Fraction(a + 1, 27))]) \
+            == 0.125
     assert cantor_interval_mass([(Fraction(1, 3), Fraction(2, 3))]) == 0.0
 
 
@@ -426,17 +427,31 @@ def test_cantor_mass_inside_one_deep_cell():
     assert cantor_interval_mass([(-1.0, 2.0)]) == 1.0
 
 
+def test_cantor_mass_reads_every_numeric_endpoint_type():
+    # numpy's int64 has no as_integer_ratio(); it reads as an int.
+    cases = [[(0, 1)], [(-2, 0), (1, 3)], [(0.1, 0.7)],
+             [(Fraction(1, 9), Fraction(7, 9))], [(True, 2)],
+             [(np.float64(0.25), np.float64(0.75))],
+             [(np.int64(0), np.int64(1))],
+             [(np.int64(0), 0.5), (Fraction(2, 3), np.float64(0.9))],
+             [(np.int64(-3), Fraction(1, 27)), (0.5, np.int64(7))]]
+    for ivs in cases:
+        assert cantor_interval_mass(ivs) == recursive_cantor_mass(ivs), ivs
+    # Ends beyond [0, 1] are clipped, an infinite one too, and a pair with
+    # a NaN end is empty, as under the uniform measure.
+    assert cantor_interval_mass([(-math.inf, math.inf)]) == 1.0
+    assert cantor_interval_mass([(math.nan, 0.5), (0, Fraction(1, 3))]) == 0.5
+
+
 def test_cantor_level_intervals_examples():
-    assert cantor_level_intervals(0) == [(Fraction(0), Fraction(1))]
-    assert cantor_level_intervals(1) == [(Fraction(0), Fraction(1, 3)),
-                                         (Fraction(2, 3), Fraction(1))]
-    assert cantor_level_intervals(2) == [
-        (Fraction(0), Fraction(1, 9)), (Fraction(2, 9), Fraction(1, 3)),
-        (Fraction(2, 3), Fraction(7, 9)), (Fraction(8, 9), Fraction(1))]
+    assert cantor_level_intervals(0) == [0]
+    assert cantor_level_intervals(1) == [0, 2]
+    assert cantor_level_intervals(2) == [0, 2, 6, 8]
     for n in range(5):
-        ivs = cantor_level_intervals(n)
-        assert len(ivs) == 2 ** n
-        assert all(hi - lo == Fraction(1, 3 ** n) for lo, hi in ivs)
+        lefts = cantor_level_intervals(n)
+        assert len(lefts) == 2 ** n
+        assert all(type(a) is int for a in lefts)
+        assert all(b - a >= 2 for a, b in zip(lefts, lefts[1:]))
 
 
 def _digit_level_intervals(n):
@@ -455,7 +470,19 @@ def _digit_level_intervals(n):
 
 def test_cantor_level_intervals_match_the_digit_formula():
     for n in range(13):
-        assert cantor_level_intervals(n) == _digit_level_intervals(n)
+        den = 3 ** n
+        ends = [(Fraction(a, den), Fraction(a + 1, den))
+                for a in cantor_level_intervals(n)]
+        assert ends == _digit_level_intervals(n)
+
+
+def test_figures_ends_are_the_floats_of_the_exact_ends():
+    # ``figures`` writes a / 3**n and (a + 1) / 3**n.
+    for n in range(15):
+        den = 3 ** n
+        for a in cantor_level_intervals(n):
+            assert a / den == float(Fraction(a, den))
+            assert (a + 1) / den == float(Fraction(a + 1, den))
 
 
 def test_empirical_means_converge_to_expectations():
