@@ -150,7 +150,7 @@ class AtomLabeling:
 
     @classmethod
     def for_measure(cls, measure, bits, default_bit=0):
-        return cls(tuple(a.location for a in measure.atoms), tuple(bits), default_bit)
+        return cls(tuple(measure.locations.tolist()), tuple(bits), default_bit)
 
     def contains(self, x):
         return bool(self._index.get(x, self.default_bit))

@@ -24,7 +24,7 @@ import numpy as np
 from . import sontag
 from .bounds import bi_upper_from_log2, greedy_packing_memberships
 from .concepts import EnumerationCapError
-from .measures import (AtomicMeasure, Atom, Field, _as_fraction, read_fields,
+from .measures import (AtomicMeasure, Field, _as_fraction, read_fields,
                        read_kind)
 
 PACKING_LOWER_RATE = 0.0128  # 2 * (0.5 - 0.42)^2, the cube-packing constant
@@ -209,14 +209,13 @@ class ConstructedInstance:
         """The instance as an atomic measure with exact masses, built on
         the first call and shared after it."""
         if self._measure is None:
-            atoms = []
-            for lvl in self.levels:
-                exact = lvl.mass_exact / lvl.size
-                mass = float(exact)
-                atoms.extend(Atom(loc, mass, exact) for loc in lvl.locations)
-            atoms.append(Atom(self.residual_location, self.residual_mass,
-                              self.residual_mass_exact))
-            object.__setattr__(self, "_measure", AtomicMeasure(atoms))
+            runs = [(lvl.size, lvl.mass_exact / lvl.size) for lvl in self.levels]
+            runs.append((1, self.residual_mass_exact))
+            locations = [x for lvl in self.levels for x in lvl.locations]
+            masses = np.repeat([float(exact) for _, exact in runs],
+                               [count for count, _ in runs])
+            object.__setattr__(self, "_measure", AtomicMeasure(
+                locations + [self.residual_location], masses, runs))
         return self._measure
 
     def to_json(self):

@@ -67,9 +67,9 @@ def erm_learn(sample, universe):
     """
     if not isinstance(universe, AtomicMeasure):
         raise TypeError("the learner needs an atomic universe")
-    index = {a.location: i for i, a in enumerate(universe.atoms)}
-    ones = [0] * len(universe.atoms)
-    seen = [0] * len(universe.atoms)
+    index = {x: i for i, x in enumerate(universe.locations.tolist())}
+    ones = [0] * len(universe)
+    seen = [0] * len(universe)
     for point, label in zip(sample.points, sample.labels):
         i = index.get(float(point))
         if i is None:
@@ -137,7 +137,7 @@ def _universe_arrays(universe):
     if isinstance(universe, ConstructedInstance):
         return universe.measure(), sum(lvl.size for lvl in universe.levels)
     if isinstance(universe, AtomicMeasure):
-        return universe, len(universe.atoms)
+        return universe, len(universe)
     raise TypeError("universe must be a ConstructedInstance or AtomicMeasure")
 
 
@@ -208,15 +208,19 @@ def _hitting_times(measure, free_atoms, eps, trials, seed, allowed=0,
         draw, trial = np.divmod(np.flatnonzero(wanted), trials)
         cells = trial * atoms + measure.indices_of(u[draw, trial])
         new = flat[cells]
-        # The first draw in this block of each (trial, atom) still missed,
-        # in (trial, draw) order.
-        cells, first = np.unique(cells[new], return_index=True)
+        # The first draw in this block of each (trial, atom) still missed:
+        # each cell's first sorted cell * width + draw key, re-sorted as
+        # (trial * width + draw) * atoms + atom.  Keys stay below 2**35:
+        # MAX_EPISODE_CELLS times width <= _EPISODE_DRAWS / 100 (>= 100 trials).
+        cells, draw = np.divmod(np.sort(cells[new] * width + draw[new]), width)
+        first = np.diff(cells, prepend=-1) != 0
+        cells, draw = cells[first], draw[first]
         flat[cells] = False
-        draw, trial = draw[new][first], trial[new][first]
-        order = np.lexsort((draw, trial))
-        draw, trial, cells = draw[order], trial[order], cells[order]
-        gains = units[cells % atoms]
-        missing -= np.bincount(cells % atoms, minlength=atoms)
+        rest, atom = np.divmod(np.sort(
+            (cells // atoms * width + draw) * atoms + cells % atoms), atoms)
+        trial, draw = np.divmod(rest, width)
+        gains = units[atom]
+        missing -= np.bincount(atom, minlength=atoms)
         # Units removed so far within each trial's run of draws.
         spent = np.cumsum(gains)
         starts = np.flatnonzero(np.diff(trial, prepend=-1))
@@ -255,10 +259,10 @@ def estimate_sample_complexity(universe, eps, delta, trials=400, seed=0,
     if trials < 100:
         raise ValueError("need at least 100 trials")
     measure, free_atoms = _universe_arrays(universe)
-    cells = trials * len(measure.atoms)
+    cells = trials * len(measure)
     if cells > MAX_EPISODE_CELLS:
         raise EnumerationCapError(
-            f"{trials} trials x {len(measure.atoms)} atoms = {cells} episode "
+            f"{trials} trials x {len(measure)} atoms = {cells} episode "
             f"cells exceed the cap of {MAX_EPISODE_CELLS}")
     allowed = int(delta * trials) + 1
     while allowed / trials > delta:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +28,8 @@ from .intervals import canonicalize, clip, total_length
 MASS_TOLERANCE = 1e-12
 DEFAULT_TERNARY_DEPTH = 40
 _EXACT_MASS_DEPTH = 60
-# Sampling buckets: about 64 per atom, between 2**4 and 2**20.
+_POWERS_OF_3 = tuple(3 ** i for i in range(_EXACT_MASS_DEPTH + 1))
+# Sampling buckets: about 16 per atom, between 2**4 and 2**20.
 _MIN_BUCKET_BITS = 4
 _MAX_BUCKET_BITS = 20
 
@@ -46,69 +47,75 @@ def _as_fraction(value):
 
 @dataclass(frozen=True)
 class Atom:
-    """A point mass: location on the real line, mass in (0, 1].
-
-    ``exact``, when given, is the mass as a rational whose float is
-    ``mass``; without it the mass is read as the decimal literal it prints
-    as.
-    """
+    """A point mass: location on the real line, mass in (0, 1]."""
 
     location: float
     mass: float
-    exact: Fraction | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not (0.0 < self.mass <= 1.0):
             raise ValueError(f"atom mass must lie in (0, 1], got {self.mass}")
         if not math.isfinite(self.location):
             raise ValueError("atom location must be finite")
-        if self.exact is not None and float(self.exact) != self.mass:
-            raise ValueError(f"exact mass {self.exact} does not round to "
-                             f"{self.mass!r}")
 
 
 class AtomicMeasure:
     """A purely atomic probability measure: finitely many point masses.
 
-    Atoms are stored in strictly increasing location order; masses must sum
-    to 1 within ``MASS_TOLERANCE``.
+    Stored as float arrays: ``locations`` strictly increasing, ``masses``
+    summing to 1 within ``MASS_TOLERANCE``.  ``runs`` lists the exact
+    masses as (count, Fraction) pairs, one per run of equal masses in the
+    order given; without it each mass is read as the decimal it prints as.
     """
 
     kind = "atomic"
 
-    def __init__(self, atoms):
-        atoms = tuple(sorted((a if isinstance(a, Atom) else Atom(*a) for a in atoms),
-                             key=lambda a: a.location))
-        if not atoms:
-            raise ValueError("an atomic measure needs at least one atom")
-        for prev, cur in zip(atoms, atoms[1:]):
-            if cur.location <= prev.location:
-                raise ValueError("atom locations must be pairwise distinct")
-        total = math.fsum(a.mass for a in atoms)
+    def __init__(self, locations, masses, runs=None):
+        locations = np.array(locations, dtype=float)
+        masses = np.array(masses, dtype=float)
+        if not len(locations) or masses.shape != locations.shape:
+            raise ValueError("an atomic measure needs at least one atom and "
+                             "one mass per location")
+        if not np.all(ok := (masses > 0.0) & (masses <= 1.0)):
+            raise ValueError(f"atom mass must lie in (0, 1], got "
+                             f"{masses[~ok][0]}")
+        if not np.isfinite(locations).all():
+            raise ValueError("atom locations must be finite")
+        if runs is not None and not np.array_equal(masses, np.repeat(
+                [float(f) for _, f in runs], [count for count, _ in runs])):
+            raise ValueError("the runs' exact masses do not round to masses")
+        order = np.argsort(locations, kind="stable")
+        self.locations, self.masses = locations[order], masses[order]
+        if np.any(np.diff(self.locations) <= 0.0):
+            raise ValueError("atom locations must be pairwise distinct")
+        total = math.fsum(self.masses.tolist())
         if abs(total - 1.0) > MASS_TOLERANCE:
             raise ValueError(f"atom masses sum to {total!r}, expected 1")
-        self.atoms = atoms
-        self.locations = np.array([a.location for a in atoms])
-        self.masses = np.array([a.mass for a in atoms])
+        self._runs = order, runs
         self._buckets = None
         self._units = None
 
     @classmethod
     def from_pairs(cls, pairs):
-        return cls([Atom(float(loc), float(mass)) for loc, mass in pairs])
+        pairs = np.array([(float(loc), float(mass)) for loc, mass in pairs])
+        return cls(*pairs.reshape(-1, 2).T)
 
     @classmethod
     def uniform_on(cls, locations):
-        locations = list(locations)
-        n = len(locations)
-        return cls([Atom(float(loc), 1.0 / n, Fraction(1, n))
-                     for loc in locations])
+        n = len(locations := np.array(locations, dtype=float))
+        # No atoms (n = 0) are refused by the constructor.
+        return cls(locations, np.full(n, 1.0) / n, [(n, Fraction(1, n or 1))])
+
+    @property
+    def atoms(self):
+        """The atoms as ``Atom`` values in location order, built per read."""
+        return tuple(map(Atom, self.locations.tolist(), self.masses.tolist()))
 
     def __len__(self):
-        return len(self.atoms)
+        return len(self.locations)
 
     def __repr__(self):
-        return f"AtomicMeasure({len(self.atoms)} atoms)"
+        return f"AtomicMeasure({len(self)} atoms)"
 
     def _bucket_table(self):
         # rng.choice's cdf, and for 2**bits equal buckets of [0, 1) the
@@ -122,7 +129,7 @@ class AtomicMeasure:
         if self._buckets is None:
             cdf = self.masses.cumsum()
             cdf /= cdf[-1]
-            bits = min(max((64 * len(cdf)).bit_length(), _MIN_BUCKET_BITS),
+            bits = min(max((16 * len(cdf)).bit_length(), _MIN_BUCKET_BITS),
                        _MAX_BUCKET_BITS)
             first = np.bincount(np.ceil(cdf * 2 ** bits).astype(np.intp),
                                 minlength=2 ** bits + 1).cumsum()
@@ -164,23 +171,27 @@ class AtomicMeasure:
         """The exact masses in integer units: (int64 per-atom units, their
         Python-int total U), atom i weighing units[i] / U.
 
-        Built once from each atom's exact mass over a common denominator,
+        Built once per run of equal exact masses over a common denominator,
         reduced by the units' gcd.  A measure whose units do not fit int64
         raises ``OverflowError``; there is no float fallback.
         """
         if self._units is None:
-            exact = [a.exact if a.exact is not None else _as_fraction(a.mass)
-                     for a in self.atoms]
+            order, runs = self._runs
+            if runs is None:  # one run per atom, already in atom order
+                order, runs = slice(None), [(1, _as_fraction(m))
+                                            for m in self.masses.tolist()]
+            counts, exact = zip(*runs)
             den = math.lcm(*(f.denominator for f in exact))
             nums = [f.numerator * (den // f.denominator) for f in exact]
             common = math.gcd(*nums)
             nums = [x // common for x in nums]
-            total = sum(nums)
+            total = sum(map(operator.mul, counts, nums))
             if total >= 2 ** 63:
                 raise OverflowError(
                     f"the exact masses of {self!r} need {total.bit_length()}"
                     "-bit units, more than int64 holds")
-            self._units = (np.array(nums, dtype=np.int64), total)
+            self._units = (np.repeat(np.array(nums, dtype=np.int64),
+                                     counts)[order], total)
         return self._units
 
     def membership_matrix(self, concepts):
@@ -204,9 +215,9 @@ class AtomicMeasure:
         Python 3.12, nor ``np.sum`` or ``@``, which reorder the additions.
         """
         total = 0.0
-        for atom, hit in zip(self.atoms, selected):
+        for mass, hit in zip(self.masses.tolist(), selected):
             if hit:
-                total += atom.mass
+                total += mass
         return total
 
     def expect_indicator(self, concept):
@@ -214,7 +225,7 @@ class AtomicMeasure:
 
     def to_json(self):
         return {"kind": "atomic",
-                "atoms": [[a.location, a.mass] for a in self.atoms]}
+                "atoms": np.stack([self.locations, self.masses], 1).tolist()}
 
 
 class UniformMeasure:
@@ -277,10 +288,10 @@ def _cantor_cdf_units(num, den):
     # a depth-D Cantor cell: exact at its left end, mid-cell elsewhere.
     if num >= den:
         return 2 ** (_EXACT_MASS_DEPTH + 1)
-    cell, rest = divmod(num * 3 ** _EXACT_MASS_DEPTH, den)
+    cell, rest = divmod(num * _POWERS_OF_3[_EXACT_MASS_DEPTH], den)
     units = 0
     for i in range(_EXACT_MASS_DEPTH - 1, -1, -1):
-        digit, cell = divmod(cell, 3 ** i)
+        digit, cell = divmod(cell, _POWERS_OF_3[i])
         if digit == 1:
             return units + (2 << i)
         units += digit << i

@@ -8,6 +8,7 @@ from paclab.bounds import FiniteFamily, greedy_cover, greedy_packing
 from paclab.concepts import AtomLabeling, l1_distance
 from paclab.construction import (ComplexitySchedule, RateFunction,
                                  build_measure, theoretical_profile)
+from paclab.measures import Atom
 
 
 def geometric_eps(count):
@@ -127,6 +128,37 @@ def test_instance_measure_is_built_once_with_exact_units():
              for _ in range(lvl.size)] + [inst.residual_mass_exact]
     assert [Fraction(int(u), total) for u in units] == exact
     assert measure.masses.tolist() == [float(f) for f in exact]
+
+
+def _atom_by_atom(inst):
+    # The instance's measure built one validated Atom at a time: the atoms
+    # sorted by location, then per-atom units over a common denominator,
+    # reduced by their gcd.
+    pairs = [(Atom(loc, float(lvl.mass_exact / lvl.size)),
+              lvl.mass_exact / lvl.size)
+             for lvl in inst.levels for loc in lvl.locations]
+    pairs.append((Atom(inst.residual_location, inst.residual_mass),
+                  inst.residual_mass_exact))
+    atoms, exact = zip(*sorted(pairs, key=lambda pair: pair[0].location))
+    assert all(float(f) == a.mass for a, f in zip(atoms, exact))
+    den = math.lcm(*(f.denominator for f in exact))
+    nums = [f.numerator * (den // f.denominator) for f in exact]
+    common = math.gcd(*nums)
+    return atoms, [x // common for x in nums]
+
+
+@pytest.mark.parametrize("K", [2, 3])
+def test_measure_build_matches_the_atom_by_atom_oracle(K):
+    inst = build_measure(ComplexitySchedule.default(K=K))
+    measure = inst.measure()
+    atoms, nums = _atom_by_atom(inst)
+    locations = np.array([a.location for a in atoms])
+    masses = np.array([a.mass for a in atoms])
+    assert measure.locations.tobytes() == locations.tobytes()
+    assert measure.masses.tobytes() == masses.tobytes()
+    units, total = measure.units()
+    assert units.tolist() == nums and total == sum(nums)
+    assert measure.atoms == atoms
 
 
 def test_empty_level_is_refused():

@@ -213,6 +213,39 @@ def test_hitting_times_match_sequential_fractions(cuts, picks, trials, seed):
     assert [None if t == NOT_HIT else int(t) for t in times] == expected
 
 
+def test_hitting_times_count_a_repeated_draw_once():
+    # A trial that draws a missed atom twice within one block loses its
+    # units once.  With 3 trials and 25 draws the blocks hold draws 0,
+    # 1-2, 3-6, 7-14 and 15-24.
+    from paclab.learner import NOT_HIT, _hitting_times
+    masses = [0.8, 0.1, 0.1]
+    measure = AtomicMeasure.from_pairs(enumerate(masses))
+    trials, n, eps = 3, 25, 0.05
+    blocks = [(0, 1), (1, 3), (3, 7), (7, 15), (15, 25)]
+    repeats = 0
+    for seed in range(10):
+        times, _ = _hitting_times(measure, 3, eps, trials, seed, n_cap=n)
+        times = [None if t == NOT_HIT else int(t) for t in times]
+        assert times == _sequential_times(masses, eps, trials, n, seed)
+        targets, idx = _stream(measure, 3, trials, n, seed)
+        for t in range(trials):
+            for a, b in blocks:
+                if a < (n if times[t] is None else times[t]):
+                    fresh = [x for x in idx[t, a:b]
+                             if targets[t, x] and x not in idx[t, :a]]
+                    repeats += len(fresh) > len(set(fresh))
+    assert repeats > 0
+
+
+def test_packed_first_draw_keys_fit_int64():
+    # The keys cell * width + draw and (trial * width + draw) * atoms +
+    # atom stay below trials * atoms * width: at most MAX_EPISODE_CELLS
+    # cells, and blocks of at most _EPISODE_DRAWS / 100 draws at the
+    # fewest trials the estimator takes.
+    from paclab.learner import _EPISODE_DRAWS, MAX_EPISODE_CELLS
+    assert MAX_EPISODE_CELLS * (_EPISODE_DRAWS // 100) <= 2 ** 35 < 2 ** 63
+
+
 def test_exact_error_equal_to_eps_is_not_a_failure():
     from paclab.learner import _hitting_times
     assert 0.1 + 0.2 > 0.3  # the float sum of the two light atoms

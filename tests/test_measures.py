@@ -64,6 +64,26 @@ def test_atomic_masses_sum_to_one(size, seed):
     assert abs(math.fsum(a.mass for a in m.atoms) - 1.0) <= 1e-12
 
 
+def test_run_path_validations():
+    half = Fraction(1, 2)
+    m = AtomicMeasure([1.0, 0.0], [0.5, 0.5], [(2, half)])
+    assert m.locations.tolist() == [0.0, 1.0]
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        AtomicMeasure([2.0, 2.0], [0.5, 0.5], [(2, half)])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            AtomicMeasure([0.0, bad], [0.5, 0.5], [(2, half)])
+    heavy = 0.5 + 2e-12  # its exact value rounds to it, but the sum is off
+    with pytest.raises(ValueError, match="sum to"):
+        AtomicMeasure([0.0, 1.0], [0.5, heavy],
+                      [(1, half), (1, Fraction(heavy))])
+    light = 0.5 + 5e-13  # off by less than MASS_TOLERANCE
+    AtomicMeasure([0.0, 1.0], [0.5, light],
+                  [(1, half), (1, Fraction(light))])
+    with pytest.raises(ValueError, match=r"\(0, 1\]"):
+        AtomicMeasure([0.0, 1.0], [0.0, 1.0])
+
+
 def test_uniform_measure_rejects_empty_interval():
     with pytest.raises(ValueError):
         UniformMeasure(1.0, 1.0)
@@ -88,9 +108,10 @@ def test_units_are_the_exact_masses():
     # uniform_on carries 1/n, though the float 1/3 reads 0.3333333333333333.
     units, total = AtomicMeasure.uniform_on([0.0, 1.0, 2.0]).units()
     assert units.tolist() == [1, 1, 1] and total == 3
+    # Runs follow the atoms as given, before the sort by location.
     exact = [Fraction(3, 7), Fraction(4, 7)]
-    m = AtomicMeasure([Atom(1.0, float(exact[1]), exact[1]),
-                       Atom(0.0, float(exact[0]), exact[0])])
+    m = AtomicMeasure([1.0, 0.0], [float(exact[1]), float(exact[0])],
+                      [(1, exact[1]), (1, exact[0])])
     assert m.units()[0].tolist() == [3, 4]
     assert m.masses.tolist() == [float(f) for f in exact]
 
@@ -102,9 +123,12 @@ def test_units_that_overflow_int64_raise():
 
 
 def test_atom_exact_mass_must_round_to_its_float():
-    Atom(0.0, 1 / 3, Fraction(1, 3))
-    with pytest.raises(ValueError):
-        Atom(0.0, 0.3, Fraction(1, 3))
+    third = [(3, Fraction(1, 3))]
+    AtomicMeasure([0.0, 1.0, 2.0], [1 / 3] * 3, third)
+    with pytest.raises(ValueError, match="do not round"):
+        AtomicMeasure([0.0, 1.0, 2.0], [0.3, 0.3, 0.4], third)
+    with pytest.raises(ValueError, match="do not round"):  # too few atoms
+        AtomicMeasure([0.0, 1.0], [0.5, 0.5], [(1, Fraction(1, 2))])
 
 
 def test_sampling_is_reproducible_and_seed_sensitive():
