@@ -188,10 +188,10 @@ def _hitting_times(measure, free_atoms, eps, trials, seed, allowed=0,
                             count=trials)
     times = np.where(remaining <= threshold, 0, NOT_HIT)
     running = times == NOT_HIT
-    # Per atom, how many running trials still miss it: draws of other
-    # atoms change nothing and are never looked up.
-    missing = (np.count_nonzero(missed, axis=0)
-               - np.count_nonzero(missed[~running], axis=0))
+    # Per atom, how many trials still miss it, stopped trials included: an
+    # over-count that only widens the span of draws looked up, since draws
+    # of atoms no running trial misses change nothing.
+    missing = np.count_nonzero(missed, axis=0)
     flat = missed.reshape(-1)
     columns = max(1, min(_EPISODE_DRAWS // trials, n_cap))
     block = np.empty(columns * trials)
@@ -233,7 +233,6 @@ def _hitting_times(measure, free_atoms, eps, trials, seed, allowed=0,
         hit = trial[firsts]
         times[hit] = drawn + draw[firsts] + 1
         running[hit] = False
-        missing -= np.count_nonzero(missed[hit], axis=0)
         drawn += width
         width = min(2 * width, columns)
     return times, trials * drawn

@@ -196,12 +196,20 @@ class AtomicMeasure:
 
     def membership_matrix(self, concepts):
         """One row of bools per concept, atoms in atom order: does the
-        concept contain the atom.  The one atomic membership kernel."""
+        concept contain the atom.  The one atomic membership kernel.
+
+        An ``AtomLabeling`` over exactly these locations, in this order,
+        gives its bits as its row: ``contains`` returns them at the atoms.
+        """
+        from .concepts import AtomLabeling  # concepts imports this module
+
         concepts, locations = tuple(concepts), self.locations.tolist()
-        return np.fromiter(
-            (bool(c.contains(x)) for c in concepts for x in locations),
-            dtype=bool, count=len(concepts) * len(locations)).reshape(
-                len(concepts), len(locations))
+        atoms = tuple(locations)
+        return np.array(
+            [c.bits if isinstance(c, AtomLabeling) and c.locations == atoms
+             else [bool(c.contains(x)) for x in locations]
+             for c in concepts],
+            dtype=bool).reshape(len(concepts), len(locations))
 
     def memberships(self, concept):
         """One bool per atom, in atom order: does the concept contain it."""

@@ -17,7 +17,12 @@ mismatch steps.  The sweep makes each block of events array-wide from
 every point's last breakpoint index at the block's two ends and sorts
 them as packed uint64 keys; indices must stay below 2**52, where a float
 still holds k + 1/2 exactly, so the sweep stops short of that index as it
-stops at its budget, leaving the rows still open "budget_exceeded".
+stops at its budget, leaving the rows still open "budget_exceeded".  When
+one labeling is left, a float filter of the fastest point's arcs drops
+those on which some point surely has the wrong label, and the sweep jumps
+to the first arc kept, counting the breakpoints it skips: breakpoints and
+budgets count once per point.  The exact sweep still decides every
+witness.
 """
 
 from __future__ import annotations
@@ -36,6 +41,9 @@ _FIRST_BLOCK = 64
 _LARGEST_BLOCK = 1 << 14  # bounds the memory of one block of events
 _BLOCK_CELLS = 1 << 18  # bounds a block's open rows x events in one cumsum
 _INDEX_LIMIT = 2 ** 52  # breakpoint indices below it are exact in a float
+_LARGEST_SPAN = 1 << 16  # bounds the arc filter's arrays to 256 kB each
+_MARGIN = 2.0 ** -40  # the arc filter's index slack per unit of index
+_ARC_CELLS = 1 << 12  # arc x point cells the filter's second step takes
 MAX_CENSUS_POINTS = 18
 _INF_BITS = 0x7FF0000000000000  # the bit pattern of +inf
 
@@ -186,6 +194,127 @@ def _last_indices(axs, w):
     return k
 
 
+class _ArcFilter:
+    """How far a one-row sweep may jump, from a float filter of the arcs of
+    its fastest point p.
+
+    p is labelled ``k odd`` on its arc from breakpoint k to k + 1.  On each
+    arc where p has its target label, another point's index
+    w |x| / pi - 1/2 (at least -1/2) is taken at the arc's ends with a
+    margin of ``_MARGIN`` (index + 2), thousands of times its rounding,
+    below at the left end and above at the right: the point's last
+    breakpoint index anywhere on the arc lies between the floors of the
+    two.
+
+    1. Slowest point first, an arc is dropped when both floors are one
+       integer of the wrong parity, until at most ``_ARC_CELLS`` arc x
+       point cells are left.  Step 2 drops these arcs too, but one 1-D
+       pass per point thins a long span for less than step 2's matrix.
+    2. A point whose floors differ by one flips once on the arc, at its
+       breakpoint as the sweep computes it, and has its target label on
+       one side of the flip.  An arc is kept only if no point stays wrong
+       across it and those sides overlap, widened by a relative
+       ``_MARGIN``.
+
+    A point of p's |x| has its breakpoints at p's arc ends, so its floors
+    there are two apart and it drops no arc.  A float decides only a drop,
+    and the sweep still makes every exact decision.
+    """
+
+    def __init__(self, axs, target):
+        self.axs, self.target = axs, target
+        # Slowest point first, p last.
+        order = np.argsort(axs, kind="stable")
+        self.p = int(order[-1])
+        q = self.others = order[:-1]
+        low, high = 1.0 - _MARGIN, 1.0 + _MARGIN
+        # Step 1: with t the target bit, index + t - 1 halved puts each
+        # integer of the wrong parity at the start of a unit step, so both
+        # ends lie on one such integer iff the floors of the shifted
+        # halves agree.  A scale and a shift per end of an arc.
+        t = target[q].astype(float)
+        half = axs[q] / (2.0 * math.pi)
+        self.steps = list(zip((half * low).tolist(),
+                              ((t - 1.5 - 1.5 * _MARGIN) / 2).tolist(),
+                              (half * high).tolist(),
+                              ((t - 0.5 + 1.5 * _MARGIN) / 2).tolist()))
+        # Step 2, one row per point: the floors shifted by t, even where
+        # the point has its target label; the shift is exact, so the flip's
+        # k + 3/2 is too.
+        t = t[:, None]
+        self.ax_q = axs[q][:, None]
+        self.scale_lo = self.ax_q / math.pi * low
+        self.shift_lo = 0.5 + 1.5 * _MARGIN - t
+        self.scale_hi = self.ax_q / math.pi * high
+        self.shift_hi = 0.5 - 1.5 * _MARGIN - t
+        self.flip_at = 1.5 - t
+
+    def __call__(self, k_lo, lo, w_end, most, span):
+        """Where a sweep at ``lo`` with last indices ``k_lo`` may jump to.
+
+        No interval of the sweep whose left edge lies in (lo, to) has every
+        point at its target label.  ``to`` is the left end of p's first
+        arc kept, searched ``span`` breakpoints at a time, doubling up to
+        ``_LARGEST_SPAN``; the search stops below ``w_end`` and after p's
+        share |x_p| / sum |x| of ``most`` breakpoints, about where all
+        points sweep ``most``, and ``to`` is then the last breakpoint
+        examined.  ``to`` <= lo means no jump.
+        """
+        ax = self.axs[self.p]
+        k = int(k_lo[self.p])
+        k_end = min(math.floor(w_end * ax / math.pi - 0.5) - 1,
+                    k + math.floor(most * ax / self.axs.sum()))
+        to = lo
+        while k < k_end:
+            k1 = min(k + span, k_end)
+            kept = self._first_kept(k, k1)
+            if kept is not None:
+                return kept
+            to = float((k1 + 0.5) * math.pi / ax)
+            k, span = k1, min(2 * span, _LARGEST_SPAN)
+        return to
+
+    def _first_kept(self, k0, k1):
+        # The left end of p's first arc from breakpoint k0 to k1 that the
+        # filter keeps, or None.  Breakpoints are computed as the sweep
+        # computes them; arc k0 begins at or before the sweep's lo, so a
+        # jump passes it only when it is dropped.
+        axs, p, q = self.axs, self.p, self.others
+        # The arcs where p has its target label, every other one, by their
+        # two ends: breakpoints k and k + 1.
+        k = k0 + int(((k0 & 1) == 1) != self.target[p])
+        lower = np.arange(k + 0.5, k1, 2.0) * math.pi / axs[p]
+        upper = np.arange(k + 1.5, k1 + 1, 2.0) * math.pi / axs[p]
+        done = 0
+        for scale_lo, shift_lo, scale_hi, shift_hi in self.steps:
+            if len(lower) * (len(q) - done) <= _ARC_CELLS:
+                break
+            kept = np.flatnonzero(np.floor(lower * scale_lo + shift_lo)
+                                  != np.floor(upper * scale_hi + shift_hi))
+            lower, upper = lower.take(kept), upper.take(kept)
+            done += 1
+        rows = max(1, _ARC_CELLS // max(len(q), 1))
+        for start in range(0, len(lower), rows):
+            starts = lower[start:start + rows]
+            ends = upper[start:start + rows]
+            k_first = np.floor(starts * self.scale_lo - self.shift_lo)
+            k_last = np.floor(ends * self.scale_hi - self.shift_hi)
+            on_target = (k_first.astype(np.int64) & 1) == 0
+            flip = k_first + 1.0 == k_last
+            # Each point's one breakpoint on the arc, as the sweep computes
+            # it, and the side of it where the point has its target label.
+            at = (k_first + self.flip_at) * math.pi / self.ax_q
+            top = np.where(flip & on_target, at, ends).min(
+                axis=0, initial=math.inf)
+            bottom = np.where(flip > on_target, at, starts).max(
+                axis=0, initial=-math.inf)
+            keep = ((bottom <= top * (1.0 + _MARGIN))
+                    & ~((k_first == k_last) > on_target).any(axis=0))
+            if keep.any():
+                return float(starts[np.argmax(keep)])
+        return None
+
+
 def _sweep(xs, labs, w_max, w_min, budget):
     """One ShatterResult per row of the boolean labeling matrix ``labs``.
 
@@ -202,11 +331,19 @@ def _sweep(xs, labs, w_max, w_min, budget):
     one take/cumsum/take over at most ``_BLOCK_CELLS`` row x event cells
     gives a chunk of rows their counts, and only rows whose count reaches
     zero are searched.  The open interval and every row's count carry
-    across block and chunk boundaries, so no result depends on them.  At
-    most ``budget`` breakpoints are swept, all of them below ``w_stop``,
+    across block and chunk boundaries, so no result depends on them.
+
+    Once a single row is open after a block, and its count is not zero,
+    the sweep may jump to where ``_ArcFilter`` says its fastest point's
+    first arc that may hold a witness begins: the last indices, the count
+    and the open interval are re-read there, and the events skipped are
+    counted, not made.  Breakpoints count once per point, two points
+    sharing one counting it twice.  At most ``budget`` are swept, a group
+    of equal times whole or not at all, all of them below ``w_stop``,
     where indices near 2**52 begin; either limit ends the rows still open
     as "budget_exceeded", their range ending at the last breakpoint swept
-    (w_min when there is none)."""
+    (w_min when there is none), and no jump passes either limit or
+    w_max."""
     if len(np.unique(xs)) != len(xs):
         raise ValueError("points must be pairwise distinct")
     w_max = float(w_max)
@@ -241,13 +378,15 @@ def _sweep(xs, labs, w_max, w_min, budget):
             else np.zeros(len(axs), dtype=np.int64))
     mismatch = (((k_lo & 1) == 1) != targets).sum(axis=1, keepdims=True)
 
-    def search(r, edges, counts):
+    def search(r, edges, counts, ends):
         # Intervals of count zero in order, the left edge before the midpoint.
         for j in np.flatnonzero(counts[:len(edges) - 1] == 0):
             left, right = float(edges[j]), float(edges[j + 1])
             for w in (left, 0.5 * (left + right)) if right > left else (left,):
                 if np.all(output_labels(xs, w) == labs[r]):
-                    outcome[r] = ("found", w, w, used + int(j))
+                    # The breakpoints swept up to the interval's left edge.
+                    swept = used + (int(ends[j - 1]) + 1 if j else 0)
+                    outcome[r] = ("found", w, w, swept)
                     return True
         return False
 
@@ -256,8 +395,10 @@ def _sweep(xs, labs, w_max, w_min, budget):
     shift = (2 * len(axs) - 1).bit_length()
     first = 0.5 * math.pi / axs.max() if len(axs) else math.inf
     size = _FIRST_BLOCK
-    used = 0  # breakpoints swept before this block
+    used = 0  # breakpoints swept before this block, one per point
     left = lo = w_min  # left edge of the open interval, end of the sweep
+    jumps = True  # off once a jump would pass the budget
+    arcs = None  # the arc filter of the one row left
     while len(live):
         # The block ends before its bit offsets overflow the key.
         base = np.float64(max(lo, first)).view(np.uint64)
@@ -280,10 +421,12 @@ def _sweep(xs, labs, w_max, w_min, budget):
         key.sort()
         code = (key & ((1 << shift) - 1)).view(np.int64)
         key >>= shift
-        # The last event of each group of equal times closes an interval.
+        # The last event of each group of equal times closes an interval;
+        # a group is swept whole or not at all.
         ends = np.flatnonzero(np.append(key[1:] != key[:-1], len(key) > 0))
-        exhausted = used + len(ends) > budget
-        ends = ends[:budget - used] if exhausted else ends
+        exhausted = used + len(key) > budget
+        if exhausted:
+            ends = ends[:np.searchsorted(ends, budget - used)]
         exhausted = exhausted or w_stop < w_max and hi == w_stop
         edges = np.append(left, (key[ends] + base).view(np.float64))
         last = exhausted or hi >= w_max
@@ -304,9 +447,9 @@ def _sweep(xs, labs, w_max, w_min, budget):
             # Counts are never negative: a row hits zero where its least is 0.
             hits = counts[:, :len(edges) - 1].min(axis=1, initial=1) == 0
             settled += [start + i for i in hits.nonzero()[0]
-                        if search(live[start + i], edges, counts[i])]
+                        if search(live[start + i], edges, counts[i], ends)]
             mismatch[part] = counts[:, -1:]
-        used += len(ends)
+        used += int(ends[-1]) + 1 if len(ends) else 0
         left, lo, k_lo = float(edges[-1]), hi, k_hi
         if settled:
             keep = np.ones(len(live), dtype=bool)
@@ -319,6 +462,23 @@ def _sweep(xs, labs, w_max, w_min, budget):
                               else ("infeasible", None, w_max, used))
             break
         size = min(2 * size, _LARGEST_BLOCK)
+        # One row left, mismatched on the open interval: jump to the first
+        # arc of the fastest point that may hold its witness.
+        if jumps and len(live) == 1 and mismatch[0, 0]:
+            # The row left stays the same until it is settled.
+            arcs = arcs or _ArcFilter(axs, labs[live[0]][~zero_mask])
+            w_end = min(w_max, w_stop)
+            to = arcs(k_lo, lo, w_end, budget - used, size)
+            if lo < to < w_end:
+                k_to = _last_indices(axs, to)
+                skipped = int((k_to - k_lo).sum())
+                if used + skipped > budget:
+                    jumps = False
+                else:
+                    used += skipped
+                    left = lo = to
+                    k_lo = k_to
+                    mismatch[0, 0] = (((k_lo & 1) == 1) != arcs.target).sum()
     return [ShatterResult(tuple(int(b) for b in lab), status, w,
                           (w_min, covered), n_bps)
             for lab, (status, w, covered, n_bps) in zip(labs, outcome)]
@@ -334,10 +494,13 @@ def shatter_search(points, labels, w_max, w_min=0.0, budget=DEFAULT_BUDGET):
     region is an open endpoint, the midpoint of the elementary interval is
     returned instead.
 
-    A search that would sweep more than ``budget`` breakpoints stops after
-    the budget-th with status "budget_exceeded"; its range ends at that
-    breakpoint.  ``breakpoints`` counts those swept: for a found witness,
-    the ones at or below the left edge of its elementary interval.
+    Breakpoints count once per nonzero point, so two points sharing one
+    count it twice.  A search that would sweep more than ``budget`` of
+    them stops with status "budget_exceeded" after the last group of
+    equal breakpoints that fits; its range ends at that breakpoint.
+    ``breakpoints`` counts those swept: for a found witness, the ones at
+    or below the left edge of its elementary interval.  Weights that the
+    arc filter clears are skipped but counted.
     """
     xs = np.asarray(points, dtype=float)
     labs = np.asarray(labels, dtype=bool)

@@ -313,6 +313,25 @@ def test_membership_matrix_matches_the_per_atom_loop():
         assert m.memberships(concept).tolist() == row
 
 
+def test_labeling_rows_match_the_per_atom_loop():
+    # A labeling over the measure's own location tuple gives its bits as
+    # its row; a permuted, shorter or off-grid tuple goes atom by atom.
+    # Either way each row equals bool(contains(location)), -0.0 included.
+    rng = np.random.default_rng(4)
+    for locations in ([-1.0, -0.0, 0.5, 2.0, 3.25], [0.0, 1.0, 2.0]):
+        m = AtomicMeasure.uniform_on(locations)
+        own = m.locations.tolist()
+        n = len(own)
+        tuples = [own, [-x if x == 0.0 else x for x in own], own[::-1],
+                  list(rng.permutation(own)), own[:-1], own[1:],
+                  [x + 1e-9 for x in own], [x + 0.5 for x in own]]
+        family = [AtomLabeling(t, bits, default_bit=d)
+                  for t in tuples for d in (0, 1)
+                  for bits in (rng.integers(0, 2, len(t)), [1] * len(t))]
+        expected = [[bool(c.contains(x)) for x in own] for c in family]
+        assert m.membership_matrix(family).tolist() == expected
+
+
 def test_uniform_sontag_expectation_is_exact_arc_measure():
     u = UniformMeasure(0.0, TWO_PI)
     value = expect_indicator(u, SontagConcept(2.0))

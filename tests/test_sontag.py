@@ -313,42 +313,63 @@ def test_budget_exceeded_reports_partial_range():
         assert res.status == "budget_exceeded"
         assert res.range_searched[1] < 1e9
     # 1 and -1 always share a label, so this sweep runs into its budget.
-    # It stops at the budget-th distinct breakpoint, 1 and -1 sharing theirs.
+    # Breakpoints count once per point, so the one 1 and -1 share counts
+    # twice, and the sweep stops after the last group of equal breakpoints
+    # that fits the budget: at budget 2 the shared pair does not.
     points = [1.0, math.sqrt(2), -1.0]
-    swept = sorted({(k + 0.5) * PI / abs(x) for x in points
-                    for k in range(200)})
-    for budget in (0, 1, 100, 101):
+    times = sorted((k + 0.5) * PI / abs(x) for x in points
+                   for k in range(200))
+    whole = [n for n in range(len(times))
+             if n == 0 or times[n - 1] < times[n]]
+    swept = []
+    for budget in (0, 1, 2, 3, 100, 101):
         res = shatter_search(points, [1, 0, 0], 1e9, budget=budget)
+        n = max(m for m in whole if m <= budget)
         assert res.status == "budget_exceeded"
-        assert res.breakpoints == budget
-        assert res.range_searched == (0.0, ([0.0] + swept)[budget])
+        assert res.breakpoints == n
+        assert res.range_searched == (0.0, ([0.0] + times)[n])
+        swept.append(n)
+    assert swept[:4] == [0, 1, 1, 3]
 
 
 def test_witnesses_do_not_depend_on_the_blocks(monkeypatch):
     # The open interval and the mismatch counts carry across a block
     # boundary, and the rows of a block share one cumsum in chunks, so
     # neither the first block's size, the largest block's nor the chunk's
-    # may show in any field.
+    # may show in any field.  Nor may the spans of arcs a one-row sweep
+    # filters before it jumps, or the arcs of one filter matrix.
     rng = np.random.default_rng(7)
     searches = [(rng.uniform(0.0, 2 * PI, size=n), [1] * n, 1e6, 32.0,
                  DEFAULT_BUDGET) for n in (4, 8, 8, 12)]
+    searches += [(rng.uniform(0.0, 2 * PI, size=14), [1, 0] * 7, 1e6, 0.0,
+                  DEFAULT_BUDGET)]
     searches += [([1.0, math.sqrt(2), -1.0], [1, 0, 0], 1e9, 0.0, 1000),
                  ([1.0, math.sqrt(2)], [0, 0], 1e4, 3.0, DEFAULT_BUDGET)]
     runs = []
     # One cell forces one row per chunk; 2**8 cells several chunks of the
-    # census's 15 open rows in every block of 64 or more events.
-    for first_block, largest_block, cells in [
-            (1, 1, 2 ** 20), (1, 64, 1), (64, 64, 2 ** 8),
-            (64, 2 ** 14, 2 ** 20), (64, 2 ** 14, 1), (65_536, 1, 2 ** 8),
-            (65_536, 2 ** 14, 2 ** 8), (65_536, 2 ** 14, 2 ** 20)]:
+    # census's 15 open rows in every block of 64 or more events.  A span
+    # of one breakpoint holds one arc or none; one arc cell puts each arc
+    # kept by the filter's first step in a matrix of its own.
+    for first_block, largest_block, cells, span, arc_cells in [
+            (1, 1, 2 ** 20, 1, 2 ** 12), (1, 64, 1, 2, 1),
+            (64, 64, 2 ** 8, 1, 2 ** 12), (64, 2 ** 14, 2 ** 20, 2 ** 16, 1),
+            (64, 2 ** 14, 1, 3, 2 ** 12), (65_536, 1, 2 ** 8, 2 ** 16, 1),
+            (65_536, 2 ** 14, 2 ** 8, 2, 2 ** 12),
+            (65_536, 2 ** 14, 2 ** 20, 2 ** 16, 2 ** 20)]:
         monkeypatch.setattr(sontag, "_FIRST_BLOCK", first_block)
         monkeypatch.setattr(sontag, "_LARGEST_BLOCK", largest_block)
         monkeypatch.setattr(sontag, "_BLOCK_CELLS", cells)
+        monkeypatch.setattr(sontag, "_LARGEST_SPAN", span)
+        monkeypatch.setattr(sontag, "_ARC_CELLS", arc_cells)
         runs.append(([shatter_search(xs, labels, w_max, w_min=w_min,
                                      budget=budget)
                       for xs, labels, w_max, w_min, budget in searches],
                      shatter_census(rationally_independent_points(4), 1e4)))
     assert all(run == runs[0] for run in runs[1:])
+    assert runs[0][0] == [
+        _argsort_sweep(np.array(xs), np.array([labels], dtype=bool), w_max,
+                       w_min, budget)[0]
+        for xs, labels, w_max, w_min, budget in searches]
 
 
 def test_last_indices_match_a_scan_of_the_definition():
@@ -382,11 +403,12 @@ def test_weights_beyond_exact_breakpoint_indexing_stop_the_sweep():
     assert (res.status, res.range_searched, res.breakpoints) == (
         "budget_exceeded", (1e21, 1e21), 0)
     # 1 and -1 always share a label: the sweep starts below 2**52 and
-    # stops at the last breakpoint it can index, as at a budget.
+    # stops at the last breakpoint it can index, as at a budget: indices
+    # 2**52 - 100 to 2**52 - 17, counted once for each point.
     w_min = (2 ** 52 - 100) * PI
     res = shatter_search([1.0, -1.0], [1, 0], 1e22, w_min=w_min)
     assert res.status == "budget_exceeded"
-    assert 0 < res.breakpoints < 100
+    assert res.breakpoints == 2 * 84
     assert w_min < res.range_searched[1] < (2 ** 52 - 8) * PI
     # Rows settled at w_min need no index and are returned as before.
     at_min = output_labels([1.0, 2.0], 1e21).astype(int).tolist()
@@ -479,7 +501,8 @@ def test_sort_keys_stay_exact_across_wide_blocks():
 
 def _argsort_sweep(xs, labs, w_max, w_min, budget):
     # The sweep as it was with a stable argsort of each block's event
-    # times, kept as the oracle of the packed-key sort.
+    # times and no jumps, counting one breakpoint per point: the oracle of
+    # the packed-key sort and of the arc filter.
     if len(np.unique(xs)) != len(xs):
         raise ValueError("points must be pairwise distinct")
     w_max = float(w_max)
@@ -506,12 +529,12 @@ def _argsort_sweep(xs, labs, w_max, w_min, budget):
             else np.zeros(len(axs), dtype=np.int64))
     mismatch = (((k_lo & 1) == 1) != targets).sum(axis=1, keepdims=True)
 
-    def search(r, edges, counts):
+    def search(r, edges, counts, swept):
         for j in np.flatnonzero(counts[:len(edges) - 1] == 0):
             left, right = float(edges[j]), float(edges[j + 1])
             for w in (left, 0.5 * (left + right)) if right > left else (left,):
                 if np.all(output_labels(xs, w) == labs[r]):
-                    outcome[r] = ("found", w, w, used + int(j))
+                    outcome[r] = ("found", w, w, int(swept[j]))
                     return True
         return False
 
@@ -532,10 +555,13 @@ def _argsort_sweep(xs, labs, w_max, w_min, budget):
         code = (2 * point + (ks & 1))[order]
         ends = np.flatnonzero(np.append(times[1:] != times[:-1],
                                         len(times) > 0))
-        exhausted = used + len(ends) > budget
-        ends = ends[:budget - used] if exhausted else ends
+        # One breakpoint per point; a group of equal times is swept whole.
+        exhausted = used + len(times) > budget
+        if exhausted:
+            ends = ends[ends < budget - used]
         exhausted = exhausted or w_stop < w_max and hi == w_stop
         edges = np.append(left, times[ends])
+        swept = used + np.append(0, ends + 1)
         last = exhausted or hi >= w_max
         if last:
             edges = np.append(edges, edges[-1] if exhausted else w_max)
@@ -550,9 +576,9 @@ def _argsort_sweep(xs, labs, w_max, w_min, budget):
                 (before, before + sums.take(ends, axis=1)), axis=1)
             hits = counts[:, :len(edges) - 1].min(axis=1, initial=1) == 0
             settled += [start + i for i in hits.nonzero()[0]
-                        if search(live[start + i], edges, counts[i])]
+                        if search(live[start + i], edges, counts[i], swept)]
             mismatch[part] = counts[:, -1:]
-        used += len(ends)
+        used = int(swept[-1])
         left, lo, k_lo = float(edges[-1]), hi, k_hi
         if settled:
             keep = np.ones(len(live), dtype=bool)
@@ -600,6 +626,119 @@ def test_sweep_matches_the_argsort_oracle(case):
     assert sontag._sweep(xs, labs, w_max, w_min, budget) == expected
     assert shatter_search(xs, labs[0], w_max, w_min=w_min,
                           budget=budget) == expected[0]
+
+
+def _jump_points(shape, n, x, signs, free):
+    # n distinct points of one shape, signed by ``signs``: random, the
+    # multiples of x, +-pairs, the integers from 1, or random plus 0.
+    if shape == "multiples":
+        points = [x * k for k in range(1, n + 1)]
+    elif shape == "pairs":
+        points = free[:n // 2] + [-f for f in free[:(n + 1) // 2]]
+        signs = [1.0] * n
+    elif shape == "integers":
+        points = [float(k) for k in range(1, n + 1)]
+    elif shape == "zero":
+        points = [0.0] + free[:n - 1]
+    else:
+        points = free[:n]
+    return [s * p for s, p in zip(signs, points)]
+
+
+@st.composite
+def jump_sweeps(draw):
+    n = draw(st.integers(6, 16))
+    shape = draw(st.sampled_from(["free", "multiples", "pairs", "integers",
+                                  "zero"]))
+    x = draw(st.floats(min_value=0.05, max_value=0.4))
+    signs = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=n,
+                          max_size=n))
+    free = draw(st.lists(st.floats(min_value=0.2, max_value=3.0),
+                         min_size=n, max_size=n))
+    xs = np.array(_jump_points(shape, n, x, signs, free))
+    assume(len(np.unique(xs)) == n)
+    labels = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    labels[xs == 0.0] = True  # else the row is settled before any sweep
+    start = draw(st.sampled_from(["0", "32", "1000", "near 2**52"]))
+    if start == "near 2**52":
+        # A few thousand indices short of the sweep's index limit, where
+        # the filter's margin spans thousands of indices.
+        w_min = (2 ** 52 - 3000) * PI / np.abs(xs).max()
+    else:
+        w_min = float(start)
+    w_max = w_min + draw(st.sampled_from([10.0, 1e3, 1e5]))
+    budget = draw(st.one_of(st.integers(0, 40),
+                            st.just(DEFAULT_BUDGET)))
+    return xs, labels, w_max, w_min, budget
+
+
+@settings(max_examples=120, deadline=None)
+@given(jump_sweeps())
+def test_one_row_jumps_match_the_argsort_oracle(case):
+    # A one-row sweep may jump over weights the arc filter clears; every
+    # field must equal the oracle's, which sweeps every breakpoint.
+    xs, labels, w_max, w_min, budget = case
+    assert shatter_search(xs, labels, w_max, w_min=w_min,
+                          budget=budget) == _argsort_sweep(
+        xs, labels[None, :], w_max, w_min, budget)[0]
+
+
+def test_jumps_are_taken_on_every_shape(monkeypatch):
+    # The shapes of the property test above do jump, and still match the
+    # oracle: some search of each shape jumps, near 2**52 too.
+    jumped = []
+    filter_arcs = sontag._ArcFilter.__call__
+
+    def counted(self, k_lo, lo, *args):
+        to = filter_arcs(self, k_lo, lo, *args)
+        jumped[-1] |= to > lo
+        return to
+
+    monkeypatch.setattr(sontag._ArcFilter, "__call__", counted)
+    rng = np.random.default_rng(20)
+    free = rng.uniform(0.2, 3.0, 16).tolist()
+    signs = [1.0, -1.0] * 8
+    far = (2 ** 52 - 3000) * PI / max(free[:8])
+    shapes = {shape: [(_jump_points(shape, n, 0.3, signs, free), w_min)
+                      for n, w_min in ((6, 0.0), (11, 32.0), (16, 1000.0))]
+              for shape in ("free", "multiples", "pairs", "integers", "zero")}
+    shapes["near 2**52"] = [(free[:8], far)]
+    for shape, cases in shapes.items():
+        jumped.append(False)
+        for points, w_min in cases:
+            xs = np.array(points)
+            for labels in (xs != 0.0, (np.arange(len(xs)) % 3 > 0) | (xs == 0)):
+                res = shatter_search(xs, labels, w_min + 1e5, w_min=w_min)
+                assert res == _argsort_sweep(
+                    xs, labels[None, :], w_min + 1e5, w_min,
+                    DEFAULT_BUDGET)[0]
+        assert jumped[-1], shape
+
+
+def test_the_budget_bounds_the_arc_filter_scan(monkeypatch):
+    # No weight gives the points 1..8 all the label 0: the labels have
+    # period 2 pi, and the census over one period finds none.  The filter
+    # keeps no arc, so only the budget ends the sweep, and the filter's
+    # scan must end there too, counted over all points' breakpoints.
+    xs = np.arange(1.0, 9.0)
+    labels = np.zeros(8, dtype=bool)
+    assert not shatter_census(xs, 2.02 * PI).entries[0].found
+    scanned = []
+    first_kept = sontag._ArcFilter._first_kept
+
+    def recorded(self, k0, k1):
+        scanned.append((k1 + 0.5) * PI / self.axs[self.p])
+        return first_kept(self, k0, k1)
+
+    monkeypatch.setattr(sontag._ArcFilter, "_first_kept", recorded)
+    for budget in (100, 300, 1000):
+        scanned.clear()
+        res = shatter_search(xs, labels, 1e6, budget=budget)
+        assert res == _argsort_sweep(xs, labels[None, :], 1e6, 0.0,
+                                     budget)[0]
+        assert res.status == "budget_exceeded"
+        assert scanned
+        assert (sontag._last_indices(xs, max(scanned)) + 1).sum() <= budget
 
 
 # ---------------------------------------------------------------------------
