@@ -12,17 +12,11 @@ so the search and census take none.  ``shatter_search`` finds the least
 weight realizing a prescribed labeling of given points by sweeping the
 merged zeros of cos(wx) over the points as events, each flipping one
 point's label; ``shatter_census`` answers every labeling from one such
-sweep, the open labelings of a block sharing one cumulative sum of their
-mismatch steps.  The sweep makes each block of events array-wide from
-every point's last breakpoint index at the block's two ends and sorts
-them as packed uint64 keys; indices must stay below 2**52, where a float
-still holds k + 1/2 exactly, so the sweep stops short of that index as it
-stops at its budget, leaving the rows still open "budget_exceeded".  When
-one labeling is left, a float filter of the fastest point's arcs drops
-those on which some point surely has the wrong label, and the sweep jumps
-to the first arc kept, counting the breakpoints it skips: breakpoints and
-budgets count once per point.  The exact sweep still decides every
-witness.
+sweep.  Each elementary interval between events has one state, its label
+code or a lone labeling's count of mismatched points, which a table read
+by event code carries from interval to interval; a lookup from state to
+labeling picks the intervals to verify against the network output.
+``_sweep`` sets out its blocks, budget, index limit and jumps.
 """
 
 from __future__ import annotations
@@ -39,7 +33,6 @@ DEFAULT_ALPHA = 100.0
 DEFAULT_BUDGET = 10 ** 8
 _FIRST_BLOCK = 64
 _LARGEST_BLOCK = 1 << 14  # bounds the memory of one block of events
-_BLOCK_CELLS = 1 << 18  # bounds a block's open rows x events in one cumsum
 _INDEX_LIMIT = 2 ** 52  # breakpoint indices below it are exact in a float
 _LARGEST_SPAN = 1 << 16  # bounds the arc filter's arrays to 256 kB each
 _MARGIN = 2.0 ** -40  # the arc filter's index slack per unit of index
@@ -315,35 +308,45 @@ class _ArcFilter:
         return None
 
 
+def _results(labs, outcome, w_min):
+    return [ShatterResult(tuple(lab.tolist()), status, w, (w_min, covered),
+                          n_bps)
+            for lab, (status, w, covered, n_bps)
+            in zip(labs.astype(np.int8), outcome)]
+
+
 def _sweep(xs, labs, w_max, w_min, budget):
     """One ShatterResult per row of the boolean labeling matrix ``labs``.
 
-    The events are the breakpoints of the nonzero points in weight order:
-    the zeros w = (k + 1/2) pi / |x| of cos(w x), k >= 0.  After its
-    breakpoint k a point is labelled ``k odd``, so each row's count of
-    mismatched points moves by one per event.  Events come in blocks that
-    double from ``_FIRST_BLOCK`` to ``_LARGEST_BLOCK`` breakpoints; a block
-    (lo, hi] holds, per point, the indices between its last indices at lo
-    and at hi.  One sort of uint64 keys orders them: a key is the event
-    time's bit offset from the block's base above the event code
-    2 * point + (k & 1), and hi is capped so that every offset fits.  The
-    open rows read their +-1 steps from a table indexed by the event code;
-    one take/cumsum/take over at most ``_BLOCK_CELLS`` row x event cells
-    gives a chunk of rows their counts, and only rows whose count reaches
-    zero are searched.  The open interval and every row's count carry
-    across block and chunk boundaries, so no result depends on them.
+    The events are the breakpoints w = (k + 1/2) pi / |x|, k >= 0, of the
+    nonzero points in weight order; after its breakpoint k a point is
+    labelled ``k odd``.  Events come in blocks (lo, hi] that double from
+    ``_FIRST_BLOCK`` to ``_LARGEST_BLOCK`` breakpoints, made from every
+    point's last indices at lo and at hi and ordered by one sort of uint64
+    keys: the event time's bit offset from the block's base above the
+    event code 2 * point + (k & 1), hi capped so that every offset fits.
 
-    Once a single row is open after a block, and its count is not zero,
-    the sweep may jump to where ``_ArcFilter`` says its fastest point's
-    first arc that may hold a witness begins: the last indices, the count
-    and the open interval are re-read there, and the events skipped are
-    counted, not made.  Breakpoints count once per point, two points
-    sharing one counting it twice.  At most ``budget`` are swept, a group
-    of equal times whole or not at all, all of them below ``w_stop``,
-    where indices near 2**52 begin; either limit ends the rows still open
-    as "budget_exceeded", their range ending at the last breakpoint swept
-    (w_min when there is none), and no jump passes either limit or
-    w_max."""
+    Each elementary interval has one state, linear in its labels: with
+    several rows the label code, so at most ``MAX_CENSUS_POINTS`` nonzero
+    points; with one row, which may have any number of points, its count of
+    mismatched points.  A table indexed by the event code holds each event's
+    change of state, and one cumsum per block gives every interval's state.
+    A dense lookup from state to open labeling, equal rows sharing one,
+    picks the intervals to verify; a labeling is settled by the first that
+    verifies, at its left edge and then its midpoint.  The open interval and
+    its state carry across blocks, so no result depends on them.
+
+    Once a single labeling is open after a block, the open interval is not
+    its, and its 2**n intervals, in which a labeling of n points turns up
+    about once, outnumber the next two blocks, the sweep may jump to where
+    ``_ArcFilter`` says its fastest point's first arc that may hold a
+    witness begins: the last indices, the state and the open interval are
+    re-read there, and the events skipped are counted, not made.  At most
+    ``budget`` breakpoints are swept, counted once per point, a group of
+    equal times whole or not at all, all of them below ``w_stop``, where
+    indices near 2**52 begin; either limit ends the labelings still open as
+    "budget_exceeded", their range ending at the last breakpoint swept
+    (w_min when there is none), and no jump passes either limit or w_max."""
     if len(np.unique(xs)) != len(xs):
         raise ValueError("points must be pairwise distinct")
     w_max = float(w_max)
@@ -366,40 +369,40 @@ def _sweep(xs, labs, w_max, w_min, budget):
     # _last_indices to absorb the rounding of this quotient.
     w_stop = ((_INDEX_LIMIT - 16) * math.pi / axs.max() if len(axs)
               else math.inf)
-    if w_min >= w_stop:
-        outcome = [o or ("budget_exceeded", None, w_min, 0) for o in outcome]
-        live = live[:0]
+    if w_min >= w_stop or not len(live):
+        return _results(labs, [o or ("budget_exceeded", None, w_min, 0)
+                               for o in outcome], w_min)
     targets = labs[live][:, ~zero_mask]
-    # Event code 2 * point + parity steps a row's count down where the
-    # point reaches its target label, and up elsewhere.
-    steps = np.where(targets[:, :, None] == np.array([False, True]),
-                     np.int8(-1), np.int8(1)).reshape(len(live), 2 * len(axs))
-    k_lo = (_last_indices(axs, w_min) if len(live)
-            else np.zeros(len(axs), dtype=np.int64))
-    mismatch = (((k_lo & 1) == 1) != targets).sum(axis=1, keepdims=True)
-
-    def search(r, edges, counts, ends):
-        # Intervals of count zero in order, the left edge before the midpoint.
-        for j in np.flatnonzero(counts[:len(edges) - 1] == 0):
-            left, right = float(edges[j]), float(edges[j + 1])
-            for w in (left, 0.5 * (left + right)) if right > left else (left,):
-                if np.all(output_labels(xs, w) == labs[r]):
-                    # The breakpoints swept up to the interval's left edge.
-                    swept = used + (int(ends[j - 1]) + 1 if j else 0)
-                    outcome[r] = ("found", w, w, swept)
-                    return True
-        return False
+    # A state is linear in the labels: one row counts its mismatched points,
+    # and several rows take the label code.
+    if len(live) == 1:
+        weight, bias = np.where(targets[0], -1, 1), targets[0].sum()
+        row_at = np.full(len(axs) + 1, -1)
+    else:
+        assert len(axs) <= MAX_CENSUS_POINTS, "more points than a census"
+        weight, bias = np.left_shift(1, np.arange(len(axs))), 0
+        row_at = np.full(1 << len(axs), -1)
+    # Event code 2 * point + parity gives the point the label ``parity``,
+    # so it moves the state by -+ the point's weight.
+    table = np.outer(weight, (-1, 1)).ravel()
+    # From each state to the open labeling there, -1 where none is; one of
+    # equal rows stands for them all.
+    keys = targets @ weight + bias
+    row_at[keys] = live
+    row_of = row_at.take(keys)
+    k_lo = _last_indices(axs, w_min)
+    state = ((k_lo & 1) == 1) @ weight + bias
 
     rate = float(np.sum(axs)) / math.pi  # breakpoints per unit weight
     # Codes fit below bit ``shift``; no event lies below lo or ``first``.
     shift = (2 * len(axs) - 1).bit_length()
-    first = 0.5 * math.pi / axs.max() if len(axs) else math.inf
+    first = 0.5 * math.pi / axs.max()
     size = _FIRST_BLOCK
     used = 0  # breakpoints swept before this block, one per point
     left = lo = w_min  # left edge of the open interval, end of the sweep
-    jumps = True  # off once a jump would pass the budget
-    arcs = None  # the arc filter of the one row left
-    while len(live):
+    wait = 1 << len(axs)  # 1 in 2**n intervals has a labeling; 0: no jumps
+    arcs = None  # the arc filter of the one labeling left
+    while True:
         # The block ends before its bit offsets overflow the key.
         base = np.float64(max(lo, first)).view(np.uint64)
         top = min(base + ((1 << 64 - shift) - 1), _INF_BITS)
@@ -416,7 +419,7 @@ def _sweep(xs, labs, w_max, w_min, budget):
         key -= base
         key <<= shift
         key |= (2 * point + (ks & 1)).view(np.uint64)
-        # Counts are read only at the last event of a group of equal
+        # States are read only at the last event of a group of equal
         # times, so the order within a group needs no stable sort.
         key.sort()
         code = (key & ((1 << shift) - 1)).view(np.int64)
@@ -434,54 +437,50 @@ def _sweep(xs, labs, w_max, w_min, budget):
             # The last interval ends with the sweep: at its own left edge
             # when the budget or w_stop stops it, else at w_max.
             edges = np.append(edges, edges[-1] if exhausted else w_max)
-        chunk = max(1, _BLOCK_CELLS // max(len(code), 1))
-        settled = []
-        for start in range(0, len(live), chunk):
-            part = slice(start, start + chunk)
-            # Counts before the block, then after each interval it closes.
-            sums = steps[part].astype(np.int64).take(code, axis=1)
-            sums.cumsum(1, out=sums)
-            before = mismatch[part]
-            counts = np.concatenate(
-                (before, before + sums.take(ends, axis=1)), axis=1)
-            # Counts are never negative: a row hits zero where its least is 0.
-            hits = counts[:, :len(edges) - 1].min(axis=1, initial=1) == 0
-            settled += [start + i for i in hits.nonzero()[0]
-                        if search(live[start + i], edges, counts[i], ends)]
-            mismatch[part] = counts[:, -1:]
+        # The state before the block, then after each interval it closes.
+        states = np.append(state, state + table.take(code).cumsum().take(ends))
+        state = states[-1]
+        # The intervals whose state is an open labeling's, in order: each
+        # labeling is settled by the first that verifies, at its left edge
+        # and then its midpoint.
+        d = row_at.take(states[:len(edges) - 1])
+        for j in np.flatnonzero(d >= 0).tolist():
+            r, a, b = int(d[j]), float(edges[j]), float(edges[j + 1])
+            for w in (a, 0.5 * (a + b)) if b > a else (a,):
+                if outcome[r] is None and np.all(
+                        output_labels(xs, w) == labs[r]):
+                    # The breakpoints swept up to the interval's left edge.
+                    swept = used + (int(ends[j - 1]) + 1 if j else 0)
+                    outcome[r] = ("found", w, w, swept)
+                    row_at[states[j]] = -1
         used += int(ends[-1]) + 1 if len(ends) else 0
         left, lo, k_lo = float(edges[-1]), hi, k_hi
-        if settled:
-            keep = np.ones(len(live), dtype=bool)
-            keep[settled] = False
-            live, steps, mismatch = live[keep], steps[keep], mismatch[keep]
-        if last:
-            for r in live:
-                outcome[r] = (("budget_exceeded", None, left, used)
-                              if exhausted
-                              else ("infeasible", None, w_max, used))
+        n_open = np.count_nonzero(row_at >= 0)
+        if last or not n_open:
             break
         size = min(2 * size, _LARGEST_BLOCK)
-        # One row left, mismatched on the open interval: jump to the first
+        # One labeling left, not due within two blocks: jump to the first
         # arc of the fastest point that may hold its witness.
-        if jumps and len(live) == 1 and mismatch[0, 0]:
-            # The row left stays the same until it is settled.
-            arcs = arcs or _ArcFilter(axs, labs[live[0]][~zero_mask])
+        if wait > 2 * size and n_open == 1 and row_at[state] < 0:
+            # The labeling left stays the same until it is settled.
+            arcs = arcs or _ArcFilter(axs, labs[row_at.max()][~zero_mask])
             w_end = min(w_max, w_stop)
             to = arcs(k_lo, lo, w_end, budget - used, size)
             if lo < to < w_end:
                 k_to = _last_indices(axs, to)
                 skipped = int((k_to - k_lo).sum())
                 if used + skipped > budget:
-                    jumps = False
+                    wait = 0
                 else:
                     used += skipped
                     left = lo = to
                     k_lo = k_to
-                    mismatch[0, 0] = (((k_lo & 1) == 1) != arcs.target).sum()
-    return [ShatterResult(tuple(int(b) for b in lab), status, w,
-                          (w_min, covered), n_bps)
-            for lab, (status, w, covered, n_bps) in zip(labs, outcome)]
+                    state = ((k_lo & 1) == 1) @ weight + bias
+    unfound = (("budget_exceeded", None, left, used) if exhausted
+               else ("infeasible", None, w_max, used))
+    for r, i in zip(live.tolist(), row_of.tolist()):
+        outcome[r] = outcome[i] or unfound
+    return _results(labs, outcome, w_min)
 
 
 def shatter_search(points, labels, w_max, w_min=0.0, budget=DEFAULT_BUDGET):

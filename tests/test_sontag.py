@@ -333,11 +333,10 @@ def test_budget_exceeded_reports_partial_range():
 
 
 def test_witnesses_do_not_depend_on_the_blocks(monkeypatch):
-    # The open interval and the mismatch counts carry across a block
-    # boundary, and the rows of a block share one cumsum in chunks, so
-    # neither the first block's size, the largest block's nor the chunk's
-    # may show in any field.  Nor may the spans of arcs a one-row sweep
-    # filters before it jumps, or the arcs of one filter matrix.
+    # The open interval and its state carry across a block boundary, so
+    # neither the first block's size nor the largest block's may show in
+    # any field.  Nor may the spans of arcs a one-row sweep filters before
+    # it jumps, or the arcs of one filter matrix.
     rng = np.random.default_rng(7)
     searches = [(rng.uniform(0.0, 2 * PI, size=n), [1] * n, 1e6, 32.0,
                  DEFAULT_BUDGET) for n in (4, 8, 8, 12)]
@@ -346,19 +345,15 @@ def test_witnesses_do_not_depend_on_the_blocks(monkeypatch):
     searches += [([1.0, math.sqrt(2), -1.0], [1, 0, 0], 1e9, 0.0, 1000),
                  ([1.0, math.sqrt(2)], [0, 0], 1e4, 3.0, DEFAULT_BUDGET)]
     runs = []
-    # One cell forces one row per chunk; 2**8 cells several chunks of the
-    # census's 15 open rows in every block of 64 or more events.  A span
-    # of one breakpoint holds one arc or none; one arc cell puts each arc
-    # kept by the filter's first step in a matrix of its own.
-    for first_block, largest_block, cells, span, arc_cells in [
-            (1, 1, 2 ** 20, 1, 2 ** 12), (1, 64, 1, 2, 1),
-            (64, 64, 2 ** 8, 1, 2 ** 12), (64, 2 ** 14, 2 ** 20, 2 ** 16, 1),
-            (64, 2 ** 14, 1, 3, 2 ** 12), (65_536, 1, 2 ** 8, 2 ** 16, 1),
-            (65_536, 2 ** 14, 2 ** 8, 2, 2 ** 12),
-            (65_536, 2 ** 14, 2 ** 20, 2 ** 16, 2 ** 20)]:
+    # A span of one breakpoint holds one arc or none; one arc cell puts
+    # each arc kept by the filter's first step in a matrix of its own.
+    for first_block, largest_block, span, arc_cells in [
+            (1, 1, 1, 2 ** 12), (1, 64, 2, 1), (64, 64, 1, 2 ** 12),
+            (64, 2 ** 14, 2 ** 16, 1), (64, 2 ** 14, 3, 2 ** 12),
+            (65_536, 1, 2 ** 16, 1), (65_536, 2 ** 14, 2, 2 ** 12),
+            (65_536, 2 ** 14, 2 ** 16, 2 ** 20)]:
         monkeypatch.setattr(sontag, "_FIRST_BLOCK", first_block)
         monkeypatch.setattr(sontag, "_LARGEST_BLOCK", largest_block)
-        monkeypatch.setattr(sontag, "_BLOCK_CELLS", cells)
         monkeypatch.setattr(sontag, "_LARGEST_SPAN", span)
         monkeypatch.setattr(sontag, "_ARC_CELLS", arc_cells)
         runs.append(([shatter_search(xs, labels, w_max, w_min=w_min,
@@ -565,7 +560,7 @@ def _argsort_sweep(xs, labs, w_max, w_min, budget):
         last = exhausted or hi >= w_max
         if last:
             edges = np.append(edges, edges[-1] if exhausted else w_max)
-        chunk = max(1, sontag._BLOCK_CELLS // max(len(code), 1))
+        chunk = max(1, (1 << 18) // max(len(code), 1))  # rows x events
         settled = []
         for start in range(0, len(live), chunk):
             part = slice(start, start + chunk)
@@ -626,6 +621,41 @@ def test_sweep_matches_the_argsort_oracle(case):
     assert sontag._sweep(xs, labs, w_max, w_min, budget) == expected
     assert shatter_search(xs, labs[0], w_max, w_min=w_min,
                           budget=budget) == expected[0]
+
+
+def test_census_matches_the_argsort_oracle_past_five_points():
+    # Every entry of censuses whose labelings keep codes of 8 and 10 bits,
+    # over one block, many blocks and the coupon collector's tail; and of
+    # the integers 1..8, whose labels have period 2 pi, so the labelings
+    # never realized run to w_max or to the budget.
+    cases = [(rationally_independent_points(n), w_max, DEFAULT_BUDGET)
+             for n in (8, 10) for w_max in (3.0, 1e4, 1e6)]
+    cases += [(np.arange(1.0, 9.0), 1e4, budget)
+              for budget in (500, DEFAULT_BUDGET)]
+    statuses = set()
+    for points, w_max, budget in cases:
+        n = len(points)
+        labs = ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1).astype(bool)
+        entries = shatter_census(points, w_max, budget=budget).entries
+        assert list(entries) == _argsort_sweep(np.array(points), labs, w_max,
+                                               0.0, budget)
+        statuses |= {e.status for e in entries}
+    assert statuses == {"found", "infeasible", "budget_exceeded"}
+
+
+def test_a_search_counts_past_the_bits_of_a_code():
+    # 70 points, past the 63 bits an int64 label code holds: a one-row
+    # search counts mismatched points, and finds the labeling some weight
+    # gives.
+    xs = np.random.default_rng(70).uniform(0.2, 3.0, 70)
+    xs[::3] *= -1.0
+    labels = output_labels(xs, 40.0)
+    res = shatter_search(xs, labels, 1e3)
+    # Its elementary interval begins at or below 40.
+    assert res.found and res.breakpoints <= (
+        sontag._last_indices(np.abs(xs), 40.0) + 1).sum()
+    assert res == _argsort_sweep(xs, labels[None, :], 1e3, 0.0,
+                                 DEFAULT_BUDGET)[0]
 
 
 def _jump_points(shape, n, x, signs, free):
@@ -698,11 +728,13 @@ def test_jumps_are_taken_on_every_shape(monkeypatch):
     rng = np.random.default_rng(20)
     free = rng.uniform(0.2, 3.0, 16).tolist()
     signs = [1.0, -1.0] * 8
-    far = (2 ** 52 - 3000) * PI / max(free[:8])
+    far = (2 ** 52 - 3000) * PI / max(free[:12])
     shapes = {shape: [(_jump_points(shape, n, 0.3, signs, free), w_min)
                       for n, w_min in ((6, 0.0), (11, 32.0), (16, 1000.0))]
               for shape in ("free", "multiples", "pairs", "integers", "zero")}
-    shapes["near 2**52"] = [(free[:8], far)]
+    # Twelve points: a sweep of eight or fewer expects its labeling within
+    # two blocks of 128 events and never calls the filter.
+    shapes["near 2**52"] = [(free[:12], far)]
     for shape, cases in shapes.items():
         jumped.append(False)
         for points, w_min in cases:
@@ -716,12 +748,12 @@ def test_jumps_are_taken_on_every_shape(monkeypatch):
 
 
 def test_the_budget_bounds_the_arc_filter_scan(monkeypatch):
-    # No weight gives the points 1..8 all the label 0: the labels have
+    # No weight gives the points 1..12 all the label 0: the labels have
     # period 2 pi, and the census over one period finds none.  The filter
     # keeps no arc, so only the budget ends the sweep, and the filter's
     # scan must end there too, counted over all points' breakpoints.
-    xs = np.arange(1.0, 9.0)
-    labels = np.zeros(8, dtype=bool)
+    xs = np.arange(1.0, 13.0)
+    labels = np.zeros(12, dtype=bool)
     assert not shatter_census(xs, 2.02 * PI).entries[0].found
     scanned = []
     first_kept = sontag._ArcFilter._first_kept
