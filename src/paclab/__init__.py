@@ -19,8 +19,8 @@ from .concepts import (AtomLabeling, GridUnion, IntervalUnion,
 from .construction import (ComplexityProfile, ComplexitySchedule,
                            ConstructedInstance, RateFunction, build_measure,
                            theoretical_profile)
-from .learner import (ComplexityEstimate, LabeledSample, erm_learn,
-                      estimate_sample_complexity, gc_deviation)
+from .learner import (ComplexityEstimate, estimate_sample_complexity,
+                      gc_deviation)
 from .measures import (Atom, AtomicMeasure, CantorMeasure, UniformMeasure,
                        cantor_level_intervals, expect_indicator,
                        measure_from_json)

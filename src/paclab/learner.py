@@ -4,19 +4,21 @@ The learner sees labeled i.i.d. draws from an atomic measure and outputs a
 per-atom majority vote (ties and unseen atoms default to 0).  Over a family
 shattering the atom universe, any labeling consistent with the per-atom
 majorities minimizes empirical risk, so the vote IS an ERM hypothesis and
-experiments never enumerate the exponentially-large cover.
+experiments never enumerate the exponentially-large cover, nor build the
+vote itself.
 
 ``estimate_sample_complexity`` measures the smallest sample size whose
 failure rate (true error above eps) drops to delta, in one pass over nested
 Monte-Carlo episodes: the error of a growing sample only falls, so the
 estimate is a quantile of the episodes' hitting times, each decided in
-exact integer mass units.  ``gc_deviation`` estimates the
-uniform deviation sup |E_mu - E_emp| either by enumerating a finite
-sub-class (census mode) or by adversarially fitting the all-ones labeling
-of each drawn sample (the non-convergence witness experiment).  Under a
-non-atomic measure the census sorts each sample once and counts every
-closed-interval concept by binary search, an exact integer count per
-concept.
+exact integer mass units.  The random targets take 64 bits from each raw
+word of the bit generator, so they depend only on its stream.
+``gc_deviation`` estimates the uniform deviation sup |E_mu - E_emp| either
+by enumerating a finite sub-class (census mode) or by adversarially
+fitting the all-ones labeling of each drawn sample (the non-convergence
+witness experiment).  Under a non-atomic measure the census sorts each
+sample once and counts every closed-interval concept by binary search, an
+exact integer count per concept.
 """
 
 from __future__ import annotations
@@ -27,9 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sontag
-from .concepts import (AtomLabeling, EnumerationCapError, IntervalUnion,
-                       OrderIntervalFamily, SontagConcept, SontagFamily,
-                       isolate_points)
+from .concepts import (EnumerationCapError, IntervalUnion, OrderIntervalFamily,
+                       SontagConcept, SontagFamily, isolate_points)
 from .construction import ConstructedInstance
 from .intervals import canonicalize, count_sorted
 from .measures import AtomicMeasure, _as_fraction, expect_indicator
@@ -40,53 +41,10 @@ _WILSON_Z = 1.959963984540054  # two-sided 95%
 # One estimate holds a bool per trial and atom: the cap keeps that mask
 # at 32 MiB.
 MAX_EPISODE_CELLS = 2 ** 25
-# Most draws in one block of episode columns, and half the target bits
-# read in one chunk.
+# Most draws in one block of episode columns, and about the most mask
+# cells unpacked, or counted for the starting errors, in one chunk.
 _EPISODE_DRAWS = 2 ** 16
 NOT_HIT = np.iinfo(np.int64).max  # hitting time of a trial still above eps
-
-
-@dataclass(frozen=True)
-class LabeledSample:
-    """Points paired with the target concept's labels at those points."""
-
-    points: tuple
-    labels: tuple
-
-    def __post_init__(self):
-        if len(self.points) != len(self.labels):
-            raise ValueError("points and labels must have equal length")
-
-
-def erm_learn(sample, universe):
-    """Per-atom majority vote over the sample; ties and unseen atoms get 0.
-
-    Every sample point must be an atom location of the universe; anything
-    off the grid is a hard error.  On a label-consistent sample the output
-    has empirical risk 0.
-    """
-    if not isinstance(universe, AtomicMeasure):
-        raise TypeError("the learner needs an atomic universe")
-    index = {x: i for i, x in enumerate(universe.locations.tolist())}
-    ones = [0] * len(universe)
-    seen = [0] * len(universe)
-    for point, label in zip(sample.points, sample.labels):
-        i = index.get(float(point))
-        if i is None:
-            raise ValueError(f"sample point {point!r} is not an atom location")
-        seen[i] += 1
-        ones[i] += int(label)
-    bits = tuple(1 if 2 * o > s else 0 for o, s in zip(ones, seen))
-    return AtomLabeling.for_measure(universe, bits, default_bit=0)
-
-
-def empirical_risk(hypothesis, sample):
-    """Fraction of sample points the hypothesis mislabels."""
-    if not sample.points:
-        return 0.0
-    wrong = sum(1 for p, lab in zip(sample.points, sample.labels)
-                if int(bool(hypothesis.contains(p))) != int(lab))
-    return wrong / len(sample.points)
 
 
 def wilson_interval(successes, trials):
@@ -142,21 +100,23 @@ def _universe_arrays(universe):
 
 
 def _fair_bits(rng, count):
-    """``rng.integers(0, 2, size=count)`` as bools, read straight from the
-    raw 64-bit words of ``default_rng``'s PCG64 generator.
+    """The first ``count`` target bits of ``rng``'s stream, as bools.
 
-    A bounded draw below 2 is the top bit of one 32-bit output, and each
-    64-bit word serves two 32-bit outputs, low half first: the bits, and
-    every 64-bit draw after them, are the same.  Chunks hold an even
-    number of bits, so no word is split between two of them.
+    Bit j is bit j mod 64, least significant first, of raw 64-bit word
+    j // 64 of ``rng.bit_generator.random_raw``: the bits depend only on
+    the bit generator's stream, and every draw after them starts at word
+    ceil(count / 64).  Chunks of whole words are unpacked into a mask
+    allocated first, which keeps the process's peak RSS down.
     """
     bits = np.empty(count, dtype=bool)
-    for start in range(0, count, 2 * _EPISODE_DRAWS):
-        stop = min(start + 2 * _EPISODE_DRAWS, count)
-        words = rng.bit_generator.random_raw((stop - start + 1) // 2)
-        # little-endian words, so each low half comes first in the view
-        halves = words.astype("<u8", copy=False).view("<u4")[:stop - start]
-        np.greater_equal(halves, np.uint32(1 << 31), out=bits[start:stop])
+    step = 64 * max(1, _EPISODE_DRAWS // 64)
+    for start in range(0, count, step):
+        stop = min(start + step, count)
+        words = rng.bit_generator.random_raw(-(-(stop - start) // 64))
+        # little-endian words, so each word's low byte comes first
+        bits[start:stop] = np.unpackbits(
+            words.astype("<u8", copy=False).view(np.uint8),
+            count=stop - start, bitorder="little").view(bool)
     return bits
 
 
@@ -164,8 +124,9 @@ def _hitting_times(measure, free_atoms, eps, trials, seed, allowed=0,
                    n_cap=DEFAULT_N_CAP):
     """Nested episodes: (each trial's T = min{n : err_n <= eps}, draws made).
 
-    Trial t draws its random target first (``_fair_bits``, all trials
-    together), then its j-th sample point is entry (j, t) of
+    Trial t draws its random target first: bit t * free_atoms + a of the
+    stream of ``_fair_bits``, 64 bits to a raw word, says whether it labels
+    atom a with 1.  Then its j-th sample point is entry (j, t) of
     ``measure.draw_indices(rng, (n, trials))``: the generator is drawn
     column-major, so no draw depends on the block widths or on which
     trials have stopped.  With label-consistent samples the majority vote
@@ -184,14 +145,21 @@ def _hitting_times(measure, free_atoms, eps, trials, seed, allowed=0,
     # Only the first free_atoms atoms can be targets: the mask holds those.
     atoms, units = free_atoms, units[:free_atoms]
     missed = _fair_bits(rng, trials * atoms).reshape(trials, atoms)
-    remaining = np.fromiter((units @ row for row in missed), dtype=np.int64,
-                            count=trials)
+    # Each trial's starting error: its missed atoms counted per maximal run
+    # of equal units, then weighed by the run's units.  reduceat casts its
+    # whole input to int32, so it takes a few rows at a time.
+    runs = np.flatnonzero(np.diff(units, prepend=-1))
+    rows = max(1, _EPISODE_DRAWS // max(atoms, 1))
+    remaining = np.concatenate([
+        np.add.reduceat(missed[r:r + rows].view(np.uint8), runs, axis=1,
+                        dtype=np.int32) @ units[runs]
+        for r in range(0, trials, rows)])
     times = np.where(remaining <= threshold, 0, NOT_HIT)
     running = times == NOT_HIT
     # Per atom, how many trials still miss it, stopped trials included: an
     # over-count that only widens the span of draws looked up, since draws
     # of atoms no running trial misses change nothing.
-    missing = np.count_nonzero(missed, axis=0)
+    missing = np.add.reduce(missed.view(np.uint8), axis=0, dtype=np.int32)
     flat = missed.reshape(-1)
     columns = max(1, min(_EPISODE_DRAWS // trials, n_cap))
     block = np.empty(columns * trials)

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from erm import LabeledSample, empirical_risk, erm_learn
 from paclab.concepts import (AtomLabeling, EnumerationCapError, GridUnion,
                              IntervalUnion, OrderIntervalFamily, SontagConcept,
                              SontagFamily, l1_distance)
 from paclab.construction import ComplexitySchedule, RateFunction, build_measure
-from paclab.learner import (LabeledSample, empirical_risk, erm_learn,
-                            estimate_sample_complexity, gc_deviation,
+from paclab.learner import (estimate_sample_complexity, gc_deviation,
                             wilson_interval)
 from paclab.measures import AtomicMeasure, UniformMeasure, expect_indicator
 
@@ -92,12 +92,21 @@ def test_true_error_single_atom_disagreement():
     assert l1_distance(h, t, m) == 0.008
 
 
+def _target_bits(rng, count):
+    # The target stream one bit at a time, in Python ints: bit j is bit
+    # j mod 64 of raw word j // 64.
+    words = rng.bit_generator.random_raw(-(-count // 64))
+    return [bool((int(words[j // 64]) >> (j % 64)) & 1) for j in range(count)]
+
+
 def _stream(measure, free, trials, n, seed):
-    # The estimator's episodes drawn the plain way: int64 targets, then
-    # rng.choice for n draws of every trial, column-major.
+    # The estimator's episodes drawn the plain way: targets bit by bit from
+    # the raw words, then rng.choice for n draws of every trial,
+    # column-major.
     rng = np.random.default_rng(seed)
     targets = np.zeros((trials, len(measure)), dtype=bool)
-    targets[:, :free] = rng.integers(0, 2, size=(trials, free)).astype(bool)
+    targets[:, :free] = np.reshape(_target_bits(rng, trials * free),
+                                   (trials, free))
     idx = rng.choice(len(measure), size=(n, trials), p=measure.masses).T
     return targets, idx
 
@@ -150,7 +159,9 @@ def test_hitting_times_do_not_depend_on_the_block_width(monkeypatch, width):
     inst = small_instance(K=1, degree=1)
     measure = inst.measure()
     free = sum(lvl.size for lvl in inst.levels)
-    trials, seed, n = 101, 5, 40  # odd trials x odd atoms splits a random word
+    # 505 target bits: rows of 5 atoms straddle 64-bit words, and the
+    # last word is only partly read before the uniforms start.
+    trials, seed, n = 101, 5, 40
     assert trials * free % 2 == 1
     columns = 2 ** 20 if width == "large" else width
     monkeypatch.setattr(learner, "_EPISODE_DRAWS", columns * trials)
@@ -176,7 +187,8 @@ def _sequential_times(masses, eps, trials, n, seed):
     exact = [m / sum(exact) for m in exact]
     eps = Fraction(str(eps))
     rng = np.random.default_rng(seed)
-    targets = rng.integers(0, 2, size=(trials, len(masses)))
+    targets = np.reshape(_target_bits(rng, trials * len(masses)),
+                         (trials, len(masses)))
     columns = [rng.choice(len(masses), size=trials, p=masses)
                for _ in range(n)]
     times = []
@@ -262,17 +274,62 @@ def test_exact_error_equal_to_eps_is_not_a_failure():
     assert dict(est.probes)[0] == np.count_nonzero(exact > 3)
 
 
-@pytest.mark.parametrize("chunk_words", [1, 3, 2 ** 18])
-def test_fair_bits_match_rng_integers(monkeypatch, chunk_words):
+@pytest.mark.parametrize("draws", [1, 200, 2 ** 16])
+@pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 1001, 4096])
+def test_fair_bits_follow_the_raw_words(monkeypatch, count, draws):
+    # Bit j is bit j mod 64 of raw word j // 64, and the next draw starts
+    # at word ceil(count / 64), as in a twin generator that read the words;
+    # unpacked one word, three words or 1024 words at a time.
     from paclab import learner
-    monkeypatch.setattr(learner, "_EPISODE_DRAWS", chunk_words)
-    for count in (0, 1, 2, 3, 1001, 4096):
-        ours = np.random.default_rng([count, 3])
-        theirs = np.random.default_rng([count, 3])
-        bits = learner._fair_bits(ours, count)
-        assert bits.dtype == bool
-        assert np.array_equal(bits, theirs.integers(0, 2, size=count) == 1)
-        assert np.array_equal(ours.random(5), theirs.random(5))
+    monkeypatch.setattr(learner, "_EPISODE_DRAWS", draws)
+    ours = np.random.default_rng([count, 3])
+    twin = np.random.default_rng([count, 3])
+    bits = learner._fair_bits(ours, count)
+    assert bits.dtype == bool and bits.shape == (count,)
+    assert bits.tolist() == _target_bits(twin, count)
+    assert np.array_equal(ours.random(5), twin.random(5))
+
+
+def _starting_error_measure(case):
+    # (measure, free atoms, runs of equal units among the free atoms)
+    if case == "constructed":
+        inst = small_instance(K=2, degree=2)
+        measure = inst.measure()
+        free = sum(lvl.size for lvl in inst.levels)
+        assert free == len(measure) - 1  # the residual atom stays 0
+        return measure, free, len(inst.levels)
+    if case == "pairs":
+        # Adjacent masses differ, so every atom is a run; 0.1 comes twice.
+        measure = AtomicMeasure.from_pairs(
+            enumerate([0.05, 0.1, 0.3, 0.1, 0.25, 0.2]))
+        return measure, len(measure), len(measure)
+    measure = AtomicMeasure.uniform_on([float(i) for i in range(7)])
+    return measure, len(measure), 1
+
+
+@pytest.mark.parametrize("draws", [1, 700, 2 ** 16])
+@pytest.mark.parametrize("case", ["constructed", "pairs", "uniform"])
+def test_starting_error_matches_brute_force(monkeypatch, case, draws):
+    # With no draws, a trial is hit at 0 exactly when its target's units
+    # are at most floor(eps U).  eps sits on the mass of each prefix of
+    # runs and on the starting error of some trials (ties); the chunk of
+    # rows counted at once runs from one row to all of them.
+    from paclab import learner
+    monkeypatch.setattr(learner, "_EPISODE_DRAWS", draws)
+    measure, free, run_count = _starting_error_measure(case)
+    units, total = measure.units()
+    trials, seed = 300, 11
+    targets, _ = _stream(measure, free, trials, 0, seed)
+    start = targets.astype(np.int64) @ units
+    runs = np.flatnonzero(np.diff(units[:free], prepend=-1))
+    assert len(runs) == run_count
+    prefixes = np.cumsum(units[:free])[np.append(runs[1:], free) - 1]
+    for num in {0, *prefixes.tolist(), *start[:5].tolist(), total}:
+        times, draws_made = learner._hitting_times(
+            measure, free, Fraction(num, total), trials, seed, n_cap=0)
+        assert draws_made == 0
+        assert np.array_equal(times, np.where(start <= num, 0,
+                                              learner.NOT_HIT))
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +348,14 @@ def test_vacuous_accuracy_needs_no_samples():
     m = AtomicMeasure.from_pairs([(0.0, 1.0)])
     est = estimate_sample_complexity(m, 1.5, 0.1, trials=200, seed=3)
     assert est.n_hat == 0
+
+
+def test_instance_without_levels_needs_no_samples():
+    # K = 0 leaves only the residual atom, which no target labels.
+    inst = build_measure(ComplexitySchedule(eps=(Fraction(1, 5),),
+                                            f=RateFunction.poly(1), K=0))
+    est = estimate_sample_complexity(inst, 0.1, 0.1, trials=100)
+    assert (est.n_hat, est.draws) == (0, 0)
 
 
 def test_estimate_monotone_in_eps():
