@@ -5,6 +5,12 @@ ceil((32/eps) * log2(k/delta)); the lower bound is the base-2 log of a
 2eps-packing.  Greedy constructions provide verified covers and packings
 over finite concept families.
 
+Under an atomic measure a family's geometry is exact: every distance is an
+integer count of the measure's units, and a packing or cover decides a
+pair exactly at its radius in integers, not by the rounding of a float
+sum.  ``l1_distance`` and ``expect_indicator`` keep their sequential float
+loop, which ``distance_matrix`` does not use.
+
 ``hamming_packing`` realizes the binary-cube packing guarantee: at least
 ceil(exp(2 (0.5 - 2 eps)^2 n)) codewords at pairwise normalized Hamming
 distance >= 2 eps, built greedily from fair-coin candidates; a guarantee
@@ -20,9 +26,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .concepts import ENUMERATION_CAP, EnumerationCapError, l1_distance
-from .measures import AtomicMeasure
+from .measures import AtomicMeasure, _as_fraction
 
 HAMMING_RESTARTS = 50
+# Candidates per block of ``greedy_packing``.  Blocks double from the first
+# size, so a small selection pays for a small block, up to the largest,
+# which bounds the memory of one block against the selection.
+_FIRST_BLOCK = 16
+_LARGEST_BLOCK = 256
 
 
 class PackingShortfallError(RuntimeError):
@@ -36,9 +47,16 @@ class PackingShortfallError(RuntimeError):
 class FiniteFamily:
     """A finite list of concepts with L1 geometry from a fixed measure.
 
-    For an atomic measure distance rows come from one ``membership_matrix``;
-    under any other measure a row is the exact ``l1_distance`` to each
-    member.
+    Under an atomic measure the geometry is exact.  With the measure's
+    integer units u and their total U, members i and j are
+    d = s_i + s_j - 2 <m_i u, m_j> units apart, from the membership rows
+    m and the sizes s = m @ u, built once per family.  They are held in
+    the narrowest dtype that holds 2U exactly: float64 while 2U < 2**53,
+    where every sum of products is an integer and exact in any order, then
+    int64, then Python ints, so units past int64 are served too.  Radii
+    are read as the decimal literal they print as, and
+    ``distance_matrix`` rounds each d / U once.  Under any other measure a
+    distance is the ``l1_distance`` of the pair.
     """
 
     def __init__(self, concepts, measure):
@@ -47,26 +65,78 @@ class FiniteFamily:
             raise ValueError("a finite family needs at least one concept")
         self.concepts = concepts
         self.measure = measure
-        self._memberships = (measure.membership_matrix(concepts)
-                             if isinstance(measure, AtomicMeasure) else None)
+        self._total = None
+        if isinstance(measure, AtomicMeasure):
+            self._set_units(measure.membership_matrix(concepts),
+                            *measure._units_as(_unit_dtype(measure)))
+
+    @classmethod
+    def _of_memberships(cls, members, measure):
+        # A family given by membership rows over the first atoms of an
+        # atomic measure, none of whose members holds a later atom.
+        family = cls.__new__(cls)
+        family.concepts, family.measure = None, measure
+        units, total = measure._units_as(_unit_dtype(measure))
+        family._set_units(members, units[:members.shape[1]], total)
+        return family
+
+    def _set_units(self, members, units, total):
+        # Member j is stored as the row [m_j, 1, s_j].  Member i's row
+        # permuted by _swap and scaled, [-2 u m_i, s_i, 1], times it gives
+        # s_i + s_j - 2 <u m_i, m_j>, so a block of distances is one product.
+        dtype = units.dtype
+        members = members.astype(np.uint8).astype(dtype)
+        self._rows = np.hstack([members, np.ones((len(members), 1), dtype),
+                                (members @ units)[:, None]])
+        self._scale = np.append(-2 * units, np.ones(2, dtype))
+        atoms = len(units)
+        self._swap = np.r_[:atoms, atoms + 1, atoms]
+        self._total = total
 
     def __len__(self):
-        return len(self.concepts)
+        return len(self._rows if self._total is not None
+                   else self.concepts)
 
     def distance_matrix(self):
-        return np.array([self.distances_to(j) for j in range(len(self))])
+        """Every pairwise distance as a float, each rounded once."""
+        return self._floats(self._distances(slice(None), slice(None)))
 
-    def distances_to(self, j):
-        if self._memberships is not None:
-            return _distance_row(self._memberships, self.measure.masses, j)
-        return np.array([l1_distance(self.concepts[j], c, self.measure)
-                         for c in self.concepts])
+    def _distances(self, rows, cols):
+        # Members ``rows`` against members ``cols``: units, or floats
+        # under a non-atomic measure.
+        if self._total is None:
+            rows, cols = (np.arange(len(self))[x] for x in (rows, cols))
+            return np.array([[l1_distance(self.concepts[i], self.concepts[j],
+                                          self.measure) for j in cols]
+                             for i in rows], dtype=float).reshape(
+                                 len(rows), len(cols))
+        left = self._rows[rows][:, self._swap] * self._scale
+        return left @ self._rows[cols].T
+
+    def _threshold(self, radius, up):
+        # The radius as a distance in this family's terms: ceil(R U) for a
+        # packing (up), floor(R U) for a cover, clamped into [0, U + 1].
+        if self._total is None:
+            return float(radius)
+        scaled = _as_fraction(radius) * self._total
+        return (min(math.ceil(scaled), self._total + 1) if up
+                else min(math.floor(scaled), self._total))
+
+    def _floats(self, distances):
+        # float(Fraction(d, U)) per entry: one correctly rounded division,
+        # of exact floats below 2**53 and of Python ints above.
+        if self._total is None:
+            return distances
+        if distances.dtype == float:
+            return distances / self._total
+        return np.array([d / self._total for d in distances.ravel().tolist()],
+                        dtype=float).reshape(distances.shape)
 
 
-def _distance_row(memberships, masses, j):
-    # The one atomic distance kernel: the mass of each member's disagreement
-    # with member j.
-    return (memberships != memberships[j]) @ masses
+def _unit_dtype(measure):
+    total = measure._unit_runs()[-1]
+    return (float if 2 * total < 2 ** 53
+            else np.int64 if 2 * total < 2 ** 63 else object)
 
 
 def greedy_cover(family, eps):
@@ -78,16 +148,17 @@ def greedy_cover(family, eps):
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    n = len(family)
+    near = family._threshold(eps, up=False)
     centers = [0]
-    min_dist = family.distances_to(0).copy()
+    min_dist = family._distances([0], slice(None))[0]
     while True:
         far = int(np.argmax(min_dist))
-        if min_dist[far] <= eps:
+        if min_dist[far] <= near:
             break
         centers.append(far)
-        min_dist = np.minimum(min_dist, family.distances_to(far))
-    if not float(np.max(min_dist)) <= eps:
+        min_dist = np.minimum(min_dist,
+                              family._distances([far], slice(None))[0])
+    if not min_dist.max() <= near:
         raise AssertionError("greedy cover left a concept farther than eps")
     return tuple(centers), len(centers)
 
@@ -120,39 +191,49 @@ class PackingResult:
                 "certified": self.certified, "size": self.size}
 
 
-def _greedy_rows(count, row, radius):
-    # Index-order greedy: the first member still alive is selected, and its
-    # distance row retires every member closer than radius (itself included).
-    alive = np.ones(count, dtype=bool)
-    selected = []
-    rows = []
-    while alive.any():
-        i = int(np.argmax(alive))
-        selected.append(i)
-        rows.append(row(i))
-        alive &= rows[-1] >= radius
-    return tuple(selected), rows
-
-
 def greedy_packing(family, radius):
-    """Maximal-by-inclusion greedy radius-separated subset, in index order."""
+    """Maximal-by-inclusion greedy radius-separated subset, in index order.
+
+    Candidates come in blocks that double from ``_FIRST_BLOCK`` to
+    ``_LARGEST_BLOCK`` members.  One distance block drops every candidate
+    closer than radius to a member already selected, and a pass over the
+    survivors' own distances selects them in index order, so the result
+    is the plain index-order greedy's.  Every selected pair is checked
+    against the radius in the family's units, then as floats.
+    """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    idx, rows = _greedy_rows(len(family), family.distances_to, radius)
-    # The separation check reads the selected columns of the rows it used.
-    dists = np.array(rows)[:, idx][np.triu_indices(len(idx), k=1)]
-    return PackingResult(idx, float(radius), False, dists)
-
-
-def greedy_packing_memberships(memberships, masses, radius):
-    """Greedy packing over a membership-matrix family, without
-    materializing concept objects.  Equivalent to index-order greedy.
-    Returns the selected indices and each one's distance row to all members.
-    """
-    memberships = np.asarray(memberships, dtype=bool)
-    masses = np.asarray(masses, dtype=float)
-    return _greedy_rows(len(memberships),
-                        lambda j: _distance_row(memberships, masses, j), radius)
+    apart = family._threshold(radius, up=True)
+    selected = []
+    start, size = 0, _FIRST_BLOCK
+    while start < len(family):
+        block = np.arange(start, min(start + size, len(family)))
+        start, size = start + size, min(2 * size, _LARGEST_BLOCK)
+        if selected:
+            block = block[(family._distances(selected, block)
+                           >= apart).all(axis=0)]
+        # Bit j of row i: candidates i and j are apart.  A member is never
+        # apart from itself, so its own row retires it.
+        apart_rows = np.packbits(family._distances(block, block) >= apart,
+                                 axis=1, bitorder="little")
+        alive, chosen = (1 << len(block)) - 1, []
+        while alive:
+            chosen.append((alive & -alive).bit_length() - 1)
+            alive &= int.from_bytes(apart_rows[chosen[-1]].tobytes(), "little")
+        selected.extend(block[chosen].tolist())
+    # The certificate: the least distance of each block of selected rows
+    # to the members selected after them, checked in units, then as floats.
+    least = []
+    for lo in range(0, len(selected) - 1, _LARGEST_BLOCK):
+        hi = min(lo + _LARGEST_BLOCK, len(selected) - 1)
+        dist = family._distances(selected[lo:hi], selected[lo:])
+        least.append(dist[np.arange(hi - lo)[:, None]
+                          < np.arange(len(selected) - lo)].min())
+    if not all(d >= apart for d in least):
+        raise AssertionError(f"greedy packing selected a pair closer than "
+                             f"{radius}")
+    return PackingResult(tuple(selected), float(radius), False,
+                         family._floats(np.array(least)))
 
 
 def bi_upper_from_log2(eps, delta, log2_k):

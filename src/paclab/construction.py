@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import sontag
-from .bounds import bi_upper_from_log2, greedy_packing_memberships
+from .bounds import FiniteFamily, bi_upper_from_log2, greedy_packing
 from .concepts import EnumerationCapError
 from .measures import (AtomicMeasure, Field, _as_fraction, read_fields,
                        read_kind)
@@ -312,12 +312,10 @@ def theoretical_profile(instance, delta):
         if 0 < f_k <= SMALL_FAMILY_LIMIT:
             # Labeling i gives bit (i >> j) & 1 to the j-th atom of levels
             # 1..k, the first f_k atoms in location order, and 0 to the rest.
-            memberships = np.zeros((2 ** f_k, len(measure)), dtype=bool)
-            memberships[:, :f_k] = (np.arange(2 ** f_k)[:, None]
-                                    >> np.arange(f_k)) & 1
-            packed, _ = greedy_packing_memberships(memberships, measure.masses,
-                                                   2.0 * eps_k)
-            lower = max(lower, math.ceil(math.log2(len(packed))))
+            family = FiniteFamily._of_memberships(
+                (np.arange(2 ** f_k)[:, None] >> np.arange(f_k)) & 1, measure)
+            packed = greedy_packing(family, 2.0 * eps_k)
+            lower = max(lower, math.ceil(math.log2(packed.size)))
         rows.append(ProfileRow(k, eps_k, f_k, lower, upper, 2 ** f_k,
                                math.ceil((8.0 / eps_k ** 2)
                                          * (f_k + math.log2(1.0 / delta)))))

@@ -93,7 +93,7 @@ class AtomicMeasure:
             raise ValueError(f"atom masses sum to {total!r}, expected 1")
         self._runs = order, runs
         self._buckets = None
-        self._units = None
+        self._unit_cache = None
 
     @classmethod
     def from_pairs(cls, pairs):
@@ -175,7 +175,22 @@ class AtomicMeasure:
         reduced by the units' gcd.  A measure whose units do not fit int64
         raises ``OverflowError``; there is no float fallback.
         """
-        if self._units is None:
+        total = self._unit_runs()[-1]
+        if total >= 2 ** 63:
+            raise OverflowError(
+                f"the exact masses of {self!r} need {total.bit_length()}"
+                "-bit units, more than int64 holds")
+        return self._units_as(np.int64)
+
+    def _units_as(self, dtype):
+        # The units of ``units()`` as an array of any dtype that holds them,
+        # object for Python ints, and U; no size check.
+        order, counts, nums, total = self._unit_runs()
+        return np.repeat(np.array(nums, dtype=dtype), counts)[order], total
+
+    def _unit_runs(self):
+        # (atom order, run counts, per-run Python-int units, U).
+        if self._unit_cache is None:
             order, runs = self._runs
             if runs is None:  # one run per atom, already in atom order
                 order, runs = slice(None), [(1, _as_fraction(m))
@@ -185,14 +200,9 @@ class AtomicMeasure:
             nums = [f.numerator * (den // f.denominator) for f in exact]
             common = math.gcd(*nums)
             nums = [x // common for x in nums]
-            total = sum(map(operator.mul, counts, nums))
-            if total >= 2 ** 63:
-                raise OverflowError(
-                    f"the exact masses of {self!r} need {total.bit_length()}"
-                    "-bit units, more than int64 holds")
-            self._units = (np.repeat(np.array(nums, dtype=np.int64),
-                                     counts)[order], total)
-        return self._units
+            self._unit_cache = (order, counts, nums,
+                                sum(map(operator.mul, counts, nums)))
+        return self._unit_cache
 
     def membership_matrix(self, concepts):
         """One row of bools per concept, atoms in atom order: does the

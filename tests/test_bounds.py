@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -150,7 +151,7 @@ def test_packing_result_rejects_bad_separation():
     # A NaN distance fails the check instead of passing it.
     with pytest.raises(ValueError):
         PackingResult((0, 1), 0.5, False, (math.nan,))
-    # The greedy hands over an ndarray of the upper triangle.
+    # The greedy hands over an ndarray: the least distance per block.
     with pytest.raises(ValueError):
         PackingResult((0, 1, 2), 0.5, False, np.array([0.6, 0.7, 0.4]))
     assert PackingResult((0, 1, 2), 0.5, False,
@@ -288,29 +289,102 @@ def test_family_under_uniform_measure():
     assert packed.size == 3
 
 
+def exact_distances(family):
+    """The members as codes, bit a for atom a, and the exact distance of
+    each disagreement code a ^ b as a Fraction: the masses, read as the
+    decimals they print as and normalized to sum 1, of the atoms set."""
+    masses = [Fraction(str(m)) for m in family.measure.masses.tolist()]
+    masses = [m / sum(masses) for m in masses]
+    codes = [sum(1 << a for a, hit in enumerate(row) if hit) for row in
+             family.measure.membership_matrix(family.concepts).tolist()]
+    distinct = set(codes)
+    return codes, {x: sum((m for a, m in enumerate(masses) if x >> a & 1),
+                          Fraction(0))
+                   for x in {a ^ b for a in distinct for b in distinct}}
+
+
+def exact_float_matrix(codes, table):
+    floats = {x: float(d) for x, d in table.items()}
+    return [[floats[a ^ b] for b in codes] for a in codes]
+
+
+def index_order_packing(count, apart):
+    """The plain index-order greedy: member i joins when ``apart(i, j)``
+    holds for every member j already in."""
+    loop = []
+    for i in range(count):
+        if all(apart(i, j) for j in loop):
+            loop.append(i)
+    return tuple(loop)
+
+
 def test_distance_rows_match_the_pairwise_tensor_and_old_greedy_loop():
-    # Atomic: the stacked distance rows equal the k x k x atoms product bit
-    # for bit.
+    # Atomic: each float entry is the exact distance, rounded once.
     rng = np.random.default_rng(31)
     for size in (1, 3, 7):
         raw = rng.uniform(0.1, 1.0, size=size)
         fam = labeling_family(list(raw / raw.sum()),
                               indices=rng.permutation(2 ** size)[:12].tolist())
-        m = fam._memberships
-        expected = (m[:, None] != m[None]) @ fam.measure.masses
-        assert np.array_equal(fam.distance_matrix(), expected)
-    # Non-atomic: the alive-mask greedy selects what the index-order loop
+        assert (fam.distance_matrix().tolist()
+                == exact_float_matrix(*exact_distances(fam)))
+    # Non-atomic: the blocked greedy selects what the index-order loop
     # over the distance matrix selects.
     u = UniformMeasure(0.0, 2.0 * math.pi)
     fam = FiniteFamily([SontagConcept(w) for w in
                         (0.0, 0.5, 1.0, 2.0, 2.5, 4.0, 8.0, 9.0)], u)
     mat = fam.distance_matrix()
     for radius in (0.05, 0.2, 0.3, 0.45, 0.5, 0.9):
-        loop = []
-        for i in range(len(fam)):
-            if all(mat[i, j] >= radius for j in loop):
-                loop.append(i)
-        assert greedy_packing(fam, radius).selected == tuple(loop)
+        assert greedy_packing(fam, radius).selected == index_order_packing(
+            len(fam), lambda i, j: mat[i, j] >= radius)
+
+
+def test_packing_keeps_a_pair_exactly_at_the_radius():
+    # {0.1, 0.7} is exactly 4/5, where the float sum reads
+    # 0.7999999999999999.
+    fam = labeling_family([0.1, 0.2, 0.7], indices=[0, 0b101])
+    assert float(np.array([0.1, 0.7]).sum()) < 0.8
+    result = greedy_packing(fam, 0.8)
+    assert result.selected == (0, 1)
+    assert fam.distance_matrix()[0, 1] == 0.8
+    assert greedy_packing(fam, 0.8000000000000002).selected == (0,)
+
+
+def test_cover_counts_a_member_exactly_at_eps_as_covered():
+    # {0.1, 0.2} is exactly 3/10, where the float sum reads
+    # 0.30000000000000004.
+    fam = labeling_family([0.1, 0.2, 0.7], indices=[0, 0b011])
+    assert 0.1 + 0.2 > 0.3
+    assert greedy_cover(fam, 0.3) == ((0,), 1)
+    assert greedy_cover(fam, 0.29999999999999993) == ((0, 1), 2)
+
+
+BLOCK = bounds._LARGEST_BLOCK
+TIE_MEASURES = {
+    # U = 20, float units; radii 0.3 and 0.35 are distances, 0.325 is not.
+    "float64": [0.05, 0.1, 0.15, 0.2, 0.25, 0.05, 0.1, 0.1],
+    # 17-digit decimals over one common denominator below 2**62.
+    "int64": [0.12345678901234568, 0.2, 0.3, 0.37654321098765432],
+    # Units past int64: 1.25e20 in total, 67 bits.
+    "object": [1.2345678901234567e-5, 7.654321098765432e-06, 0.25, 0.74998],
+}
+
+
+@pytest.mark.parametrize("dtype", sorted(TIE_MEASURES))
+@pytest.mark.parametrize("count", [1, bounds._FIRST_BLOCK + 1, BLOCK - 1,
+                                   BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+def test_blocked_packing_is_the_index_order_greedy(dtype, count):
+    masses = TIE_MEASURES[dtype]
+    rng = np.random.default_rng(count)
+    fam = labeling_family(masses, indices=rng.integers(
+        0, 2 ** len(masses), size=count).tolist())
+    assert fam._rows.dtype == np.dtype(dtype)
+    codes, table = exact_distances(fam)
+    on_ties = sorted(d for d in table.values() if d)[:3]
+    for radius in [float(r) for r in on_ties] + [0.3, 0.325, 0.35, 0.5]:
+        apart = {x: d >= Fraction(str(radius)) for x, d in table.items()}
+        assert greedy_packing(fam, radius).selected == index_order_packing(
+            count, lambda i, j: apart[codes[i] ^ codes[j]])
+    assert fam.distance_matrix().tolist() == exact_float_matrix(codes, table)
 
 
 MIXED_FAMILY = [SontagConcept(3.0), SontagConcept(7.5),
@@ -346,7 +420,6 @@ def test_non_atomic_rows_are_exact_distances_to_each_member(name, measure):
     for j, c in enumerate(MIXED_FAMILY):
         assert np.array_equal(mat[j], [l1_distance(c, d, measure)
                                        for d in MIXED_FAMILY])
-        assert np.array_equal(fam.distances_to(j), mat[j])
     for radius, (packed, centers) in MIXED_SELECTIONS[name].items():
         assert greedy_packing(fam, radius).selected == packed
         assert greedy_cover(fam, radius)[0] == centers

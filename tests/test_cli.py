@@ -263,6 +263,30 @@ def test_packing_outputs(tmp_path):
     assert all(len(wd) == 50 for wd in doc["codewords"])
 
 
+def test_packing_past_int64_units_is_exact(tmp_path):
+    # Exact units need 67 bits, beyond what the estimator accepts; the
+    # family geometry keeps them as Python ints.  Atoms 0 and 1 are exactly
+    # 2e-05 together, where their float sum reads 1.9999999999999998e-05.
+    small = [1.2345678901234567e-5, 7.654321098765432e-06]
+    measure = {"kind": "atomic",
+               "atoms": [[0.0, small[0]], [1.0, small[1]], [2.0, 0.99998]]}
+    with pytest.raises(OverflowError):
+        measures.measure_from_json(measure).units()
+    assert small[0] + small[1] < 2e-05
+
+    def labels(*bits):
+        return {"kind": "atom_labels", "locations": [0.0, 1.0, 2.0],
+                "bits": list(bits)}
+
+    code, out = run(tmp_path, "packing", {"family": {
+        "measure": measure, "radius": 2e-05,
+        "members": [labels(0, 0, 0), labels(1, 0, 0), labels(1, 1, 0),
+                    {"kind": "intervals", "intervals": [[-0.5, 1.5]]}]}})
+    assert code == 0
+    doc = json.loads((out / "greedy_packing.json").read_text())
+    assert doc["selected"] == [0, 2]
+
+
 def test_cantor_feasibility_map(tmp_path):
     code, out = run(tmp_path, "cantor",
                     {"level": 1, "orders": [5, 64], "subsets": [[1], [1, 2]]})
