@@ -113,6 +113,15 @@ class FiniteFamily:
         left = self._rows[rows][:, self._swap] * self._scale
         return left @ self._rows[cols].T
 
+    def _distances_from(self):
+        # A function from member i to its distances to every member: under
+        # an atomic measure the swapped, scaled rows are built once, and
+        # each call is one row-by-matrix product.
+        if self._total is None:
+            return lambda i: self._distances([i], slice(None))[0]
+        left, right = self._rows[:, self._swap] * self._scale, self._rows.T
+        return lambda i: left[i] @ right
+
     def _threshold(self, radius, up):
         # The radius as a distance in this family's terms: ceil(R U) for a
         # packing (up), floor(R U) for a cover, clamped into [0, U + 1].
@@ -149,15 +158,15 @@ def greedy_cover(family, eps):
     if eps <= 0:
         raise ValueError("eps must be positive")
     near = family._threshold(eps, up=False)
+    distances = family._distances_from()
     centers = [0]
-    min_dist = family._distances([0], slice(None))[0]
+    min_dist = distances(0)
     while True:
         far = int(np.argmax(min_dist))
         if min_dist[far] <= near:
             break
         centers.append(far)
-        min_dist = np.minimum(min_dist,
-                              family._distances([far], slice(None))[0])
+        min_dist = np.minimum(min_dist, distances(far))
     if not min_dist.max() <= near:
         raise AssertionError("greedy cover left a concept farther than eps")
     return tuple(centers), len(centers)

@@ -11,8 +11,10 @@ vote itself.
 failure rate (true error above eps) drops to delta, in one pass over nested
 Monte-Carlo episodes: the error of a growing sample only falls, so the
 estimate is a quantile of the episodes' hitting times, each decided in
-exact integer mass units.  The random targets take 64 bits from each raw
-word of the bit generator, so they depend only on its stream.
+exact integer mass units.  An episode's error changes only at the first
+draw of a target atom, so the pass simulates just those first draws, per
+run of equal units, exact in law: their order from Poisson windows and
+their draw counts from geometric gaps.
 ``gc_deviation`` estimates the uniform deviation sup |E_mu - E_emp| either
 by enumerating a finite sub-class (census mode) or by adversarially
 fitting the all-ones labeling of each drawn sample (the non-convergence
@@ -38,11 +40,10 @@ from .measures import AtomicMeasure, _as_fraction, expect_indicator
 DEFAULT_N_CAP = 10 ** 6
 ADVERSARIAL_MIN_WEIGHT = 32.0
 _WILSON_Z = 1.959963984540054  # two-sided 95%
-# One estimate holds a bool per trial and atom: the cap keeps that mask
-# at 32 MiB.
+# Most trials x atoms one estimate takes: the design envelope of the
+# estimator, refused before any episode is drawn.
 MAX_EPISODE_CELLS = 2 ** 25
-# Most draws in one block of episode columns, and about the most mask
-# cells unpacked, or counted for the starting errors, in one chunk.
+# Most first draws of targets expected in one window of the pass.
 _EPISODE_DRAWS = 2 ** 16
 NOT_HIT = np.iinfo(np.int64).max  # hitting time of a trial still above eps
 
@@ -72,7 +73,7 @@ class ComplexityEstimate:
     confidence_interval: tuple
     seed: int
     status: str  # "converged" | "cap_exceeded"
-    draws: int = 0  # episode draws made
+    draws: int = 0  # first draws of targets simulated
     probes: tuple = field(repr=False, default=())  # (n, failures) pairs
 
     def to_json(self):
@@ -99,111 +100,103 @@ def _universe_arrays(universe):
     raise TypeError("universe must be a ConstructedInstance or AtomicMeasure")
 
 
-def _fair_bits(rng, count):
-    """The first ``count`` target bits of ``rng``'s stream, as bools.
+def _running_sums(x, starts, lengths):
+    # Inclusive running sums of x within each group of entries, the groups
+    # given by their starts and lengths.
+    sums = np.cumsum(x)
+    return sums - np.repeat(sums[starts] - x[starts], lengths)
 
-    Bit j is bit j mod 64, least significant first, of raw 64-bit word
-    j // 64 of ``rng.bit_generator.random_raw``: the bits depend only on
-    the bit generator's stream, and every draw after them starts at word
-    ceil(count / 64).  Chunks of whole words are unpacked into a mask
-    allocated first, which keeps the process's peak RSS down.
+
+def _arrival_order(trial, at, span):
+    """Indices that sort arrivals by trial, then by time in the window.
+
+    One float argsort of trial + at / span: rounding that sum keeps the
+    order of the keys or ties two of them, never swaps them, so the order
+    is exact unless two keys are equal, and then the two-key sort decides.
     """
-    bits = np.empty(count, dtype=bool)
-    step = 64 * max(1, _EPISODE_DRAWS // 64)
-    for start in range(0, count, step):
-        stop = min(start + step, count)
-        words = rng.bit_generator.random_raw(-(-(stop - start) // 64))
-        # little-endian words, so each word's low byte comes first
-        bits[start:stop] = np.unpackbits(
-            words.astype("<u8", copy=False).view(np.uint8),
-            count=stop - start, bitorder="little").view(bool)
-    return bits
+    key = trial + np.minimum(at / span, 1.0)
+    order = np.argsort(key)
+    if np.any(np.diff(key[order]) == 0):
+        return np.lexsort((at, trial))
+    return order
 
 
 def _hitting_times(measure, free_atoms, eps, trials, seed, allowed=0,
                    n_cap=DEFAULT_N_CAP):
-    """Nested episodes: (each trial's T = min{n : err_n <= eps}, draws made).
+    """Nested episodes: (each trial's T = min{n : err_n <= eps}, first
+    draws of targets simulated).
 
-    Trial t draws its random target first: bit t * free_atoms + a of the
-    stream of ``_fair_bits``, 64 bits to a raw word, says whether it labels
-    atom a with 1.  Then its j-th sample point is entry (j, t) of
-    ``measure.draw_indices(rng, (n, trials))``: the generator is drawn
-    column-major, so no draw depends on the block widths or on which
-    trials have stopped.  With label-consistent samples the majority vote
-    equals the target on seen atoms and 0 elsewhere, so err_n is the exact
-    mass of the target atoms not yet drawn; each trial keeps it in the
-    measure's integer units, and only the first draw of a (trial, atom)
-    pair removes that atom's units.  The pass stops once at most
-    ``allowed`` trials are still above eps, or at ``n_cap`` draws per
-    trial; a trial still above eps then reads ``NOT_HIT``.
+    With label-consistent samples the majority vote equals the target on
+    seen atoms and 0 elsewhere, so err_n is the mass of the target atoms
+    not yet drawn, kept per trial in the measure's integer units.  It only
+    changes at a first draw of a target atom, and atoms of equal units are
+    exchangeable, so a trial is a death chain over the free atoms' runs of
+    equal units, and only those first draws are simulated:
+
+    - trial t starts with ``rng.binomial(s_r, 1/2)`` unseen targets in run
+      r, a (trials, runs) array drawn first;
+    - Poissonized, the atoms are independent: in a window of ``span``
+      expected draws each unseen target of run r first arrives with
+      probability q_r = 1 - exp(-p_r span), one ``rng.binomial`` per trial
+      and run, at a time from ``rng.random`` through the exponential
+      truncated to the window.  Sorted by time, a trial's arrivals are the
+      order in which i.i.d. draws first meet its targets;
+    - the j-th of them comes ``rng.geometric(rem / U)`` draws after the one
+      before, rem the units still unseen before it, so N at every first
+      draw is a running sum, and T is N at the first one after which
+      rem <= floor(eps U).
+
+    Every trial stays in play until the pass stops, and each span, halved
+    until its expected arrivals are at most ``_EPISODE_DRAWS``, depends
+    only on the path: the stream is the same for every eps, so T is
+    monotone in eps trial by trial.  The pass stops once the
+    (trials - allowed) smallest times are settled: every trial still above
+    eps has N + 1 above the (trials - allowed)-th smallest T, or above
+    ``n_cap``.  Such a trial reads ``NOT_HIT``, as does one whose T passes
+    ``n_cap``.
     """
     units, total_units = measure.units()
     eps = _as_fraction(eps)
     threshold = min(eps.numerator * total_units // eps.denominator,
                     total_units)  # err <= eps  <=>  units <= floor(eps U)
+    n_cap = min(n_cap, NOT_HIT - 1)  # so that a gap of n_cap + 1 fits int64
     rng = np.random.default_rng(seed)
-    # Only the first free_atoms atoms can be targets: the mask holds those.
-    atoms, units = free_atoms, units[:free_atoms]
-    missed = _fair_bits(rng, trials * atoms).reshape(trials, atoms)
-    # Each trial's starting error: its missed atoms counted per maximal run
-    # of equal units, then weighed by the run's units.  reduceat casts its
-    # whole input to int32, so it takes a few rows at a time.
-    runs = np.flatnonzero(np.diff(units, prepend=-1))
-    rows = max(1, _EPISODE_DRAWS // max(atoms, 1))
-    remaining = np.concatenate([
-        np.add.reduceat(missed[r:r + rows].view(np.uint8), runs, axis=1,
-                        dtype=np.int32) @ units[runs]
-        for r in range(0, trials, rows)])
+    # Only the first free_atoms atoms can be targets.
+    values, sizes = np.unique(units[:free_atoms], return_counts=True)
+    rates = values / total_units  # a draw's chance of one atom of the run
+    alive = rng.binomial(sizes, 0.5, size=(trials, len(sizes)))
+    remaining = alive @ values
     times = np.where(remaining <= threshold, 0, NOT_HIT)
-    running = times == NOT_HIT
-    # Per atom, how many trials still miss it, stopped trials included: an
-    # over-count that only widens the span of draws looked up, since draws
-    # of atoms no running trial misses change nothing.
-    missing = np.add.reduce(missed.view(np.uint8), axis=0, dtype=np.int32)
-    flat = missed.reshape(-1)
-    columns = max(1, min(_EPISODE_DRAWS // trials, n_cap))
-    block = np.empty(columns * trials)
-    drawn = 0
-    width = 1
-    while np.count_nonzero(running) > allowed and drawn < n_cap:
-        width = min(width, n_cap - drawn)
-        u = rng.random(out=block[:width * trials].reshape(width, trials))
-        live = np.flatnonzero(missing)
-        lo, hi = measure.uniform_bounds(live[0], live[-1] + 1)
-        wanted = u >= lo
-        wanted &= u < hi
-        wanted &= running
-        draw, trial = np.divmod(np.flatnonzero(wanted), trials)
-        cells = trial * atoms + measure.indices_of(u[draw, trial])
-        new = flat[cells]
-        # The first draw in this block of each (trial, atom) still missed:
-        # each cell's first sorted cell * width + draw key, re-sorted as
-        # (trial * width + draw) * atoms + atom.  Keys stay below 2**35:
-        # MAX_EPISODE_CELLS times width <= _EPISODE_DRAWS / 100 (>= 100 trials).
-        cells, draw = np.divmod(np.sort(cells[new] * width + draw[new]), width)
-        first = np.diff(cells, prepend=-1) != 0
-        cells, draw = cells[first], draw[first]
-        flat[cells] = False
-        rest, atom = np.divmod(np.sort(
-            (cells // atoms * width + draw) * atoms + cells % atoms), atoms)
-        trial, draw = np.divmod(rest, width)
-        gains = units[atom]
-        missing -= np.bincount(atom, minlength=atoms)
-        # Units removed so far within each trial's run of draws.
-        spent = np.cumsum(gains)
+    drawn = np.zeros(trials, dtype=np.int64)  # N at each trial's last arrival
+    rank = trials - allowed - 1
+    work = 0
+    span = 0.5  # doubled before each window, so the first spans one draw
+    while np.any((times == NOT_HIT) & (drawn < min(
+            np.partition(times, rank)[rank], n_cap))):
+        live = alive.sum(axis=0)
+        span *= 2
+        while live @ (hit_odds := -np.expm1(-rates * span)) > _EPISODE_DRAWS:
+            span /= 2
+        arrivals = rng.binomial(alive, hit_odds)
+        alive -= arrivals
+        trial, run = np.divmod(np.repeat(np.arange(arrivals.size),
+                                         arrivals.reshape(-1)), len(sizes))
+        at = -np.log1p(-hit_odds[run] * rng.random(len(run))) / rates[run]
+        run = run[_arrival_order(trial, at, span)]  # trial stays sorted
         starts = np.flatnonzero(np.diff(trial, prepend=-1))
-        ends = np.flatnonzero(np.diff(trial, append=trials))
-        spent -= np.repeat(spent[starts] - gains[starts], ends - starts + 1)
-        left = remaining[trial] - spent
-        remaining[trial[ends]] = left[ends]
-        done = np.flatnonzero(left <= threshold)
-        firsts = done[np.diff(trial[done], prepend=-1) != 0]
-        hit = trial[firsts]
-        times[hit] = drawn + draw[firsts] + 1
-        running[hit] = False
-        drawn += width
-        width = min(2 * width, columns)
-    return times, trials * drawn
+        lengths = np.diff(starts, append=len(trial))
+        gains = values[run]
+        after = remaining[trial] - _running_sums(gains, starts, lengths)
+        before = after + gains
+        gaps = np.minimum(rng.geometric(before / total_units), n_cap + 1)
+        n = drawn[trial] + _running_sums(gaps, starts, lengths)
+        crossed = (before > threshold) & (after <= threshold) & (n <= n_cap)
+        times[trial[crossed]] = n[crossed]
+        ends = starts + lengths - 1
+        remaining[trial[ends]] = after[ends]
+        drawn[trial[ends]] = n[ends]
+        work += len(run)
+    return times, work
 
 
 def estimate_sample_complexity(universe, eps, delta, trials=400, seed=0,
@@ -216,8 +209,9 @@ def estimate_sample_complexity(universe, eps, delta, trials=400, seed=0,
     most failures with failures / trials <= delta.  The estimate carries a
     trail of failure counts at n = 0, 1, 2, 4, ... below n_hat and at
     n_hat - 1 and n_hat (n_cap in place of n_hat when the cap is hit), and
-    a Wilson 95% interval at n_hat.  Every eps
-    sees the episodes of one seed, so estimates are monotone in eps.
+    a Wilson 95% interval at n_hat, and ``draws`` counts the first draws
+    of targets the pass simulated.  Every eps sees the episodes of one
+    seed, so estimates are monotone in eps.
     """
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")

@@ -157,12 +157,6 @@ class AtomicMeasure:
             idx += half * (cdf[idx + (half - 1)] <= u)
         return idx
 
-    def uniform_bounds(self, lo, hi):
-        """(a, b) such that a uniform u is drawn as an atom index in
-        [lo, hi) exactly when a <= u < b."""
-        cdf = self._bucket_table()[0]
-        return (cdf[lo - 1] if lo > 0 else 0.0), cdf[hi - 1]
-
     def sample(self, n, seed=0):
         rng = np.random.default_rng(seed)
         return self.locations[self.draw_indices(rng, int(n))]

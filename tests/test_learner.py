@@ -92,170 +92,43 @@ def test_true_error_single_atom_disagreement():
     assert l1_distance(h, t, m) == 0.008
 
 
-def _target_bits(rng, count):
-    # The target stream one bit at a time, in Python ints: bit j is bit
-    # j mod 64 of raw word j // 64.
-    words = rng.bit_generator.random_raw(-(-count // 64))
-    return [bool((int(words[j // 64]) >> (j % 64)) & 1) for j in range(count)]
-
-
-def _stream(measure, free, trials, n, seed):
-    # The estimator's episodes drawn the plain way: targets bit by bit from
-    # the raw words, then rng.choice for n draws of every trial,
-    # column-major.
-    rng = np.random.default_rng(seed)
-    targets = np.zeros((trials, len(measure)), dtype=bool)
-    targets[:, :free] = np.reshape(_target_bits(rng, trials * free),
-                                   (trials, free))
-    idx = rng.choice(len(measure), size=(n, trials), p=measure.masses).T
-    return targets, idx
-
-
 def test_vectorized_episodes_match_erm_learn():
-    # erm_learn on the first n draws of trial t errs above eps exactly
-    # when the trial's hitting time is above n.
-    from paclab.learner import NOT_HIT, _hitting_times
+    # The estimator's premise, on explicit draw_indices samples: the
+    # majority vote of a label-consistent sample is an ERM hypothesis, and
+    # its true error is the mass of the target atoms not yet drawn.
     inst = small_instance(K=1, degree=1)
     measure = inst.measure()
     free = sum(lvl.size for lvl in inst.levels)
-    eps, trials, seed = 0.3, 64, 99
-    times, _ = _hitting_times(measure, free, eps, trials, seed)
-    assert NOT_HIT not in times
-    targets, idx = _stream(measure, free, trials, int(times.max()) + 2, seed)
-    for t in range(trials):
-        target = AtomLabeling.for_measure(
-            measure, tuple(int(b) for b in targets[t]))
-        for n in sorted({0, 1, 5, 12, times[t] - 1, times[t], times[t] + 1}):
-            if n < 0:
-                continue
-            points = tuple(measure.locations[idx[t, :n]])
+    units, total = measure.units()
+    rng = np.random.default_rng(99)
+    for _ in range(64):
+        bits = np.zeros(len(measure), dtype=bool)
+        bits[:free] = rng.integers(0, 2, size=free)
+        target = AtomLabeling.for_measure(measure, bits.astype(int).tolist())
+        idx = measure.draw_indices(rng, 40)
+        for n in (0, 1, 5, 12, 40):
+            points = tuple(measure.locations[idx[:n]])
             labels = tuple(int(target.contains(p)) for p in points)
             h = erm_learn(LabeledSample(points, labels), measure)
             assert empirical_risk(h, LabeledSample(points, labels)) == 0.0
-            assert (l1_distance(h, target, measure) > eps) == (times[t] > n)
+            unseen = bits.copy()
+            unseen[idx[:n]] = False
+            assert math.isclose(l1_distance(h, target, measure),
+                                units[unseen].sum() / total,
+                                rel_tol=1e-12, abs_tol=1e-15)
 
 
-def _reference_times(measure, free, eps, trials, n, seed):
-    # Hitting times from the plain stream, err_n summed in exact units
-    # after each draw; NOT_HIT past n draws.
-    from paclab.learner import NOT_HIT
-    units, total = measure.units()
-    eps = Fraction(str(eps))
-    targets, idx = _stream(measure, free, trials, n, seed)
-    seen = np.zeros_like(targets)
-    times = np.full(trials, NOT_HIT)
-    for j in range(n + 1):
-        err = np.array([units[row].sum() for row in targets & ~seen])
-        times[(times == NOT_HIT) & (err * eps.denominator
-                                    <= eps.numerator * total)] = j
-        if j < n:
-            seen[np.arange(trials), idx[:, j]] = True
-    return times
+def _runs(measure, free):
+    # The free atoms' runs of equal units as the estimator reads them:
+    # (units of one atom, atom count) per run, units increasing.
+    return np.unique(measure.units()[0][:free], return_counts=True)
 
 
-@pytest.mark.parametrize("width", [1, 7, "large"])
-def test_hitting_times_do_not_depend_on_the_block_width(monkeypatch, width):
-    from paclab import learner
-    inst = small_instance(K=1, degree=1)
-    measure = inst.measure()
-    free = sum(lvl.size for lvl in inst.levels)
-    # 505 target bits: rows of 5 atoms straddle 64-bit words, and the
-    # last word is only partly read before the uniforms start.
-    trials, seed, n = 101, 5, 40
-    assert trials * free % 2 == 1
-    columns = 2 ** 20 if width == "large" else width
-    monkeypatch.setattr(learner, "_EPISODE_DRAWS", columns * trials)
-    for eps in (0.0, 0.16, 0.3, 0.5, 1.0):
-        expected = _reference_times(measure, free, eps, trials, n, seed)
-        times, draws = learner._hitting_times(measure, free, eps, trials,
-                                              seed, n_cap=n)
-        assert np.array_equal(times, expected)
-        assert draws % trials == 0 and draws <= n * trials
-        # Stopping once at most `allowed` trials run leaves the rest as is.
-        times, _ = learner._hitting_times(measure, free, eps, trials, seed,
-                                          allowed=30, n_cap=n)
-        known = times != learner.NOT_HIT
-        assert np.array_equal(times[known], expected[known])
-        assert np.count_nonzero(~known) <= 30
-        assert np.all(expected[~known] > times[known].max(initial=0))
-
-
-def _sequential_times(masses, eps, trials, n, seed):
-    # One trial at a time, one draw at a time, in Fractions: the
-    # estimator's stream with err_n summed exactly after each draw.
-    exact = [Fraction(str(m)) for m in masses]
-    exact = [m / sum(exact) for m in exact]
-    eps = Fraction(str(eps))
-    rng = np.random.default_rng(seed)
-    targets = np.reshape(_target_bits(rng, trials * len(masses)),
-                         (trials, len(masses)))
-    columns = [rng.choice(len(masses), size=trials, p=masses)
-               for _ in range(n)]
-    times = []
-    for t in range(trials):
-        missed = {i for i in range(len(masses)) if targets[t, i]}
-        time = None
-        for j in range(n + 1):
-            if sum((exact[i] for i in missed), Fraction(0)) <= eps:
-                time = j
-                break
-            if j < n:
-                missed.discard(int(columns[j][t]))
-        times.append(time)
-    return times
-
-
-@settings(max_examples=40, deadline=None)
-@given(cuts=st.sets(st.integers(1, 99), max_size=6),
-       picks=st.lists(st.booleans(), min_size=7, max_size=7),
-       trials=st.integers(1, 9), seed=st.integers(0, 2 ** 32 - 1))
-def test_hitting_times_match_sequential_fractions(cuts, picks, trials, seed):
-    from paclab.learner import NOT_HIT, _hitting_times
-    # Masses of whole hundredths read back exactly, and eps is the mass of
-    # a subset of atoms, so err_n == eps ties come up.
-    edges = [0, *sorted(cuts), 100]
-    weights = [b - a for a, b in zip(edges, edges[1:])]
-    masses = [w / 100 for w in weights]
-    measure = AtomicMeasure.from_pairs(enumerate(masses))
-    eps = max(sum(w for w, p in zip(weights, picks) if p), 1) / 100
-    n = 25
-    times, _ = _hitting_times(measure, len(masses), eps, trials, seed,
-                              n_cap=n)
-    expected = _sequential_times(masses, eps, trials, n, seed)
-    assert [None if t == NOT_HIT else int(t) for t in times] == expected
-
-
-def test_hitting_times_count_a_repeated_draw_once():
-    # A trial that draws a missed atom twice within one block loses its
-    # units once.  With 3 trials and 25 draws the blocks hold draws 0,
-    # 1-2, 3-6, 7-14 and 15-24.
-    from paclab.learner import NOT_HIT, _hitting_times
-    masses = [0.8, 0.1, 0.1]
-    measure = AtomicMeasure.from_pairs(enumerate(masses))
-    trials, n, eps = 3, 25, 0.05
-    blocks = [(0, 1), (1, 3), (3, 7), (7, 15), (15, 25)]
-    repeats = 0
-    for seed in range(10):
-        times, _ = _hitting_times(measure, 3, eps, trials, seed, n_cap=n)
-        times = [None if t == NOT_HIT else int(t) for t in times]
-        assert times == _sequential_times(masses, eps, trials, n, seed)
-        targets, idx = _stream(measure, 3, trials, n, seed)
-        for t in range(trials):
-            for a, b in blocks:
-                if a < (n if times[t] is None else times[t]):
-                    fresh = [x for x in idx[t, a:b]
-                             if targets[t, x] and x not in idx[t, :a]]
-                    repeats += len(fresh) > len(set(fresh))
-    assert repeats > 0
-
-
-def test_packed_first_draw_keys_fit_int64():
-    # The keys cell * width + draw and (trial * width + draw) * atoms +
-    # atom stay below trials * atoms * width: at most MAX_EPISODE_CELLS
-    # cells, and blocks of at most _EPISODE_DRAWS / 100 draws at the
-    # fewest trials the estimator takes.
-    from paclab.learner import _EPISODE_DRAWS, MAX_EPISODE_CELLS
-    assert MAX_EPISODE_CELLS * (_EPISODE_DRAWS // 100) <= 2 ** 35 < 2 ** 63
+def _starting_counts(measure, free, trials, seed):
+    # The estimator's first draw: each trial's unseen targets per run.
+    sizes = _runs(measure, free)[1]
+    return np.random.default_rng(seed).binomial(sizes, 0.5,
+                                                size=(trials, len(sizes)))
 
 
 def test_exact_error_equal_to_eps_is_not_a_failure():
@@ -263,31 +136,15 @@ def test_exact_error_equal_to_eps_is_not_a_failure():
     assert 0.1 + 0.2 > 0.3  # the float sum of the two light atoms
     measure = AtomicMeasure.from_pairs([(0.0, 0.1), (1.0, 0.2), (2.0, 0.7)])
     trials, seed = 200, 4
-    targets, _ = _stream(measure, 3, trials, 0, seed)
-    ties = np.all(targets == [True, True, False], axis=1)
+    counts = _starting_counts(measure, 3, trials, seed)  # 1, 2, 7 tenths
+    ties = np.all(counts == [1, 1, 0], axis=1)
     assert ties.any()
     times, _ = _hitting_times(measure, 3, 0.3, trials, seed, n_cap=0)
     assert np.all(times[ties] == 0)
-    exact = targets @ np.array([1, 2, 7])  # tenths
+    exact = counts @ np.array([1, 2, 7])  # tenths
     est = estimate_sample_complexity(measure, 0.3, 0.5, trials=trials,
                                      seed=seed)
     assert dict(est.probes)[0] == np.count_nonzero(exact > 3)
-
-
-@pytest.mark.parametrize("draws", [1, 200, 2 ** 16])
-@pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 1001, 4096])
-def test_fair_bits_follow_the_raw_words(monkeypatch, count, draws):
-    # Bit j is bit j mod 64 of raw word j // 64, and the next draw starts
-    # at word ceil(count / 64), as in a twin generator that read the words;
-    # unpacked one word, three words or 1024 words at a time.
-    from paclab import learner
-    monkeypatch.setattr(learner, "_EPISODE_DRAWS", draws)
-    ours = np.random.default_rng([count, 3])
-    twin = np.random.default_rng([count, 3])
-    bits = learner._fair_bits(ours, count)
-    assert bits.dtype == bool and bits.shape == (count,)
-    assert bits.tolist() == _target_bits(twin, count)
-    assert np.array_equal(ours.random(5), twin.random(5))
 
 
 def _starting_error_measure(case):
@@ -299,10 +156,10 @@ def _starting_error_measure(case):
         assert free == len(measure) - 1  # the residual atom stays 0
         return measure, free, len(inst.levels)
     if case == "pairs":
-        # Adjacent masses differ, so every atom is a run; 0.1 comes twice.
+        # 0.1 comes twice, at atoms apart: one run of two atoms.
         measure = AtomicMeasure.from_pairs(
             enumerate([0.05, 0.1, 0.3, 0.1, 0.25, 0.2]))
-        return measure, len(measure), len(measure)
+        return measure, len(measure), len(measure) - 1
     measure = AtomicMeasure.uniform_on([float(i) for i in range(7)])
     return measure, len(measure), 1
 
@@ -310,26 +167,245 @@ def _starting_error_measure(case):
 @pytest.mark.parametrize("draws", [1, 700, 2 ** 16])
 @pytest.mark.parametrize("case", ["constructed", "pairs", "uniform"])
 def test_starting_error_matches_brute_force(monkeypatch, case, draws):
-    # With no draws, a trial is hit at 0 exactly when its target's units
-    # are at most floor(eps U).  eps sits on the mass of each prefix of
-    # runs and on the starting error of some trials (ties); the chunk of
-    # rows counted at once runs from one row to all of them.
+    # With no draws, a trial is hit at 0 exactly when its starting error,
+    # summed run by run in Fractions, is at most eps.  eps sits on the
+    # mass of each prefix of runs and on the starting error of some trials
+    # (ties); the bound on a window's draws does not touch the start.
     from paclab import learner
     monkeypatch.setattr(learner, "_EPISODE_DRAWS", draws)
     measure, free, run_count = _starting_error_measure(case)
-    units, total = measure.units()
+    total = measure.units()[1]
+    values, sizes = _runs(measure, free)
+    assert len(values) == run_count
     trials, seed = 300, 11
-    targets, _ = _stream(measure, free, trials, 0, seed)
-    start = targets.astype(np.int64) @ units
-    runs = np.flatnonzero(np.diff(units[:free], prepend=-1))
-    assert len(runs) == run_count
-    prefixes = np.cumsum(units[:free])[np.append(runs[1:], free) - 1]
-    for num in {0, *prefixes.tolist(), *start[:5].tolist(), total}:
-        times, draws_made = learner._hitting_times(
-            measure, free, Fraction(num, total), trials, seed, n_cap=0)
-        assert draws_made == 0
-        assert np.array_equal(times, np.where(start <= num, 0,
-                                              learner.NOT_HIT))
+    counts = _starting_counts(measure, free, trials, seed)
+    assert np.all((counts >= 0) & (counts <= sizes))
+    start = [sum((Fraction(int(c) * int(v), total)
+                  for c, v in zip(row, values)), Fraction(0))
+             for row in counts]
+    prefixes = np.cumsum(values * sizes).tolist()
+    for eps in {Fraction(0), *(Fraction(p, total) for p in prefixes),
+                *start[:5], Fraction(1)}:
+        times, made = learner._hitting_times(measure, free, eps, trials,
+                                             seed, n_cap=0)
+        assert made == 0
+        assert times.tolist() == [0 if e <= eps else learner.NOT_HIT
+                                  for e in start]
+
+
+def _exact_cdf(masses, free, eps, n_max):
+    # P(T <= n) for n = 0..n_max in Fractions: the law of the set of atoms
+    # seen after n i.i.d. draws, by a recursion over subsets, against
+    # every target on the first `free` atoms.
+    exact = [Fraction(str(m)) for m in masses]
+    exact = [m / sum(exact) for m in exact]
+    passes = {}
+    for seen in range(2 ** len(exact)):
+        errors = [sum((exact[i] for i in range(free)
+                       if target >> i & 1 and not seen >> i & 1),
+                      Fraction(0)) for target in range(2 ** free)]
+        passes[seen] = Fraction(sum(e <= eps for e in errors), 2 ** free)
+    law = {0: Fraction(1)}
+    cdf = []
+    for _ in range(n_max + 1):
+        cdf.append(sum(p * passes[seen] for seen, p in law.items()))
+        after = {}
+        for seen, p in law.items():
+            for i, m in enumerate(exact):
+                after[seen | 1 << i] = after.get(seen | 1 << i, 0) + p * m
+        law = after
+    return cdf
+
+
+# (masses, free atoms, eps, bound): one run, one run per atom, and a
+# residual atom fixed at label 0.  Each bound is the largest chi-square
+# statistic of the test below over 300 pilot seeds (0-299), rounded up;
+# the pilot's 99th percentiles read 26.1, 33.3 and 82.6.
+LAW_CASES = {"one run": ([0.25, 0.25, 0.25, 0.25], 4, Fraction(1, 4), 31),
+             "run per atom": ([0.1, 0.2, 0.3, 0.4], 4, Fraction(3, 10), 43),
+             "residual": ([0.05, 0.1, 0.85], 2, Fraction(1, 20), 87)}
+
+
+LAW_TRIALS = 100000
+
+
+def _law_statistic(case):
+    # Pearson's chi-square of LAW_TRIALS simulated hitting times against
+    # their exact law, bins of expected count below 20 pooled (13, 16 and
+    # 54 degrees of freedom).
+    from paclab.learner import _hitting_times
+    masses, free, eps, _ = LAW_CASES[case]
+    n_max, seed = 150, 2024
+    measure = AtomicMeasure.from_pairs(enumerate(masses))
+    times, _ = _hitting_times(measure, free, eps, LAW_TRIALS, seed)
+    cdf = [float(c) for c in _exact_cdf(masses, free, eps, n_max)]
+    expected = np.diff([0.0, *cdf, 1.0]) * LAW_TRIALS
+    observed = np.bincount(np.minimum(times, n_max + 1), minlength=n_max + 2)
+    kept = expected >= 20
+    observed = np.append(observed[kept], observed[~kept].sum())
+    expected = np.append(expected[kept], expected[~kept].sum())
+    return ((observed - expected) ** 2 / expected).sum()
+
+
+@pytest.mark.parametrize("case", LAW_CASES)
+def test_hitting_times_follow_the_exact_law(case):
+    # Ordering a trial's first draws by run, or by untruncated exponential
+    # times, fails it.
+    assert _law_statistic(case) <= LAW_CASES[case][3]
+
+
+@pytest.mark.parametrize("width", [1, 7, "large"])
+def test_hitting_times_do_not_depend_on_the_block_width(monkeypatch, width):
+    # Windows of at most `width` expected first draws per 20 trials split
+    # the pass into more windows than the default bound does (1 and 7),
+    # or into windows of doubling span only ("large").  The stream
+    # changes, its law does not: each case stays under the bound of its
+    # default-window pilot.
+    from paclab import learner
+    columns = 2 ** 20 if width == "large" else width
+    monkeypatch.setattr(learner, "_EPISODE_DRAWS", columns * LAW_TRIALS // 20)
+    for case, (*_, bound) in LAW_CASES.items():
+        assert _law_statistic(case) <= bound
+
+
+def test_hitting_times_count_a_repeated_draw_once():
+    # At eps = 0 a trial is hit once it has drawn each of its targets, and
+    # meanwhile it draws the heavy atom, or a target already seen, again
+    # and again.  The pass simulates one first draw per target; the draws
+    # in between count in T only.
+    from paclab.learner import NOT_HIT, _hitting_times
+    measure = AtomicMeasure.from_pairs(enumerate([0.8, 0.1, 0.1]))
+    trials, repeats = 50, 0
+    for seed in range(10):
+        targets = _starting_counts(measure, 3, trials, seed).sum(axis=1)
+        times, made = _hitting_times(measure, 3, 0, trials, seed)
+        assert made == targets.sum() and NOT_HIT not in times
+        assert np.array_equal(times == 0, targets == 0)
+        assert np.all(times >= targets)
+        repeats += np.count_nonzero(times > targets)
+    assert repeats > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(cuts=st.sets(st.integers(1, 99), max_size=6),
+       picks=st.lists(st.booleans(), min_size=7, max_size=7),
+       trials=st.integers(1, 9), seed=st.integers(0, 2 ** 32 - 1))
+def test_hitting_times_match_sequential_fractions(cuts, picks, trials, seed):
+    # Each trial replayed one first draw at a time: its hitting times at
+    # every eps = k / U give N and the unseen units after each first draw
+    # of a target, units[rem] being the least k with T(k) = N.  The units
+    # start at the trial's fair start, each step takes away one target
+    # atom's units, and the last leaves none.  eps given as a float, or
+    # halfway to the next k, is decided as k in Fractions.
+    from paclab.learner import NOT_HIT, _hitting_times
+    # Masses of whole hundredths read back exactly, and eps is the mass of
+    # a subset of atoms, so err_n == eps ties come up.
+    edges = [0, *sorted(cuts), 100]
+    weights = [b - a for a, b in zip(edges, edges[1:])]
+    measure = AtomicMeasure.from_pairs(enumerate(w / 100 for w in weights))
+    free, total = len(weights), measure.units()[1]
+    values = _runs(measure, free)[0]
+    counts = _starting_counts(measure, free, trials, seed)
+    ladder = np.array([_hitting_times(measure, free, Fraction(k, total),
+                                      trials, seed)[0]
+                       for k in range(total + 1)])
+    assert NOT_HIT not in ladder and np.all(np.diff(ladder, axis=0) <= 0)
+    for t in range(trials):
+        ns = np.unique(ladder[:, t])
+        rem = np.array([np.argmax(ladder[:, t] == n) for n in ns])
+        assert ns[0] == 0 and rem[0] == counts[t] @ values and rem[-1] == 0
+        gains = -np.diff(rem)
+        assert np.isin(gains, values).all()
+        assert np.array_equal((gains[:, None] == values).sum(axis=0),
+                              counts[t])
+    w = max(sum(w for w, p in zip(weights, picks) if p), 1)
+    k = w * total // 100
+    for eps in (w / 100, Fraction(2 * k + 1, 2 * total)):
+        times, _ = _hitting_times(measure, free, eps, trials, seed)
+        assert np.array_equal(times, ladder[k])
+
+
+@pytest.mark.parametrize("draws", [1, 200, 2 ** 16])
+@pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 1001, 4096])
+def test_fair_bits_follow_the_raw_words(monkeypatch, count, draws):
+    # A target labels each of `count` equal atoms by a fair bit, and the
+    # pass reads the bits first from the seed's stream as one count per
+    # trial: a twin generator's binomial(count, 1/2) draw, whatever the
+    # bound on a window's first draws.  A last atom stays 0, so at eps =
+    # 1/2 a trial with c targets is hit at 0 iff c <= h = (count + 1) // 2,
+    # and needs at least c - h first draws otherwise.
+    from paclab import learner
+    monkeypatch.setattr(learner, "_EPISODE_DRAWS", draws)
+    measure = AtomicMeasure.uniform_on([float(i) for i in range(count + 1)])
+    half, seed = (count + 1) // 2, count + 3
+    counts = _starting_counts(measure, count, 1000, seed).sum(axis=1)
+    assert abs(counts.sum() - 500 * count) <= 4 * math.sqrt(250 * count)
+    times, made = learner._hitting_times(measure, count, Fraction(1, 2),
+                                         1000, seed, n_cap=0)
+    assert made == 0
+    assert np.array_equal(times, np.where(counts <= half, 0,
+                                          learner.NOT_HIT))
+    counts = _starting_counts(measure, count, 3, seed).sum(axis=1)
+    times, made = learner._hitting_times(measure, count, Fraction(1, 2), 3,
+                                         seed)
+    need = np.maximum(counts - half, 0)
+    assert np.array_equal(times == 0, need == 0) and np.all(times >= need)
+    assert made >= need.sum()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_hitting_times_are_monotone_in_eps(seed):
+    # The stream does not depend on eps, so neither does any trial's path.
+    from paclab.learner import _hitting_times
+    inst = small_instance(K=2, degree=1)
+    free = sum(lvl.size for lvl in inst.levels)
+    times = [_hitting_times(inst.measure(), free, eps, 200, seed)[0]
+             for eps in (0.5, 0.2, 0.1, 0.04, 0.01, 0.0)]
+    for larger, smaller in zip(times, times[1:]):
+        assert np.all(larger <= smaller)
+
+
+@pytest.mark.parametrize("allowed", [1, 30, 99])
+def test_early_stop_settles_the_smallest_times(allowed):
+    # Stopping once the (trials - allowed) smallest times are known, or at
+    # n_cap, leaves those times as the full pass reads them.
+    from paclab.learner import NOT_HIT, _hitting_times
+    inst = small_instance(K=2, degree=1)
+    measure = inst.measure()
+    free = sum(lvl.size for lvl in inst.levels)
+    trials, seed, eps = 100, 6, 0.04
+    full, work = _hitting_times(measure, free, eps, trials, seed)
+    part, less = _hitting_times(measure, free, eps, trials, seed,
+                                allowed=allowed)
+    kept = trials - allowed
+    assert np.array_equal(np.sort(part)[:kept], np.sort(full)[:kept])
+    assert np.all((part == full) | (part == NOT_HIT)) and less <= work
+    cap = int(np.median(full))
+    capped, _ = _hitting_times(measure, free, eps, trials, seed, n_cap=cap)
+    assert np.array_equal(capped, np.where(full <= cap, full, NOT_HIT))
+
+
+def test_estimator_makes_no_per_draw_lookup(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the estimator looked up a draw")
+
+    monkeypatch.setattr(AtomicMeasure, "indices_of", refuse)
+    monkeypatch.setattr(AtomicMeasure, "draw_indices", refuse)
+    est = estimate_sample_complexity(small_instance(K=2), 0.04, 0.1,
+                                     trials=200, seed=3)
+    assert est.status == "converged" and est.draws > 0
+
+
+def test_arrival_order_breaks_float_key_ties_by_time():
+    # At trial 2**24 the key trial + at / span cannot tell times 1e-12
+    # apart; a time a hair past the window's end still sorts before the
+    # next trial's arrivals.
+    from paclab.learner import _arrival_order
+    trial = np.array([0, 0, 1, 3, 3, 2 ** 24, 2 ** 24])
+    at = np.array([1.0 + 2 ** -52, 0.5, 0.0, 0.75, 0.25, 0.5 + 1e-12, 0.5])
+    assert _arrival_order(trial, at, 1.0).tolist() == [1, 0, 2, 4, 3, 6, 5]
+    assert _arrival_order(trial[:5], at[:5], 1.0).tolist() == [1, 0, 2, 4, 3]
+    assert _arrival_order(trial[5:], at[5:], 1.0).tolist() == [1, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +467,13 @@ def test_n_hat_is_a_hitting_time_quantile():
                                           for n, _ in est.probes]
     ns = [n for n, _ in est.probes]
     assert ns[:2] == [0, 1] and ns[-2:] == [est.n_hat - 1, est.n_hat]
-    assert est.draws % trials == 0 and est.draws >= trials * est.n_hat
+    # draws counts the first draws of targets that the stopping pass made:
+    # one at least for each trial hit after the start by n_hat, at most
+    # one per trial and target atom.
+    assert est.draws == _hitting_times(inst.measure(), free, eps, trials,
+                                       seed, allowed)[1]
+    assert (np.count_nonzero((times > 0) & (times <= est.n_hat))
+            <= est.draws <= trials * free)
     assert est.to_json()["draws"] == est.draws
 
 
@@ -409,6 +491,11 @@ def test_estimate_cap_status():
                                      n_cap=4)
     assert est.status == "cap_exceeded"
     assert est.n_hat is None
+    # A cap past int64 is no cap at all.
+    est = estimate_sample_complexity(inst, 0.1, 0.1, trials=100, seed=5,
+                                     n_cap=2 ** 64)
+    assert est == estimate_sample_complexity(inst, 0.1, 0.1, trials=100,
+                                             seed=5)
 
 
 def test_estimator_memory_guard_raises_before_allocating():

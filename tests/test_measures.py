@@ -205,13 +205,6 @@ def test_draw_indices_match_rng_choice(seed, profile, shape):
         assert got.shape == want.shape and got.dtype == want.dtype
         assert np.array_equal(got, want)
         assert kernel_rng.random() == choice_rng.random()
-    # A uniform lands in an atom range exactly inside that range's bounds.
-    u = np.random.default_rng([seed, 2]).random(4096)
-    idx = m.indices_of(u)
-    for lo, hi in {(0, len(m)), (len(m) // 3, len(m) // 3 + 1),
-                   (len(m) // 2, len(m))}:
-        a, b = m.uniform_bounds(lo, hi)
-        assert np.array_equal((a <= u) & (u < b), (lo <= idx) & (idx < hi))
     assert np.array_equal(m.sample(7, seed=seed),
                           m.locations[np.random.default_rng(seed).choice(
                               len(m), size=7, p=m.masses)])
