@@ -8,8 +8,8 @@ over finite concept families.
 Under an atomic measure a family's geometry is exact: every distance is an
 integer count of the measure's units, and a packing or cover decides a
 pair exactly at its radius in integers, not by the rounding of a float
-sum.  ``l1_distance`` and ``expect_indicator`` keep their sequential float
-loop, which ``distance_matrix`` does not use.
+sum.  As floats, distances are rounded once by the measure's one rounding
+helper, so ``distance_matrix`` equals ``l1_distance`` bit for bit.
 
 ``hamming_packing`` realizes the binary-cube packing guarantee: at least
 ceil(exp(2 (0.5 - 2 eps)^2 n)) codewords at pairwise normalized Hamming
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .concepts import ENUMERATION_CAP, EnumerationCapError, l1_distance
-from .measures import AtomicMeasure, _as_fraction
+from .measures import AtomicMeasure, _as_fraction, _unit_floats
 
 HAMMING_RESTARTS = 50
 # Candidates per block of ``greedy_packing``.  Blocks double from the first
@@ -50,13 +50,11 @@ class FiniteFamily:
     Under an atomic measure the geometry is exact.  With the measure's
     integer units u and their total U, members i and j are
     d = s_i + s_j - 2 <m_i u, m_j> units apart, from the membership rows
-    m and the sizes s = m @ u, built once per family.  They are held in
-    the narrowest dtype that holds 2U exactly: float64 while 2U < 2**53,
-    where every sum of products is an integer and exact in any order, then
-    int64, then Python ints, so units past int64 are served too.  Radii
-    are read as the decimal literal they print as, and
-    ``distance_matrix`` rounds each d / U once.  Under any other measure a
-    distance is the ``l1_distance`` of the pair.
+    m and the sizes s = m @ u, built once per family, in the dtype of the
+    measure's exact units, so units past int64 are served too.  Radii are
+    read as the decimal literal they print as, and ``distance_matrix``
+    rounds each d / U once.  Under any other measure a distance is the
+    ``l1_distance`` of the pair.
     """
 
     def __init__(self, concepts, measure):
@@ -68,7 +66,7 @@ class FiniteFamily:
         self._total = None
         if isinstance(measure, AtomicMeasure):
             self._set_units(measure.membership_matrix(concepts),
-                            *measure._units_as(_unit_dtype(measure)))
+                            *measure._exact_units())
 
     @classmethod
     def _of_memberships(cls, members, measure):
@@ -76,7 +74,7 @@ class FiniteFamily:
         # atomic measure, none of whose members holds a later atom.
         family = cls.__new__(cls)
         family.concepts, family.measure = None, measure
-        units, total = measure._units_as(_unit_dtype(measure))
+        units, total = measure._exact_units()
         family._set_units(members, units[:members.shape[1]], total)
         return family
 
@@ -132,20 +130,9 @@ class FiniteFamily:
                 else min(math.floor(scaled), self._total))
 
     def _floats(self, distances):
-        # float(Fraction(d, U)) per entry: one correctly rounded division,
-        # of exact floats below 2**53 and of Python ints above.
-        if self._total is None:
-            return distances
-        if distances.dtype == float:
-            return distances / self._total
-        return np.array([d / self._total for d in distances.ravel().tolist()],
-                        dtype=float).reshape(distances.shape)
-
-
-def _unit_dtype(measure):
-    total = measure._unit_runs()[-1]
-    return (float if 2 * total < 2 ** 53
-            else np.int64 if 2 * total < 2 ** 63 else object)
+        # Each distance rounded once; floats already under other measures.
+        return (distances if self._total is None
+                else _unit_floats(distances, self._total))
 
 
 def greedy_cover(family, eps):

@@ -249,7 +249,8 @@ def l1_distance(c1, c2, measure):
     ``expect_indicator`` of either.
     """
     if isinstance(measure, AtomicMeasure):
-        return measure.mass(measure.memberships(c1) != measure.memberships(c2))
+        first, second = measure.membership_matrix((c1, c2))
+        return measure.mass(first != second)
     if isinstance(measure, CantorMeasure):
         iv1, iv2 = (window_intervals(c, 0.0, 1.0) for c in (c1, c2))
         return (cantor_interval_mass(iv1) + cantor_interval_mass(iv2)

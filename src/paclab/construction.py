@@ -28,7 +28,10 @@ from .measures import (AtomicMeasure, Field, _as_fraction, read_fields,
                        read_kind)
 
 PACKING_LOWER_RATE = 0.0128  # 2 * (0.5 - 0.42)^2, the cube-packing constant
-SMALL_FAMILY_LIMIT = 20
+# The largest f_k whose small-family packing keeps `paclab construct` in 10 s
+# and 512 MB: with a table rate f = 8, 13, f_k (K = 3, linear_coeff 1/10) it
+# took 8.3-8.9 s and 214 MB at 16, 36 s and 365 MB at 17, on 2 vCPUs.
+SMALL_FAMILY_LIMIT = 16
 MAX_ATOMS = 10 ** 6
 
 

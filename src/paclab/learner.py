@@ -153,13 +153,15 @@ def _hitting_times(measure, free_atoms, eps, trials, seed, allowed=0,
     (trials - allowed) smallest times are settled: every trial still above
     eps has N + 1 above the (trials - allowed)-th smallest T, or above
     ``n_cap``.  Such a trial reads ``NOT_HIT``, as does one whose T passes
-    ``n_cap``.
+    ``n_cap``, lowered where needed so that every N fits int64.
     """
     units, total_units = measure.units()
     eps = _as_fraction(eps)
     threshold = min(eps.numerator * total_units // eps.denominator,
                     total_units)  # err <= eps  <=>  units <= floor(eps U)
-    n_cap = min(n_cap, NOT_HIT - 1)  # so that a gap of n_cap + 1 fits int64
+    # A trial's N sums at most free_atoms gaps of at most n_cap + 1 draws:
+    # (free_atoms + 1)(n_cap + 1) < 2**63 keeps every N in int64.
+    n_cap = min(n_cap, NOT_HIT // (free_atoms + 1) - 1)
     rng = np.random.default_rng(seed)
     # Only the first free_atoms atoms can be targets.
     values, sizes = np.unique(units[:free_atoms], return_counts=True)
@@ -228,6 +230,7 @@ def estimate_sample_complexity(universe, eps, delta, trials=400, seed=0,
     allowed = int(delta * trials) + 1
     while allowed / trials > delta:
         allowed -= 1
+    n_cap = min(n_cap, NOT_HIT - 1)  # so a NOT_HIT quantile is past the cap
     times, draws = _hitting_times(measure, free_atoms, eps, trials, seed,
                                   allowed, n_cap)
     times.sort()
@@ -279,7 +282,7 @@ class GcDeviationResult:
 def _atomic_census(memberships, measure, n, trials, seed):
     # Samples from an atomic measure are atom locations, so one frequency
     # vector per trial gives every concept's empirical mean at once.
-    true_means = memberships @ measure.masses
+    true_means = measure.mass(memberships)
     devs = []
     for t in range(trials):
         idx = measure.draw_indices(np.random.default_rng([seed, t]), n)

@@ -2,11 +2,11 @@
 expectations.
 
 Concrete kinds: purely atomic, uniform on an interval, and the ternary-set
-Haar measure.  Expectations of concept indicators are exact: a mass sum
-over the atoms flagged by ``AtomicMeasure.membership_matrix``, the one
-atomic membership kernel, or arithmetic on the concept's interval form
-under the uniform and ternary measures.  A concept without an interval
-form is refused there (``AttributeError``), never approximated.
+Haar measure.  Expectations of concept indicators are exact: the units of
+the atoms ``AtomicMeasure.membership_matrix`` flags, summed and rounded
+once by ``AtomicMeasure.mass``, or arithmetic on the concept's interval
+form under the uniform and ternary measures.  A concept without an
+interval form is refused there (``AttributeError``), never approximated.
 
 All measure values are immutable after construction.  Sampling takes an
 explicit seed (anything ``numpy.random.default_rng`` accepts), so parallel
@@ -43,6 +43,16 @@ def _as_fraction(value):
     # Floats are read as the decimal literal they print as, so JSON configs
     # with 0.2 mean exactly 1/5; Fraction reads ints, strings and Fractions.
     return Fraction(str(value) if isinstance(value, float) else value)
+
+
+def _unit_floats(units, total):
+    # float(Fraction(d, total)) for each count d of units: one correctly
+    # rounded division, of exact floats below 2**53, of Python ints above.
+    units = np.asarray(units)
+    if units.dtype == float:
+        return units / total
+    return np.array([d / total for d in units.ravel().tolist()],
+                    dtype=float).reshape(units.shape)
 
 
 @dataclass(frozen=True)
@@ -169,21 +179,17 @@ class AtomicMeasure:
         reduced by the units' gcd.  A measure whose units do not fit int64
         raises ``OverflowError``; there is no float fallback.
         """
-        total = self._unit_runs()[-1]
+        units, total = self._exact_units()
         if total >= 2 ** 63:
             raise OverflowError(
                 f"the exact masses of {self!r} need {total.bit_length()}"
                 "-bit units, more than int64 holds")
-        return self._units_as(np.int64)
+        return units.astype(np.int64), total
 
-    def _units_as(self, dtype):
-        # The units of ``units()`` as an array of any dtype that holds them,
-        # object for Python ints, and U; no size check.
-        order, counts, nums, total = self._unit_runs()
-        return np.repeat(np.array(nums, dtype=dtype), counts)[order], total
-
-    def _unit_runs(self):
-        # (atom order, run counts, per-run Python-int units, U).
+    def _exact_units(self):
+        # The units of ``units()`` and U, built once, read-only, in the
+        # narrowest dtype exact for every sum up to 2U in any order: float64
+        # while 2U < 2**53, then int64, then Python ints; no size check.
         if self._unit_cache is None:
             order, runs = self._runs
             if runs is None:  # one run per atom, already in atom order
@@ -194,8 +200,12 @@ class AtomicMeasure:
             nums = [f.numerator * (den // f.denominator) for f in exact]
             common = math.gcd(*nums)
             nums = [x // common for x in nums]
-            self._unit_cache = (order, counts, nums,
-                                sum(map(operator.mul, counts, nums)))
+            total = sum(map(operator.mul, counts, nums))
+            dtype = (float if 2 * total < 2 ** 53
+                     else np.int64 if 2 * total < 2 ** 63 else object)
+            units = np.repeat(np.array(nums, dtype=dtype), counts)[order]
+            units.flags.writeable = False
+            self._unit_cache = units, total
         return self._unit_cache
 
     def membership_matrix(self, concepts):
@@ -215,25 +225,20 @@ class AtomicMeasure:
              for c in concepts],
             dtype=bool).reshape(len(concepts), len(locations))
 
-    def memberships(self, concept):
-        """One bool per atom, in atom order: does the concept contain it."""
-        return self.membership_matrix((concept,))[0]
-
     def mass(self, selected):
-        """Total mass of the atoms flagged in ``selected`` (one bool per atom).
+        """Total mass of the atoms flagged in ``selected``, one bool per
+        atom: a float, or one per row of a matrix of flags.
 
-        Added one atom at a time in atom order, so the result equals a
-        brute-force loop bit for bit.  Not ``sum()``, which compensates from
-        Python 3.12, nor ``np.sum`` or ``@``, which reorder the additions.
+        The flagged units are summed exactly and each total d is rounded
+        once, ``float(Fraction(d, U))``, so atomic expectations, distances
+        and family geometry agree bit for bit.
         """
-        total = 0.0
-        for mass, hit in zip(self.masses.tolist(), selected):
-            if hit:
-                total += mass
-        return total
+        units, total = self._exact_units()
+        rounded = _unit_floats(np.asarray(selected, dtype=bool) @ units, total)
+        return rounded if rounded.ndim else float(rounded)
 
     def expect_indicator(self, concept):
-        return self.mass(self.memberships(concept))
+        return self.mass(self.membership_matrix((concept,))[0])
 
     def to_json(self):
         return {"kind": "atomic",
@@ -362,8 +367,9 @@ class CantorMeasure:
 def expect_indicator(measure, concept):
     """Expectation of the concept's indicator under the measure.
 
-    Exact for atomic measures (mass sum over member atoms) and, through the
-    concept's interval form, under the uniform and ternary measures.
+    Exact for atomic measures (member atoms' units, rounded once) and,
+    through the concept's interval form, under the uniform and ternary
+    measures.
     """
     return measure.expect_indicator(concept)
 

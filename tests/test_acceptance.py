@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+from exact import exact_mass
 from paclab.bounds import (FiniteFamily, greedy_packing, hamming_packing,
                            hamming_packing_bound)
 from paclab.concepts import (SontagConcept, cantor_shatter_search,
@@ -30,16 +31,6 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 def report(number, ok, detail):
     print(f"ACCEPTANCE {number}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"criterion {number}: {detail}"
-
-
-def brute_mass(measure, keep):
-    # One addition per kept atom, in atom order: not sum(), which switches to
-    # compensated summation from Python 3.12.
-    total = 0.0
-    for a in measure.atoms:
-        if keep(a.location):
-            total += a.mass
-    return total
 
 
 def test_criterion_1_closed_form_identity():
@@ -223,12 +214,12 @@ def test_criterion_10_oracle_identities():
         t = AtomLabeling.for_measure(m, [int(b) for b in rng.integers(0, 2, size)])
         cut = float(rng.uniform(0, 100))
         c = IntervalUnion(((0.0, cut),))
-        brute_err = brute_mass(m, lambda x: h.contains(x) != t.contains(x))
-        brute_exp = brute_mass(m, c.contains)
-        brute_l1 = brute_mass(m, lambda x: c.contains(x) != t.contains(x))
-        ok = ok and l1_distance(h, t, m) == brute_err
-        ok = ok and expect_indicator(m, c) == brute_exp
-        ok = ok and l1_distance(c, t, m) == brute_l1
+        exact_err = exact_mass(m, lambda x: h.contains(x) != t.contains(x))
+        exact_exp = exact_mass(m, c.contains)
+        exact_l1 = exact_mass(m, lambda x: c.contains(x) != t.contains(x))
+        ok = ok and l1_distance(h, t, m) == exact_err
+        ok = ok and expect_indicator(m, c) == exact_exp
+        ok = ok and l1_distance(c, t, m) == exact_l1
     from paclab.bounds import greedy_cover
     for trial in range(50):
         size = int(rng.integers(2, 5))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from exact import exact_mass
 from paclab.concepts import (AtomLabeling, EnumerationCapError, GridUnion,
                              IntervalUnion, MiddleThirdUnion, SontagConcept,
                              cantor_shatter_search, concept_from_json,
@@ -156,11 +157,8 @@ def test_l1_atomic_matches_brute_force(seed):
     rng = np.random.default_rng(seed)
     m = _random_atomic(rng, int(rng.integers(2, 9)))
     c1, c2 = _random_concept(rng, m), _random_concept(rng, m)
-    brute = 0.0
-    for atom in m.atoms:
-        if bool(c1.contains(atom.location)) != bool(c2.contains(atom.location)):
-            brute += atom.mass
-    assert l1_distance(c1, c2, m) == brute
+    assert l1_distance(c1, c2, m) == exact_mass(
+        m, lambda x: bool(c1.contains(x)) != bool(c2.contains(x)))
 
 
 def test_l1_interval_unions_under_uniform_is_exact():

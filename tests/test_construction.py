@@ -256,6 +256,28 @@ def test_profile_small_family_sharpening():
         assert [row.lower for row in prof.rows] == lowers
 
 
+def test_profile_packs_no_family_past_the_small_family_limit(monkeypatch):
+    # A level of SMALL_FAMILY_LIMIT + 1 atoms keeps the rate floor and
+    # builds no packing; one of SMALL_FAMILY_LIMIT atoms reaches it.
+    from paclab import construction
+    limit = construction.SMALL_FAMILY_LIMIT
+
+    def refuse(family, radius):
+        raise AssertionError(f"packed {len(family)} labelings")
+
+    monkeypatch.setattr(construction, "greedy_packing", refuse)
+    for f_k in (limit + 1, limit):
+        inst = build_measure(ComplexitySchedule(
+            eps=geometric_eps(2), f=RateFunction.table([(5, f_k)]), K=1))
+        if f_k > limit:
+            row, = theoretical_profile(inst, 0.1).rows
+            assert row.f_k == f_k and row.lower == math.ceil(
+                construction.PACKING_LOWER_RATE * f_k)
+        else:
+            with pytest.raises(AssertionError, match=f"packed {2 ** f_k} "):
+                theoretical_profile(inst, 0.1)
+
+
 # ---------------------------------------------------------------------------
 # the labelings of the first levels
 

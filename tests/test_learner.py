@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from erm import LabeledSample, empirical_risk, erm_learn
+from exact import exact_mass
 from paclab.concepts import (AtomLabeling, EnumerationCapError, GridUnion,
                              IntervalUnion, OrderIntervalFamily, SontagConcept,
                              SontagFamily, l1_distance)
@@ -78,11 +79,8 @@ def test_true_error_examples_and_brute_force():
     for _ in range(50):
         h = AtomLabeling.for_measure(m, [int(b) for b in rng.integers(0, 2, 5)])
         t = AtomLabeling.for_measure(m, [int(b) for b in rng.integers(0, 2, 5)])
-        brute = 0.0
-        for atom in m.atoms:
-            if h.contains(atom.location) != t.contains(atom.location):
-                brute += atom.mass
-        assert l1_distance(h, t, m) == brute
+        assert l1_distance(h, t, m) == exact_mass(
+            m, lambda x: h.contains(x) != t.contains(x))
 
 
 def test_true_error_single_atom_disagreement():
@@ -483,6 +481,23 @@ def test_estimate_bracket_on_linear_instance():
     prof = theoretical_profile(inst, 0.1)
     est = estimate_sample_complexity(inst, 0.2, 0.1, trials=400, seed=21)
     assert prof.rows[0].lower <= est.n_hat <= prof.rows[0].upper
+
+
+def test_hitting_times_stay_in_int64_under_any_cap():
+    # Six atoms of 1e-18 and one of the rest: a trial draws about 1e18
+    # times before it sees them all, so a cap near the end of int64 would
+    # let N wrap.  The cap is lowered instead, and a quantile past it is
+    # reported as cap_exceeded, whatever cap is passed.
+    from paclab.learner import NOT_HIT, _hitting_times
+    m = AtomicMeasure.from_pairs([(float(i), 1e-18) for i in range(6)]
+                                 + [(6.0, 1 - 6e-18)])
+    times, _ = _hitting_times(m, len(m), 0, 2000, 1, n_cap=NOT_HIT - 1)
+    assert times.min() >= 0
+    assert np.all((times < NOT_HIT // (len(m) + 1)) | (times == NOT_HIT))
+    for cap in (NOT_HIT - 1, 2 ** 64):
+        est = estimate_sample_complexity(m, 1e-19, 0.01, trials=2000, seed=1,
+                                         n_cap=cap)
+        assert est.status == "cap_exceeded" and est.n_hat is None
 
 
 def test_estimate_cap_status():

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from exact import exact_mass
+from paclab.bounds import FiniteFamily
 from paclab.concepts import (AtomLabeling, GridUnion, IntervalUnion,
-                             MiddleThirdUnion, SontagConcept)
+                             MiddleThirdUnion, SontagConcept, l1_distance)
 from paclab.construction import ComplexitySchedule, build_measure
 from paclab.intervals import canonicalize, clip, total_length
 from paclab.measures import (Atom, AtomicMeasure, CantorMeasure, ConfigError,
@@ -262,11 +264,48 @@ def test_atomic_expectation_matches_brute_force(size, seed):
     locs = np.sort(rng.choice(100, size=size, replace=False)).astype(float)
     m = AtomicMeasure.from_pairs(zip(locs, masses))
     concept = _Halfline(float(rng.uniform(-1, 101)))
-    brute = 0.0
-    for atom in m.atoms:
-        if concept.contains(atom.location):
-            brute += atom.mass
-    assert expect_indicator(m, concept) == brute
+    assert expect_indicator(m, concept) == exact_mass(m, concept.contains)
+
+
+# Totals U of the exact units: floats hold the family's sums below 2**52,
+# int64 below 2**62, Python ints above; units() refuses U from 2**63.
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("lo, hi", [(3, 52), (52, 62), (62, 63), (63, 90)])
+def test_atomic_mass_paths_agree_bit_for_bit(lo, hi, data):
+    # A measure drawn by its units over a total U, masses u / U: distances
+    # and expectations from every path equal the exact Fraction, rounded
+    # once.
+    total = data.draw(st.integers(2 ** lo, 2 ** hi - 1), label="U")
+    size = data.draw(st.integers(2, 8), label="atoms")
+    cuts = data.draw(st.lists(st.integers(1, total - 1), min_size=size - 1,
+                              max_size=size - 1, unique=True), label="cuts")
+    ends = [0, *sorted(cuts), total]
+    units = [b - a for a, b in zip(ends, ends[1:])]
+    exact = [Fraction(u, total) for u in units]
+    m = AtomicMeasure(np.arange(size) / 2, [float(f) for f in exact],
+                      [(1, f) for f in exact])
+    rows = data.draw(st.lists(st.lists(st.booleans(), min_size=size,
+                                       max_size=size), min_size=1,
+                              max_size=6), label="labelings")
+    family = [AtomLabeling.for_measure(m, row) for row in rows]
+    family.append(IntervalUnion(((0.25, data.draw(st.floats(0.25, size))),)))
+    members = m.membership_matrix(family)
+    matrix = FiniteFamily(family, m).distance_matrix()
+    for i, a in enumerate(family):
+        assert expect_indicator(m, a) == float(sum(
+            (f for f, hit in zip(exact, members[i]) if hit), Fraction(0)))
+        for j, b in enumerate(family):
+            assert matrix[i, j] == l1_distance(a, b, m) == float(sum(
+                (f for f, x, y in zip(exact, members[i], members[j])
+                 if x != y), Fraction(0)))
+    assert m.mass(members).tolist() == [expect_indicator(m, c) for c in family]
+    common = math.gcd(*units)
+    if total // common >= 2 ** 63:
+        with pytest.raises(OverflowError):
+            m.units()
+    else:
+        assert m.units()[0].tolist() == [u // common for u in units]
 
 
 class _NumpyBoolHalfline(_Halfline):
@@ -303,7 +342,7 @@ def test_membership_matrix_matches_the_per_atom_loop():
     assert m.membership_matrix(iter(family)).tolist() == expected
     assert m.membership_matrix([]).shape == (0, len(m))
     for concept, row in zip(family, expected):
-        assert m.memberships(concept).tolist() == row
+        assert m.membership_matrix((concept,))[0].tolist() == row
 
 
 def test_labeling_rows_match_the_per_atom_loop():
