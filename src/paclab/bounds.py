@@ -69,13 +69,12 @@ class FiniteFamily:
                             *measure._exact_units())
 
     @classmethod
-    def _of_memberships(cls, members, measure):
-        # A family given by membership rows over the first atoms of an
-        # atomic measure, none of whose members holds a later atom.
+    def _of_memberships(cls, members, units, total):
+        # A family given by membership rows over atoms of these exact units,
+        # in a measure of total U, none of whose members holds another atom.
         family = cls.__new__(cls)
-        family.concepts, family.measure = None, measure
-        units, total = measure._exact_units()
-        family._set_units(members, units[:members.shape[1]], total)
+        family.concepts, family.measure = None, None
+        family._set_units(members, units, total)
         return family
 
     def _set_units(self, members, units, total):

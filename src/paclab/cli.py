@@ -9,11 +9,13 @@ re-running a manifest reproduces byte-identical CSVs.
 
 Exit codes: 0 ok, 2 config error (a schedule leaving a level without atoms
 among them), 3 budget exceeded (a search budget or sample-size cap with
---strict; an enumeration cap, the instance's atom cap, the cantor search
+--strict; an enumeration cap, the instance's atom cap, which only
+``construct`` meets, a rate beyond the float range, the cantor search
 caps, the cantor run's cap on the grid cells its searches span
 (``concepts.MAX_CANTOR_CELLS``), the hamming packing bound's cap, the
-figures' cantor level cap, a packing shortfall or the estimator's memory
-cap always), 4 internal error or invariant violation (traceback on stderr).
+figures' cantor level cap, a packing shortfall or the estimator's cap on
+first draws always), 4 internal error or invariant violation (traceback on
+stderr).
 """
 
 from __future__ import annotations
@@ -106,12 +108,11 @@ def run_complexity(config, out_dir, seed):
     n_cap = get("n_cap", Field("int", learner.DEFAULT_N_CAP, least=0))
     levels = get("levels", Field("list", list(range(1, schedule.K + 1)),
                                  of=Field("int", least=1, most=schedule.K)))
-    instance = construction.build_measure(schedule)
     rows = []
     summary = []
     for k in levels:
         eps = float(schedule.eps[k - 1])
-        est = learner.estimate_sample_complexity(instance, eps, delta,
+        est = learner.estimate_sample_complexity(schedule, eps, delta,
                                                  trials=trials, seed=seed,
                                                  n_cap=n_cap)
         summary.append(est.to_json())

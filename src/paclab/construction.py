@@ -16,7 +16,7 @@ telescoping identities hold exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -24,13 +24,13 @@ import numpy as np
 from . import sontag
 from .bounds import FiniteFamily, bi_upper_from_log2, greedy_packing
 from .concepts import EnumerationCapError
-from .measures import (AtomicMeasure, Field, _as_fraction, read_fields,
-                       read_kind)
+from .measures import (AtomicMeasure, Field, _as_fraction, _run_units,
+                       read_fields, read_kind)
 
 PACKING_LOWER_RATE = 0.0128  # 2 * (0.5 - 0.42)^2, the cube-packing constant
 # The largest f_k whose small-family packing keeps `paclab construct` in 10 s
-# and 512 MB: with a table rate f = 8, 13, f_k (K = 3, linear_coeff 1/10) it
-# took 8.3-8.9 s and 214 MB at 16, 36 s and 365 MB at 17, on 2 vCPUs.
+# and 512 MB on one BLAS thread: a table rate f = 8, 13, f_k (K = 3,
+# linear_coeff 1/10) took 4.6-5.2 s and 184 MB at 16; 17 took 36 s on two.
 SMALL_FAMILY_LIMIT = 16
 MAX_ATOMS = 10 ** 6
 
@@ -70,16 +70,18 @@ class RateFunction:
             fx = _as_fraction(x)
             if fx.denominator == 1:
                 return Fraction(self.base) ** fx.numerator
-            return Fraction(str(float(self.base) ** float(fx)))
+            try:
+                return Fraction(str(float(self.base) ** float(fx)))
+            except OverflowError:  # a level of far more than MAX_ATOMS
+                raise EnumerationCapError(
+                    f"rate {self.base}^x at x = {fx} is beyond the float "
+                    "range") from None
         if self.kind == "table":
             fx = _as_fraction(x)
-            best = None
-            for px, py in self.points:
-                if px <= fx:
-                    best = py
-            if best is None:
+            below = [py for px, py in self.points if px <= fx]
+            if not below:
                 raise ValueError(f"rate table has no entry at or below {x}")
-            return best
+            return below[-1]
         raise ValueError(f"unknown rate kind {self.kind!r}")
 
     def to_json(self):
@@ -163,6 +165,14 @@ class ComplexitySchedule:
     def residual_mass(self):
         return 5 * self.eps[self.K]
 
+    def runs(self):
+        """The instance's exact masses as (atom count, Fraction per atom)
+        runs: one per level, then the residual atom."""
+        f_vals = (0, *self.f_values())
+        runs = [(b - a, m / (b - a)) for a, b, m
+                in zip(f_vals, f_vals[1:], self.level_masses())]
+        return runs + [(1, self.residual_mass())]
+
     def to_json(self):
         return {"eps": [str(e) for e in self.eps], "f": self.f.to_json(),
                 "K": self.K, "linear_coeff": str(self.linear_coeff)}
@@ -212,8 +222,7 @@ class ConstructedInstance:
         """The instance as an atomic measure with exact masses, built on
         the first call and shared after it."""
         if self._measure is None:
-            runs = [(lvl.size, lvl.mass_exact / lvl.size) for lvl in self.levels]
-            runs.append((1, self.residual_mass_exact))
+            runs = self.schedule.runs()
             locations = [x for lvl in self.levels for x in lvl.locations]
             masses = np.repeat([float(exact) for _, exact in runs],
                                [count for count, _ in runs])
@@ -242,24 +251,20 @@ def build_measure(schedule):
     ``MAX_ATOMS`` atoms raises ``EnumerationCapError`` before any prime is
     generated.
     """
-    f_vals = schedule.f_values()
-    masses = schedule.level_masses()
-    total_atoms = (f_vals[-1] if f_vals else 0) + 1
+    runs = schedule.runs()
+    total_atoms = sum(count for count, _ in runs)
     if total_atoms > MAX_ATOMS:
         raise EnumerationCapError(f"instance needs {total_atoms} atoms, "
                                   f"cap is {MAX_ATOMS}")
     locations = sontag.rationally_independent_points(total_atoms)
     levels = []
-    prev_f = 0
     cursor = 0
-    for k in range(schedule.K):
-        size = f_vals[k] - prev_f
-        locs = tuple(locations[cursor:cursor + size])
-        levels.append(Level(k + 1, locs, masses[k]))
+    for k, (size, exact) in enumerate(runs[:-1]):
+        levels.append(Level(k + 1, tuple(locations[cursor:cursor + size]),
+                            size * exact))
         cursor += size
-        prev_f = f_vals[k]
     return ConstructedInstance(schedule, tuple(levels), locations[cursor],
-                               schedule.residual_mass())
+                               runs[-1][1])
 
 
 @dataclass(frozen=True)
@@ -275,10 +280,7 @@ class ProfileRow:
     quadratic_note: int  # the 8/eps^2 variant, kept for comparison only
 
     def to_json(self):
-        return {"k": self.k, "eps": self.eps, "f_k": self.f_k,
-                "lower": self.lower, "upper": self.upper,
-                "cover_size": self.cover_size,
-                "quadratic_note": self.quadratic_note}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -305,18 +307,21 @@ def theoretical_profile(instance, delta):
     if not 0 < delta <= 1:
         raise ValueError("delta must lie in (0, 1]")
     rows = []
-    f_vals = instance.schedule.f_values()
-    measure = instance.measure()
-    for k in range(1, instance.schedule.K + 1):
+    schedule = instance.schedule
+    f_vals = schedule.f_values()
+    runs = schedule.runs()
+    units, total = _run_units(runs)
+    for k in range(1, schedule.K + 1):
         f_k = f_vals[k - 1]
-        eps_k = float(instance.schedule.eps[k - 1])
+        eps_k = float(schedule.eps[k - 1])
         upper = bi_upper_from_log2(eps_k, delta, float(f_k))
         lower = math.ceil(PACKING_LOWER_RATE * f_k)
         if 0 < f_k <= SMALL_FAMILY_LIMIT:
             # Labeling i gives bit (i >> j) & 1 to the j-th atom of levels
             # 1..k, the first f_k atoms in location order, and 0 to the rest.
             family = FiniteFamily._of_memberships(
-                (np.arange(2 ** f_k)[:, None] >> np.arange(f_k)) & 1, measure)
+                (np.arange(2 ** f_k)[:, None] >> np.arange(f_k)) & 1,
+                np.repeat(units[:k], [count for count, _ in runs[:k]]), total)
             packed = greedy_packing(family, 2.0 * eps_k)
             lower = max(lower, math.ceil(math.log2(packed.size)))
         rows.append(ProfileRow(k, eps_k, f_k, lower, upper, 2 ** f_k,

@@ -26,22 +26,25 @@ exact integer count per concept.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import sontag
 from .concepts import (EnumerationCapError, IntervalUnion, OrderIntervalFamily,
                        SontagConcept, SontagFamily, isolate_points)
-from .construction import ConstructedInstance
+from .construction import ComplexitySchedule, ConstructedInstance
 from .intervals import canonicalize, count_sorted
-from .measures import AtomicMeasure, _as_fraction, expect_indicator
+from .measures import (AtomicMeasure, _as_fraction, _run_units, _unit_floats,
+                       expect_indicator)
 
 DEFAULT_N_CAP = 10 ** 6
 ADVERSARIAL_MIN_WEIGHT = 32.0
 _WILSON_Z = 1.959963984540054  # two-sided 95%
-# Most trials x atoms one estimate takes: the design envelope of the
-# estimator, refused before any episode is drawn.
+# Most trials x target atoms one estimate takes, refused before any episode
+# is drawn.  It bounds the first draws of targets a pass can simulate, so
+# its time; its memory no longer grows with the atoms.
 MAX_EPISODE_CELLS = 2 ** 25
 # Most first draws of targets expected in one window of the pass.
 _EPISODE_DRAWS = 2 ** 16
@@ -77,27 +80,36 @@ class ComplexityEstimate:
     probes: tuple = field(repr=False, default=())  # (n, failures) pairs
 
     def to_json(self):
-        return {"n_hat": self.n_hat, "eps": self.eps, "delta": self.delta,
-                "trials": self.trials,
-                "failure_rate_at_n_hat": self.failure_rate_at_n_hat,
-                "confidence_interval": list(self.confidence_interval),
-                "seed": self.seed, "status": self.status,
-                "draws": self.draws,
-                "probes": [list(p) for p in self.probes]}
+        return asdict(self)
 
 
-def _universe_arrays(universe):
-    """(atomic measure, random-target atom count) for an instance or measure.
+def _target_runs(universe):
+    """(units of one atom per run, atoms per run, U) over the runs of equal
+    units among the atoms a target labels, units increasing, as lists.
 
-    Targets are uniform over labelings of the level atoms; a construction
-    instance keeps its residual atom fixed at 0, a plain atomic measure
-    randomizes every atom.
+    A schedule's runs are its levels, the residual atom staying 0, and an
+    instance's are its schedule's: no atom is built.  A plain atomic
+    measure randomizes every atom.
     """
     if isinstance(universe, ConstructedInstance):
-        return universe.measure(), sum(lvl.size for lvl in universe.levels)
-    if isinstance(universe, AtomicMeasure):
-        return universe, len(universe)
-    raise TypeError("universe must be a ConstructedInstance or AtomicMeasure")
+        universe = universe.schedule
+    sizes = Counter()
+    if isinstance(universe, ComplexitySchedule):
+        runs = universe.runs()
+        units, total = _run_units(runs)
+        for (count, _), u in zip(runs[:-1], units.tolist()):
+            sizes[u] += count
+    elif isinstance(universe, AtomicMeasure):
+        units, total = universe._exact_units()
+        sizes.update(units.tolist())
+    else:
+        raise TypeError("universe must be a ComplexitySchedule, "
+                        "ConstructedInstance or AtomicMeasure")
+    if total >= 2 ** 63:
+        raise OverflowError(f"{universe!r} needs {total.bit_length()}-bit "
+                            "units, more than int64 holds")
+    values = sorted(sizes)
+    return values, [sizes[u] for u in values], total
 
 
 def _running_sums(x, starts, lengths):
@@ -121,17 +133,17 @@ def _arrival_order(trial, at, span):
     return order
 
 
-def _hitting_times(measure, free_atoms, eps, trials, seed, allowed=0,
-                   n_cap=DEFAULT_N_CAP):
+def _hitting_times(runs, eps, trials, seed, allowed=0, n_cap=DEFAULT_N_CAP):
     """Nested episodes: (each trial's T = min{n : err_n <= eps}, first
     draws of targets simulated).
 
     With label-consistent samples the majority vote equals the target on
     seen atoms and 0 elsewhere, so err_n is the mass of the target atoms
-    not yet drawn, kept per trial in the measure's integer units.  It only
-    changes at a first draw of a target atom, and atoms of equal units are
-    exchangeable, so a trial is a death chain over the free atoms' runs of
-    equal units, and only those first draws are simulated:
+    not yet drawn, kept per trial in integer units.  It only changes at a
+    first draw of a target atom, and atoms of equal units are exchangeable,
+    so a trial is a death chain over ``runs``, the target atoms' runs of
+    equal units as ``_target_runs`` lists them (units, sizes, U), and only
+    those first draws are simulated:
 
     - trial t starts with ``rng.binomial(s_r, 1/2)`` unseen targets in run
       r, a (trials, runs) array drawn first;
@@ -155,16 +167,15 @@ def _hitting_times(measure, free_atoms, eps, trials, seed, allowed=0,
     ``n_cap``.  Such a trial reads ``NOT_HIT``, as does one whose T passes
     ``n_cap``, lowered where needed so that every N fits int64.
     """
-    units, total_units = measure.units()
+    values, sizes, total_units = runs
+    values, sizes = (np.array(x, dtype=np.int64) for x in (values, sizes))
     eps = _as_fraction(eps)
     threshold = min(eps.numerator * total_units // eps.denominator,
                     total_units)  # err <= eps  <=>  units <= floor(eps U)
-    # A trial's N sums at most free_atoms gaps of at most n_cap + 1 draws:
-    # (free_atoms + 1)(n_cap + 1) < 2**63 keeps every N in int64.
-    n_cap = min(n_cap, NOT_HIT // (free_atoms + 1) - 1)
+    # A trial's N sums at most `targets` gaps of at most n_cap + 1 draws:
+    # (targets + 1)(n_cap + 1) < 2**63 keeps every N in int64.
+    n_cap = min(n_cap, NOT_HIT // (int(sizes.sum()) + 1) - 1)
     rng = np.random.default_rng(seed)
-    # Only the first free_atoms atoms can be targets.
-    values, sizes = np.unique(units[:free_atoms], return_counts=True)
     rates = values / total_units  # a draw's chance of one atom of the run
     alive = rng.binomial(sizes, 0.5, size=(trials, len(sizes)))
     remaining = alive @ values
@@ -203,7 +214,8 @@ def _hitting_times(measure, free_atoms, eps, trials, seed, allowed=0,
 
 def estimate_sample_complexity(universe, eps, delta, trials=400, seed=0,
                                n_cap=DEFAULT_N_CAP):
-    """Smallest n whose Monte-Carlo failure rate is at most delta.
+    """Smallest n whose Monte-Carlo failure rate is at most delta, over
+    the targets of a schedule, of an instance or of an atomic measure.
 
     One pass over ``trials`` nested episodes (``_hitting_times``): the
     failure rate at n is the share of hitting times above n, so n_hat is
@@ -221,18 +233,17 @@ def estimate_sample_complexity(universe, eps, delta, trials=400, seed=0,
         raise ValueError("eps must be positive")
     if trials < 100:
         raise ValueError("need at least 100 trials")
-    measure, free_atoms = _universe_arrays(universe)
-    cells = trials * len(measure)
-    if cells > MAX_EPISODE_CELLS:
+    runs = _target_runs(universe)
+    targets = sum(runs[1])
+    if (cells := trials * targets) > MAX_EPISODE_CELLS:
         raise EnumerationCapError(
-            f"{trials} trials x {len(measure)} atoms = {cells} episode "
+            f"{trials} trials x {targets} atoms = {cells} episode "
             f"cells exceed the cap of {MAX_EPISODE_CELLS}")
     allowed = int(delta * trials) + 1
     while allowed / trials > delta:
         allowed -= 1
     n_cap = min(n_cap, NOT_HIT - 1)  # so a NOT_HIT quantile is past the cap
-    times, draws = _hitting_times(measure, free_atoms, eps, trials, seed,
-                                  allowed, n_cap)
+    times, draws = _hitting_times(runs, eps, trials, seed, allowed, n_cap)
     times.sort()
     n_hat = int(times[trials - allowed - 1])
     top = min(n_hat, n_cap)
@@ -281,12 +292,13 @@ class GcDeviationResult:
 
 def _atomic_census(memberships, measure, n, trials, seed):
     # Samples from an atomic measure are atom locations, so one frequency
-    # vector per trial gives every concept's empirical mean at once.
+    # vector per trial gives every concept's empirical mean at once: its
+    # counts are multinomial, the atoms' exact masses rounded once.
     true_means = measure.mass(memberships)
+    p = _unit_floats(*measure._exact_units())
     devs = []
     for t in range(trials):
-        idx = measure.draw_indices(np.random.default_rng([seed, t]), n)
-        counts = np.bincount(idx, minlength=len(measure)).astype(float)
+        counts = np.random.default_rng([seed, t]).multinomial(n, p)
         emp = memberships @ (counts / n)
         devs.append(float(np.max(np.abs(true_means - emp))))
     return devs

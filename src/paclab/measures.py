@@ -29,9 +29,6 @@ MASS_TOLERANCE = 1e-12
 DEFAULT_TERNARY_DEPTH = 40
 _EXACT_MASS_DEPTH = 60
 _POWERS_OF_3 = tuple(3 ** i for i in range(_EXACT_MASS_DEPTH + 1))
-# Sampling buckets: about 16 per atom, between 2**4 and 2**20.
-_MIN_BUCKET_BITS = 4
-_MAX_BUCKET_BITS = 20
 
 
 def window_intervals(concept, lo, hi):
@@ -53,6 +50,25 @@ def _unit_floats(units, total):
         return units / total
     return np.array([d / total for d in units.ravel().tolist()],
                     dtype=float).reshape(units.shape)
+
+
+def _run_units(runs):
+    """Exact masses in integer units: one per (count, Fraction) run, over
+    the runs' common denominator reduced by the units' gcd, and their total
+    U = sum(count * units).
+
+    The units are in the narrowest dtype exact for every sum up to 2U in
+    any order: float64 while 2U < 2**53, then int64, then Python ints.
+    """
+    counts, exact = zip(*runs)
+    den = math.lcm(*(f.denominator for f in exact))
+    nums = [f.numerator * (den // f.denominator) for f in exact]
+    common = math.gcd(*nums)
+    nums = [x // common for x in nums]
+    total = sum(map(operator.mul, counts, nums))
+    dtype = (float if 2 * total < 2 ** 53
+             else np.int64 if 2 * total < 2 ** 63 else object)
+    return np.array(nums, dtype=dtype), total
 
 
 @dataclass(frozen=True)
@@ -102,7 +118,6 @@ class AtomicMeasure:
         if abs(total - 1.0) > MASS_TOLERANCE:
             raise ValueError(f"atom masses sum to {total!r}, expected 1")
         self._runs = order, runs
-        self._buckets = None
         self._unit_cache = None
 
     @classmethod
@@ -127,57 +142,17 @@ class AtomicMeasure:
     def __repr__(self):
         return f"AtomicMeasure({len(self)} atoms)"
 
-    def _bucket_table(self):
-        # rng.choice's cdf, and for 2**bits equal buckets of [0, 1) the
-        # first cdf index above each bucket's left edge.  A uniform in
-        # bucket j has its searchsorted index within ``width`` of first[j],
-        # width the largest bucket's atom count; padding the cdf with ones
-        # (never <= a uniform) keeps every probe of the search in range.
-        # first[j] counts the cdf entries <= j / 2**bits: the entry c lies
-        # at or below edge j from j = ceil(c * 2**bits) on, a product that
-        # a power of two leaves exact.
-        if self._buckets is None:
-            cdf = self.masses.cumsum()
-            cdf /= cdf[-1]
-            bits = min(max((16 * len(cdf)).bit_length(), _MIN_BUCKET_BITS),
-                       _MAX_BUCKET_BITS)
-            first = np.bincount(np.ceil(cdf * 2 ** bits).astype(np.intp),
-                                minlength=2 ** bits + 1).cumsum()
-            steps = int(np.diff(first).max()).bit_length()
-            padded = np.concatenate([cdf, np.ones(2 ** steps - 1)])
-            self._buckets = (padded, float(2 ** bits), first[:-1], steps)
-        return self._buckets
-
-    def draw_indices(self, rng, shape):
-        """Atom indices of i.i.d. draws, equal to
-        ``rng.choice(len(self), size=shape, p=self.masses)``.
-
-        The same ``rng.random(shape)`` uniforms meet the same cdf; a bucket
-        table narrows each search to a few atoms, and a fixed-step
-        bisection there finishes it exactly whatever the mass profile.
-        """
-        return self.indices_of(rng.random(shape))
-
-    def indices_of(self, u):
-        """The atom index ``draw_indices`` draws for each uniform in ``u``."""
-        cdf, scale, first, steps = self._bucket_table()
-        idx = first[(u * scale).astype(np.intp)]
-        for shift in range(steps - 1, -1, -1):
-            half = 1 << shift
-            idx += half * (cdf[idx + (half - 1)] <= u)
-        return idx
-
     def sample(self, n, seed=0):
         rng = np.random.default_rng(seed)
-        return self.locations[self.draw_indices(rng, int(n))]
+        return self.locations[rng.choice(len(self), int(n), p=self.masses)]
 
     def units(self):
         """The exact masses in integer units: (int64 per-atom units, their
         Python-int total U), atom i weighing units[i] / U.
 
-        Built once per run of equal exact masses over a common denominator,
-        reduced by the units' gcd.  A measure whose units do not fit int64
-        raises ``OverflowError``; there is no float fallback.
+        Built once per run of equal exact masses by ``_run_units``.  A
+        measure whose units do not fit int64 raises ``OverflowError``;
+        there is no float fallback.
         """
         units, total = self._exact_units()
         if total >= 2 ** 63:
@@ -188,22 +163,14 @@ class AtomicMeasure:
 
     def _exact_units(self):
         # The units of ``units()`` and U, built once, read-only, in the
-        # narrowest dtype exact for every sum up to 2U in any order: float64
-        # while 2U < 2**53, then int64, then Python ints; no size check.
+        # dtype of ``_run_units``; no size check.
         if self._unit_cache is None:
             order, runs = self._runs
             if runs is None:  # one run per atom, already in atom order
                 order, runs = slice(None), [(1, _as_fraction(m))
                                             for m in self.masses.tolist()]
-            counts, exact = zip(*runs)
-            den = math.lcm(*(f.denominator for f in exact))
-            nums = [f.numerator * (den // f.denominator) for f in exact]
-            common = math.gcd(*nums)
-            nums = [x // common for x in nums]
-            total = sum(map(operator.mul, counts, nums))
-            dtype = (float if 2 * total < 2 ** 53
-                     else np.int64 if 2 * total < 2 ** 63 else object)
-            units = np.repeat(np.array(nums, dtype=dtype), counts)[order]
+            units, total = _run_units(runs)
+            units = np.repeat(units, [count for count, _ in runs])[order]
             units.flags.writeable = False
             self._unit_cache = units, total
         return self._unit_cache

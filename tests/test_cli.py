@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -392,11 +394,44 @@ def test_enumeration_cap_exit_3(tmp_path):
     assert code == 3
 
 
-def test_estimator_memory_cap_exit_3(tmp_path):
-    config = {"schedule": DEFAULT_SCHEDULE, "levels": [1], "trials": 10 ** 7}
+def test_estimator_memory_cap_exit_3(tmp_path, monkeypatch):
+    # Past the cap on trials x target atoms, with 10^7 trials, at x^2,
+    # K=4, level 4 (390,625 targets) or at 2^x, K=2 (33,554,432): refused
+    # before any atom is built or any episode drawn.
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the cap")
+
+    monkeypatch.setattr(sontag, "rationally_independent_points", refuse)
+    monkeypatch.setattr(learner, "_hitting_times", refuse)
+    x2_k4 = {"eps": ["1/5", "1/25", "1/125", "1/625", "1/3125"],
+             "f": {"kind": "poly", "degree": 2}, "K": 4}
+    for config in [{"schedule": DEFAULT_SCHEDULE, "levels": [1],
+                    "trials": 10 ** 7},
+                   {"schedule": x2_k4, "levels": [4]},
+                   schedule(f={"kind": "exp"})]:
+        code, out = run(tmp_path, "complexity", config)
+        assert code == 3
+        assert not (out / "complexity_manifest.json").exists()
+
+
+def test_complexity_builds_no_instance(tmp_path, monkeypatch):
+    # The estimator reads the schedule's runs: no prime, no instance and
+    # no atomic measure, and the outputs keep their golden bytes.
+    def refuse(*args, **kwargs):
+        raise AssertionError("complexity built atoms")
+
+    monkeypatch.setattr(sontag, "rationally_independent_points", refuse)
+    monkeypatch.setattr(construction, "build_measure", refuse)
+    monkeypatch.setattr(construction.ConstructedInstance, "measure", refuse)
+    monkeypatch.setattr(measures.AtomicMeasure, "__init__", refuse)
+    root = Path(__file__).resolve().parent
+    config = json.loads((root.parent / "configs" / "complexity.json")
+                        .read_text())
     code, out = run(tmp_path, "complexity", config)
-    assert code == 3
-    assert not (out / "complexity_manifest.json").exists()
+    assert code == 0
+    golden = json.loads((root / "golden.json").read_text())["complexity"]
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in golden} == golden
 
 
 def test_invariant_violation_exit_4(tmp_path, monkeypatch):
@@ -451,6 +486,9 @@ COMPLEXITY = {"schedule": SMALL_SCHEDULE, "levels": [1], "trials": 100}
 # f_2 = f_1 = 30: level 2 gets no atoms.
 FLAT_LEVEL_2 = {"eps": ["1/5", "1/25", "1/125"],
                 "f": {"kind": "table", "points": [[5, 30], [25, 30]]}, "K": 2}
+# f_2 = 2^(2051/2) passes the float range.
+EXP_OVERFLOW = {"eps": ["1/5", "2/2051", "1/5000"],
+                "f": {"kind": "exp", "base": 2}, "K": 2}
 # f_1 = f_0 = 0: level 1 gets no atoms.
 EMPTY_LEVEL_1 = {"eps": ["1/5", "1/25"],
                  "f": {"kind": "table", "points": [[1, 0]]}, "K": 1,
@@ -527,6 +565,9 @@ BAD_CONFIGS = [
     (3, "figures", {"cantor_levels": 19}),
     # All 65,536 subsets at order 10^4 span 659,554,304 grid cells.
     (3, "cantor", {"level": 4, "orders": [10000]}),
+    # A rate past the float range is a cap, not an internal error.
+    (3, "construct", {"schedule": EXP_OVERFLOW}),
+    (3, "complexity", {"schedule": EXP_OVERFLOW}),
 ]
 
 WORK = [(sontag, "rationally_independent_points"), (sontag, "shatter_search"),

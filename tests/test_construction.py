@@ -64,6 +64,18 @@ def test_rate_function_kinds():
         table(Fraction(1))
 
 
+def test_exp_rate_past_the_float_range_is_a_cap():
+    # 2^(2051/2) has no float; a level of that many atoms is far past
+    # MAX_ATOMS, so the rate refuses it as a cap, naming x.
+    from paclab.concepts import EnumerationCapError
+    exp = RateFunction.exponential(2)
+    assert exp(Fraction(2047, 2)) == Fraction(str(2.0 ** 1023.5))
+    with pytest.raises(EnumerationCapError, match="x = 2051/2"):
+        exp(Fraction(2051, 2))
+    with pytest.raises(EnumerationCapError, match="x = 2051/2"):
+        ComplexitySchedule(eps=("1/5", "2/2051", "1/5000"), f=exp, K=2)
+
+
 # ---------------------------------------------------------------------------
 # the constructed measure
 
@@ -128,6 +140,9 @@ def test_instance_measure_is_built_once_with_exact_units():
              for _ in range(lvl.size)] + [inst.residual_mass_exact]
     assert [Fraction(int(u), total) for u in units] == exact
     assert measure.masses.tolist() == [float(f) for f in exact]
+    assert inst.schedule.runs() == [(lvl.size, lvl.mass_exact / lvl.size)
+                                    for lvl in inst.levels] + [
+                                        (1, inst.residual_mass_exact)]
 
 
 def _atom_by_atom(inst):

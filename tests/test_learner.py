@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -91,7 +92,7 @@ def test_true_error_single_atom_disagreement():
 
 
 def test_vectorized_episodes_match_erm_learn():
-    # The estimator's premise, on explicit draw_indices samples: the
+    # The estimator's premise, on explicit i.i.d. samples: the
     # majority vote of a label-consistent sample is an ERM hypothesis, and
     # its true error is the mass of the target atoms not yet drawn.
     inst = small_instance(K=1, degree=1)
@@ -103,7 +104,7 @@ def test_vectorized_episodes_match_erm_learn():
         bits = np.zeros(len(measure), dtype=bool)
         bits[:free] = rng.integers(0, 2, size=free)
         target = AtomLabeling.for_measure(measure, bits.astype(int).tolist())
-        idx = measure.draw_indices(rng, 40)
+        idx = rng.choice(len(measure), 40, p=measure.masses)
         for n in (0, 1, 5, 12, 40):
             points = tuple(measure.locations[idx[:n]])
             labels = tuple(int(target.contains(p)) for p in points)
@@ -122,6 +123,51 @@ def _runs(measure, free):
     return np.unique(measure.units()[0][:free], return_counts=True)
 
 
+def _target(measure, free):
+    # The runs of the first `free` atoms and U, as _hitting_times takes them.
+    return (*_runs(measure, free), measure.units()[1])
+
+
+# Schedules whose runs the estimator reads without atoms: poly, exp, and
+# a table rate whose two levels hold atoms of 1/4 each, one merged run.
+RUN_SCHEDULES = {
+    "poly K=3": ComplexitySchedule.default(K=3),
+    "exp": ComplexitySchedule(eps=(Fraction(1, 5), Fraction(1, 7),
+                                   Fraction(1, 9)),
+                              f=RateFunction.exponential(2), K=2),
+    "table, merged": ComplexitySchedule(
+        eps=(Fraction(1, 5), Fraction(1, 10), Fraction(1, 20)),
+        f=RateFunction.table([(5, 2), (10, 3)]), K=2,
+        linear_coeff=Fraction(1, 10)),
+}
+
+
+@pytest.mark.parametrize("name", RUN_SCHEDULES)
+def test_schedule_runs_are_the_instance_atoms_runs(name):
+    from paclab.learner import _target_runs
+    schedule = RUN_SCHEDULES[name]
+    inst = build_measure(schedule)
+    values, sizes, total = _target_runs(schedule)
+    want = _target(inst.measure(), len(inst.measure()) - 1)
+    assert values == want[0].tolist() and sizes == want[1].tolist()
+    assert total == want[2]
+    assert _target_runs(inst) == (values, sizes, total)
+    if name == "table, merged":
+        assert (values, sizes, total) == ([1], [3], 4)
+
+
+@pytest.mark.parametrize("name", RUN_SCHEDULES)
+def test_estimate_from_a_schedule_equals_its_instance(name):
+    schedule = RUN_SCHEDULES[name]
+    inst = build_measure(schedule)
+    for eps in schedule.eps[:schedule.K]:
+        est = estimate_sample_complexity(schedule, float(eps), 0.1,
+                                         trials=200, seed=5)
+        assert est.draws > 0 and est.probes
+        assert est == estimate_sample_complexity(inst, float(eps), 0.1,
+                                                 trials=200, seed=5)
+
+
 def _starting_counts(measure, free, trials, seed):
     # The estimator's first draw: each trial's unseen targets per run.
     sizes = _runs(measure, free)[1]
@@ -137,7 +183,8 @@ def test_exact_error_equal_to_eps_is_not_a_failure():
     counts = _starting_counts(measure, 3, trials, seed)  # 1, 2, 7 tenths
     ties = np.all(counts == [1, 1, 0], axis=1)
     assert ties.any()
-    times, _ = _hitting_times(measure, 3, 0.3, trials, seed, n_cap=0)
+    times, _ = _hitting_times(_target(measure, 3), 0.3, trials, seed,
+                              n_cap=0)
     assert np.all(times[ties] == 0)
     exact = counts @ np.array([1, 2, 7])  # tenths
     est = estimate_sample_complexity(measure, 0.3, 0.5, trials=trials,
@@ -184,8 +231,8 @@ def test_starting_error_matches_brute_force(monkeypatch, case, draws):
     prefixes = np.cumsum(values * sizes).tolist()
     for eps in {Fraction(0), *(Fraction(p, total) for p in prefixes),
                 *start[:5], Fraction(1)}:
-        times, made = learner._hitting_times(measure, free, eps, trials,
-                                             seed, n_cap=0)
+        times, made = learner._hitting_times(_target(measure, free), eps,
+                                             trials, seed, n_cap=0)
         assert made == 0
         assert times.tolist() == [0 if e <= eps else learner.NOT_HIT
                                   for e in start]
@@ -235,7 +282,7 @@ def _law_statistic(case):
     masses, free, eps, _ = LAW_CASES[case]
     n_max, seed = 150, 2024
     measure = AtomicMeasure.from_pairs(enumerate(masses))
-    times, _ = _hitting_times(measure, free, eps, LAW_TRIALS, seed)
+    times, _ = _hitting_times(_target(measure, free), eps, LAW_TRIALS, seed)
     cdf = [float(c) for c in _exact_cdf(masses, free, eps, n_max)]
     expected = np.diff([0.0, *cdf, 1.0]) * LAW_TRIALS
     observed = np.bincount(np.minimum(times, n_max + 1), minlength=n_max + 2)
@@ -276,7 +323,7 @@ def test_hitting_times_count_a_repeated_draw_once():
     trials, repeats = 50, 0
     for seed in range(10):
         targets = _starting_counts(measure, 3, trials, seed).sum(axis=1)
-        times, made = _hitting_times(measure, 3, 0, trials, seed)
+        times, made = _hitting_times(_target(measure, 3), 0, trials, seed)
         assert made == targets.sum() and NOT_HIT not in times
         assert np.array_equal(times == 0, targets == 0)
         assert np.all(times >= targets)
@@ -304,8 +351,8 @@ def test_hitting_times_match_sequential_fractions(cuts, picks, trials, seed):
     free, total = len(weights), measure.units()[1]
     values = _runs(measure, free)[0]
     counts = _starting_counts(measure, free, trials, seed)
-    ladder = np.array([_hitting_times(measure, free, Fraction(k, total),
-                                      trials, seed)[0]
+    ladder = np.array([_hitting_times(_target(measure, free),
+                                      Fraction(k, total), trials, seed)[0]
                        for k in range(total + 1)])
     assert NOT_HIT not in ladder and np.all(np.diff(ladder, axis=0) <= 0)
     for t in range(trials):
@@ -319,7 +366,7 @@ def test_hitting_times_match_sequential_fractions(cuts, picks, trials, seed):
     w = max(sum(w for w, p in zip(weights, picks) if p), 1)
     k = w * total // 100
     for eps in (w / 100, Fraction(2 * k + 1, 2 * total)):
-        times, _ = _hitting_times(measure, free, eps, trials, seed)
+        times, _ = _hitting_times(_target(measure, free), eps, trials, seed)
         assert np.array_equal(times, ladder[k])
 
 
@@ -338,14 +385,14 @@ def test_fair_bits_follow_the_raw_words(monkeypatch, count, draws):
     half, seed = (count + 1) // 2, count + 3
     counts = _starting_counts(measure, count, 1000, seed).sum(axis=1)
     assert abs(counts.sum() - 500 * count) <= 4 * math.sqrt(250 * count)
-    times, made = learner._hitting_times(measure, count, Fraction(1, 2),
-                                         1000, seed, n_cap=0)
+    times, made = learner._hitting_times(_target(measure, count),
+                                         Fraction(1, 2), 1000, seed, n_cap=0)
     assert made == 0
     assert np.array_equal(times, np.where(counts <= half, 0,
                                           learner.NOT_HIT))
     counts = _starting_counts(measure, count, 3, seed).sum(axis=1)
-    times, made = learner._hitting_times(measure, count, Fraction(1, 2), 3,
-                                         seed)
+    times, made = learner._hitting_times(_target(measure, count),
+                                         Fraction(1, 2), 3, seed)
     need = np.maximum(counts - half, 0)
     assert np.array_equal(times == 0, need == 0) and np.all(times >= need)
     assert made >= need.sum()
@@ -357,7 +404,8 @@ def test_hitting_times_are_monotone_in_eps(seed):
     from paclab.learner import _hitting_times
     inst = small_instance(K=2, degree=1)
     free = sum(lvl.size for lvl in inst.levels)
-    times = [_hitting_times(inst.measure(), free, eps, 200, seed)[0]
+    runs = _target(inst.measure(), free)
+    times = [_hitting_times(runs, eps, 200, seed)[0]
              for eps in (0.5, 0.2, 0.1, 0.04, 0.01, 0.0)]
     for larger, smaller in zip(times, times[1:]):
         assert np.all(larger <= smaller)
@@ -372,26 +420,15 @@ def test_early_stop_settles_the_smallest_times(allowed):
     measure = inst.measure()
     free = sum(lvl.size for lvl in inst.levels)
     trials, seed, eps = 100, 6, 0.04
-    full, work = _hitting_times(measure, free, eps, trials, seed)
-    part, less = _hitting_times(measure, free, eps, trials, seed,
-                                allowed=allowed)
+    runs = _target(measure, free)
+    full, work = _hitting_times(runs, eps, trials, seed)
+    part, less = _hitting_times(runs, eps, trials, seed, allowed=allowed)
     kept = trials - allowed
     assert np.array_equal(np.sort(part)[:kept], np.sort(full)[:kept])
     assert np.all((part == full) | (part == NOT_HIT)) and less <= work
     cap = int(np.median(full))
-    capped, _ = _hitting_times(measure, free, eps, trials, seed, n_cap=cap)
+    capped, _ = _hitting_times(runs, eps, trials, seed, n_cap=cap)
     assert np.array_equal(capped, np.where(full <= cap, full, NOT_HIT))
-
-
-def test_estimator_makes_no_per_draw_lookup(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the estimator looked up a draw")
-
-    monkeypatch.setattr(AtomicMeasure, "indices_of", refuse)
-    monkeypatch.setattr(AtomicMeasure, "draw_indices", refuse)
-    est = estimate_sample_complexity(small_instance(K=2), 0.04, 0.1,
-                                     trials=200, seed=3)
-    assert est.status == "converged" and est.draws > 0
 
 
 def test_arrival_order_breaks_float_key_ties_by_time():
@@ -458,7 +495,8 @@ def test_n_hat_is_a_hitting_time_quantile():
     trials, seed, eps, delta = 300, 8, 0.1, 0.1
     est = estimate_sample_complexity(inst, eps, delta, trials=trials,
                                      seed=seed)
-    times, _ = _hitting_times(inst.measure(), free, eps, trials, seed)
+    runs = _target(inst.measure(), free)
+    times, _ = _hitting_times(runs, eps, trials, seed)
     allowed = 30  # the most failures f with f / 300 <= 0.1
     assert est.n_hat == sorted(times)[trials - allowed - 1]
     assert [f for _, f in est.probes] == [int(np.sum(times > n))
@@ -468,8 +506,7 @@ def test_n_hat_is_a_hitting_time_quantile():
     # draws counts the first draws of targets that the stopping pass made:
     # one at least for each trial hit after the start by n_hat, at most
     # one per trial and target atom.
-    assert est.draws == _hitting_times(inst.measure(), free, eps, trials,
-                                       seed, allowed)[1]
+    assert est.draws == _hitting_times(runs, eps, trials, seed, allowed)[1]
     assert (np.count_nonzero((times > 0) & (times <= est.n_hat))
             <= est.draws <= trials * free)
     assert est.to_json()["draws"] == est.draws
@@ -491,7 +528,8 @@ def test_hitting_times_stay_in_int64_under_any_cap():
     from paclab.learner import NOT_HIT, _hitting_times
     m = AtomicMeasure.from_pairs([(float(i), 1e-18) for i in range(6)]
                                  + [(6.0, 1 - 6e-18)])
-    times, _ = _hitting_times(m, len(m), 0, 2000, 1, n_cap=NOT_HIT - 1)
+    times, _ = _hitting_times(_target(m, len(m)), 0, 2000, 1,
+                              n_cap=NOT_HIT - 1)
     assert times.min() >= 0
     assert np.all((times < NOT_HIT // (len(m) + 1)) | (times == NOT_HIT))
     for cap in (NOT_HIT - 1, 2 ** 64):
@@ -553,6 +591,25 @@ def test_gc_single_atom_deviation_is_zero():
     fam = [AtomLabeling.for_measure(m, (b,)) for b in (0, 1)]
     res = gc_deviation(fam, m, n=5, trials=10, seed=1, mode="census")
     assert res.max == 0.0
+
+
+def test_gc_atomic_census_reads_multinomial_counts():
+    # Trial t counts the atoms by rng.multinomial(n, p) on stream
+    # [seed, t], p the exact masses rounded once; its deviation is the
+    # largest gap between a labeling's exact mass and its share of them.
+    m = AtomicMeasure.from_pairs([(0.0, 0.1), (1.0, 0.2), (2.0, 0.7)])
+    exact = [Fraction(1, 10), Fraction(2, 10), Fraction(7, 10)]
+    labelings = list(itertools.product((0, 1), repeat=3))
+    fam = [AtomLabeling.for_measure(m, bits) for bits in labelings]
+    n, seed = 50, 9
+    res = gc_deviation(fam, m, n=n, trials=30, seed=seed, mode="census")
+    for t, dev in enumerate(res.deviations):
+        counts = np.random.default_rng([seed, t]).multinomial(
+            n, [0.1, 0.2, 0.7])
+        want = max(abs(sum((e - Fraction(int(c), n)
+                            for e, c, b in zip(exact, counts, bits) if b),
+                           Fraction(0))) for bits in labelings)
+        assert math.isclose(dev, want, rel_tol=1e-12, abs_tol=1e-15)
 
 
 def test_gc_census_shrinks_with_n():
