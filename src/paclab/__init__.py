@@ -26,4 +26,4 @@ from .measures import (Atom, AtomicMeasure, CantorMeasure, UniformMeasure,
                        measure_from_json)
 from .sontag import (SontagParams, net_output, phi,
                      rationally_independent_points, rho, shatter_census,
-                     shatter_search)
+                     shatter_search, shatter_search_many)

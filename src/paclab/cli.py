@@ -68,9 +68,14 @@ def _write_csv(path, header, rows):
 
 
 def _write_json(path, doc):
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # a cover size 2**f_k may pass 4,300 digits
+    try:
+        with open(path, "w") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _manifest(out_dir, subcommand, config, seed, strict, outputs):

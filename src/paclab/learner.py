@@ -18,7 +18,8 @@ their draw counts from geometric gaps.
 ``gc_deviation`` estimates the uniform deviation sup |E_mu - E_emp| either
 by enumerating a finite sub-class (census mode) or by adversarially
 fitting the all-ones labeling of each drawn sample (the non-convergence
-witness experiment).  Under a non-atomic measure the census sorts each
+witness experiment), the weight family's fits of one sample size all in
+one batched search.  Under a non-atomic measure the census sorts each
 sample once and counts every closed-interval concept by binary search, an
 exact integer count per concept.
 """
@@ -337,23 +338,20 @@ def _census_deviations(family, measure, n, trials, seed):
 
 
 def _adversarial_deviations(family, measure, n, trials, seed, min_weight):
-    devs = []
-    failed = 0
-    for t in range(trials):
-        xs = measure.sample(n, seed=[seed, t])
-        if isinstance(family, SontagFamily):
-            res = sontag.shatter_search(xs, np.ones(n, dtype=int),
-                                        family.w_max, w_min=min_weight)
-            if not res.found:
-                failed += 1
-                continue
-            concept = SontagConcept(res.witness_w)
-        else:
-            _, concept = isolate_points([float(x) for x in xs])
-        # All sample points lie inside the fitted concept, so the empirical
-        # mean is exactly 1.
-        devs.append(abs(1.0 - expect_indicator(measure, concept)))
-    return devs, failed
+    samples = [measure.sample(n, seed=[seed, t]) for t in range(trials)]
+    if isinstance(family, SontagFamily):
+        found = sontag.shatter_search_many(samples, np.ones((trials, n)),
+                                           family.w_max, w_min=min_weight)
+        concepts = [SontagConcept(res.witness_w) if res.found else None
+                    for res in found]
+    else:
+        concepts = [isolate_points([float(x) for x in xs])[1]
+                    for xs in samples]
+    # All sample points lie inside each fitted concept, so the empirical
+    # mean is exactly 1.
+    devs = [abs(1.0 - expect_indicator(measure, concept))
+            for concept in concepts if concept is not None]
+    return devs, trials - len(devs)
 
 
 def gc_deviation(family, measure, n, trials=100, seed=0, mode="census",
@@ -363,10 +361,10 @@ def gc_deviation(family, measure, n, trials=100, seed=0, mode="census",
 
     Census mode takes a finite list of concepts and reports the per-trial
     suprema.  Adversarial mode fits, per trial, a concept labeling the whole
-    drawn sample 1 (a weight-family witness above ``min_weight``, or an
-    isolating grid union for the order-interval family) and reports
-    |1 - E_mu|; trials whose witness search fails are flagged, excluded,
-    and counted.
+    drawn sample 1 (a weight-family witness above ``min_weight``, every
+    trial's searched in one ``shatter_search_many`` call, or an isolating
+    grid union for the order-interval family) and reports |1 - E_mu|;
+    trials whose witness search fails are flagged, excluded, and counted.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

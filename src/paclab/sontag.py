@@ -11,12 +11,14 @@ The activation constant therefore shapes ``phi`` and ``rho`` but no label,
 so the search and census take none.  ``shatter_search`` finds the least
 weight realizing a prescribed labeling of given points by sweeping the
 merged zeros of cos(wx) over the points as events, each flipping one
-point's label; ``shatter_census`` answers every labeling from one such
-sweep.  Each elementary interval between events has one state, its label
-code or a lone labeling's count of mismatched points, which a table read
-by event code carries from interval to interval; a lookup from state to
-labeling picks the intervals to verify against the network output.
-``_sweep`` sets out its blocks, budget, index limit and jumps.
+point's label; ``shatter_search_many`` searches many point sets at once,
+and ``shatter_census`` answers every labeling of one, each from one sweep
+that runs its problems in lockstep.  Each elementary interval between
+events has one state, its label code or a lone labeling's count of
+mismatched points, which a table read by event code carries from interval
+to interval; a lookup from state to labeling picks the intervals to
+verify against the network output, all of an iteration's in one call.
+``_sweep`` sets out its iterations, budget, index limit and jumps.
 """
 
 from __future__ import annotations
@@ -247,16 +249,21 @@ class _ArcFilter:
 
         No interval of the sweep whose left edge lies in (lo, to) has every
         point at its target label.  ``to`` is the left end of p's first
-        arc kept, searched ``span`` breakpoints at a time, doubling up to
-        ``_LARGEST_SPAN``; the search stops below ``w_end`` and after p's
-        share |x_p| / sum |x| of ``most`` breakpoints, about where all
-        points sweep ``most``, and ``to`` is then the last breakpoint
-        examined.  ``to`` <= lo means no jump.
+        arc kept, searched some breakpoints at a time, doubling up to
+        ``_LARGEST_SPAN``: first p's share |x_p| / sum |x| of the 2**n
+        breakpoints in which a labeling of n points turns up about once,
+        at least ``span`` and at most ``_LARGEST_SPAN``.  The search stops
+        below ``w_end`` and after p's share of ``most`` breakpoints, about
+        where all points sweep ``most``, and ``to`` is then the last
+        breakpoint examined.  ``to`` <= lo means no jump.
         """
         ax = self.axs[self.p]
+        share = ax / self.axs.sum()
         k = int(k_lo[self.p])
         k_end = min(math.floor(w_end * ax / math.pi - 0.5) - 1,
-                    k + math.floor(most * ax / self.axs.sum()))
+                    k + math.floor(most * share))
+        span = int(min(max(span, share * 2.0 ** min(len(self.axs), 64)),
+                       _LARGEST_SPAN))
         to = lo
         while k < k_end:
             k1 = min(k + span, k_end)
@@ -308,179 +315,236 @@ class _ArcFilter:
         return None
 
 
-def _results(labs, outcome, w_min):
-    return [ShatterResult(tuple(lab.tolist()), status, w, (w_min, covered),
-                          n_bps)
-            for lab, (status, w, covered, n_bps)
-            in zip(labs.astype(np.int8), outcome)]
-
-
 def _sweep(xs, labs, w_max, w_min, budget):
-    """One ShatterResult per row of the boolean labeling matrix ``labs``.
+    """One ShatterResult per labeling row of each problem: ``xs`` holds the
+    problems' points, ``(problems, n)``, and ``labs`` their boolean
+    labeling rows, ``(problems, rows, n)``.
 
-    The events are the breakpoints w = (k + 1/2) pi / |x|, k >= 0, of the
-    nonzero points in weight order; after its breakpoint k a point is
-    labelled ``k odd``.  Events come in blocks (lo, hi] that double from
-    ``_FIRST_BLOCK`` to ``_LARGEST_BLOCK`` breakpoints, made from every
-    point's last indices at lo and at hi and ordered by one sort of uint64
-    keys: the event time's bit offset from the block's base above the
-    event code 2 * point + (k & 1), hi capped so that every offset fits.
-
-    Each elementary interval has one state, linear in its labels: with
-    several rows the label code, so at most ``MAX_CENSUS_POINTS`` nonzero
-    points; with one row, which may have any number of points, its count of
-    mismatched points.  A table indexed by the event code holds each event's
-    change of state, and one cumsum per block gives every interval's state.
-    A dense lookup from state to open labeling, equal rows sharing one,
-    picks the intervals to verify; a labeling is settled by the first that
-    verifies, at its left edge and then its midpoint.  The open interval and
-    its state carry across blocks, so no result depends on them.
-
-    Once a single labeling is open after a block, the open interval is not
-    its, and its 2**n intervals, in which a labeling of n points turns up
-    about once, outnumber the next two blocks, the sweep may jump to where
-    ``_ArcFilter`` says its fastest point's first arc that may hold a
-    witness begins: the last indices, the state and the open interval are
-    re-read there, and the events skipped are counted, not made.  At most
-    ``budget`` breakpoints are swept, counted once per point, a group of
-    equal times whole or not at all, all of them below ``w_stop``, where
-    indices near 2**52 begin; either limit ends the labelings still open as
-    "budget_exceeded", their range ending at the last breakpoint swept
-    (w_min when there is none), and no jump passes either limit or w_max."""
-    if len(np.unique(xs)) != len(xs):
+    A point is labelled ``k odd`` after its breakpoint k at
+    w = (k + 1/2) pi / |x|.  The problems are swept in lockstep: an
+    iteration takes the open ones in order while their next blocks
+    (lo, hi], doubling from ``_FIRST_BLOCK`` breakpoints, make at most
+    ``_LARGEST_BLOCK`` events, and at least one, and orders the events by
+    one sort of uint64 keys: problem, then the time's bit offset from its
+    block's base, then the code 2 * point + (k & 1).  An elementary
+    interval's state is linear in its labels: the label code in a problem
+    of several rows (at most ``MAX_CENSUS_POINTS`` nonzero points), the
+    count of mismatched points in a problem of one.  A table read by event
+    code and one cumsum per iteration give every state; a lookup from
+    state to open labeling, equal rows sharing one, picks the intervals to
+    verify, all at their left edges at once, then at the midpoints of those
+    that fail.  A labeling is settled by the first that verifies.  No
+    result depends on the blocks or on the other problems.  A problem with
+    one labeling open may jump where ``_ArcFilter`` says, counting the
+    breakpoints skipped.  It sweeps at most ``budget`` breakpoints, counted
+    once per point, a group of equal times whole or not at all, all below
+    its ``w_stop``, where indices near 2**52 begin; either limit ends its
+    open labelings as "budget_exceeded", their range ending at the last
+    breakpoint swept (w_min if none), and no jump passes either limit or
+    w_max."""
+    problems, rows, n = labs.shape
+    ordered = np.sort(xs, axis=1)
+    if np.any(ordered[:, 1:] == ordered[:, :-1]):
         raise ValueError("points must be pairwise distinct")
-    w_max = float(w_max)
-    w_min = float(w_min)
+    w_max, w_min = float(w_max), float(w_min)
     if not 0.0 <= w_min < w_max:
         raise ValueError("need 0 <= w_min < w_max")
+    budget = min(budget, 1 << 62)  # past any sweep; int64 sums stay exact
 
+    # A problem stops at w_stop, 8 indices short of the guard in
+    # _last_indices to absorb the rounding of this quotient.
+    ax_max = np.abs(xs).max(axis=1, initial=0.0)
+    with np.errstate(divide="ignore"):
+        w_stop = (_INDEX_LIMIT - 16) * math.pi / ax_max
+        first = 0.5 * math.pi / ax_max  # no event lies below it
+    at_min = (output_labels(xs, w_min)[:, None] == labs).all(axis=2).ravel()
     # A zero input always outputs 1, so a 0-label there is unsatisfiable.
-    zero_mask = xs == 0.0
-    at_min = (output_labels(xs, w_min) == labs).all(axis=1)
-    blocked = ~labs[:, zero_mask].all(axis=1)
+    blocked = (labs < (xs == 0.0)[:, None]).any(axis=2).ravel()
+    stopped = np.repeat(w_min >= w_stop, rows)
+    # Row r of the flat labeling matrix is row r % rows of problem r // rows.
+    labs = labs.reshape(problems * rows, n)
     # Per row: (status, witness, end of the range searched, breakpoints).
     outcome = [("found", w_min, w_min, 0) if f
-               else ("infeasible", None, w_max, 0) if b else None
-               for f, b in zip(at_min.tolist(), blocked.tolist())]
-    live = (~(at_min | blocked)).nonzero()[0]  # the rows still open
-    # Without a nonzero point no row stays open: all-ones verifies at w_min.
-    axs = np.abs(xs[~zero_mask])
-    # The sweep stops at w_stop, 8 indices short of the guard in
-    # _last_indices to absorb the rounding of this quotient.
-    w_stop = ((_INDEX_LIMIT - 16) * math.pi / axs.max() if len(axs)
-              else math.inf)
-    if w_min >= w_stop or not len(live):
-        return _results(labs, [o or ("budget_exceeded", None, w_min, 0)
-                               for o in outcome], w_min)
-    targets = labs[live][:, ~zero_mask]
-    # A state is linear in the labels: one row counts its mismatched points,
-    # and several rows take the label code.
-    if len(live) == 1:
-        weight, bias = np.where(targets[0], -1, 1), targets[0].sum()
-        row_at = np.full(len(axs) + 1, -1)
-    else:
-        assert len(axs) <= MAX_CENSUS_POINTS, "more points than a census"
-        weight, bias = np.left_shift(1, np.arange(len(axs))), 0
-        row_at = np.full(1 << len(axs), -1)
+               else ("infeasible", None, w_max, 0) if b
+               else ("budget_exceeded", None, w_min, 0) if s else None
+               for f, b, s in zip(at_min.tolist(), blocked.tolist(),
+                                  stopped.tolist())]
+    live = (~(at_min | blocked | stopped)).nonzero()[0]  # rows still open
+    per_problem = np.bincount(live // rows, minlength=problems)
+    # The nonzero points of the open problems, flat in problem order.
+    on = (xs != 0.0) & (per_problem > 0)[:, None]
+    axs, pid, counts = np.abs(xs[on]), on.nonzero()[0], on.sum(axis=1)
+    start = np.cumsum(counts) - counts
+    # A state is linear in the labels: a problem of one open row counts its
+    # mismatched points, one of several takes the label code.  Each
+    # problem's states take their own range of the lookup.
+    several = per_problem > 1
+    assert counts[several].max(initial=0) <= MAX_CENSUS_POINTS, (
+        "more points than a census")
+    lead = np.zeros(problems, dtype=np.int64)
+    lead[live // rows] = live
+    target = labs[lead] & on
+    weights = on * np.where(several[:, None],
+                            np.left_shift(1, on.cumsum(axis=1) - 1),
+                            np.where(target, -1, 1))
+    size = np.where(several, 1 << counts * several, counts + 1) * on.any(1)
+    offset = np.cumsum(size) - size
+    bias = offset + np.where(several, 0, target.sum(axis=1))
     # Event code 2 * point + parity gives the point the label ``parity``,
     # so it moves the state by -+ the point's weight.
+    weight = weights[on]
     table = np.outer(weight, (-1, 1)).ravel()
     # From each state to the open labeling there, -1 where none is; one of
     # equal rows stands for them all.
-    keys = targets @ weight + bias
+    keys = ((labs.reshape(problems, rows, n) @ weights[:, :, None]).ravel()
+            + np.repeat(bias, rows))[live]
+    row_at = np.full(size.sum(), -1)
     row_at[keys] = live
     row_of = row_at.take(keys)
+    n_open = np.bincount(row_at[row_at >= 0] // rows, minlength=problems)
     k_lo = _last_indices(axs, w_min)
-    state = ((k_lo & 1) == 1) @ weight + bias
+    state = bias + np.bincount(pid, ((k_lo & 1) == 1) * weight,
+                               minlength=problems).astype(np.int64)
 
-    rate = float(np.sum(axs)) / math.pi  # breakpoints per unit weight
-    # Codes fit below bit ``shift``; no event lies below lo or ``first``.
-    shift = (2 * len(axs) - 1).bit_length()
-    first = 0.5 * math.pi / axs.max()
-    size = _FIRST_BLOCK
-    used = 0  # breakpoints swept before this block, one per point
-    left = lo = w_min  # left edge of the open interval, end of the sweep
-    wait = 1 << len(axs)  # 1 in 2**n intervals has a labeling; 0: no jumps
-    arcs = None  # the arc filter of the one labeling left
-    while True:
-        # The block ends before its bit offsets overflow the key.
-        base = np.float64(max(lo, first)).view(np.uint64)
-        top = min(base + ((1 << 64 - shift) - 1), _INF_BITS)
-        hi = min(lo + size / max(rate, 1e-12), w_max, w_stop,
-                 float(np.uint64(top).view(np.float64)))
-        k_hi = _last_indices(axs, hi)
-        # Point p's events are its indices k_lo[p] + 1 .. k_hi[p], in
-        # point order.
-        per_point = k_hi - k_lo
-        point = np.repeat(np.arange(len(axs)), per_point)
-        ks = (np.repeat(k_lo + 1 - (np.cumsum(per_point) - per_point),
+    # Breakpoints per unit weight, and where each problem's sweep ends.
+    rate = np.maximum(np.bincount(pid, axs, minlength=problems) / math.pi,
+                      1e-12)
+    w_end = np.minimum(w_stop, w_max)
+    shift = (2 * int(counts.max(initial=1)) - 1).bit_length()  # code bits
+    block = np.full(problems, _FIRST_BLOCK)
+    used = np.zeros(problems, dtype=np.int64)  # breakpoints swept, per point
+    left = np.full(problems, w_min)  # left edge of the open interval
+    lo = left.copy()  # end of the sweep
+    # 1 in 2**n intervals has a labeling; 0: no jumps.
+    wait = 2.0 ** np.minimum(counts, 1000)
+    exhausted = np.zeros(problems, dtype=bool)
+    done = per_problem == 0
+    while not done.all():
+        act = np.flatnonzero(~done)
+        # A key holds the problem's rank among the open ones, ``above`` bits
+        # of time offset and the code; a block ends before they overflow.
+        above = 64 - shift - (len(act) - 1).bit_length()
+        base = np.maximum(lo, first).view(np.uint64)
+        top = np.minimum(base + ((1 << above) - 1), _INF_BITS)
+        hi = np.minimum(lo + block / rate, np.minimum(top.view(np.float64),
+                                                      w_end))
+        at = np.flatnonzero(~done[pid])
+        k_hi = _last_indices(axs[at], hi[pid[at]])
+        # Point p's events are its indices k_lo[p] + 1 .. k_hi[p]; the open
+        # problems take their turn in order, up to _LARGEST_BLOCK events.
+        per_point = k_hi - k_lo[at]
+        events = np.bincount(pid[at], per_point,
+                             minlength=problems)[act].astype(np.int64)
+        take = act[:max(1, np.searchsorted(events.cumsum(), _LARGEST_BLOCK,
+                                           side="right"))]
+        events = events[:len(take)]
+        m = np.searchsorted(pid[at], take[-1], side="right")
+        at, k_hi, per_point = at[:m], k_hi[:m], per_point[:m]
+        point = np.repeat(at, per_point)
+        ks = (np.repeat(k_lo[at] + 1 - (np.cumsum(per_point) - per_point),
                         per_point) + np.arange(len(point)))
-        key = ((ks + 0.5) * math.pi / axs[point]).view(np.uint64)
-        key -= base
+        prob = pid.take(point)
+        key = ((ks + 0.5) * math.pi / axs.take(point)).view(np.uint64)
+        key -= base.take(prob)
         key <<= shift
-        key |= (2 * point + (ks & 1)).view(np.uint64)
+        key |= (2 * (point - start.take(prob)) + (ks & 1)).view(np.uint64)
+        key |= (np.cumsum(~done) - 1).take(prob).view(np.uint64) << (
+            above + shift)
         # States are read only at the last event of a group of equal
         # times, so the order within a group needs no stable sort.
         key.sort()
-        code = (key & ((1 << shift) - 1)).view(np.int64)
+        prob = np.repeat(take, events)
+        code = (key & ((1 << shift) - 1)).view(np.int64) + 2 * start.take(prob)
         key >>= shift
         # The last event of each group of equal times closes an interval;
         # a group is swept whole or not at all.
         ends = np.flatnonzero(np.append(key[1:] != key[:-1], len(key) > 0))
-        exhausted = used + len(key) > budget
-        if exhausted:
-            ends = ends[:np.searchsorted(ends, budget - used)]
-        exhausted = exhausted or w_stop < w_max and hi == w_stop
-        edges = np.append(left, (key[ends] + base).view(np.float64))
-        last = exhausted or hi >= w_max
-        if last:
-            # The last interval ends with the sweep: at its own left edge
-            # when the budget or w_stop stops it, else at w_max.
-            edges = np.append(edges, edges[-1] if exhausted else w_max)
-        # The state before the block, then after each interval it closes.
-        states = np.append(state, state + table.take(code).cumsum().take(ends))
-        state = states[-1]
-        # The intervals whose state is an open labeling's, in order: each
-        # labeling is settled by the first that verifies, at its left edge
-        # and then its midpoint.
-        d = row_at.take(states[:len(edges) - 1])
-        for j in np.flatnonzero(d >= 0).tolist():
-            r, a, b = int(d[j]), float(edges[j]), float(edges[j + 1])
-            for w in (a, 0.5 * (a + b)) if b > a else (a,):
-                if outcome[r] is None and np.all(
-                        output_labels(xs, w) == labs[r]):
-                    # The breakpoints swept up to the interval's left edge.
-                    swept = used + (int(ends[j - 1]) + 1 if j else 0)
-                    outcome[r] = ("found", w, w, swept)
-                    row_at[states[j]] = -1
-        used += int(ends[-1]) + 1 if len(ends) else 0
-        left, lo, k_lo = float(edges[-1]), hi, k_hi
-        n_open = np.count_nonzero(row_at >= 0)
-        if last or not n_open:
-            break
-        size = min(2 * size, _LARGEST_BLOCK)
+        j = np.searchsorted(take, prob.take(ends))  # each end's problem
+        head = np.cumsum(events) - events  # each problem's first event
+        swept = ends - head.take(j) + 1
+        fits = swept <= budget - used[take].take(j)
+        ends, j, swept = ends[fits], j[fits], swept[fits]
+        over = used[take] + events > budget
+        last = over | (hi[take] == w_end[take])
+        stop = over | (hi[take] < w_max)  # read only where ``last``
+        # Per problem, the nodes: the open interval's left edge, then each
+        # interval's end, with the state and the breakpoints swept there.
+        closed = np.bincount(j, minlength=len(take))
+        tail = np.cumsum(closed) + np.arange(len(take))
+        lead_node, run = tail - closed, np.arange(len(ends)) + j + 1
+        node_prob = np.repeat(take, 1 + closed)
+        node_w = np.empty(len(node_prob))
+        node_w[lead_node] = left[take]
+        node_w[run] = ((key.take(ends) & ((1 << above) - 1))
+                       + base.take(take.take(j))).view(np.float64)
+        sums = table.take(code).cumsum()
+        node_state, node_swept = np.empty((2, len(node_prob)), np.int64)
+        node_state[lead_node], node_swept[lead_node] = state[take], used[take]
+        node_state[run] = sums.take(ends) + (
+            state[take] - np.append(0, sums).take(head)).take(j)
+        node_swept[run] = used[take].take(j) + swept
+        # The intervals whose state is an open labeling's, in order: those
+        # between nodes, then where the sweep ends the last node's, to
+        # itself when the budget or w_stop stops it, else to w_max.
+        inner = np.flatnonzero(node_prob[1:] == node_prob[:-1])
+        iv = np.append(inner, tail[last])
+        b = np.append(node_w.take(inner + 1),
+                      np.where(stop, node_w.take(tail), w_max)[last])
+        r = row_at.take(node_state.take(iv))
+        iv, b, r = iv[r >= 0], b[r >= 0], r[r >= 0]
+        if len(iv):
+            a = node_w.take(iv)
+            w = a.copy()
+            ok = (output_labels(xs[node_prob[iv]], a[:, None])
+                  == labs[r]).all(axis=1)
+            mid = np.flatnonzero(~ok & (b > a))
+            w[mid] = 0.5 * (a[mid] + b[mid])
+            ok[mid] = (output_labels(xs[node_prob[iv[mid]]], w[mid, None])
+                       == labs[r[mid]]).all(axis=1)
+            good = np.flatnonzero(ok)
+            found, firsts = np.unique(r[good], return_index=True)
+            hit = good[firsts]
+            # A witness counts the breakpoints swept up to its left edge.
+            for row, wit, n_bps in zip(found.tolist(), w[hit].tolist(),
+                                       node_swept[iv[hit]].tolist()):
+                outcome[row] = ("found", wit, wit, n_bps)
+            row_at[node_state[iv[hit]]] = -1
+            n_open -= np.bincount(found // rows, minlength=problems)
+        used[take], state[take] = node_swept[tail], node_state[tail]
+        left[take], lo[take], k_lo[at] = node_w[tail], hi[take], k_hi
+        exhausted[take] = stop
+        done[take] = last | (n_open[take] == 0)
+        block[take] = np.minimum(2 * block[take], _LARGEST_BLOCK)
         # One labeling left, not due within two blocks: jump to the first
         # arc of the fastest point that may hold its witness.
-        if wait > 2 * size and n_open == 1 and row_at[state] < 0:
-            # The labeling left stays the same until it is settled.
-            arcs = arcs or _ArcFilter(axs, labs[row_at.max()][~zero_mask])
-            w_end = min(w_max, w_stop)
-            to = arcs(k_lo, lo, w_end, budget - used, size)
-            if lo < to < w_end:
-                k_to = _last_indices(axs, to)
-                skipped = int((k_to - k_lo).sum())
-                if used + skipped > budget:
-                    wait = 0
+        for p in take[~done[take] & (n_open[take] == 1)
+                      & (wait[take] > 2 * block[take])
+                      & (row_at.take(state[take]) < 0)].tolist():
+            mine = slice(start[p], start[p] + counts[p])
+            target = labs[row_at[offset[p]:offset[p] + size[p]].max()][on[p]]
+            to = _ArcFilter(axs[mine], target)(
+                k_lo[mine], lo[p], w_end[p], budget - used[p], block[p])
+            if lo[p] < to < w_end[p]:
+                k_to = _last_indices(axs[mine], to)
+                skipped = int((k_to - k_lo[mine]).sum())
+                if used[p] + skipped > budget:
+                    wait[p] = 0
                 else:
-                    used += skipped
-                    left = lo = to
-                    k_lo = k_to
-                    state = ((k_lo & 1) == 1) @ weight + bias
-    unfound = (("budget_exceeded", None, left, used) if exhausted
-               else ("infeasible", None, w_max, used))
+                    used[p] += skipped
+                    left[p] = lo[p] = to
+                    k_lo[mine] = k_to
+                    state[p] = ((k_to & 1) == 1) @ weight[mine] + bias[p]
+    # Each problem's one result for the labelings it leaves open.
+    unfound = [("budget_exceeded", None, end, n_bps) if out
+               else ("infeasible", None, w_max, n_bps)
+               for end, n_bps, out in zip(left.tolist(), used.tolist(),
+                                          exhausted.tolist())]
     for r, i in zip(live.tolist(), row_of.tolist()):
-        outcome[r] = outcome[i] or unfound
-    return _results(labs, outcome, w_min)
+        outcome[r] = outcome[i] or unfound[r // rows]
+    return [ShatterResult(tuple(lab.tolist()), status, w, (w_min, covered),
+                          n_bps)
+            for lab, (status, w, covered, n_bps)
+            in zip(labs.astype(np.int8), outcome)]
 
 
 def shatter_search(points, labels, w_max, w_min=0.0, budget=DEFAULT_BUDGET):
@@ -501,11 +565,19 @@ def shatter_search(points, labels, w_max, w_min=0.0, budget=DEFAULT_BUDGET):
     or below the left edge of its elementary interval.  Weights that the
     arc filter clears are skipped but counted.
     """
+    return shatter_search_many([points], [labels], w_max, w_min, budget)[0]
+
+
+def shatter_search_many(points, labels, w_max, w_min=0.0,
+                        budget=DEFAULT_BUDGET):
+    """``shatter_search`` of each row of two ``(problems, n)`` arrays, from
+    one sweep: result i equals ``shatter_search(points[i], labels[i], ...)``
+    in every field."""
     xs = np.asarray(points, dtype=float)
     labs = np.asarray(labels, dtype=bool)
-    if xs.shape != labs.shape:
-        raise ValueError("points and labels must have equal length")
-    return _sweep(xs, labs[None, :], w_max, w_min, budget)[0]
+    if xs.shape != labs.shape or xs.ndim != 2:
+        raise ValueError("need points and labels of one (problems, n) shape")
+    return _sweep(xs, labs[:, None], w_max, w_min, budget)
 
 
 @dataclass(frozen=True)
@@ -545,8 +617,8 @@ def shatter_census(points, w_max, threads=1, budget=DEFAULT_BUDGET):
         raise EnumerationCapError(f"census of {n} > {MAX_CENSUS_POINTS} "
                                   "points")
     labs = ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1).astype(bool)
-    entries = _sweep(np.asarray(points, dtype=float), labs, w_max, 0.0,
-                     budget)
+    entries = _sweep(np.asarray(points, dtype=float)[None], labs[None],
+                     w_max, 0.0, budget)
     return CensusResult(points, float(w_max), tuple(entries))
 
 

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,25 @@ def test_construct_writes_instance_profile_and_manifest(tmp_path):
     assert manifest["outputs"] == ["instance.json", "profile.json"]
     assert len(manifest["config_sha256"]) == 64
     assert "threads" not in manifest
+
+
+def test_construct_writes_cover_sizes_of_any_length(tmp_path):
+    # f_3 = 15,625 on the K=3 schedule: the cover size 2**15625 has 4,704
+    # digits, past the 4,300 Python converts by default, both ways.
+    root = Path(__file__).resolve().parent.parent
+    config = json.loads((root / "configs" / "complexity_k3.json").read_text())
+    code, out = run(tmp_path, "construct", {"schedule": config["schedule"],
+                                            "delta": config["delta"]})
+    assert code == 0
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        profile = json.loads((out / "profile.json").read_text())
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert [row["f_k"] for row in profile["rows"]] == [25, 625, 15625]
+    assert profile["rows"][-1]["cover_size"] == 2 ** 15625
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_unknown_config_keys_exit_2(tmp_path):
@@ -571,7 +591,8 @@ BAD_CONFIGS = [
 ]
 
 WORK = [(sontag, "rationally_independent_points"), (sontag, "shatter_search"),
-        (sontag, "shatter_census"), (sontag, "phi"),
+        (sontag, "shatter_search_many"), (sontag, "shatter_census"),
+        (sontag, "phi"),
         (learner, "estimate_sample_complexity"), (learner, "gc_deviation"),
         (bounds, "hamming_packing"), (bounds, "greedy_packing"),
         (concepts, "l1_distance"), (concepts, "cantor_shatter_search"),

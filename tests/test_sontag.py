@@ -10,7 +10,7 @@ from paclab.concepts import EnumerationCapError
 from paclab.sontag import (DEFAULT_BUDGET, SontagParams, cos_sign_intervals,
                            first_primes, net_output, output_labels, phi,
                            rationally_independent_points, rho, shatter_census,
-                           shatter_search)
+                           shatter_search, shatter_search_many)
 
 PI = math.pi
 
@@ -344,9 +344,15 @@ def test_witnesses_do_not_depend_on_the_blocks(monkeypatch):
                   DEFAULT_BUDGET)]
     searches += [([1.0, math.sqrt(2), -1.0], [1, 0, 0], 1e9, 0.0, 1000),
                  ([1.0, math.sqrt(2)], [0, 0], 1e4, 3.0, DEFAULT_BUDGET)]
+    # One batch of twelve-point searches: a largest block of one event
+    # takes one problem an iteration, and the others wait.
+    batch = (rng.uniform(0.0, 2 * PI, size=(5, 12)),
+             rng.random((5, 12)) < 0.7, 1e6, 32.0, DEFAULT_BUDGET)
     runs = []
     # A span of one breakpoint holds one arc or none; one arc cell puts
     # each arc kept by the filter's first step in a matrix of its own.
+    # The largest span and the block size clamp the filter's first span,
+    # so it starts at 1, 2, 3, its share of 2**n or 16,384 breakpoints.
     for first_block, largest_block, span, arc_cells in [
             (1, 1, 1, 2 ** 12), (1, 64, 2, 1), (64, 64, 1, 2 ** 12),
             (64, 2 ** 14, 2 ** 16, 1), (64, 2 ** 14, 3, 2 ** 12),
@@ -359,12 +365,16 @@ def test_witnesses_do_not_depend_on_the_blocks(monkeypatch):
         runs.append(([shatter_search(xs, labels, w_max, w_min=w_min,
                                      budget=budget)
                       for xs, labels, w_max, w_min, budget in searches],
-                     shatter_census(rationally_independent_points(4), 1e4)))
+                     shatter_census(rationally_independent_points(4), 1e4),
+                     shatter_search_many(batch[0], batch[1], batch[2],
+                                         w_min=batch[3], budget=batch[4])))
     assert all(run == runs[0] for run in runs[1:])
     assert runs[0][0] == [
         _argsort_sweep(np.array(xs), np.array([labels], dtype=bool), w_max,
                        w_min, budget)[0]
         for xs, labels, w_max, w_min, budget in searches]
+    assert runs[0][2] == [_argsort_sweep(xs, labels[None], *batch[2:])[0]
+                          for xs, labels in zip(batch[0], batch[1])]
 
 
 def test_last_indices_match_a_scan_of_the_definition():
@@ -618,7 +628,8 @@ def test_sweep_matches_the_argsort_oracle(case):
     # matrix and for the row searched alone.
     xs, labs, w_max, w_min, budget = case
     expected = _argsort_sweep(xs, labs, w_max, w_min, budget)
-    assert sontag._sweep(xs, labs, w_max, w_min, budget) == expected
+    assert sontag._sweep(xs[None], labs[None], w_max, w_min,
+                         budget) == expected
     assert shatter_search(xs, labs[0], w_max, w_min=w_min,
                           budget=budget) == expected[0]
 
@@ -771,6 +782,117 @@ def test_the_budget_bounds_the_arc_filter_scan(monkeypatch):
         assert res.status == "budget_exceeded"
         assert scanned
         assert (sontag._last_indices(xs, max(scanned)) + 1).sum() <= budget
+
+
+@st.composite
+def jump_batches(draw):
+    # One-row cases of one n, each of a shape of jump_sweeps, searched with
+    # one w_max, w_min and budget; a zero point labelled 0 settles its row
+    # before any sweep.
+    n = draw(st.integers(6, 16))
+    cases = []
+    for _ in range(draw(st.integers(1, 5))):
+        shape = draw(st.sampled_from(["free", "multiples", "pairs",
+                                      "integers", "zero"]))
+        x = draw(st.floats(min_value=0.05, max_value=0.4))
+        signs = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=n,
+                              max_size=n))
+        free = draw(st.lists(st.floats(min_value=0.2, max_value=3.0),
+                             min_size=n, max_size=n))
+        xs = np.array(_jump_points(shape, n, x, signs, free))
+        assume(len(np.unique(xs)) == n)
+        labels = np.array(draw(st.lists(st.booleans(), min_size=n,
+                                        max_size=n)))
+        labels[xs == 0.0] |= draw(st.booleans())
+        cases.append((xs, labels))
+    xs = np.array([case[0] for case in cases])
+    labels = np.array([case[1] for case in cases])
+    start = draw(st.sampled_from(["0", "32", "1000", "near 2**52"]))
+    if start == "near 2**52":
+        w_min = (2 ** 52 - 3000) * PI / np.abs(xs).max()
+    else:
+        w_min = float(start)
+    w_max = w_min + draw(st.sampled_from([10.0, 1e3, 1e5]))
+    budget = draw(st.one_of(st.integers(0, 40), st.just(DEFAULT_BUDGET)))
+    return xs, labels, w_max, w_min, budget
+
+
+@settings(max_examples=60, deadline=None)
+@given(jump_batches())
+def test_batched_searches_match_the_argsort_oracle(case):
+    # Every row of one sweep over many point sets equals its oracle and
+    # its search alone, field for field.
+    xs, labels, w_max, w_min, budget = case
+    got = shatter_search_many(xs, labels, w_max, w_min=w_min, budget=budget)
+    assert got == [_argsort_sweep(row, lab[None], w_max, w_min, budget)[0]
+                   for row, lab in zip(xs, labels)]
+    assert got == [shatter_search(row, lab, w_max, w_min=w_min,
+                                  budget=budget)
+                   for row, lab in zip(xs, labels)]
+
+
+def test_search_many_takes_one_row_per_problem():
+    assert shatter_search_many(np.zeros((0, 3)), np.zeros((0, 3)), 10.0) == []
+    with pytest.raises(ValueError):
+        shatter_search_many([1.0, 2.0], [1, 1], 10.0)
+    with pytest.raises(ValueError):
+        shatter_search_many([[1.0, 2.0]], [[1, 1, 0]], 10.0)
+    with pytest.raises(ValueError):
+        shatter_search_many([[1.0, 2.0], [3.0, 3.0]], [[1, 1], [1, 1]], 10.0)
+
+
+def _at_left_edge(xs, res, w_min):
+    # A left edge is w_min or a breakpoint (k + 1/2) pi / |x| as the sweep
+    # computes it; a midpoint lies inside its interval.
+    axs = np.abs(np.asarray(xs)[np.asarray(xs) != 0.0])
+    k = sontag._last_indices(axs, res.witness_w)
+    return (res.witness_w == w_min
+            or bool(np.any((k + 0.5) * PI / axs == res.witness_w)))
+
+
+def test_each_labeling_takes_its_first_verified_interval(monkeypatch):
+    # A labeling is settled by the first interval of its state that
+    # verifies, at its left edge and else at its midpoint, whether it is
+    # searched alone, in a batch or in a census: every result equals the
+    # oracle's, which verifies one interval at a time.
+    rng = np.random.default_rng(1)
+    xs = rng.uniform(0.2, 3.0, (12, 10)) * rng.choice([-1.0, 1.0], (12, 10))
+    labels = rng.random((12, 10)) < 0.5
+    expected = [_argsort_sweep(row, lab[None], 1e5, 32.0, DEFAULT_BUDGET)[0]
+                for row, lab in zip(xs, labels)]
+    batch = shatter_search_many(xs, labels, 1e5, w_min=32.0)
+    assert batch == expected
+    assert [shatter_search(row, lab, 1e5, w_min=32.0)
+            for row, lab in zip(xs, labels)] == expected
+    # Each block verifies its intervals' left edges in one call, then the
+    # midpoints of those that fail in another.
+    calls = []
+    verify = sontag.output_labels
+
+    def recorded(points, w):
+        if np.ndim(w) == 2:
+            calls.append(w[:, 0])
+        return verify(points, w)
+
+    monkeypatch.setattr(sontag, "output_labels", recorded)
+    points = rationally_independent_points(5)
+    census = shatter_census(points, 1e4)
+    labs = ((np.arange(32)[:, None] >> np.arange(5)) & 1).astype(bool)
+    assert list(census.entries) == _argsort_sweep(np.array(points), labs,
+                                                  1e4, 0.0, DEFAULT_BUDGET)
+    # Witnesses settle at left edges and at midpoints alike.
+    for found, xs_of, w_min in ((batch, xs, 32.0),
+                                (census.entries, [points] * 32, 0.0)):
+        sides = {_at_left_edge(row, res, w_min)
+                 for row, res in zip(xs_of, found) if res.found}
+        assert sides == {True, False}
+    # A block holds some labeling's state at two intervals: the label
+    # codes after its left edges repeat.
+    axs = np.abs(np.array(points))
+    codes = [[int(((sontag._last_indices(axs, float(w)) & 1) == 1)
+                  @ (1 << np.arange(5))) for w in edges]
+             for edges in calls[0::2]]
+    assert any(len(set(block)) < len(block) for block in codes)
 
 
 # ---------------------------------------------------------------------------
