@@ -49,6 +49,14 @@ _WILSON_Z = 1.959963984540054  # two-sided 95%
 MAX_EPISODE_CELLS = 2 ** 25
 # Most first draws of targets expected in one window of the pass.
 _EPISODE_DRAWS = 2 ** 16
+# Most first draws a window works on at once, in whole trials (one at
+# least): its gaps and running sums come a chunk at a time.
+_CHUNK = 2 ** 13
+# Most trials x n sample points one adversarial gc_deviation call takes,
+# refused before any sample is drawn.  Chosen for 10 s and 512 MB through
+# the CLI on one BLAS thread: at the edge n = 16 (8,192 trials) took 4 s
+# and 67 MB, n = 4 (32,768 trials) 1.1 s and 84 MB.
+MAX_ADVERSARIAL_CELLS = 2 ** 17
 NOT_HIT = np.iinfo(np.int64).max  # hitting time of a trial still above eps
 
 
@@ -113,13 +121,6 @@ def _target_runs(universe):
     return values, [sizes[u] for u in values], total
 
 
-def _running_sums(x, starts, lengths):
-    # Inclusive running sums of x within each group of entries, the groups
-    # given by their starts and lengths.
-    sums = np.cumsum(x)
-    return sums - np.repeat(sums[starts] - x[starts], lengths)
-
-
 def _arrival_order(trial, at, span):
     """Indices that sort arrivals by trial, then by time in the window.
 
@@ -159,6 +160,13 @@ def _hitting_times(runs, eps, trials, seed, allowed=0, n_cap=DEFAULT_N_CAP):
       draw is a running sum, and T is N at the first one after which
       rem <= floor(eps U).
 
+    A window draws its binomials, then all its uniforms, then orders, gaps
+    and sums its first draws one chunk of whole trials at a time, each at
+    most ``_CHUNK`` first draws unless one trial alone has more: slices of
+    one ``rng.geometric`` call draw what the call draws, so the stream does
+    not depend on the chunks.  The memory is one count per trial and run,
+    the window's uniforms and one chunk.
+
     Every trial stays in play until the pass stops, and each span, halved
     until its expected arrivals are at most ``_EPISODE_DRAWS``, depends
     only on the path: the stream is the same for every eps, so T is
@@ -193,23 +201,42 @@ def _hitting_times(runs, eps, trials, seed, allowed=0, n_cap=DEFAULT_N_CAP):
             span /= 2
         arrivals = rng.binomial(alive, hit_odds)
         alive -= arrivals
-        trial, run = np.divmod(np.repeat(np.arange(arrivals.size),
-                                         arrivals.reshape(-1)), len(sizes))
-        at = -np.log1p(-hit_odds[run] * rng.random(len(run))) / rates[run]
-        run = run[_arrival_order(trial, at, span)]  # trial stays sorted
-        starts = np.flatnonzero(np.diff(trial, prepend=-1))
-        lengths = np.diff(starts, append=len(trial))
-        gains = values[run]
-        after = remaining[trial] - _running_sums(gains, starts, lengths)
-        before = after + gains
-        gaps = np.minimum(rng.geometric(before / total_units), n_cap + 1)
-        n = drawn[trial] + _running_sums(gaps, starts, lengths)
-        crossed = (before > threshold) & (after <= threshold) & (n <= n_cap)
-        times[trial[crossed]] = n[crossed]
-        ends = starts + lengths - 1
-        remaining[trial[ends]] = after[ends]
-        drawn[trial[ends]] = n[ends]
-        work += len(run)
+        counts = arrivals.sum(axis=1)
+        ends = np.cumsum(counts)  # past each trial's first draws
+        uniforms = rng.random(int(ends[-1]))
+        # (-a) u = -(a u) and L / (-r) = -(L / r) exactly, so `at` is what
+        # one expression over the whole window gives.
+        odds, scales = -hit_odds, -rates
+        first = 0
+        while first < trials:  # one chunk of whole trials at a time
+            lo = int(ends[first] - counts[first])
+            last = max(first + 1, int(np.searchsorted(ends, lo + _CHUNK,
+                                                      side="right")))
+            chunk = slice(first, last)
+            starts, stops = ends[chunk] - counts[chunk] - lo, ends[chunk] - lo
+            trial = np.repeat(np.arange(first, last), counts[chunk])
+            run = np.repeat(np.tile(np.arange(len(sizes)), last - first),
+                            arrivals[chunk].reshape(-1))
+            at = np.log1p(odds[run] * uniforms[lo:lo + len(run)]) / scales[run]
+            gains = values[run[_arrival_order(trial, at, span)]]
+            # A running sum within a trial is one cumsum less its base.
+            sums = np.zeros(len(run) + 1, dtype=np.int64)
+            np.cumsum(gains, out=sums[1:])
+            after = np.repeat(remaining[chunk] + sums[starts],
+                              counts[chunk]) - sums[1:]
+            before = after + gains
+            remaining[chunk] -= sums[stops] - sums[starts]
+            np.cumsum(np.minimum(rng.geometric(before / total_units),
+                                 n_cap + 1), out=sums[1:])
+            base = drawn[chunk] - sums[starts]
+            drawn[chunk] = base + sums[stops]
+            crossed = np.flatnonzero(after <= threshold)
+            crossed = crossed[before[crossed] > threshold]
+            n = base[trial[crossed] - first] + sums[crossed + 1]
+            hit = n <= n_cap
+            times[trial[crossed[hit]]] = n[hit]
+            first = last
+        work += int(ends[-1])
     return times, work
 
 
@@ -354,6 +381,15 @@ def _adversarial_deviations(family, measure, n, trials, seed, min_weight):
     return devs, trials - len(devs)
 
 
+def check_adversarial_cells(n, trials):
+    """Refuse ``trials`` adversarial samples of n points past
+    ``MAX_ADVERSARIAL_CELLS`` with ``EnumerationCapError``."""
+    if (cells := trials * n) > MAX_ADVERSARIAL_CELLS:
+        raise EnumerationCapError(
+            f"{trials} adversarial trials x n = {n} is {cells} sample "
+            f"points, beyond the cap of {MAX_ADVERSARIAL_CELLS}")
+
+
 def gc_deviation(family, measure, n, trials=100, seed=0, mode="census",
                  min_weight=ADVERSARIAL_MIN_WEIGHT):
     """Uniform-deviation statistics sup_C |E_mu(C) - E_emp(C)| at sample
@@ -364,7 +400,8 @@ def gc_deviation(family, measure, n, trials=100, seed=0, mode="census",
     drawn sample 1 (a weight-family witness above ``min_weight``, every
     trial's searched in one ``shatter_search_many`` call, or an isolating
     grid union for the order-interval family) and reports |1 - E_mu|;
-    trials whose witness search fails are flagged, excluded, and counted.
+    trials whose witness search fails are flagged, excluded, and counted;
+    more than ``MAX_ADVERSARIAL_CELLS`` sample points are refused.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -374,6 +411,7 @@ def gc_deviation(family, measure, n, trials=100, seed=0, mode="census",
         if not isinstance(family, (SontagFamily, OrderIntervalFamily)):
             raise TypeError("adversarial mode needs the weight family or the "
                             "order-interval family")
+        check_adversarial_cells(n, trials)
         devs, failed = _adversarial_deviations(family, measure, n, trials,
                                                seed, min_weight)
     else:

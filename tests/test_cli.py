@@ -414,6 +414,30 @@ def test_enumeration_cap_exit_3(tmp_path):
     assert code == 3
 
 
+def test_adversarial_trials_cap_exit_3(tmp_path, monkeypatch):
+    # One past trials x n = MAX_ADVERSARIAL_CELLS exits 3 before any sample
+    # is drawn, for the sample size alone or listed after an admitted one;
+    # the edge itself reaches the sampler.
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled before the cap")
+
+    monkeypatch.setattr(measures.UniformMeasure, "sample", refuse)
+    edge = learner.MAX_ADVERSARIAL_CELLS
+    config = {"mode": "adversarial", "family": {"kind": "sontag"},
+              "measure": {"kind": "uniform", "a": 0.0, "b": 2.0 * math.pi}}
+    for i, (n_list, trials) in enumerate([([16], edge // 16 + 1),
+                                          ([4], edge // 4 + 1),
+                                          ([4, 16], edge // 16 + 1)]):
+        (tmp_path / str(i)).mkdir()
+        code, out = run(tmp_path / str(i), "gc",
+                        {**config, "n_list": n_list, "trials": trials})
+        assert code == 3, (n_list, trials)
+        assert not (out / "gc_manifest.json").exists()
+    code, _ = run(tmp_path, "gc", {**config, "n_list": [16],
+                                   "trials": edge // 16})
+    assert code == 4
+
+
 def test_estimator_memory_cap_exit_3(tmp_path, monkeypatch):
     # Past the cap on trials x target atoms, with 10^7 trials, at x^2,
     # K=4, level 4 (390,625 targets) or at 2^x, K=2 (33,554,432): refused

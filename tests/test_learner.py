@@ -313,6 +313,52 @@ def test_hitting_times_do_not_depend_on_the_block_width(monkeypatch, width):
         assert _law_statistic(case) <= bound
 
 
+def _chunk_cases():
+    # (runs, eps, trials, seed, allowed, n_cap) per case.
+    from paclab.learner import DEFAULT_N_CAP, _target_runs
+    cases = [(_target(AtomicMeasure.from_pairs(enumerate(masses)), free),
+              eps, 2000, 2024, 0, DEFAULT_N_CAP)
+             for masses, free, eps, _ in LAW_CASES.values()]
+    cases.append((_target_runs(small_instance(K=2)), 0.04, 400, 3, 30, 300))
+    schedule = ComplexitySchedule.default(K=3)
+    cases += [(_target_runs(schedule), schedule.eps[level - 1], 400, 1, 0,
+               DEFAULT_N_CAP) for level in (1, 2)]
+    return cases
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 2 ** 30])
+def test_hitting_times_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
+    # One trial per chunk (1), a few (7), or the whole window at once
+    # (2**30): a window's draws and gaps come from the same stream in the
+    # same order, so every time and the work agree exactly.
+    from paclab import learner
+    cases = _chunk_cases()
+    want = [learner._hitting_times(*case) for case in cases]
+    monkeypatch.setattr(learner, "_CHUNK", chunk)
+    for (times, work), case in zip(want, cases):
+        got, made = learner._hitting_times(*case)
+        assert np.array_equal(got, times) and made == work
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_hitting_times_footprint_is_one_chunk(level):
+    # A window of up to 2**16 first draws is worked a chunk of 2**13 at a
+    # time: the pass peaks at 1.1-1.4 MiB here, where whole-window arrays
+    # peaked at 4.9 and 6.0 MiB.
+    import tracemalloc
+
+    from paclab.learner import _hitting_times, _target_runs
+    schedule = ComplexitySchedule.default(K=3)
+    runs = _target_runs(schedule)
+    tracemalloc.start()
+    try:
+        _hitting_times(runs, schedule.eps[level - 1], 400, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2 ** 20
+
+
 def test_hitting_times_count_a_repeated_draw_once():
     # At eps = 0 a trial is hit once it has drawn each of its targets, and
     # meanwhile it draws the heavy atom, or a target already seen, again

@@ -6,7 +6,9 @@ method src calls draws here at a fixed seed and fixed parameters, one case
 per algorithm branch, and the sha256 of its draws is compared with the
 table below.  A mismatch names the method and the numpy version: the
 golden outputs that depend on that method move for that reason alone, not
-because paclab changed.
+because paclab changed.  Two more checks pin what paclab assumes of the
+calls themselves: slices of one call draw what the call draws, and
+``random`` is a fixed map of the bit generator's raw words.
 """
 
 import hashlib
@@ -71,6 +73,40 @@ def test_generator_methods_draw_their_pinned_streams():
         "golden outputs that depend on these methods move for that reason "
         "alone")
 
+
+
+# learner._hitting_times draws a window's uniforms in one call and its gaps
+# one chunk of trials at a time: a call over consecutive slices must draw
+# what one call draws.  Both geometric branches (p above and below 1/3).
+SPLIT_CALLS = {
+    "geometric": (lambda rng, p: rng.geometric(p),
+                  np.tile([0.9, 0.5, 1 / 3, 0.2, 0.01, 1e-9], 500)),
+    "random": (lambda rng, p: rng.random(len(p)), np.zeros(3000)),
+}
+
+
+def test_generator_methods_draw_one_call_in_slices():
+    cuts = [0, 1, 2, 9, 700, 701, 2048, 3000]
+    moved = []
+    for name, (draw, params) in SPLIT_CALLS.items():
+        whole = draw(np.random.default_rng(SEED), params)
+        rng = np.random.default_rng(SEED)
+        parts = [draw(rng, params[a:b]) for a, b in zip(cuts, cuts[1:])]
+        if not np.array_equal(whole, np.concatenate(parts)):
+            moved.append(name)
+    assert not moved, (
+        f"numpy {np.__version__}: {moved} over consecutive slices differ "
+        "from one call; the estimator's chunks would move its stream")
+
+
+def test_random_is_the_top_53_bits_of_each_raw_word():
+    # Generator.random maps each 64-bit word w of the bit generator to
+    # (w >> 11) * 2**-53, one word per draw.
+    count = 100_000
+    draws = np.random.default_rng(SEED).random(count)
+    words = np.random.PCG64(SEED).random_raw(count)
+    assert np.array_equal(draws, (words >> np.uint64(11)) * 2.0 ** -53), (
+        f"numpy {np.__version__} changed Generator.random's word mapping")
 
 if __name__ == "__main__":
     for name, draw in CANARIES.items():
