@@ -13,8 +13,8 @@ from .bounds import (FiniteFamily, PackingResult, bi_lower,
                      bi_upper_from_log2, greedy_cover, greedy_packing,
                      hamming_packing, hamming_packing_bound)
 from .concepts import (AtomLabeling, GridUnion, IntervalUnion,
-                       MiddleThirdUnion, OrderIntervalFamily, SontagConcept,
-                       SontagFamily, cantor_shatter_search, concept_from_json,
+                       OrderIntervalFamily, SontagConcept, SontagFamily,
+                       cantor_shatter_search, concept_from_json,
                        enumerate_order_class, isolate_points, l1_distance)
 from .construction import (ComplexityProfile, ComplexitySchedule,
                            ConstructedInstance, RateFunction, build_measure,

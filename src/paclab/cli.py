@@ -216,8 +216,8 @@ def run_gc(config, out_dir, seed):
             families["order_intervals"] = (concepts.OrderIntervalFamily, {})
     family = get("family", Field(lambda doc: read_kind(
         doc, f"{mode} family under {measure!r}", families)))
-    if mode == "adversarial":  # every n refused before any sample
-        learner.check_adversarial_cells(max(n_list, default=0), trials)
+    if mode == "adversarial":  # the whole run refused before any sample
+        learner.check_adversarial_cells(n_list, trials)
     rows = []
     for n in n_list:
         res = learner.gc_deviation(family, measure, n, trials=trials,

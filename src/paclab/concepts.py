@@ -1,13 +1,15 @@
 """Concept classes as first-class values.
 
 A concept is a membership predicate over real inputs plus a structured
-descriptor.  Every concept provides ``contains``, ``contains_many``,
+descriptor.  Every concept provides ``contains``, ``contains_many`` and
 ``as_intervals_ae`` (closed intervals equal to it almost everywhere under
-the non-atomic measures) and ``to_json``; the closed-form share of a
-window, ``uniform_mass``, is the one optional method.  Families: sign-test
+the non-atomic measures); the closed-form share of a window,
+``uniform_mass``, is the one optional method.  Families: sign-test
 concepts of the sigmoidal network (one per weight), unions of closed
-intervals (including grid-cell unions of a given order), per-atom labelings
-of an atomic measure, and finite unions of deleted middle thirds.
+intervals (including grid-cell unions of a given order) and per-atom
+labelings of an atomic measure.  Concepts are read from JSON by
+``concept_from_json``; a grid union, which ``cantor.json`` reports as a
+witness, is the one written back.
 
 Concept equality is structural (descriptor equality), never measure-a.e.
 equality.
@@ -58,9 +60,6 @@ class SontagConcept:
     def uniform_mass(self, lo, hi):
         return sontag.cos_sign_fraction(self.w, lo, hi)
 
-    def to_json(self):
-        return {"kind": "sontag", "w": self.w}
-
 
 @dataclass(frozen=True)
 class IntervalUnion:
@@ -93,11 +92,6 @@ class IntervalUnion:
 
     def as_intervals_ae(self, lo, hi):
         return self.intervals
-
-    def to_json(self):
-        return {"kind": "intervals",
-                "intervals": [[float(lo), float(hi)]
-                              for lo, hi in self.intervals]}
 
 
 @dataclass(frozen=True)
@@ -157,74 +151,14 @@ class AtomLabeling:
 
     def contains_many(self, xs):
         xs = np.asarray(xs, dtype=float)
-        order = np.argsort(self.locations) if self.locations else np.empty(0, int)
-        locs = np.array(self.locations, dtype=float)[order]
-        bits = np.array(self.bits, dtype=bool)[order] if self.bits else np.empty(0, bool)
-        out = np.full(xs.shape, bool(self.default_bit))
-        if len(locs):
-            idx = np.searchsorted(locs, xs)
-            idx = np.clip(idx, 0, len(locs) - 1)
-            hit = locs[idx] == xs
-            out[hit] = bits[idx[hit]]
-        return out
+        locations = np.array(self.locations, dtype=float)
+        ones = locations[np.array(self.bits, dtype=bool)]
+        off_atoms = ~np.isin(xs, locations)  # where the default bit holds
+        return np.isin(xs, ones) | (off_atoms & bool(self.default_bit))
 
     def as_intervals_ae(self, lo, hi):
         # Under a non-atomic measure the labeling is a.e. the default bit.
         return [(lo, hi)] if self.default_bit else []
-
-    def to_json(self):
-        return {"kind": "atom_labels", "locations": list(self.locations),
-                "bits": list(self.bits), "default_bit": self.default_bit}
-
-
-def middle_third_bounds(level, index):
-    """The open middle third deleted at a given level, as Fraction bounds.
-
-    Level l >= 1 deletes 2**(l-1) intervals of length 3**-l; the index walks
-    them left to right.
-    """
-    level = int(level)
-    index = int(index)
-    if level < 1:
-        raise ValueError("level must be >= 1")
-    if not 0 <= index < 2 ** (level - 1):
-        raise ValueError(f"index {index} out of range for level {level}")
-    # The index's binary digits, read in base 3, give the left end of the
-    # kept interval [2t, 2t + 1] / 3**(level - 1) it splits.
-    lo = Fraction(6 * int(f"{index:b}", 3) + 1, 3 ** level)
-    return lo, lo + Fraction(1, 3 ** level)
-
-
-@dataclass(frozen=True)
-class MiddleThirdUnion:
-    """A finite union of deleted middle thirds, named by (level, index) pairs.
-
-    Membership is an exact rational test against the open interval bounds,
-    so there is no floating-point drift at deep levels.
-    """
-
-    pieces: tuple
-
-    def __post_init__(self):
-        pieces = tuple(sorted((int(l), int(i)) for l, i in self.pieces))
-        if len(set(pieces)) != len(pieces):
-            raise ValueError("pieces must be distinct")
-        bounds = tuple(middle_third_bounds(l, i) for l, i in pieces)
-        object.__setattr__(self, "pieces", pieces)
-        object.__setattr__(self, "_bounds", bounds)
-
-    def contains(self, x):
-        fx = Fraction(x)
-        return any(lo < fx < hi for lo, hi in self._bounds)
-
-    def contains_many(self, xs):
-        return np.vectorize(self.contains, otypes=[bool])(xs)
-
-    def as_intervals_ae(self, lo, hi):
-        return list(self._bounds)
-
-    def to_json(self):
-        return {"kind": "middle_thirds", "pieces": [list(p) for p in self.pieces]}
 
 
 def _uniform_mixed_distance(sign, other, pieces, measure):
@@ -440,7 +374,4 @@ def concept_from_json(doc):
         "intervals": (IntervalUnion, {"intervals": pairs}),
         "atom_labels": (AtomLabeling, {
             "locations": Field("list", of=number), "bits": bits,
-            "default_bit": Field("int", 0, least=0, most=1)}),
-        "middle_thirds": (MiddleThirdUnion, {
-            "pieces": Field("list", of=Field("list", least=2, most=2,
-                                             of=Field("int")))})})
+            "default_bit": Field("int", 0, least=0, most=1)})})

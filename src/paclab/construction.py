@@ -158,20 +158,16 @@ class ComplexitySchedule:
         """Rounded level cardinalities f_k = ceil(f(1/eps_k)), k = 1..K."""
         return tuple(math.ceil(self.f(Fraction(1) / e)) for e in self.eps[:self.K])
 
-    def level_masses(self):
-        """Exact m_k = 5 (eps_k - eps_{k+1}), positive by monotonicity."""
-        return tuple(5 * (self.eps[k] - self.eps[k + 1]) for k in range(self.K))
-
-    def residual_mass(self):
-        return 5 * self.eps[self.K]
-
     def runs(self):
         """The instance's exact masses as (atom count, Fraction per atom)
-        runs: one per level, then the residual atom."""
+        runs: level k holds f_k - f_{k-1} atoms sharing the mass
+        m_k = 5 (eps_k - eps_{k+1}), then the residual atom 5 eps_{K+1}."""
         f_vals = (0, *self.f_values())
-        runs = [(b - a, m / (b - a)) for a, b, m
-                in zip(f_vals, f_vals[1:], self.level_masses())]
-        return runs + [(1, self.residual_mass())]
+        runs = []
+        for k in range(self.K):
+            size = f_vals[k + 1] - f_vals[k]
+            runs.append((size, 5 * (self.eps[k] - self.eps[k + 1]) / size))
+        return runs + [(1, 5 * self.eps[self.K])]
 
     def to_json(self):
         return {"eps": [str(e) for e in self.eps], "f": self.f.to_json(),
@@ -187,58 +183,41 @@ class ComplexitySchedule:
 
 
 @dataclass(frozen=True)
-class Level:
-    """One construction level: its atom locations and shared mass."""
-
-    index: int
-    locations: tuple
-    mass_exact: Fraction
-
-    @property
-    def mass(self):
-        return float(self.mass_exact)
-
-    @property
-    def size(self):
-        return len(self.locations)
-
-
-@dataclass(frozen=True)
 class ConstructedInstance:
-    """A truncated instance of the construction, ready to learn against."""
+    """A truncated instance of the construction, ready to learn against:
+    the schedule, whose runs hold the exact masses, and one location per
+    atom, level by level, the residual atom's last."""
 
     schedule: ComplexitySchedule
-    levels: tuple
-    residual_location: float
-    residual_mass_exact: Fraction
+    locations: tuple
     _measure: AtomicMeasure | None = field(default=None, init=False,
                                            repr=False, compare=False)
-
-    @property
-    def residual_mass(self):
-        return float(self.residual_mass_exact)
 
     def measure(self):
         """The instance as an atomic measure with exact masses, built on
         the first call and shared after it."""
         if self._measure is None:
             runs = self.schedule.runs()
-            locations = [x for lvl in self.levels for x in lvl.locations]
             masses = np.repeat([float(exact) for _, exact in runs],
                                [count for count, _ in runs])
             object.__setattr__(self, "_measure", AtomicMeasure(
-                locations + [self.residual_location], masses, runs))
+                self.locations, masses, runs))
         return self._measure
 
     def to_json(self):
-        return {"schedule": self.schedule.to_json(),
-                "levels": [{"index": lvl.index,
-                            "size": lvl.size,
-                            "mass": lvl.mass,
-                            "locations": list(lvl.locations)}
-                           for lvl in self.levels],
-                "residual": {"location": self.residual_location,
-                             "mass": self.residual_mass}}
+        """Each level's index, size, float mass and locations, then the
+        residual atom's location and mass, read from the schedule's runs."""
+        *runs, (_, residual) = self.schedule.runs()
+        levels, start = [], 0
+        for k, (size, exact) in enumerate(runs, 1):
+            stop = start + size
+            levels.append({"index": k, "size": size,
+                           "mass": float(size * exact),
+                           "locations": list(self.locations[start:stop])})
+            start = stop
+        return {"schedule": self.schedule.to_json(), "levels": levels,
+                "residual": {"location": self.locations[start],
+                             "mass": float(residual)}}
 
 
 def build_measure(schedule):
@@ -251,20 +230,12 @@ def build_measure(schedule):
     ``MAX_ATOMS`` atoms raises ``EnumerationCapError`` before any prime is
     generated.
     """
-    runs = schedule.runs()
-    total_atoms = sum(count for count, _ in runs)
+    total_atoms = sum(count for count, _ in schedule.runs())
     if total_atoms > MAX_ATOMS:
         raise EnumerationCapError(f"instance needs {total_atoms} atoms, "
                                   f"cap is {MAX_ATOMS}")
-    locations = sontag.rationally_independent_points(total_atoms)
-    levels = []
-    cursor = 0
-    for k, (size, exact) in enumerate(runs[:-1]):
-        levels.append(Level(k + 1, tuple(locations[cursor:cursor + size]),
-                            size * exact))
-        cursor += size
-    return ConstructedInstance(schedule, tuple(levels), locations[cursor],
-                               runs[-1][1])
+    return ConstructedInstance(
+        schedule, tuple(sontag.rationally_independent_points(total_atoms)))
 
 
 @dataclass(frozen=True)

@@ -52,11 +52,11 @@ _EPISODE_DRAWS = 2 ** 16
 # Most first draws a window works on at once, in whole trials (one at
 # least): its gaps and running sums come a chunk at a time.
 _CHUNK = 2 ** 13
-# Most trials x n sample points one adversarial gc_deviation call takes,
-# refused before any sample is drawn.  Chosen for 10 s and 512 MB through
-# the CLI on one BLAS thread: at the edge n = 16 (8,192 trials) took 4 s
-# and 67 MB, n = 4 (32,768 trials) 1.1 s and 84 MB.
-MAX_ADVERSARIAL_CELLS = 2 ** 17
+# Most cells the adversarial trials of one run take, refused before any
+# sample is drawn; ``check_adversarial_cells`` weighs a trial.  Chosen for
+# 10 s and 512 MB through the CLI on one BLAS thread from the edges at
+# n = 4 to 32 (README): 8,192 trials at n = 16, 341 at 24, 104 at 32.
+MAX_ADVERSARIAL_CELLS = 2 ** 25
 NOT_HIT = np.iinfo(np.int64).max  # hitting time of a trial still above eps
 
 
@@ -295,7 +295,6 @@ class GcDeviationResult:
     mode: str
     n: int
     trials: int
-    seed: int
     deviations: tuple
     failed_trials: int
 
@@ -310,12 +309,6 @@ class GcDeviationResult:
     @property
     def max(self):
         return float(np.max(self.deviations)) if self.deviations else math.nan
-
-    def to_json(self):
-        return {"mode": self.mode, "n": self.n, "trials": self.trials,
-                "seed": self.seed, "median": self.median, "mean": self.mean,
-                "max": self.max, "failed_trials": self.failed_trials,
-                "deviations": list(self.deviations)}
 
 
 def _atomic_census(memberships, measure, n, trials, seed):
@@ -381,13 +374,24 @@ def _adversarial_deviations(family, measure, n, trials, seed, min_weight):
     return devs, trials - len(devs)
 
 
-def check_adversarial_cells(n, trials):
-    """Refuse ``trials`` adversarial samples of n points past
-    ``MAX_ADVERSARIAL_CELLS`` with ``EnumerationCapError``."""
-    if (cells := trials * n) > MAX_ADVERSARIAL_CELLS:
+def check_adversarial_cells(n_list, trials):
+    """Refuse ``trials`` adversarial samples at each size in ``n_list``
+    past ``MAX_ADVERSARIAL_CELLS`` with ``EnumerationCapError``.
+
+    A trial of n points weighs n sqrt(B) cells, B the breakpoints its
+    search expects to sweep: 2**n, at least 2**16, where the sample's own
+    points dominate the cost, and at most the budget that stops a search.
+    """
+    budget = sontag.DEFAULT_BUDGET
+    cells = 0
+    for n in n_list:
+        # The exponent is clamped first, so no power past the budget is built.
+        expected = min(2 ** min(max(n, 16), budget.bit_length()), budget)
+        cells += trials * n * math.isqrt(expected)
+    if cells > MAX_ADVERSARIAL_CELLS:
         raise EnumerationCapError(
-            f"{trials} adversarial trials x n = {n} is {cells} sample "
-            f"points, beyond the cap of {MAX_ADVERSARIAL_CELLS}")
+            f"{trials} adversarial trials at n = {list(n_list)} weigh "
+            f"{cells} cells, beyond the cap of {MAX_ADVERSARIAL_CELLS}")
 
 
 def gc_deviation(family, measure, n, trials=100, seed=0, mode="census",
@@ -401,7 +405,7 @@ def gc_deviation(family, measure, n, trials=100, seed=0, mode="census",
     trial's searched in one ``shatter_search_many`` call, or an isolating
     grid union for the order-interval family) and reports |1 - E_mu|;
     trials whose witness search fails are flagged, excluded, and counted;
-    more than ``MAX_ADVERSARIAL_CELLS`` sample points are refused.
+    trials past ``check_adversarial_cells`` are refused.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -411,10 +415,9 @@ def gc_deviation(family, measure, n, trials=100, seed=0, mode="census",
         if not isinstance(family, (SontagFamily, OrderIntervalFamily)):
             raise TypeError("adversarial mode needs the weight family or the "
                             "order-interval family")
-        check_adversarial_cells(n, trials)
+        check_adversarial_cells([n], trials)
         devs, failed = _adversarial_deviations(family, measure, n, trials,
                                                seed, min_weight)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return GcDeviationResult(mode, int(n), int(trials), int(seed),
-                             tuple(devs), failed)
+    return GcDeviationResult(mode, int(n), int(trials), tuple(devs), failed)

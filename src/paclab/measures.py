@@ -207,10 +207,6 @@ class AtomicMeasure:
     def expect_indicator(self, concept):
         return self.mass(self.membership_matrix((concept,))[0])
 
-    def to_json(self):
-        return {"kind": "atomic",
-                "atoms": np.stack([self.locations, self.masses], 1).tolist()}
-
 
 class UniformMeasure:
     """The uniform (normalized Lebesgue) measure on an interval [a, b].
@@ -241,9 +237,6 @@ class UniformMeasure:
             return closed_form(self.a, self.b)
         inside = window_intervals(concept, self.a, self.b)
         return float(total_length(inside)) / (self.b - self.a)
-
-    def to_json(self):
-        return {"kind": "uniform", "a": self.a, "b": self.b}
 
 
 # The most levels ``figures`` lists, for a budget of 10 s and 512 MB: levels
@@ -326,9 +319,6 @@ class CantorMeasure:
 
     def expect_indicator(self, concept):
         return cantor_interval_mass(concept.as_intervals_ae(0.0, 1.0))
-
-    def to_json(self):
-        return {"kind": "cantor", "depth": self.depth}
 
 
 def expect_indicator(measure, concept):

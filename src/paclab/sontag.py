@@ -90,17 +90,6 @@ def net_output(x, params):
     return int(rho(x, params.w, params.alpha) >= 0.0)
 
 
-def net_output_composed(x, params):
-    """Network output through the explicit wiring: hidden units phi(wx) and
-    phi(-wx) feed an output perceptron with unit weights and threshold one.
-
-    Agrees with ``net_output`` because phi(t) + phi(-t) - 1 collapses to the
-    closed form rho.
-    """
-    t = params.w * x
-    return int(phi(t, params.alpha) + phi(-t, params.alpha) - 1.0 >= 0.0)
-
-
 def output_labels(xs, w):
     """Vectorized network output over an array of inputs, through the closed
     form ``rho`` at ``DEFAULT_ALPHA``: every admissible activation constant

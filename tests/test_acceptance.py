@@ -176,13 +176,16 @@ def test_criterion_7_growth_bracket_three_levels():
 
 
 def test_criterion_8_construction_arithmetic():
+    # The sizes and masses as ``construct`` writes them to instance.json.
     instance = build_measure(ComplexitySchedule.default())
-    masses = [lvl.mass for lvl in instance.levels]
-    sizes = [lvl.size for lvl in instance.levels]
+    doc = instance.to_json()
+    masses = [lvl["mass"] for lvl in doc["levels"]]
+    sizes = [lvl["size"] for lvl in doc["levels"]]
+    residual = doc["residual"]["mass"]
     total = math.fsum(a.mass for a in instance.measure().atoms)
     ok = masses == [0.8, 0.16] and sizes == [25, 600] \
-        and instance.residual_mass == 0.04 and abs(total - 1.0) <= 1e-12
-    report(8, ok, f"m={masses}, |F|={sizes}, residual {instance.residual_mass}, "
+        and residual == 0.04 and abs(total - 1.0) <= 1e-12
+    report(8, ok, f"m={masses}, |F|={sizes}, residual {residual}, "
                   f"total {total!r}")
 
 

@@ -11,8 +11,7 @@ from paclab.bounds import (FiniteFamily, PackingShortfallError, bi_lower,
                            bi_upper_from_log2, greedy_cover, greedy_packing,
                            hamming_packing, hamming_packing_bound)
 from paclab.concepts import (AtomLabeling, EnumerationCapError, GridUnion,
-                             IntervalUnion, MiddleThirdUnion, SontagConcept,
-                             l1_distance)
+                             IntervalUnion, SontagConcept, l1_distance)
 from paclab.measures import AtomicMeasure, CantorMeasure, UniformMeasure
 
 
@@ -391,8 +390,10 @@ MIXED_FAMILY = [SontagConcept(3.0), SontagConcept(7.5),
                 IntervalUnion(((0.1, 0.4),)),
                 IntervalUnion(((0.0, 0.25), (0.5, 0.9))),
                 GridUnion(4, (1,)), GridUnion(9, (0, 4, 8)),
-                GridUnion(27, (2, 20)), MiddleThirdUnion(((1, 0),)),
-                MiddleThirdUnion(((2, 0), (2, 1)))]
+                GridUnion(27, (2, 20)),
+                IntervalUnion(((Fraction(1, 3), Fraction(2, 3)),)),
+                IntervalUnion(((Fraction(1, 9), Fraction(2, 9)),
+                               (Fraction(7, 9), Fraction(8, 9))))]
 # (greedy packing, greedy cover) selections per radius, as the pairwise
 # i < j matrix gave them.
 MIXED_SELECTIONS = {

@@ -127,8 +127,10 @@ def packing(member):
 
 
 def test_unknown_concept_keys_exit_2(tmp_path):
+    # The middle thirds are a refused kind.
     for member in ({"kind": "sontag", "w": 30.0, "wq": 1},
-                   {"kind": "sontag", "w": 30.0, "alpha": 100.0}):
+                   {"kind": "sontag", "w": 30.0, "alpha": 100.0},
+                   {"kind": "middle_thirds", "pieces": [[1, 0]]}):
         code, out = run(tmp_path, "packing", packing(member))
         assert code == 2, member
         assert list(out.iterdir()) == []
@@ -415,27 +417,30 @@ def test_enumeration_cap_exit_3(tmp_path):
 
 
 def test_adversarial_trials_cap_exit_3(tmp_path, monkeypatch):
-    # One past trials x n = MAX_ADVERSARIAL_CELLS exits 3 before any sample
-    # is drawn, for the sample size alone or listed after an admitted one;
-    # the edge itself reaches the sampler.
+    # One trial past the edge at n = 4, 16, 24 or 32 exits 3 before any
+    # sample is drawn, and so does the edge at 16 with n = 4 listed too:
+    # the cap weighs the whole run.  So does one trial at n = 10^12, whose
+    # weight is found without building 2^n.  Each edge alone reaches the
+    # sampler.
     def refuse(*args, **kwargs):
         raise AssertionError("sampled before the cap")
 
     monkeypatch.setattr(measures.UniformMeasure, "sample", refuse)
-    edge = learner.MAX_ADVERSARIAL_CELLS
+    edges = {4: 32768, 16: 8192, 24: 341, 32: 104}
     config = {"mode": "adversarial", "family": {"kind": "sontag"},
               "measure": {"kind": "uniform", "a": 0.0, "b": 2.0 * math.pi}}
-    for i, (n_list, trials) in enumerate([([16], edge // 16 + 1),
-                                          ([4], edge // 4 + 1),
-                                          ([4, 16], edge // 16 + 1)]):
+    cases = [([n], edge + 1) for n, edge in edges.items()]
+    cases += [([4, 16], edges[16]), ([10 ** 12], 1)]
+    for i, (n_list, trials) in enumerate(cases):
         (tmp_path / str(i)).mkdir()
         code, out = run(tmp_path / str(i), "gc",
                         {**config, "n_list": n_list, "trials": trials})
         assert code == 3, (n_list, trials)
         assert not (out / "gc_manifest.json").exists()
-    code, _ = run(tmp_path, "gc", {**config, "n_list": [16],
-                                   "trials": edge // 16})
-    assert code == 4
+    for n, edge in edges.items():
+        code, _ = run(tmp_path, "gc", {**config, "n_list": [n],
+                                       "trials": edge})
+        assert code == 4, n
 
 
 def test_estimator_memory_cap_exit_3(tmp_path, monkeypatch):

@@ -8,14 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from exact import exact_mass
 from paclab.concepts import (AtomLabeling, EnumerationCapError, GridUnion,
-                             IntervalUnion, MiddleThirdUnion, SontagConcept,
+                             IntervalUnion, SontagConcept,
                              cantor_shatter_search, concept_from_json,
                              enumerate_order_class, isolate_points,
-                             l1_distance, max_interval_count,
-                             middle_third_bounds)
+                             l1_distance, max_interval_count)
 from paclab.intervals import intersect, total_length
-from paclab.measures import (AtomicMeasure, CantorMeasure, UniformMeasure,
-                             expect_indicator, window_intervals)
+from paclab.measures import (AtomicMeasure, CantorMeasure, ConfigError,
+                             UniformMeasure, expect_indicator,
+                             window_intervals)
 
 TWO_PI = 2.0 * math.pi
 
@@ -76,24 +76,6 @@ def test_grid_union_is_an_interval_union_named_by_its_cells():
     assert GridUnion(4, (1,)) != GridUnion(8, (2, 3))
     with pytest.raises(TypeError):
         GridUnion(4, (1,), intervals=((0.25, 0.5),))
-
-
-def test_middle_third_bounds_and_membership():
-    assert middle_third_bounds(1, 0) == (Fraction(1, 3), Fraction(2, 3))
-    assert middle_third_bounds(2, 0) == (Fraction(1, 9), Fraction(2, 9))
-    assert middle_third_bounds(2, 1) == (Fraction(7, 9), Fraction(8, 9))
-    mt = MiddleThirdUnion(((1, 0), (2, 1)))
-    assert int(mt.contains(0.5)) == 1
-    assert int(mt.contains(1.0 / 3.0)) == 0  # open interval, endpoint excluded
-    assert int(mt.contains(7.5 / 9.0)) == 1
-    assert int(mt.contains(0.1)) == 0
-
-
-def test_middle_thirds_have_unit_interval_mass_but_no_ternary_mass():
-    mt = MiddleThirdUnion(((1, 0), (2, 0)))
-    u = UniformMeasure(0.0, 1.0)
-    assert expect_indicator(u, mt) == pytest.approx(1.0 / 3 + 1.0 / 9, abs=1e-15)
-    assert expect_indicator(CantorMeasure(), mt) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -205,14 +187,6 @@ def test_non_atomic_measures_refuse_a_concept_without_interval_form():
         for pair in ((Halfline(), other), (other, Halfline())):
             with pytest.raises(AttributeError):
                 l1_distance(*pair, measure)
-    # The middle thirds carry the whole protocol too: contains_many agrees
-    # with the exact rational contains, also next to the float endpoints.
-    mt = MiddleThirdUnion(((1, 0), (2, 1), (5, 3), (33, 7)))
-    ends = [float(b) for piece in mt.as_intervals_ae(0.0, 1.0) for b in piece]
-    ends += [math.nextafter(x, d) for x in ends for d in (-1.0, 2.0)]
-    for xs in (CantorMeasure().sample(2000, seed=3), np.array(ends),
-               np.random.default_rng(5).uniform(0.0, 1.0, 2000)):
-        assert mt.contains_many(xs).tolist() == [mt.contains(x) for x in xs]
 
 
 def test_l1_under_cantor_measure():
@@ -422,14 +396,23 @@ def test_cantor_shatter_caps_raise():
 
 
 def test_concept_json_round_trip():
+    # A literal document of every concept kind reads as its concept; the
+    # grid union, the one concept written back (as a cantor witness),
+    # reads its own document too.
     cases = [
-        SontagConcept(3.5),
-        IntervalUnion(((0.0, 0.25), (0.5, 1.0))),
-        GridUnion(7, (1, 4)),
-        AtomLabeling((1.0, 2.0), (0, 1), default_bit=1),
-        MiddleThirdUnion(((1, 0), (3, 2))),
+        ({"kind": "sontag", "w": 3}, SontagConcept(3.0)),
+        ({"kind": "intervals", "intervals": [[0, 0.25], [0.5, 1.0]]},
+         IntervalUnion(((0.0, 0.25), (0.5, 1.0)))),
+        ({"kind": "intervals", "order": 7, "cells": [4, 1]},
+         GridUnion(7, (1, 4))),
+        ({"kind": "atom_labels", "locations": [1.0, 2], "bits": [0, 1],
+          "default_bit": 1}, AtomLabeling((1.0, 2.0), (0, 1), default_bit=1)),
+        ({"kind": "atom_labels", "locations": [0.5], "bits": [1]},
+         AtomLabeling((0.5,), (1,))),
     ]
-    for c in cases:
-        doc = json.loads(json.dumps(c.to_json()))
-        c2 = concept_from_json(doc)
-        assert c2 == c
+    for doc, concept in cases:
+        assert concept_from_json(json.loads(json.dumps(doc))) == concept
+    grid = GridUnion(7, (1, 4))
+    assert concept_from_json(json.loads(json.dumps(grid.to_json()))) == grid
+    with pytest.raises(ConfigError, match="middle_thirds"):
+        concept_from_json({"kind": "middle_thirds", "pieces": [[1, 0]]})

@@ -82,9 +82,10 @@ def test_exp_rate_past_the_float_range_is_a_cap():
 
 def test_default_instance_arithmetic():
     inst = build_measure(ComplexitySchedule.default())
-    assert [lvl.size for lvl in inst.levels] == [25, 600]
-    assert [lvl.mass for lvl in inst.levels] == [0.8, 0.16]
-    assert inst.residual_mass == 0.04
+    doc = inst.to_json()
+    assert [lvl["size"] for lvl in doc["levels"]] == [25, 600]
+    assert [lvl["mass"] for lvl in doc["levels"]] == [0.8, 0.16]
+    assert doc["residual"]["mass"] == 0.04
     measure = inst.measure()
     assert abs(math.fsum(a.mass for a in measure.atoms) - 1.0) <= 1e-12
 
@@ -92,40 +93,42 @@ def test_default_instance_arithmetic():
 def test_linear_rate_instance():
     sched = ComplexitySchedule(eps=geometric_eps(3), f=RateFunction.poly(1),
                                K=2)
-    inst = build_measure(sched)
-    assert [lvl.size for lvl in inst.levels] == [5, 20]
-    assert [lvl.mass for lvl in inst.levels] == [0.8, 0.16]
-    assert inst.residual_mass == 0.04
-    assert inst.levels[0].locations == tuple(
-        math.log(p) for p in (2, 3, 5, 7, 11))
+    doc = build_measure(sched).to_json()
+    assert [lvl["size"] for lvl in doc["levels"]] == [5, 20]
+    assert [lvl["mass"] for lvl in doc["levels"]] == [0.8, 0.16]
+    assert doc["residual"]["mass"] == 0.04
+    assert doc["levels"][0]["locations"] == [
+        math.log(p) for p in (2, 3, 5, 7, 11)]
 
 
 def test_depth_zero_instance_is_the_residual_atom():
     sched = ComplexitySchedule(eps=geometric_eps(1), f=RateFunction.poly(1),
                                K=0)
     inst = build_measure(sched)
-    assert inst.levels == ()
-    assert inst.residual_mass == 1.0
+    assert inst.locations == (math.log(2),)
+    assert inst.to_json()["levels"] == []
+    assert inst.to_json()["residual"] == {"location": math.log(2),
+                                          "mass": 1.0}
 
 
 def test_superexponential_rate():
     sched = ComplexitySchedule(eps=geometric_eps(2),
                                f=RateFunction.exponential(2), K=1)
-    inst = build_measure(sched)
-    assert inst.levels[0].size == 32
-    assert inst.levels[0].mass == 0.8
-    assert inst.residual_mass == pytest.approx(0.2)
+    doc = build_measure(sched).to_json()
+    assert doc["levels"][0]["size"] == 32
+    assert doc["levels"][0]["mass"] == 0.8
+    assert doc["residual"]["mass"] == pytest.approx(0.2)
 
 
 def test_mass_telescoping_is_exact():
     for K, f in [(2, RateFunction.poly(2)), (3, RateFunction.poly(1)),
                  (1, RateFunction.exponential(2))]:
         sched = ComplexitySchedule(eps=geometric_eps(K + 1), f=f, K=K)
-        inst = build_measure(sched)
-        total_levels = sum((lvl.mass_exact for lvl in inst.levels),
+        *levels, (_, residual) = sched.runs()
+        total_levels = sum((size * exact for size, exact in levels),
                            Fraction(0))
         assert total_levels == 5 * (sched.eps[0] - sched.eps[K])
-        assert total_levels + inst.residual_mass_exact == 1
+        assert total_levels + residual == 1
 
 
 def test_instance_measure_is_built_once_with_exact_units():
@@ -136,24 +139,19 @@ def test_instance_measure_is_built_once_with_exact_units():
     assert hash(inst) == hash(build_measure(ComplexitySchedule.default()))
     units, total = measure.units()
     assert total == 3750  # K=2 masses are multiples of 1/3,750
-    exact = [lvl.mass_exact / lvl.size for lvl in inst.levels
-             for _ in range(lvl.size)] + [inst.residual_mass_exact]
+    exact = [f for count, f in inst.schedule.runs() for _ in range(count)]
+    assert len(inst.locations) == len(exact) == 626
     assert [Fraction(int(u), total) for u in units] == exact
     assert measure.masses.tolist() == [float(f) for f in exact]
-    assert inst.schedule.runs() == [(lvl.size, lvl.mass_exact / lvl.size)
-                                    for lvl in inst.levels] + [
-                                        (1, inst.residual_mass_exact)]
 
 
 def _atom_by_atom(inst):
     # The instance's measure built one validated Atom at a time: the atoms
     # sorted by location, then per-atom units over a common denominator,
     # reduced by their gcd.
-    pairs = [(Atom(loc, float(lvl.mass_exact / lvl.size)),
-              lvl.mass_exact / lvl.size)
-             for lvl in inst.levels for loc in lvl.locations]
-    pairs.append((Atom(inst.residual_location, inst.residual_mass),
-                  inst.residual_mass_exact))
+    exact = [f for count, f in inst.schedule.runs() for _ in range(count)]
+    pairs = [(Atom(loc, float(f)), f) for loc, f in zip(inst.locations,
+                                                         exact)]
     atoms, exact = zip(*sorted(pairs, key=lambda pair: pair[0].location))
     assert all(float(f) == a.mass for a, f in zip(atoms, exact))
     den = math.lcm(*(f.denominator for f in exact))
@@ -194,16 +192,15 @@ def test_non_integer_rate_values_are_ceiled():
                                f=RateFunction.poly(1, Fraction(1, 2)), K=2,
                                linear_coeff=Fraction(1, 2))
     assert sched.f_values() == (3, 13)  # ceil(5/2), ceil(25/2)
-    inst = build_measure(sched)
-    assert [lvl.size for lvl in inst.levels] == [3, 10]
+    doc = build_measure(sched).to_json()
+    assert [lvl["size"] for lvl in doc["levels"]] == [3, 10]
 
 
 def test_level_sizes_are_rate_differences():
     sched = ComplexitySchedule(eps=geometric_eps(4), f=RateFunction.poly(2),
                                K=3)
-    inst = build_measure(sched)
     f_vals = sched.f_values()
-    sizes = [lvl.size for lvl in inst.levels]
+    sizes = [lvl["size"] for lvl in build_measure(sched).to_json()["levels"]]
     assert sizes[0] == f_vals[0]
     assert all(s == b - a for s, a, b in zip(sizes[1:], f_vals, f_vals[1:]))
     assert all(s >= 0 for s in sizes)
@@ -250,7 +247,7 @@ def level_labelings(inst, k):
     """The 2**f_k labelings of the atoms of levels 1..k as explicit
     concepts: labeling i gives bit (i >> j) & 1 to the j-th of those atoms
     and 0 to every other point."""
-    locations = [loc for lvl in inst.levels[:k] for loc in lvl.locations]
+    locations = inst.locations[:inst.schedule.f_values()[k - 1]]
     return [AtomLabeling(locations, [(i >> j) & 1
                                      for j in range(len(locations))])
             for i in range(2 ** len(locations))]
@@ -308,7 +305,7 @@ def test_subfamily_net_radius_bound():
     inst = small_instance()
     measure = inst.measure()
     rng = np.random.default_rng(5)
-    universe = [loc for lvl in inst.levels for loc in lvl.locations]
+    universe = inst.locations[:-1]
     for k in (1, 2):
         fam = level_labelings(inst, k)
         prefix = len(fam[0].locations)

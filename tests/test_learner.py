@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -97,7 +98,7 @@ def test_vectorized_episodes_match_erm_learn():
     # its true error is the mass of the target atoms not yet drawn.
     inst = small_instance(K=1, degree=1)
     measure = inst.measure()
-    free = sum(lvl.size for lvl in inst.levels)
+    free = len(inst.locations) - 1  # all but the residual atom
     units, total = measure.units()
     rng = np.random.default_rng(99)
     for _ in range(64):
@@ -157,6 +158,30 @@ def test_schedule_runs_are_the_instance_atoms_runs(name):
 
 
 @pytest.mark.parametrize("name", RUN_SCHEDULES)
+def test_instance_json_is_the_schedule_runs_at_log_primes(name):
+    # instance.json as ``construct`` writes it: level k holds the k-th
+    # run's atoms at the logs of the next primes, with the run's mass, and
+    # the residual atom sits at the last prime's log.
+    schedule = RUN_SCHEDULES[name]
+    runs = schedule.runs()
+    count = sum(size for size, _ in runs)
+    sieve = np.ones(2 * 10 ** 5, dtype=bool)  # past the 15,626th prime
+    sieve[:2] = False
+    for d in range(2, math.isqrt(len(sieve)) + 1):
+        sieve[d * d::d] = False
+    logs = [math.log(p) for p in np.flatnonzero(sieve)[:count].tolist()]
+    levels, start = [], 0
+    for k, (size, exact) in enumerate(runs[:-1], 1):
+        levels.append({"index": k, "size": size, "mass": float(size * exact),
+                       "locations": logs[start:start + size]})
+        start += size
+    doc = json.loads(json.dumps(build_measure(schedule).to_json()))
+    assert doc == {"schedule": schedule.to_json(), "levels": levels,
+                   "residual": {"location": logs[-1],
+                                "mass": float(runs[-1][1])}}
+
+
+@pytest.mark.parametrize("name", RUN_SCHEDULES)
 def test_estimate_from_a_schedule_equals_its_instance(name):
     schedule = RUN_SCHEDULES[name]
     inst = build_measure(schedule)
@@ -197,9 +222,9 @@ def _starting_error_measure(case):
     if case == "constructed":
         inst = small_instance(K=2, degree=2)
         measure = inst.measure()
-        free = sum(lvl.size for lvl in inst.levels)
+        free = len(inst.locations) - 1
         assert free == len(measure) - 1  # the residual atom stays 0
-        return measure, free, len(inst.levels)
+        return measure, free, inst.schedule.K
     if case == "pairs":
         # 0.1 comes twice, at atoms apart: one run of two atoms.
         measure = AtomicMeasure.from_pairs(
@@ -449,7 +474,7 @@ def test_hitting_times_are_monotone_in_eps(seed):
     # The stream does not depend on eps, so neither does any trial's path.
     from paclab.learner import _hitting_times
     inst = small_instance(K=2, degree=1)
-    free = sum(lvl.size for lvl in inst.levels)
+    free = len(inst.locations) - 1
     runs = _target(inst.measure(), free)
     times = [_hitting_times(runs, eps, 200, seed)[0]
              for eps in (0.5, 0.2, 0.1, 0.04, 0.01, 0.0)]
@@ -464,7 +489,7 @@ def test_early_stop_settles_the_smallest_times(allowed):
     from paclab.learner import NOT_HIT, _hitting_times
     inst = small_instance(K=2, degree=1)
     measure = inst.measure()
-    free = sum(lvl.size for lvl in inst.levels)
+    free = len(inst.locations) - 1
     trials, seed, eps = 100, 6, 0.04
     runs = _target(measure, free)
     full, work = _hitting_times(runs, eps, trials, seed)
@@ -537,7 +562,7 @@ def test_estimate_threshold_property():
 def test_n_hat_is_a_hitting_time_quantile():
     from paclab.learner import _hitting_times
     inst = small_instance(K=1, degree=1)
-    free = sum(lvl.size for lvl in inst.levels)
+    free = len(inst.locations) - 1
     trials, seed, eps, delta = 300, 8, 0.1, 0.1
     est = estimate_sample_complexity(inst, eps, delta, trials=trials,
                                      seed=seed)
@@ -661,7 +686,7 @@ def test_gc_atomic_census_reads_multinomial_counts():
 def test_gc_census_shrinks_with_n():
     inst = small_instance(K=1, degree=1)
     # The 32 labelings of the five level atoms, 0 on the residual atom.
-    locations = inst.levels[0].locations
+    locations = inst.locations[:5]
     fam = [AtomLabeling(locations, [(i >> j) & 1 for j in range(5)])
            for i in range(2 ** 5)]
     measure = inst.measure()

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from exact import exact_mass
 from paclab.bounds import FiniteFamily
 from paclab.concepts import (AtomLabeling, GridUnion, IntervalUnion,
-                             MiddleThirdUnion, SontagConcept, l1_distance)
+                             SontagConcept, l1_distance)
 from paclab.intervals import canonicalize, clip, total_length
 from paclab.measures import (Atom, AtomicMeasure, CantorMeasure, ConfigError,
                              Field, UniformMeasure,
@@ -291,7 +291,6 @@ def test_membership_matrix_matches_the_per_atom_loop():
               IntervalUnion(()), IntervalUnion(((0.0, 0.25), (0.5, 0.8))),
               IntervalUnion(((Fraction(1, 3), Fraction(1, 2)),)),
               GridUnion(4, ()), GridUnion(4, (1, 3)), GridUnion(10, (8,)),
-              MiddleThirdUnion(()), MiddleThirdUnion(((1, 0), (2, 1))),
               _Halfline(0.3), _NumpyBoolHalfline(0.3), _IntHalfline(0.3)]
     expected = [[bool(c.contains(a.location)) for a in m.atoms]
                 for c in family]
@@ -540,17 +539,22 @@ def test_empirical_means_converge_to_expectations():
 
 
 def test_measure_json_round_trip():
-    docs = [
-        AtomicMeasure.from_pairs([(0.0, 0.4), (2.5, 0.6)]),
-        UniformMeasure(-1.0, 3.0),
-        CantorMeasure(depth=12),
-    ]
-    for m in docs:
-        doc = json.loads(json.dumps(m.to_json()))
-        m2 = measure_from_json(doc)
-        assert m2.to_json() == m.to_json()
-    atoms = AtomicMeasure.from_pairs([(1.0, 0.25), (2.0, 0.75)]).to_json()["atoms"]
-    assert atoms == sorted(atoms)
+    # A literal document of every measure kind reads as its measure; atoms
+    # are kept in location order, each with its mass.
+    def read(doc):
+        return measure_from_json(json.loads(json.dumps(doc)))
+
+    atomic = read({"kind": "atomic", "atoms": [[2.5, 0.6], [0, 0.4]]})
+    assert isinstance(atomic, AtomicMeasure)
+    assert atomic.locations.tolist() == [0.0, 2.5]
+    assert atomic.masses.tolist() == [0.4, 0.6]
+    uniform = read({"kind": "uniform", "a": -1, "b": 3.0})
+    assert isinstance(uniform, UniformMeasure)
+    assert (uniform.a, uniform.b) == (-1.0, 3.0)
+    for doc, depth in [({"kind": "cantor", "depth": 12}, 12),
+                       ({"kind": "cantor"}, 40)]:
+        cantor = read(doc)
+        assert isinstance(cantor, CantorMeasure) and cantor.depth == depth
 
 
 def test_field_reader_kinds_bounds_and_defaults():

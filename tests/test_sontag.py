@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from arcsets import ArcSet, feasible_weights
+from wiring import net_output_composed
 from paclab import sontag
 from paclab.concepts import EnumerationCapError
 from paclab.sontag import (DEFAULT_BUDGET, SontagParams, cos_sign_intervals,
@@ -75,7 +76,6 @@ def test_net_output_examples():
 
 
 def test_composed_wiring_agrees_with_closed_form_output():
-    from paclab.sontag import net_output_composed
     rng = np.random.default_rng(55)
     for _ in range(2000):
         params = SontagParams(float(rng.uniform(0, 50)),
