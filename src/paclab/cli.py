@@ -2,19 +2,22 @@
 
 Every subcommand reads its JSON config through one typed field reader
 (``measures.Field``: unknown keys, wrong types and out-of-range values are
-rejected before any work), runs one library operation, writes its outputs
-plus a manifest with the config hash, seed, and versions into the output
-directory.  Runs are fully deterministic for a fixed config and seed, so
-re-running a manifest reproduces byte-identical CSVs.
+rejected before any work) and runs one library operation.  Its handler
+returns its outputs by file name (a JSON document or a CSV (header, rows)
+pair) and a stop reason or None; ``main`` alone writes them and a manifest
+(config hash, seed, versions, stop), so a run that fails writes no file.
+Runs are deterministic for a fixed config and seed: re-running a manifest
+reproduces byte-identical CSVs.
 
 Exit codes: 0 ok, 2 config error (a schedule leaving a level without atoms
-among them), 3 budget exceeded (a search budget or sample-size cap with
---strict; an enumeration cap, the instance's atom cap, which only
-``construct`` meets, a rate beyond the float range, the cantor search
-caps, the cantor run's cap on the grid cells its searches span
-(``concepts.MAX_CANTOR_CELLS``), the hamming packing bound's cap, the
-figures' cantor level cap, a packing shortfall or the estimator's cap on
-first draws always), 4 internal error or invariant violation (traceback on
+among them), 3 budget exceeded (with --strict, a stop: a search budget, the
+sample-size cap or a failed adversarial trial, whose outputs are written
+but no manifest; always, an enumeration cap, the instance's atom cap, which
+only ``construct`` meets, a rate beyond the float range, units past int64,
+the cantor search caps, the cantor run's cap on the grid cells its
+searches span (``concepts.MAX_CANTOR_CELLS``), the hamming packing bound's
+cap, the figures' cantor level cap, a packing shortfall or the estimator's
+cap on first draws), 4 internal error or invariant violation (traceback on
 stderr).
 """
 
@@ -47,27 +50,21 @@ MEASURE = Field(measures.measure_from_json)
 CONCEPTS = Field("list", least=1, of=Field(concepts.concept_from_json))
 
 
-class BudgetExceeded(RuntimeError):
-    def __init__(self, message, outputs=()):
-        super().__init__(message)
-        self.outputs = list(outputs)
-
-
 def _fmt(x):
     if isinstance(x, float):
         return format(x, ".17g")
     return str(x)
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
-def _write_json(path, doc):
+def _write(path, doc):
+    """Write a CSV (header, rows) pair or a JSON document, by suffix."""
+    if path.suffix == ".csv":
+        header, rows = doc
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            for row in (header, *rows):
+                writer.writerow([_fmt(v) for v in row])
+        return
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)  # a cover size 2**f_k may pass 4,300 digits
     try:
@@ -78,32 +75,31 @@ def _write_json(path, doc):
         sys.set_int_max_str_digits(limit)
 
 
-def _manifest(out_dir, subcommand, config, seed, strict, outputs):
+def _manifest(subcommand, config, seed, strict, outputs, stop):
     blob = json.dumps(config, sort_keys=True).encode()
-    doc = {"subcommand": subcommand,
-           "config": config,
-           "config_sha256": hashlib.sha256(blob).hexdigest(),
-           "seed": seed,
-           "strict": strict,
-           "versions": {"paclab": __version__,
-                        "python": platform.python_version(),
-                        "numpy": np.__version__},
-           "outputs": outputs}
-    _write_json(out_dir / f"{subcommand}_manifest.json", doc)
+    return {"subcommand": subcommand,
+            "config": config,
+            "config_sha256": hashlib.sha256(blob).hexdigest(),
+            "seed": seed,
+            "strict": strict,
+            "versions": {"paclab": __version__,
+                         "python": platform.python_version(),
+                         "numpy": np.__version__},
+            "outputs": list(outputs),
+            "stop": stop}
 
 
-def run_construct(config, out_dir, seed):
+def run_construct(config, seed):
     schedule, delta = read_fields(
         config, "construct config", schedule=SCHEDULE,
         delta=Field("number", 0.1, above=0, most=1))
     instance = construction.build_measure(schedule)
     profile = construction.theoretical_profile(instance, delta)
-    _write_json(out_dir / "instance.json", instance.to_json())
-    _write_json(out_dir / "profile.json", profile.to_json())
-    return ["instance.json", "profile.json"]
+    return {"instance.json": instance.to_json(),
+            "profile.json": profile.to_json()}, None
 
 
-def run_complexity(config, out_dir, seed):
+def run_complexity(config, seed):
     get = Document(config, "complexity config",
                    ("schedule", "delta", "trials", "levels", "n_cap"))
     schedule = get("schedule", SCHEDULE)
@@ -126,17 +122,15 @@ def run_complexity(config, out_dir, seed):
                          est.n_hat if est.n_hat is not None else -1,
                          est.confidence_interval[0],
                          est.confidence_interval[1], seed])
-    _write_csv(out_dir / "complexity.csv",
-               ["eps", "delta", "n_probed", "failures", "trials", "n_hat",
-                "ci_lo", "ci_hi", "seed"], rows)
-    _write_json(out_dir / "complexity_summary.json", {"estimates": summary})
-    outputs = ["complexity.csv", "complexity_summary.json"]
-    if any(e["status"] != "converged" for e in summary):
-        raise BudgetExceeded("the estimator hit its sample-size cap", outputs)
-    return outputs
+    header = ["eps", "delta", "n_probed", "failures", "trials", "n_hat",
+              "ci_lo", "ci_hi", "seed"]
+    capped = any(e["status"] != "converged" for e in summary)
+    return ({"complexity.csv": (header, rows),
+             "complexity_summary.json": {"estimates": summary}},
+            "the estimator hit its sample-size cap" if capped else None)
 
 
-def run_shatter(config, out_dir, seed):
+def run_shatter(config, seed):
     get = Document(config, "shatter config", ("points", "log_primes", "labels",
                                               "census", "w_max", "budget"))
     census = get("census", Field((True, False), False))
@@ -161,19 +155,16 @@ def run_shatter(config, out_dir, seed):
         points = sontag.rationally_independent_points(count)
     if census:
         result = sontag.shatter_census(points, w_max, budget=budget)
-        _write_json(out_dir / "census.json", result.to_json())
-        if any(e.status == "budget_exceeded" for e in result.entries):
-            raise BudgetExceeded("some labelings exceeded the sweep budget",
-                                 ["census.json"])
-        return ["census.json"]
+        over = any(e.status == "budget_exceeded" for e in result.entries)
+        return ({"census.json": result.to_json()},
+                "some labelings exceeded the sweep budget" if over else None)
     result = sontag.shatter_search(points, labels, w_max, budget=budget)
-    _write_json(out_dir / "shatter.json", result.to_json())
-    if result.status == "budget_exceeded":
-        raise BudgetExceeded("the sweep budget was exhausted", ["shatter.json"])
-    return ["shatter.json"]
+    over = result.status == "budget_exceeded"
+    return ({"shatter.json": result.to_json()},
+            "the sweep budget was exhausted" if over else None)
 
 
-def run_distances(config, out_dir, seed):
+def run_distances(config, seed):
     weights, measure = read_fields(
         config, "distances config",
         weights=Field("list", of=Field("number", least=0)), measure=MEASURE)
@@ -184,12 +175,10 @@ def run_distances(config, out_dir, seed):
         for j in range(len(weights)):
             row.append(concepts.l1_distance(family[i], family[j], measure))
         rows.append(row)
-    _write_csv(out_dir / "distances.csv",
-               ["w"] + [_fmt(w) for w in weights], rows)
-    return ["distances.csv"]
+    return {"distances.csv": (["w", *weights], rows)}, None
 
 
-def run_gc(config, out_dir, seed):
+def run_gc(config, seed):
     get = Document(config, "gc config", ("mode", "family", "measure",
                                          "n_list", "trials", "min_weight"))
     mode = get("mode", Field(("census", "adversarial")))
@@ -218,20 +207,22 @@ def run_gc(config, out_dir, seed):
         doc, f"{mode} family under {measure!r}", families)))
     if mode == "adversarial":  # the whole run refused before any sample
         learner.check_adversarial_cells(n_list, trials)
-    rows = []
+    rows, failed = [], []
     for n in n_list:
         res = learner.gc_deviation(family, measure, n, trials=trials,
                                    seed=seed, mode=mode,
                                    min_weight=min_weight)
         rows.append([mode, res.n, res.trials, res.median, res.mean, res.max,
                      res.failed_trials, seed])
-    _write_csv(out_dir / "gc.csv",
-               ["mode", "n", "trials", "median_dev", "mean_dev", "max_dev",
-                "failed_trials", "seed"], rows)
-    return ["gc.csv"]
+        if res.failed_trials:  # adversarial searches that found no witness
+            failed.append(f"{res.failed_trials} of {trials} at n = {n}")
+    header = ["mode", "n", "trials", "median_dev", "mean_dev", "max_dev",
+              "failed_trials", "seed"]
+    stop = f"adversarial trials failed: {', '.join(failed)}"
+    return {"gc.csv": (header, rows)}, stop if failed else None
 
 
-def run_packing(config, out_dir, seed):
+def run_packing(config, seed):
     hamming, family = read_fields(
         config, "packing config",
         hamming=Field({"n": Field("int", least=1),
@@ -240,25 +231,23 @@ def run_packing(config, out_dir, seed):
                       "radius": Field("number", above=0)}, None))
     if hamming is None and family is None:
         raise ConfigError("packing config needs 'hamming' and/or 'family'")
-    outputs = []
+    outputs = {}
     if hamming is not None:
         n, eps = hamming
         bound = bounds.hamming_packing_bound(n, eps)
         words = bounds.hamming_packing(n, eps, seed=seed)
         doc = {"n": n, "eps": eps, "bound": bound, "count": len(words),
                "codewords": ["".join(str(b) for b in word) for word in words]}
-        _write_json(out_dir / "hamming_packing.json", doc)
-        outputs.append("hamming_packing.json")
+        outputs["hamming_packing.json"] = doc
     if family is not None:
         measure, members, radius = family
         result = bounds.greedy_packing(bounds.FiniteFamily(members, measure),
                                        radius)
-        _write_json(out_dir / "greedy_packing.json", result.to_json())
-        outputs.append("greedy_packing.json")
-    return outputs
+        outputs["greedy_packing.json"] = result.to_json()
+    return outputs, None
 
 
-def run_cantor(config, out_dir, seed):
+def run_cantor(config, seed):
     get = Document(config, "cantor config", ("level", "orders", "subsets"))
     level = get("level", Field("int", least=0))
     orders = get("orders", Field("list", of=Field("int", least=1)))
@@ -286,12 +275,11 @@ def run_cantor(config, out_dir, seed):
               for a in measures.cantor_level_intervals(level)]
     reports = [concepts.cantor_shatter_search(level, order, js).to_json()
                for order in orders for js in index_sets]
-    _write_json(out_dir / "cantor.json",
-                {"level": level, "intervals": layout, "reports": reports})
-    return ["cantor.json"]
+    return {"cantor.json": {"level": level, "intervals": layout,
+                            "reports": reports}}, None
 
 
-def run_figures(config, out_dir, seed):
+def run_figures(config, seed):
     alpha, w, (lo, hi), count, cantor_levels = read_fields(
         config, "figures config",
         alpha=Field("number", sontag.DEFAULT_ALPHA, least=sontag.ALPHA_MIN),
@@ -306,21 +294,17 @@ def run_figures(config, out_dir, seed):
             f"cantor_levels {cantor_levels} is beyond the cap "
             f"{measures.MAX_CANTOR_LEVELS}")
     xs = np.linspace(lo, hi, count)
-    _write_csv(out_dir / "activation.csv", ["x", "phi"],
-               zip(xs.tolist(), sontag.phi(xs, alpha).tolist()))
-    _write_csv(out_dir / "composition.csv", ["x", "rho"],
-               zip(xs.tolist(), sontag.rho(xs, w, alpha).tolist()))
     bits = sontag.output_labels(xs, w).astype(int)
-    _write_csv(out_dir / "binary_output.csv", ["x", "y"],
-               zip(xs.tolist(), bits.tolist()))
     # Int true division rounds correctly, as float(Fraction) does.
     rows = [[level, i, a / 3 ** level, (a + 1) / 3 ** level]
             for level in range(cantor_levels + 1)
             for i, a in enumerate(measures.cantor_level_intervals(level))]
-    _write_csv(out_dir / "cantor_levels.csv", ["level", "index", "lo", "hi"],
-               rows)
-    return ["activation.csv", "composition.csv", "binary_output.csv",
-            "cantor_levels.csv"]
+    return {"activation.csv": (["x", "phi"], zip(
+                xs.tolist(), sontag.phi(xs, alpha).tolist())),
+            "composition.csv": (["x", "rho"], zip(
+                xs.tolist(), sontag.rho(xs, w, alpha).tolist())),
+            "binary_output.csv": (["x", "y"], zip(xs.tolist(), bits.tolist())),
+            "cantor_levels.csv": (["level", "index", "lo", "hi"], rows)}, None
 
 
 HANDLERS = {
@@ -359,23 +343,24 @@ def main(argv=None):
 
     handler = HANDLERS[args.subcommand]
     try:
-        outputs = handler(config, out_dir, args.seed)
+        outputs, stop = handler(config, args.seed)
+        for name, doc in outputs.items():
+            _write(out_dir / name, doc)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (EnumerationCapError, PackingShortfallError) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except BudgetExceeded as exc:
-        if args.strict:
-            print(f"budget exceeded: {exc}", file=sys.stderr)
-            return EXIT_BUDGET
-        outputs = exc.outputs
     except Exception:
         traceback.print_exc()
         return EXIT_INTERNAL
-    _manifest(out_dir, args.subcommand, config, args.seed, args.strict,
-              outputs)
+    if stop is not None and args.strict:
+        print(f"budget exceeded: {stop}", file=sys.stderr)
+        return EXIT_BUDGET
+    _write(out_dir / f"{args.subcommand}_manifest.json",
+           _manifest(args.subcommand, config, args.seed, args.strict,
+                     outputs, stop))
     return EXIT_OK
 
 

@@ -216,12 +216,14 @@ def max_interval_count(n):
 def enumerate_order_class(n):
     """Lazy stream of every member of the order-n class, the unions of fewer
     than sqrt(n) grid cells of order n, smallest unions first; refuses
-    upfront when the total member count exceeds ``ENUMERATION_CAP``."""
+    upfront once its running member count passes ``ENUMERATION_CAP``."""
     most = max_interval_count(n)
-    total = sum(math.comb(n, k) for k in range(most + 1))
-    if total > ENUMERATION_CAP:
-        raise EnumerationCapError(f"order-{n} class has {total} members, "
-                                  f"beyond the cap {ENUMERATION_CAP}")
+    total = 0
+    for k in range(most + 1):
+        total += math.comb(n, k)
+        if total > ENUMERATION_CAP:
+            raise EnumerationCapError(
+                f"order-{n} class has over {ENUMERATION_CAP} members")
 
     def gen():
         for k in range(most + 1):

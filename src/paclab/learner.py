@@ -115,8 +115,8 @@ def _target_runs(universe):
         raise TypeError("universe must be a ComplexitySchedule, "
                         "ConstructedInstance or AtomicMeasure")
     if total >= 2 ** 63:
-        raise OverflowError(f"{universe!r} needs {total.bit_length()}-bit "
-                            "units, more than int64 holds")
+        raise EnumerationCapError(f"the targets need {total.bit_length()}-bit"
+                                  " units, more than int64 holds")
     values = sorted(sizes)
     return values, [sizes[u] for u in values], total
 

@@ -379,12 +379,13 @@ class Field:
             return read_fields(value, name, **kind)
         if callable(kind):
             # The one point where a nested document's own checks (its
-            # constructor's ValueError or TypeError) become config errors.
+            # constructor's ValueError or TypeError, or a Fraction string's
+            # zero denominator) become config errors.
             try:
                 return kind(value)
             except ConfigError:
                 raise
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
                 raise ConfigError(f"{name}: {exc}") from exc
         types, noun = _TYPES[kind]
         limits = [(f"{sign} {bound}", bound, test)

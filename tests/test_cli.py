@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+import signal
 import sys
 from pathlib import Path
 
@@ -33,6 +34,7 @@ def test_construct_writes_instance_profile_and_manifest(tmp_path):
     assert instance["residual"]["mass"] == 0.04
     manifest = json.loads((out / "construct_manifest.json").read_text())
     assert manifest["outputs"] == ["instance.json", "profile.json"]
+    assert manifest["stop"] is None
     assert len(manifest["config_sha256"]) == 64
     assert "threads" not in manifest
 
@@ -486,7 +488,7 @@ def test_complexity_builds_no_instance(tmp_path, monkeypatch):
 def test_invariant_violation_exit_4(tmp_path, monkeypatch):
     import paclab.cli as cli
 
-    def broken(config, out_dir, seed):
+    def broken(config, seed):
         raise AssertionError("internal invariant failed")
 
     monkeypatch.setitem(cli.HANDLERS, "figures", broken)
@@ -617,6 +619,15 @@ BAD_CONFIGS = [
     # A rate past the float range is a cap, not an internal error.
     (3, "construct", {"schedule": EXP_OVERFLOW}),
     (3, "complexity", {"schedule": EXP_OVERFLOW}),
+    # A Fraction string with a zero denominator is a config error, as an
+    # eps, a table point, a linear coefficient or a poly scale.
+    (2, "construct", schedule(eps=["1/5", "1/0", "1/125"])),
+    (2, "construct", schedule(f={"kind": "table",
+                                 "points": [[5, 6], [25, "1/0"]]},
+                              linear_coeff="1/10")),
+    (2, "construct", schedule(linear_coeff="1/0")),
+    (2, "construct", schedule(f={"kind": "poly", "degree": 2,
+                                 "scale": "1/0"})),
 ]
 
 WORK = [(sontag, "rationally_independent_points"), (sontag, "shatter_search"),
@@ -668,4 +679,89 @@ def test_internal_value_error_exits_4_with_traceback(
     assert code == 4
     err = capsys.readouterr().err
     assert "Traceback" in err and "ValueError: internal failure" in err
-    assert not (out / f"{subcommand}_manifest.json").exists()
+    assert list(out.iterdir()) == []
+
+
+# One run per stop kind: a single search and a census out of sweep budget,
+# the estimator at its sample-size cap, and adversarial searches that all
+# stop past exact indexing (as in the failed-trials test above).
+STOPS = [
+    ("shatter", {**SEARCH, "budget": 0}, ["shatter.json"],
+     "the sweep budget was exhausted"),
+    ("shatter", {"log_primes": 3, "census": True, "budget": 0},
+     ["census.json"], "some labelings exceeded the sweep budget"),
+    ("complexity", {**COMPLEXITY, "n_cap": 1},
+     ["complexity.csv", "complexity_summary.json"],
+     "the estimator hit its sample-size cap"),
+    ("gc", {"mode": "adversarial", "family": {"kind": "sontag"},
+            "measure": {"kind": "uniform", "a": 0, "b": 1e12},
+            "n_list": [8], "trials": 2, "min_weight": 1e5},
+     ["gc.csv"], "adversarial trials failed: 2 of 2 at n = 8"),
+]
+
+
+@pytest.mark.parametrize("subcommand, config, outputs, reason", STOPS,
+                         ids=["search", "census", "n_cap", "failed_trials"])
+def test_a_stop_exits_3_under_strict_and_is_named_in_the_manifest(
+        tmp_path, capsys, subcommand, config, outputs, reason):
+    # Under --strict the outputs are written and no manifest is; without
+    # it the run exits 0 with the same bytes and its manifest says why it
+    # stopped.
+    written = {}
+    for strict in (True, False):
+        (tmp_path / str(strict)).mkdir()
+        code, out = run(tmp_path / str(strict), subcommand, config,
+                        extra=("--strict",) if strict else ())
+        assert code == (3 if strict else 0)
+        written[strict] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert reason in capsys.readouterr().err
+    assert sorted(written[True]) == sorted(outputs)
+    manifest = json.loads(written[False].pop(f"{subcommand}_manifest.json"))
+    assert written[False] == written[True]
+    assert manifest["outputs"] == outputs
+    assert (manifest["stop"], manifest["strict"]) == (reason, False)
+
+
+@pytest.mark.parametrize("error, code", [(ValueError, 4),
+                                         (concepts.EnumerationCapError, 3)])
+def test_packing_failing_after_the_hamming_step_writes_no_file(
+        tmp_path, monkeypatch, error, code):
+    def broken(*args, **kwargs):
+        raise error("family step failed")
+
+    monkeypatch.setattr(bounds, "greedy_packing", broken)
+    got, out = run(tmp_path, "packing", {**HAMMING, **family()})
+    assert got == code
+    assert list(out.iterdir()) == []
+
+
+def test_units_past_int64_exit_3_before_any_draw(tmp_path, monkeypatch):
+    # eps_3 = 5e-324 gives the targets 1081-bit units.
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew past the units cap")
+
+    monkeypatch.setattr(learner, "_hitting_times", refuse)
+    code, out = run(tmp_path, "complexity",
+                    schedule(eps=["1/5", "1/25", 5e-324]))
+    assert code == 3
+    assert list(out.iterdir()) == []
+
+
+def test_order_class_past_the_cap_exits_3_at_once(tmp_path):
+    # The running member count passes the cap at two cells of order 10^30;
+    # a count of every member would take far longer than the alarm.
+    def hang(signum, frame):
+        raise TimeoutError("the order class was not refused at once")
+
+    config = {"mode": "census", "family": {"kind": "order_class",
+                                           "n": 10 ** 30},
+              "measure": UNIT, "n_list": [10], "trials": 5}
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        code, out = run(tmp_path, "gc", config)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 3
+    assert list(out.iterdir()) == []
