@@ -66,7 +66,7 @@ class FiniteFamily:
         self._total = None
         if isinstance(measure, AtomicMeasure):
             self._set_units(measure.membership_matrix(concepts),
-                            *measure._exact_units())
+                            measure.units, measure.total_units)
 
     @classmethod
     def _of_memberships(cls, members, units, total):

@@ -16,9 +16,9 @@ but no manifest; always, an enumeration cap, the instance's atom cap, which
 only ``construct`` meets, a rate beyond the float range, units past int64,
 the cantor search caps, the cantor run's cap on the grid cells its
 searches span (``concepts.MAX_CANTOR_CELLS``), the hamming packing bound's
-cap, the figures' cantor level cap, a packing shortfall or the estimator's
-cap on first draws), 4 internal error or invariant violation (traceback on
-stderr).
+cap, the figures' cantor level cap, a sign test's arcs past
+``sontag.MAX_SIGN_ARCS``, a packing shortfall or the estimator's cap on
+first draws), 4 internal error or invariant violation (traceback on stderr).
 """
 
 from __future__ import annotations
@@ -167,14 +167,11 @@ def run_shatter(config, seed):
 def run_distances(config, seed):
     weights, measure = read_fields(
         config, "distances config",
-        weights=Field("list", of=Field("number", least=0)), measure=MEASURE)
+        weights=Field("list", least=1, of=Field("number", least=0)),
+        measure=MEASURE)
     family = [concepts.SontagConcept(w) for w in weights]
-    rows = []
-    for i, wi in enumerate(weights):
-        row = [wi]
-        for j in range(len(weights)):
-            row.append(concepts.l1_distance(family[i], family[j], measure))
-        rows.append(row)
+    matrix = bounds.FiniteFamily(family, measure).distance_matrix().tolist()
+    rows = [[w, *row] for w, row in zip(weights, matrix)]
     return {"distances.csv": (["w", *weights], rows)}, None
 
 

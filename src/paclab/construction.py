@@ -16,7 +16,7 @@ telescoping identities hold exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -190,19 +190,10 @@ class ConstructedInstance:
 
     schedule: ComplexitySchedule
     locations: tuple
-    _measure: AtomicMeasure | None = field(default=None, init=False,
-                                           repr=False, compare=False)
 
     def measure(self):
-        """The instance as an atomic measure with exact masses, built on
-        the first call and shared after it."""
-        if self._measure is None:
-            runs = self.schedule.runs()
-            masses = np.repeat([float(exact) for _, exact in runs],
-                               [count for count, _ in runs])
-            object.__setattr__(self, "_measure", AtomicMeasure(
-                self.locations, masses, runs))
-        return self._measure
+        """The instance as an atomic measure with exact masses."""
+        return AtomicMeasure(self.locations, self.schedule.runs())
 
     def to_json(self):
         """Each level's index, size, float mass and locations, then the

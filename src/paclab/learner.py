@@ -109,7 +109,7 @@ def _target_runs(universe):
         for (count, _), u in zip(runs[:-1], units.tolist()):
             sizes[u] += count
     elif isinstance(universe, AtomicMeasure):
-        units, total = universe._exact_units()
+        units, total = universe.units, universe.total_units
         sizes.update(units.tolist())
     else:
         raise TypeError("universe must be a ComplexitySchedule, "
@@ -316,7 +316,7 @@ def _atomic_census(memberships, measure, n, trials, seed):
     # vector per trial gives every concept's empirical mean at once: its
     # counts are multinomial, the atoms' exact masses rounded once.
     true_means = measure.mass(memberships)
-    p = _unit_floats(*measure._exact_units())
+    p = _unit_floats(measure.units, measure.total_units)
     devs = []
     for t in range(trials):
         counts = np.random.default_rng([seed, t]).multinomial(n, p)

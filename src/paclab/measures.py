@@ -1,12 +1,13 @@
 """Probability measures on the real line with seeded sampling and indicator
 expectations.
 
-Concrete kinds: purely atomic, uniform on an interval, and the ternary-set
-Haar measure.  Expectations of concept indicators are exact: the units of
-the atoms ``AtomicMeasure.membership_matrix`` flags, summed and rounded
-once by ``AtomicMeasure.mass``, or arithmetic on the concept's interval
-form under the uniform and ternary measures.  A concept without an
-interval form is refused there (``AttributeError``), never approximated.
+Concrete kinds: purely atomic, built from its exact masses in runs of
+equal masses, uniform on an interval, and the ternary-set Haar measure.
+Expectations of concept indicators are exact: the units of the atoms
+``AtomicMeasure.membership_matrix`` flags, summed and rounded once by
+``AtomicMeasure.mass``, or arithmetic on the concept's interval form under
+the uniform and ternary measures.  A concept without an interval form is
+refused there (``AttributeError``), never approximated.
 
 All measure values are immutable after construction.  Sampling takes an
 explicit seed (anything ``numpy.random.default_rng`` accepts), so parallel
@@ -86,30 +87,30 @@ class Atom:
 
 
 class AtomicMeasure:
-    """A purely atomic probability measure: finitely many point masses.
+    """A purely atomic probability measure, built from its exact masses:
+    ``runs`` lists them as (count, Fraction) pairs, one per run of equal
+    masses over the locations in the order given.
 
-    Stored as float arrays: ``locations`` strictly increasing, ``masses``
-    summing to 1 within ``MASS_TOLERANCE``.  ``runs`` lists the exact
-    masses as (count, Fraction) pairs, one per run of equal masses in the
-    order given; without it each mass is read as the decimal it prints as.
+    Stored in location order: ``locations`` strictly increasing floats,
+    ``masses`` each exact mass rounded once, summing to 1 within
+    ``MASS_TOLERANCE``, and read-only integer ``units``, built once: atom i
+    weighs units[i] / U, U the Python int ``total_units``.
     """
 
     kind = "atomic"
 
-    def __init__(self, locations, masses, runs=None):
+    def __init__(self, locations, runs):
         locations = np.array(locations, dtype=float)
-        masses = np.array(masses, dtype=float)
-        if not len(locations) or masses.shape != locations.shape:
+        counts = [count for count, _ in runs]
+        if not len(locations) or sum(counts) != len(locations):
             raise ValueError("an atomic measure needs at least one atom and "
                              "one mass per location")
+        masses = np.repeat([float(f) for _, f in runs], counts)
         if not np.all(ok := (masses > 0.0) & (masses <= 1.0)):
             raise ValueError(f"atom mass must lie in (0, 1], got "
                              f"{masses[~ok][0]}")
         if not np.isfinite(locations).all():
             raise ValueError("atom locations must be finite")
-        if runs is not None and not np.array_equal(masses, np.repeat(
-                [float(f) for _, f in runs], [count for count, _ in runs])):
-            raise ValueError("the runs' exact masses do not round to masses")
         order = np.argsort(locations, kind="stable")
         self.locations, self.masses = locations[order], masses[order]
         if np.any(np.diff(self.locations) <= 0.0):
@@ -117,19 +118,22 @@ class AtomicMeasure:
         total = math.fsum(self.masses.tolist())
         if abs(total - 1.0) > MASS_TOLERANCE:
             raise ValueError(f"atom masses sum to {total!r}, expected 1")
-        self._runs = order, runs
-        self._unit_cache = None
+        units, self.total_units = _run_units(runs)
+        self.units = np.repeat(units, counts)[order]
+        self.units.flags.writeable = False
 
     @classmethod
     def from_pairs(cls, pairs):
-        pairs = np.array([(float(loc), float(mass)) for loc, mass in pairs])
-        return cls(*pairs.reshape(-1, 2).T)
+        """One atom per (location, mass), the mass read as its decimal."""
+        pairs = [(float(loc), float(mass)) for loc, mass in pairs]
+        return cls([loc for loc, _ in pairs],
+                   [(1, _as_fraction(mass)) for _, mass in pairs])
 
     @classmethod
     def uniform_on(cls, locations):
-        n = len(locations := np.array(locations, dtype=float))
+        n = len(locations)
         # No atoms (n = 0) are refused by the constructor.
-        return cls(locations, np.full(n, 1.0) / n, [(n, Fraction(1, n or 1))])
+        return cls(locations, [(n, Fraction(1, n or 1))])
 
     @property
     def atoms(self):
@@ -145,35 +149,6 @@ class AtomicMeasure:
     def sample(self, n, seed=0):
         rng = np.random.default_rng(seed)
         return self.locations[rng.choice(len(self), int(n), p=self.masses)]
-
-    def units(self):
-        """The exact masses in integer units: (int64 per-atom units, their
-        Python-int total U), atom i weighing units[i] / U.
-
-        Built once per run of equal exact masses by ``_run_units``.  A
-        measure whose units do not fit int64 raises ``OverflowError``;
-        there is no float fallback.
-        """
-        units, total = self._exact_units()
-        if total >= 2 ** 63:
-            raise OverflowError(
-                f"the exact masses of {self!r} need {total.bit_length()}"
-                "-bit units, more than int64 holds")
-        return units.astype(np.int64), total
-
-    def _exact_units(self):
-        # The units of ``units()`` and U, built once, read-only, in the
-        # dtype of ``_run_units``; no size check.
-        if self._unit_cache is None:
-            order, runs = self._runs
-            if runs is None:  # one run per atom, already in atom order
-                order, runs = slice(None), [(1, _as_fraction(m))
-                                            for m in self.masses.tolist()]
-            units, total = _run_units(runs)
-            units = np.repeat(units, [count for count, _ in runs])[order]
-            units.flags.writeable = False
-            self._unit_cache = units, total
-        return self._unit_cache
 
     def membership_matrix(self, concepts):
         """One row of bools per concept, atoms in atom order: does the
@@ -200,8 +175,8 @@ class AtomicMeasure:
         once, ``float(Fraction(d, U))``, so atomic expectations, distances
         and family geometry agree bit for bit.
         """
-        units, total = self._exact_units()
-        rounded = _unit_floats(np.asarray(selected, dtype=bool) @ units, total)
+        rounded = _unit_floats(np.asarray(selected, dtype=bool) @ self.units,
+                               self.total_units)
         return rounded if rounded.ndim else float(rounded)
 
     def expect_indicator(self, concept):

@@ -223,15 +223,25 @@ def test_census_above_the_cap_exits_3_before_generating_primes(
 
 
 def test_strict_budget_exit_3(tmp_path):
-    code, out = run(tmp_path, "shatter",
-                    {"points": [1.0, math.sqrt(2.0)], "labels": [1, 0],
-                     "w_max": 1e9, "budget": 10},
+    # A sweep of 6 breakpoints stops short of the witness for [1, sqrt 2,
+    # sqrt 3] labeled [0, 1, 0]; a sweep of 7 reaches it.
+    config = {"points": [1.0, math.sqrt(2.0), math.sqrt(3.0)],
+              "labels": [0, 1, 0], "w_max": 1e9}
+    (tmp_path / "6").mkdir()
+    code, out = run(tmp_path / "6", "shatter", {**config, "budget": 6},
                     extra=("--strict",))
     doc = json.loads((out / "shatter.json").read_text())
-    if doc["status"] == "budget_exceeded":
-        assert code == 3
-    else:
-        assert code == 0
+    assert code == 3
+    assert doc["status"] == "budget_exceeded"
+    assert doc["range_searched"] == [0, 4.534498410585544]
+    assert not (out / "shatter_manifest.json").exists()
+    (tmp_path / "7").mkdir()
+    code, out = run(tmp_path / "7", "shatter", {**config, "budget": 7},
+                    extra=("--strict",))
+    doc = json.loads((out / "shatter.json").read_text())
+    assert code == 0
+    assert doc["witness_w"] == 4.623443695485117
+    assert (out / "shatter_manifest.json").exists()
 
 
 def test_distances_matrix(tmp_path):
@@ -296,8 +306,7 @@ def test_packing_past_int64_units_is_exact(tmp_path):
     small = [1.2345678901234567e-5, 7.654321098765432e-06]
     measure = {"kind": "atomic",
                "atoms": [[0.0, small[0]], [1.0, small[1]], [2.0, 0.99998]]}
-    with pytest.raises(OverflowError):
-        measures.measure_from_json(measure).units()
+    assert measures.measure_from_json(measure).total_units.bit_length() == 67
     assert small[0] + small[1] < 2e-05
 
     def labels(*bits):
@@ -628,6 +637,8 @@ BAD_CONFIGS = [
     (2, "construct", schedule(linear_coeff="1/0")),
     (2, "construct", schedule(f={"kind": "poly", "degree": 2,
                                  "scale": "1/0"})),
+    # An empty distance matrix: the family of no concepts is refused.
+    (2, "distances", {"weights": [], "measure": UNIT}),
 ]
 
 WORK = [(sontag, "rationally_independent_points"), (sontag, "shatter_search"),
@@ -635,7 +646,7 @@ WORK = [(sontag, "rationally_independent_points"), (sontag, "shatter_search"),
         (sontag, "phi"),
         (learner, "estimate_sample_complexity"), (learner, "gc_deviation"),
         (bounds, "hamming_packing"), (bounds, "greedy_packing"),
-        (concepts, "l1_distance"), (concepts, "cantor_shatter_search"),
+        (bounds, "FiniteFamily"), (concepts, "cantor_shatter_search"),
         (measures, "cantor_level_intervals")]
 
 
@@ -657,8 +668,8 @@ INTERNAL = [
      "theoretical_profile"),
     ("complexity", COMPLEXITY, learner, "estimate_sample_complexity"),
     ("shatter", SEARCH, sontag, "shatter_search"),
-    ("distances", {"weights": [2, 4], "measure": UNIT}, concepts,
-     "l1_distance"),
+    ("distances", {"weights": [2, 4], "measure": UNIT}, bounds,
+     "FiniteFamily"),
     ("gc", ADVERSARIAL, learner, "gc_deviation"),
     ("packing", HAMMING, bounds, "hamming_packing"),
     ("cantor", {"level": 1, "orders": [5], "subsets": [[1]]}, concepts,
@@ -747,21 +758,48 @@ def test_units_past_int64_exit_3_before_any_draw(tmp_path, monkeypatch):
     assert list(out.iterdir()) == []
 
 
-def test_order_class_past_the_cap_exits_3_at_once(tmp_path):
-    # The running member count passes the cap at two cells of order 10^30;
-    # a count of every member would take far longer than the alarm.
+def run_within(seconds, tmp_path, subcommand, config):
+    # ``run`` under an alarm: a run still going after ``seconds`` raises
+    # TimeoutError inside ``main``, which exits 4 on it.
     def hang(signum, frame):
-        raise TimeoutError("the order class was not refused at once")
+        raise TimeoutError(f"{subcommand} ran past {seconds} s")
 
-    config = {"mode": "census", "family": {"kind": "order_class",
-                                           "n": 10 ** 30},
-              "measure": UNIT, "n_list": [10], "trials": 5}
     previous = signal.signal(signal.SIGALRM, hang)
-    signal.alarm(5)
+    signal.alarm(seconds)
     try:
-        code, out = run(tmp_path, "gc", config)
+        return run(tmp_path, subcommand, config)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+ARC_CAP_CASES = [
+    ("edge", [sontag.MAX_SIGN_ARCS], CIRCLE, 0, 30),
+    ("edge + 1", [sontag.MAX_SIGN_ARCS + 1], CIRCLE, 3, 5),
+    ("1e308", [1e308, 2], CIRCLE, 3, 5),
+    ("cantor 1e9", [1e9, 2], {"kind": "cantor"}, 3, 5),
+]
+
+
+@pytest.mark.parametrize("weights, measure, expected, seconds",
+                         [case[1:] for case in ARC_CAP_CASES],
+                         ids=[case[0] for case in ARC_CAP_CASES])
+def test_sign_concept_arcs_are_capped(tmp_path, weights, measure, expected,
+                                      seconds):
+    # Past MAX_SIGN_ARCS periods in the window the run is refused before
+    # any arc is built; at the edge it runs to the end.
+    code, out = run_within(seconds, tmp_path, "distances",
+                           {"weights": weights, "measure": measure})
+    assert code == expected
+    assert (out / "distances.csv").exists() == (expected == 0)
+
+
+def test_order_class_past_the_cap_exits_3_at_once(tmp_path):
+    # The running member count passes the cap at two cells of order 10^30;
+    # a count of every member would take far longer than the alarm.
+    config = {"mode": "census", "family": {"kind": "order_class",
+                                           "n": 10 ** 30},
+              "measure": UNIT, "n_list": [10], "trials": 5}
+    code, out = run_within(5, tmp_path, "gc", config)
     assert code == 3
     assert list(out.iterdir()) == []

@@ -131,13 +131,12 @@ def test_mass_telescoping_is_exact():
         assert total_levels + residual == 1
 
 
-def test_instance_measure_is_built_once_with_exact_units():
+def test_instance_measure_carries_the_exact_units():
     inst = build_measure(ComplexitySchedule.default())
     measure = inst.measure()
-    assert inst.measure() is measure
     assert inst == build_measure(ComplexitySchedule.default())
     assert hash(inst) == hash(build_measure(ComplexitySchedule.default()))
-    units, total = measure.units()
+    units, total = measure.units, measure.total_units
     assert total == 3750  # K=2 masses are multiples of 1/3,750
     exact = [f for count, f in inst.schedule.runs() for _ in range(count)]
     assert len(inst.locations) == len(exact) == 626
@@ -169,8 +168,8 @@ def test_measure_build_matches_the_atom_by_atom_oracle(K):
     masses = np.array([a.mass for a in atoms])
     assert measure.locations.tobytes() == locations.tobytes()
     assert measure.masses.tobytes() == masses.tobytes()
-    units, total = measure.units()
-    assert units.tolist() == nums and total == sum(nums)
+    assert measure.units.tolist() == nums
+    assert measure.total_units == sum(nums)
     assert measure.atoms == atoms
 
 

@@ -99,7 +99,7 @@ def test_vectorized_episodes_match_erm_learn():
     inst = small_instance(K=1, degree=1)
     measure = inst.measure()
     free = len(inst.locations) - 1  # all but the residual atom
-    units, total = measure.units()
+    units, total = measure.units.astype(np.int64), measure.total_units
     rng = np.random.default_rng(99)
     for _ in range(64):
         bits = np.zeros(len(measure), dtype=bool)
@@ -121,12 +121,13 @@ def test_vectorized_episodes_match_erm_learn():
 def _runs(measure, free):
     # The free atoms' runs of equal units as the estimator reads them:
     # (units of one atom, atom count) per run, units increasing.
-    return np.unique(measure.units()[0][:free], return_counts=True)
+    return np.unique(measure.units[:free].astype(np.int64),
+                     return_counts=True)
 
 
 def _target(measure, free):
     # The runs of the first `free` atoms and U, as _hitting_times takes them.
-    return (*_runs(measure, free), measure.units()[1])
+    return (*_runs(measure, free), measure.total_units)
 
 
 # Schedules whose runs the estimator reads without atoms: poly, exp, and
@@ -244,7 +245,7 @@ def test_starting_error_matches_brute_force(monkeypatch, case, draws):
     from paclab import learner
     monkeypatch.setattr(learner, "_EPISODE_DRAWS", draws)
     measure, free, run_count = _starting_error_measure(case)
-    total = measure.units()[1]
+    total = measure.total_units
     values, sizes = _runs(measure, free)
     assert len(values) == run_count
     trials, seed = 300, 11
@@ -419,7 +420,7 @@ def test_hitting_times_match_sequential_fractions(cuts, picks, trials, seed):
     edges = [0, *sorted(cuts), 100]
     weights = [b - a for a, b in zip(edges, edges[1:])]
     measure = AtomicMeasure.from_pairs(enumerate(w / 100 for w in weights))
-    free, total = len(weights), measure.units()[1]
+    free, total = len(weights), measure.total_units
     values = _runs(measure, free)[0]
     counts = _starting_counts(measure, free, trials, seed)
     ladder = np.array([_hitting_times(_target(measure, free),

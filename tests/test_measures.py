@@ -67,22 +67,22 @@ def test_atomic_masses_sum_to_one(size, seed):
 
 def test_run_path_validations():
     half = Fraction(1, 2)
-    m = AtomicMeasure([1.0, 0.0], [0.5, 0.5], [(2, half)])
+    m = AtomicMeasure([1.0, 0.0], [(2, half)])
     assert m.locations.tolist() == [0.0, 1.0]
+    with pytest.raises(ValueError, match="one mass per location"):
+        AtomicMeasure([0.0, 1.0], [(1, half)])  # too few atoms
     with pytest.raises(ValueError, match="pairwise distinct"):
-        AtomicMeasure([2.0, 2.0], [0.5, 0.5], [(2, half)])
+        AtomicMeasure([2.0, 2.0], [(2, half)])
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
-            AtomicMeasure([0.0, bad], [0.5, 0.5], [(2, half)])
+            AtomicMeasure([0.0, bad], [(2, half)])
     heavy = 0.5 + 2e-12  # its exact value rounds to it, but the sum is off
     with pytest.raises(ValueError, match="sum to"):
-        AtomicMeasure([0.0, 1.0], [0.5, heavy],
-                      [(1, half), (1, Fraction(heavy))])
+        AtomicMeasure([0.0, 1.0], [(1, half), (1, Fraction(heavy))])
     light = 0.5 + 5e-13  # off by less than MASS_TOLERANCE
-    AtomicMeasure([0.0, 1.0], [0.5, light],
-                  [(1, half), (1, Fraction(light))])
+    AtomicMeasure([0.0, 1.0], [(1, half), (1, Fraction(light))])
     with pytest.raises(ValueError, match=r"\(0, 1\]"):
-        AtomicMeasure([0.0, 1.0], [0.0, 1.0])
+        AtomicMeasure([0.0, 1.0], [(1, Fraction(0)), (1, Fraction(1))])
 
 
 def test_uniform_measure_rejects_empty_interval():
@@ -103,33 +103,18 @@ def test_single_atom_sampling_is_constant():
 def test_units_are_the_exact_masses():
     # Decimal literals are read exactly, over one common denominator.
     m = AtomicMeasure.from_pairs([(0.0, 0.1), (1.0, 0.2), (2.0, 0.7)])
-    units, total = m.units()
-    assert units.dtype == np.int64
-    assert units.tolist() == [1, 2, 7] and total == 10
+    assert m.units.dtype == float and not m.units.flags.writeable
+    assert m.units.tolist() == [1, 2, 7] and m.total_units == 10
+    assert type(m.total_units) is int
     # uniform_on carries 1/n, though the float 1/3 reads 0.3333333333333333.
-    units, total = AtomicMeasure.uniform_on([0.0, 1.0, 2.0]).units()
-    assert units.tolist() == [1, 1, 1] and total == 3
-    # Runs follow the atoms as given, before the sort by location.
+    m = AtomicMeasure.uniform_on([0.0, 1.0, 2.0])
+    assert m.units.tolist() == [1, 1, 1] and m.total_units == 3
+    # Runs follow the atoms as given, before the sort by location, and
+    # masses are the exact masses rounded once.
     exact = [Fraction(3, 7), Fraction(4, 7)]
-    m = AtomicMeasure([1.0, 0.0], [float(exact[1]), float(exact[0])],
-                      [(1, exact[1]), (1, exact[0])])
-    assert m.units()[0].tolist() == [3, 4]
+    m = AtomicMeasure([1.0, 0.0], [(1, exact[1]), (1, exact[0])])
+    assert m.units.tolist() == [3, 4]
     assert m.masses.tolist() == [float(f) for f in exact]
-
-
-def test_units_that_overflow_int64_raise():
-    m = AtomicMeasure.from_pairs([(0.0, 0.5), (1.0, 0.5), (2.0, 1e-300)])
-    with pytest.raises(OverflowError, match="int64"):
-        m.units()
-
-
-def test_atom_exact_mass_must_round_to_its_float():
-    third = [(3, Fraction(1, 3))]
-    AtomicMeasure([0.0, 1.0, 2.0], [1 / 3] * 3, third)
-    with pytest.raises(ValueError, match="do not round"):
-        AtomicMeasure([0.0, 1.0, 2.0], [0.3, 0.3, 0.4], third)
-    with pytest.raises(ValueError, match="do not round"):  # too few atoms
-        AtomicMeasure([0.0, 1.0], [0.5, 0.5], [(1, Fraction(1, 2))])
 
 
 def test_sampling_is_reproducible_and_seed_sensitive():
@@ -227,7 +212,7 @@ def test_atomic_expectation_matches_brute_force(size, seed):
 
 
 # Totals U of the exact units: floats hold the family's sums below 2**52,
-# int64 below 2**62, Python ints above; units() refuses U from 2**63.
+# int64 below 2**62, Python ints above.
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 @pytest.mark.parametrize("lo, hi", [(3, 52), (52, 62), (62, 63), (63, 90)])
@@ -242,8 +227,7 @@ def test_atomic_mass_paths_agree_bit_for_bit(lo, hi, data):
     ends = [0, *sorted(cuts), total]
     units = [b - a for a, b in zip(ends, ends[1:])]
     exact = [Fraction(u, total) for u in units]
-    m = AtomicMeasure(np.arange(size) / 2, [float(f) for f in exact],
-                      [(1, f) for f in exact])
+    m = AtomicMeasure(np.arange(size) / 2, [(1, f) for f in exact])
     rows = data.draw(st.lists(st.lists(st.booleans(), min_size=size,
                                        max_size=size), min_size=1,
                               max_size=6), label="labelings")
@@ -260,11 +244,8 @@ def test_atomic_mass_paths_agree_bit_for_bit(lo, hi, data):
                  if x != y), Fraction(0)))
     assert m.mass(members).tolist() == [expect_indicator(m, c) for c in family]
     common = math.gcd(*units)
-    if total // common >= 2 ** 63:
-        with pytest.raises(OverflowError):
-            m.units()
-    else:
-        assert m.units()[0].tolist() == [u // common for u in units]
+    assert m.units.tolist() == [u // common for u in units]
+    assert m.total_units == total // common
 
 
 class _NumpyBoolHalfline(_Halfline):
