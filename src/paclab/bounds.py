@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
-from .concepts import ENUMERATION_CAP, EnumerationCapError, l1_distance
-from .measures import AtomicMeasure, _as_fraction, _unit_floats
+from .concepts import ENUMERATION_CAP, l1_distance
+from .measures import AtomicMeasure, _as_fraction, _unit_floats, check_cap
 
 HAMMING_RESTARTS = 50
 # Candidates per block of ``greedy_packing``.  Blocks double from the first
@@ -53,8 +54,9 @@ class FiniteFamily:
     m and the sizes s = m @ u, built once per family, in the dtype of the
     measure's exact units, so units past int64 are served too.  Radii are
     read as the decimal literal they print as, and ``distance_matrix``
-    rounds each d / U once.  Under any other measure a distance is the
-    ``l1_distance`` of the pair.
+    rounds each d / U once.  Under any other measure the distances are one
+    read-only float matrix, built once: the ``l1_distance`` of each pair
+    of members, and zeros on the diagonal.
     """
 
     def __init__(self, concepts, measure):
@@ -67,6 +69,12 @@ class FiniteFamily:
         if isinstance(measure, AtomicMeasure):
             self._set_units(measure.membership_matrix(concepts),
                             measure.units, measure.total_units)
+            return
+        self._matrix = np.zeros((len(concepts), len(concepts)))
+        for i, j in combinations(range(len(concepts)), 2):
+            self._matrix[i, j] = self._matrix[j, i] = l1_distance(
+                concepts[i], concepts[j], measure)
+        self._matrix.flags.writeable = False
 
     @classmethod
     def _of_memberships(cls, members, units, total):
@@ -102,20 +110,16 @@ class FiniteFamily:
         # Members ``rows`` against members ``cols``: units, or floats
         # under a non-atomic measure.
         if self._total is None:
-            rows, cols = (np.arange(len(self))[x] for x in (rows, cols))
-            return np.array([[l1_distance(self.concepts[i], self.concepts[j],
-                                          self.measure) for j in cols]
-                             for i in rows], dtype=float).reshape(
-                                 len(rows), len(cols))
+            return self._matrix[rows][:, cols]
         left = self._rows[rows][:, self._swap] * self._scale
         return left @ self._rows[cols].T
 
     def _distances_from(self):
-        # A function from member i to its distances to every member: under
-        # an atomic measure the swapped, scaled rows are built once, and
-        # each call is one row-by-matrix product.
+        # A function from member i to its distances to every member: a row
+        # of the matrix, or under an atomic measure one row-by-matrix
+        # product of the swapped, scaled rows, built once.
         if self._total is None:
-            return lambda i: self._distances([i], slice(None))[0]
+            return self._matrix.__getitem__
         left, right = self._rows[:, self._swap] * self._scale, self._rows.T
         return lambda i: left[i] @ right
 
@@ -253,19 +257,18 @@ def bi_lower(eps, family):
 
 def hamming_packing_bound(n, eps):
     """Guaranteed packing size in the n-cube: ceil(exp(2 (0.5-2 eps)^2 n)),
-    refused by its exponent before ``exp`` when beyond ``ENUMERATION_CAP``,
-    and when bound * bound * n, the greedy's bit comparisons, is."""
+    refused when beyond ``ENUMERATION_CAP`` (inf past the float range), and
+    when bound * bound * n, the greedy's bit comparisons, is."""
     if not 0 < eps <= 0.25:
         raise ValueError("eps must lie in (0, 1/4]")
     exponent = 2.0 * (0.5 - 2.0 * eps) ** 2 * n
-    if exponent > math.log(ENUMERATION_CAP):
-        raise EnumerationCapError(f"a packing of exp({exponent:.6g}) codewords"
-                                  f" exceeds the cap {ENUMERATION_CAP}")
+    with np.errstate(over="ignore"):
+        codewords = float(np.exp(exponent))
+    check_cap(f"hamming codewords of length {n} at eps {eps}, "
+              f"exp({exponent:.6g})", codewords, ENUMERATION_CAP)
     bound = math.ceil(math.exp(exponent))
-    if bound * bound * n > ENUMERATION_CAP:
-        raise EnumerationCapError(f"{bound} codewords of length {n} take "
-                                  f"{bound * bound * n:.3g} comparisons, "
-                                  f"beyond the cap {ENUMERATION_CAP}")
+    check_cap(f"bit comparisons of {bound} hamming codewords of length {n}",
+              bound * bound * n, ENUMERATION_CAP)
     return bound
 
 

@@ -12,13 +12,9 @@ reproduces byte-identical CSVs.
 Exit codes: 0 ok, 2 config error (a schedule leaving a level without atoms
 among them), 3 budget exceeded (with --strict, a stop: a search budget, the
 sample-size cap or a failed adversarial trial, whose outputs are written
-but no manifest; always, an enumeration cap, the instance's atom cap, which
-only ``construct`` meets, a rate beyond the float range, units past int64,
-the cantor search caps, the cantor run's cap on the grid cells its
-searches span (``concepts.MAX_CANTOR_CELLS``), the hamming packing bound's
-cap, the figures' cantor level cap, a sign test's arcs past
-``sontag.MAX_SIGN_ARCS``, a packing shortfall or the estimator's cap on
-first draws), 4 internal error or invariant violation (traceback on stderr).
+but no manifest; always, a packing shortfall, a rate beyond the float range
+or an input past a cap, ``measures.check_cap``: README "Caps" lists them),
+4 internal error or invariant violation (traceback on stderr).
 """
 
 from __future__ import annotations
@@ -37,8 +33,8 @@ import numpy as np
 
 from . import __version__, bounds, concepts, construction, learner, measures, sontag
 from .bounds import PackingShortfallError
-from .concepts import EnumerationCapError
-from .measures import ConfigError, Document, Field, read_fields, read_kind
+from .measures import (ConfigError, Document, EnumerationCapError, Field,
+                       check_cap, read_fields, read_kind)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -146,11 +142,9 @@ def run_shatter(config, seed):
         points = get("points", Field("list", least=least, most=most,
                                      of=Field("number"), distinct=True))
         count = len(points)
-    # More census points than MAX_CENSUS_POINTS, listed or as log_primes,
-    # is an enumeration cap, met before any prime or sweep.
-    if census and count > sontag.MAX_CENSUS_POINTS:
-        raise EnumerationCapError(f"census of {count} > "
-                                  f"{sontag.MAX_CENSUS_POINTS} points")
+    # The census cap, on points listed or as log_primes, before any prime.
+    if census:
+        check_cap("census points", count, sontag.MAX_CENSUS_POINTS)
     if "log_primes" in config:
         points = sontag.rationally_independent_points(count)
     if census:
@@ -250,21 +244,16 @@ def run_cantor(config, seed):
     orders = get("orders", Field("list", of=Field("int", least=1)))
     # The search caps, met before any layout, bound it too: at the level
     # cap "all" is 2^16 subsets.
-    if (level > concepts.MAX_SHATTER_LEVEL
-            or max(orders, default=1) > concepts.MAX_SHATTER_ORDER):
-        raise EnumerationCapError(
-            f"cantor level {level} or an order in {orders} is beyond the "
-            f"search caps (level <= {concepts.MAX_SHATTER_LEVEL}, "
-            f"order <= {concepts.MAX_SHATTER_ORDER})")
+    check_cap("cantor search level", level, concepts.MAX_SHATTER_LEVEL)
+    check_cap("cantor search order", max(orders, default=1),
+              concepts.MAX_SHATTER_ORDER)
     all_subsets = config.get("subsets", "all") == "all"
     index_sets = None if all_subsets else get("subsets", Field("list", of=Field(
         "list", of=Field("int", least=1, most=2 ** level))))
     # Each search counts its order plus 64 cells for its fixed cost.
     cells = ((2 ** 2 ** level if all_subsets else len(index_sets))
              * sum(order + 64 for order in orders))
-    if cells > concepts.MAX_CANTOR_CELLS:
-        raise EnumerationCapError(f"cantor run spans {cells} grid cells, "
-                                  f"beyond {concepts.MAX_CANTOR_CELLS}")
+    check_cap("cantor run grid cells", cells, concepts.MAX_CANTOR_CELLS)
     if all_subsets:
         index_sets = [[j + 1 for j in range(2 ** level) if (mask >> j) & 1]
                       for mask in range(2 ** (2 ** level))]
@@ -286,10 +275,7 @@ def run_figures(config, seed):
         points=Field("int", 2001, least=0),
         cantor_levels=Field("int", 3, least=0))
     # Level L alone lists 2^L intervals.
-    if cantor_levels > measures.MAX_CANTOR_LEVELS:
-        raise EnumerationCapError(
-            f"cantor_levels {cantor_levels} is beyond the cap "
-            f"{measures.MAX_CANTOR_LEVELS}")
+    check_cap("cantor_levels", cantor_levels, measures.MAX_CANTOR_LEVELS)
     xs = np.linspace(lo, hi, count)
     bits = sontag.output_labels(xs, w).astype(int)
     # Int true division rounds correctly, as float(Fraction) does.

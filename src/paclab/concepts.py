@@ -29,7 +29,8 @@ from .intervals import (canonicalize, contains_many, contains_point, intersect,
                         total_length)
 from .measures import (AtomicMeasure, CantorMeasure, EnumerationCapError,
                        Field, cantor_interval_mass, cantor_level_intervals,
-                       expect_indicator, read_kind, window_intervals)
+                       check_cap, expect_indicator, read_kind,
+                       window_intervals)
 
 ENUMERATION_CAP = 10 ** 7
 MAX_SHATTER_LEVEL = 4
@@ -49,7 +50,7 @@ class SontagConcept:
         sontag.SontagParams(self.w)
 
     def contains(self, x):
-        return bool(sontag.rho(x, self.w) >= 0.0)
+        return bool(sontag.output_labels(x, self.w))
 
     def contains_many(self, xs):
         return sontag.output_labels(xs, self.w)
@@ -123,7 +124,8 @@ class GridUnion(IntervalUnion):
 
 @dataclass(frozen=True)
 class AtomLabeling:
-    """A bit per atom of a referenced atomic measure, plus an off-atom default."""
+    """A bit per atom of a referenced atomic measure, at distinct locations,
+    plus an off-atom default."""
 
     locations: tuple
     bits: tuple
@@ -137,10 +139,12 @@ class AtomLabeling:
             raise ValueError("one bit per atom location is required")
         if any(b not in (0, 1) for b in bits) or self.default_bit not in (0, 1):
             raise ValueError("bits must be 0 or 1")
+        index = dict(zip(locations, bits))
+        if len(index) < len(locations):
+            raise ValueError("atom locations must be pairwise distinct")
         object.__setattr__(self, "locations", locations)
         object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "_index",
-                           {loc: bit for loc, bit in zip(locations, bits)})
+        object.__setattr__(self, "_index", index)
 
     @classmethod
     def for_measure(cls, measure, bits, default_bit=0):
@@ -178,9 +182,10 @@ def l1_distance(c1, c2, measure):
 
     Exact on atomic measures, and exact interval/arc arithmetic on the
     concepts' interval forms under the ternary and uniform measures.  Under
-    the uniform measure a sign-test concept against any other concept is
-    measured in closed form, so the distance agrees with
-    ``expect_indicator`` of either.
+    the uniform measure a sign-test concept against a concept of another
+    kind is measured in closed form from the other's interval form alone,
+    so the distance agrees with ``expect_indicator`` of either and builds
+    no arc of the sign test.
     """
     if isinstance(measure, AtomicMeasure):
         first, second = measure.membership_matrix((c1, c2))
@@ -190,13 +195,12 @@ def l1_distance(c1, c2, measure):
         return (cantor_interval_mass(iv1) + cantor_interval_mass(iv2)
                 - 2.0 * cantor_interval_mass(intersect(iv1, iv2)))
     lo, hi = measure.a, measure.b
+    closed1, closed2 = (hasattr(c, "uniform_mass") for c in (c1, c2))
+    if closed1 != closed2:
+        sign, other = (c1, c2) if closed1 else (c2, c1)
+        return _uniform_mixed_distance(sign, other,
+                                       window_intervals(other, lo, hi), measure)
     iv1, iv2 = (window_intervals(c, lo, hi) for c in (c1, c2))
-    closed1 = hasattr(c1, "uniform_mass")
-    closed2 = hasattr(c2, "uniform_mass")
-    if closed1 and not closed2:
-        return _uniform_mixed_distance(c1, c2, iv2, measure)
-    if closed2 and not closed1:
-        return _uniform_mixed_distance(c2, c1, iv1, measure)
     return (float(total_length(iv1)) + float(total_length(iv2))
             - 2.0 * float(total_length(intersect(iv1, iv2)))) / (hi - lo)
 
@@ -221,9 +225,7 @@ def enumerate_order_class(n):
     total = 0
     for k in range(most + 1):
         total += math.comb(n, k)
-        if total > ENUMERATION_CAP:
-            raise EnumerationCapError(
-                f"order-{n} class has over {ENUMERATION_CAP} members")
+        check_cap(f"members of the order-{n} class", total, ENUMERATION_CAP)
 
     def gen():
         for k in range(most + 1):
@@ -304,10 +306,8 @@ def cantor_shatter_search(level, order, selected):
     selected = tuple(sorted(set(int(j) for j in selected)))
     if level < 0 or order < 1:
         raise ValueError("level must be >= 0 and order >= 1")
-    if level > MAX_SHATTER_LEVEL or order > MAX_SHATTER_ORDER:
-        raise EnumerationCapError(
-            f"cantor search at level {level}, order {order} is beyond the "
-            f"caps (level <= {MAX_SHATTER_LEVEL}, order <= {MAX_SHATTER_ORDER})")
+    check_cap("cantor search level", level, MAX_SHATTER_LEVEL)
+    check_cap("cantor search order", order, MAX_SHATTER_ORDER)
     if any(not 1 <= j <= 2 ** level for j in selected):
         raise ValueError("selected indices must lie in 1..2^level")
     # Level interval a is [a, a + 1] / den and cell i is [i, i + 1] / order.

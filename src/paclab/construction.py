@@ -23,9 +23,8 @@ import numpy as np
 
 from . import sontag
 from .bounds import FiniteFamily, bi_upper_from_log2, greedy_packing
-from .concepts import EnumerationCapError
-from .measures import (AtomicMeasure, Field, _as_fraction, _run_units,
-                       read_fields, read_kind)
+from .measures import (AtomicMeasure, EnumerationCapError, Field, _as_fraction,
+                       _run_units, check_cap, read_fields, read_kind)
 
 PACKING_LOWER_RATE = 0.0128  # 2 * (0.5 - 0.42)^2, the cube-packing constant
 # The largest f_k whose small-family packing keeps `paclab construct` in 10 s
@@ -222,9 +221,7 @@ def build_measure(schedule):
     generated.
     """
     total_atoms = sum(count for count, _ in schedule.runs())
-    if total_atoms > MAX_ATOMS:
-        raise EnumerationCapError(f"instance needs {total_atoms} atoms, "
-                                  f"cap is {MAX_ATOMS}")
+    check_cap("atoms of the instance", total_atoms, MAX_ATOMS)
     return ConstructedInstance(
         schedule, tuple(sontag.rationally_independent_points(total_atoms)))
 

@@ -33,12 +33,12 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import sontag
-from .concepts import (EnumerationCapError, IntervalUnion, OrderIntervalFamily,
-                       SontagConcept, SontagFamily, isolate_points)
+from .concepts import (IntervalUnion, OrderIntervalFamily, SontagConcept,
+                       SontagFamily, isolate_points)
 from .construction import ComplexitySchedule, ConstructedInstance
 from .intervals import canonicalize, count_sorted
 from .measures import (AtomicMeasure, _as_fraction, _run_units, _unit_floats,
-                       expect_indicator)
+                       check_cap, expect_indicator)
 
 DEFAULT_N_CAP = 10 ** 6
 ADVERSARIAL_MIN_WEIGHT = 32.0
@@ -58,6 +58,7 @@ _CHUNK = 2 ** 13
 # n = 4 to 32 (README): 8,192 trials at n = 16, 341 at 24, 104 at 32.
 MAX_ADVERSARIAL_CELLS = 2 ** 25
 NOT_HIT = np.iinfo(np.int64).max  # hitting time of a trial still above eps
+MAX_UNIT_BITS = 63  # of the targets' total U of exact units, kept in int64
 
 
 def wilson_interval(successes, trials):
@@ -114,9 +115,8 @@ def _target_runs(universe):
     else:
         raise TypeError("universe must be a ComplexitySchedule, "
                         "ConstructedInstance or AtomicMeasure")
-    if total >= 2 ** 63:
-        raise EnumerationCapError(f"the targets need {total.bit_length()}-bit"
-                                  " units, more than int64 holds")
+    check_cap("bits of the targets' total units", total.bit_length(),
+              MAX_UNIT_BITS)
     values = sorted(sizes)
     return values, [sizes[u] for u in values], total
 
@@ -263,10 +263,8 @@ def estimate_sample_complexity(universe, eps, delta, trials=400, seed=0,
         raise ValueError("need at least 100 trials")
     runs = _target_runs(universe)
     targets = sum(runs[1])
-    if (cells := trials * targets) > MAX_EPISODE_CELLS:
-        raise EnumerationCapError(
-            f"{trials} trials x {targets} atoms = {cells} episode "
-            f"cells exceed the cap of {MAX_EPISODE_CELLS}")
+    check_cap(f"episode cells of {trials} trials x {targets} target atoms",
+              trials * targets, MAX_EPISODE_CELLS)
     allowed = int(delta * trials) + 1
     while allowed / trials > delta:
         allowed -= 1
@@ -388,10 +386,8 @@ def check_adversarial_cells(n_list, trials):
         # The exponent is clamped first, so no power past the budget is built.
         expected = min(2 ** min(max(n, 16), budget.bit_length()), budget)
         cells += trials * n * math.isqrt(expected)
-    if cells > MAX_ADVERSARIAL_CELLS:
-        raise EnumerationCapError(
-            f"{trials} adversarial trials at n = {list(n_list)} weigh "
-            f"{cells} cells, beyond the cap of {MAX_ADVERSARIAL_CELLS}")
+    check_cap(f"cells of {trials} adversarial trials at n = {list(n_list)}",
+              cells, MAX_ADVERSARIAL_CELLS)
 
 
 def gc_deviation(family, measure, n, trials=100, seed=0, mode="census",

@@ -314,6 +314,13 @@ class EnumerationCapError(RuntimeError):
     """An input beyond one of the caps."""
 
 
+def check_cap(what, value, cap):
+    """Refuse ``value`` of ``what`` unless it is at most ``cap``: the one
+    check behind every cap (README "Caps"); nan and inf are refused too."""
+    if not value <= cap:
+        raise EnumerationCapError(f"{what}: {value} is beyond the cap {cap}")
+
+
 _REQUIRED = object()
 _TYPES = {"int": (int, "an integer"), "list": (list, "a list"),
           "number": ((int, float), "a finite number")}

@@ -217,6 +217,43 @@ def test_bi_lower_monotone_in_eps():
     assert values == sorted(values, reverse=True)
 
 
+def test_non_atomic_family_measures_each_pair_once(monkeypatch):
+    calls = []
+
+    def counted(c1, c2, measure):
+        calls.append((c1, c2))
+        return l1_distance(c1, c2, measure)
+
+    monkeypatch.setattr(bounds, "l1_distance", counted)
+    members = [SontagConcept(w) for w in (1.0, 2.0, 3.5, 7.0, 11.0)]
+    members.append(IntervalUnion(((0.5, 2.5),)))
+    n = len(members)
+    for measure in (UniformMeasure(0.0, 2 * math.pi), CantorMeasure()):
+        calls.clear()
+        family = FiniteFamily(members, measure)
+        matrix = family.distance_matrix()
+        greedy_packing(family, 0.1)
+        greedy_cover(family, 0.1)
+        assert len(calls) == n * (n - 1) // 2
+        assert np.array_equal(matrix, matrix.T)
+        assert not np.diagonal(matrix).any()
+        for i, j in combinations(range(n), 2):
+            assert matrix[i, j] == l1_distance(members[i], members[j],
+                                               measure)
+
+
+def test_sign_test_against_an_interval_builds_no_arc():
+    # Past MAX_SIGN_ARCS periods the sign test's own arcs are refused, but
+    # against an interval union it is measured in closed form.
+    circle = UniformMeasure(0.0, 2 * math.pi)
+    sign, interval = SontagConcept(1e7), IntervalUnion(((0.5, 2.5),))
+    with pytest.raises(EnumerationCapError):
+        l1_distance(sign, SontagConcept(2.0), circle)
+    got = l1_distance(sign, interval, circle)
+    assert got == l1_distance(interval, sign, circle)
+    assert abs(got - 0.5) < 1e-6
+
+
 # ---------------------------------------------------------------------------
 # cube packing
 

@@ -1,7 +1,10 @@
+import ast
 import csv
 import hashlib
+import importlib
 import json
 import math
+import re
 import signal
 import sys
 from pathlib import Path
@@ -639,6 +642,9 @@ BAD_CONFIGS = [
                                  "scale": "1/0"})),
     # An empty distance matrix: the family of no concepts is refused.
     (2, "distances", {"weights": [], "measure": UNIT}),
+    # A labeling with two bits at one location is refused.
+    (2, "packing", packing({"kind": "atom_labels", "locations": [1, 1],
+                            "bits": [1, 0]})),
 ]
 
 WORK = [(sontag, "rationally_independent_points"), (sontag, "shatter_search"),
@@ -773,9 +779,12 @@ def run_within(seconds, tmp_path, subcommand, config):
         signal.signal(signal.SIGALRM, previous)
 
 
+# A family measures its pairs only, so each case pairs its weight with 2;
+# a lone weight, past the cap or not, builds no arc.
 ARC_CAP_CASES = [
-    ("edge", [sontag.MAX_SIGN_ARCS], CIRCLE, 0, 30),
-    ("edge + 1", [sontag.MAX_SIGN_ARCS + 1], CIRCLE, 3, 5),
+    ("edge", [sontag.MAX_SIGN_ARCS, 2], CIRCLE, 0, 30),
+    ("edge + 1", [sontag.MAX_SIGN_ARCS + 1, 2], CIRCLE, 3, 5),
+    ("lone edge + 1", [sontag.MAX_SIGN_ARCS + 1], CIRCLE, 0, 5),
     ("1e308", [1e308, 2], CIRCLE, 3, 5),
     ("cantor 1e9", [1e9, 2], {"kind": "cantor"}, 3, 5),
 ]
@@ -794,6 +803,27 @@ def test_sign_concept_arcs_are_capped(tmp_path, weights, measure, expected,
     assert (out / "distances.csv").exists() == (expected == 0)
 
 
+def test_float_range_weights_exit_0(tmp_path):
+    # A weight of 5e-324 spans the whole window with infinite arc ends, and
+    # the census at w = 1e300 labels by cos(wx), past rho's float range;
+    # pytest makes their overflow warnings errors.
+    code, out = run(tmp_path, "distances",
+                    {"weights": [5e-324, 4], "measure": CIRCLE})
+    assert code == 0
+    with open(out / "distances.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert abs(float(rows[1][2]) - 0.5) < 1e-12
+    assert rows[1][2] == rows[2][1] and float(rows[1][1]) == 0.0
+    code, out = run(tmp_path, "gc", {
+        "mode": "census", "n_list": [100], "trials": 5, "measure": CIRCLE,
+        "family": {"kind": "concepts",
+                   "members": [{"kind": "sontag", "w": 1e300}]}})
+    assert code == 0
+    with open(out / "gc.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert 0 < float(rows[0]["max_dev"]) < 0.2
+
+
 def test_order_class_past_the_cap_exits_3_at_once(tmp_path):
     # The running member count passes the cap at two cells of order 10^30;
     # a count of every member would take far longer than the alarm.
@@ -803,3 +833,25 @@ def test_order_class_past_the_cap_exits_3_at_once(tmp_path):
     code, out = run_within(5, tmp_path, "gc", config)
     assert code == 3
     assert list(out.iterdir()) == []
+
+
+def test_readme_caps_table_holds_every_cap():
+    # A row per cap constant of src, `module.NAME`, with its value as a
+    # Python int literal, so the table cannot drift from the code.
+    root = Path(__file__).resolve().parents[1]
+    section = (root / "README.md").read_text().split("### Caps\n", 1)[1]
+    section = section.split("\n#", 1)[0]
+    rows = re.findall(r"^\| `(\w+)\.(\w+)` \| `([0-9_]+)` \|", section,
+                      re.MULTILINE)
+    for module, name, value in rows:
+        constant = getattr(importlib.import_module(f"paclab.{module}"), name)
+        assert constant == ast.literal_eval(value), (module, name)
+    defined = {(path.stem, node.targets[0].id)
+               for path in (root / "src" / "paclab").glob("*.py")
+               for node in ast.parse(path.read_text()).body
+               if isinstance(node, ast.Assign)
+               and isinstance(node.targets[0], ast.Name)
+               and re.fullmatch(r"MAX_\w+|ENUMERATION_CAP",
+                                node.targets[0].id)}
+    assert ("learner", "MAX_UNIT_BITS") in defined
+    assert sorted((m, n) for m, n, _ in rows) == sorted(defined)

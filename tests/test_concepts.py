@@ -35,6 +35,24 @@ def test_member_examples():
     assert int(SontagConcept(0.0).contains(-17.3)) == 1
 
 
+def test_atom_labeling_refuses_a_repeated_location():
+    # Two bits at 1.0 would make contains and contains_many disagree.
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        AtomLabeling((1.0, 1.0), (1, 0))
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        AtomLabeling((0.0, -0.0), (1, 1))
+
+
+def test_sign_concept_contains_reads_the_sign_test():
+    # rho's denominator overflows at w = 1e300; the labels are cos(wx)'s.
+    xs = np.linspace(0.1, 6.0, 7)
+    for w in (0.5, 3.0, 1e300):
+        c = SontagConcept(w)
+        expected = (np.cos(w * xs) >= 0.0).tolist()
+        assert [c.contains(float(x)) for x in xs] == expected
+        assert c.contains_many(xs).tolist() == expected
+
+
 def test_interval_union_validation():
     with pytest.raises(ValueError):
         IntervalUnion(((0.0, 0.5), (0.4, 0.9)))

@@ -14,7 +14,8 @@ from paclab.concepts import (AtomLabeling, GridUnion, IntervalUnion,
                              SontagConcept, l1_distance)
 from paclab.intervals import canonicalize, clip, total_length
 from paclab.measures import (Atom, AtomicMeasure, CantorMeasure, ConfigError,
-                             Field, UniformMeasure,
+                             EnumerationCapError, Field, UniformMeasure,
+                             check_cap,
                              cantor_interval_mass, cantor_level_intervals,
                              expect_indicator, measure_from_json, read_fields,
                              window_intervals)
@@ -569,3 +570,12 @@ def test_field_reader_kinds_bounds_and_defaults():
                 {"kind": "atomic", "atoms": [[0.0, 0.5]]}):
         with pytest.raises(ConfigError):
             Field(measure_from_json).read(doc, "measure")
+
+
+def test_check_cap_refuses_past_the_cap_and_every_nan():
+    check_cap("things", 7, 7)
+    check_cap("things", -math.inf, 7)
+    for value in (8, 7.5, math.inf, math.nan, 10 ** 400):
+        with pytest.raises(EnumerationCapError,
+                           match=f"^things: {value} is beyond the cap 7$"):
+            check_cap("things", value, 7)

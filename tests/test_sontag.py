@@ -95,6 +95,24 @@ def test_net_output_equals_cosine_sign_test():
         assert net_output(x, SontagParams(w)) == int(math.cos(w * x) >= 0.0)
 
 
+def test_output_labels_equal_the_closed_form_sign():
+    # At moderate w the labels are rho's signs; past (wx)^2's float range,
+    # where rho's denominator overflows, they stay cos(wx)'s.
+    xs = np.linspace(-20.0, 20.0, 4001)
+    for w in (0.0, 0.37, 1.0, 3.0, 250.0):
+        assert np.array_equal(output_labels(xs, w), rho(xs, w) >= 0.0)
+    xs = np.linspace(0.1, 6.0, 7)
+    labels = output_labels(xs, 1e300)
+    assert np.array_equal(labels, np.cos(1e300 * xs) >= 0.0)
+    assert 0 < labels.sum() < len(xs)
+
+
+def test_tiny_weight_arcs_are_the_whole_window():
+    # At w = 5e-324 every arc end past the float range is infinite.
+    assert cos_sign_intervals(5e-324, 0.0, 2 * PI) == [(0.0, 2 * PI)]
+    assert cos_sign_intervals(5e-324, -1.0, 1.0) == [(-1.0, 1.0)]
+
+
 def test_cos_sign_intervals_against_dense_grid():
     for w, lo, hi in [(2.0, 0.0, 2 * PI), (0.0, -1.0, 1.0), (5.5, -3.0, 9.0)]:
         ivs = cos_sign_intervals(w, lo, hi)
