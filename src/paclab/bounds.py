@@ -86,16 +86,14 @@ class FiniteFamily:
         return family
 
     def _set_units(self, members, units, total):
-        # Member j is stored as the row [m_j, 1, s_j].  Member i's row
-        # permuted by _swap and scaled, [-2 u m_i, s_i, 1], times it gives
-        # s_i + s_j - 2 <u m_i, m_j>, so a block of distances is one product.
+        # Member j is stored as the row [m_j, 1, s_j], and member i as its
+        # swapped, scaled left row [-2 u m_i, s_i, 1]: the two multiply to
+        # s_i + s_j - 2 <u m_i, m_j>, so a block of distances is a product.
         dtype = units.dtype
         members = members.astype(np.uint8).astype(dtype)
-        self._rows = np.hstack([members, np.ones((len(members), 1), dtype),
-                                (members @ units)[:, None]])
-        self._scale = np.append(-2 * units, np.ones(2, dtype))
-        atoms = len(units)
-        self._swap = np.r_[:atoms, atoms + 1, atoms]
+        ones, sizes = np.ones((len(members), 1), dtype), members @ units
+        self._rows = np.hstack([members, ones, sizes[:, None]])
+        self._left = np.hstack([members * (-2 * units), sizes[:, None], ones])
         self._total = total
 
     def __len__(self):
@@ -107,21 +105,11 @@ class FiniteFamily:
         return self._floats(self._distances(slice(None), slice(None)))
 
     def _distances(self, rows, cols):
-        # Members ``rows`` against members ``cols``: units, or floats
-        # under a non-atomic measure.
+        # Members ``rows`` against members ``cols``, each one index or
+        # several: units, or floats under a non-atomic measure.
         if self._total is None:
-            return self._matrix[rows][:, cols]
-        left = self._rows[rows][:, self._swap] * self._scale
-        return left @ self._rows[cols].T
-
-    def _distances_from(self):
-        # A function from member i to its distances to every member: a row
-        # of the matrix, or under an atomic measure one row-by-matrix
-        # product of the swapped, scaled rows, built once.
-        if self._total is None:
-            return self._matrix.__getitem__
-        left, right = self._rows[:, self._swap] * self._scale, self._rows.T
-        return lambda i: left[i] @ right
+            return self._matrix[rows][..., cols]
+        return self._left[rows] @ self._rows[cols].T
 
     def _threshold(self, radius, up):
         # The radius as a distance in this family's terms: ceil(R U) for a
@@ -148,15 +136,14 @@ def greedy_cover(family, eps):
     if eps <= 0:
         raise ValueError("eps must be positive")
     near = family._threshold(eps, up=False)
-    distances = family._distances_from()
     centers = [0]
-    min_dist = distances(0)
+    min_dist = family._distances(0, slice(None))
     while True:
         far = int(np.argmax(min_dist))
         if min_dist[far] <= near:
             break
         centers.append(far)
-        min_dist = np.minimum(min_dist, distances(far))
+        min_dist = np.minimum(min_dist, family._distances(far, slice(None)))
     if not min_dist.max() <= near:
         raise AssertionError("greedy cover left a concept farther than eps")
     return tuple(centers), len(centers)
@@ -164,15 +151,10 @@ def greedy_cover(family, eps):
 
 @dataclass(frozen=True)
 class PackingResult:
-    """An eps-separated subset; its size lower-bounds the packing number.
-
-    ``certified`` marks sizes known to be the exact maximum (small families
-    solved by branch and bound) as opposed to greedy lower bounds.
-    """
+    """An eps-separated subset; its size lower-bounds the packing number."""
 
     selected: tuple
     radius: float
-    certified: bool
     _distances: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -187,7 +169,7 @@ class PackingResult:
 
     def to_json(self):
         return {"selected": list(self.selected), "radius": self.radius,
-                "certified": self.certified, "size": self.size}
+                "size": self.size}
 
 
 def greedy_packing(family, radius):
@@ -231,7 +213,7 @@ def greedy_packing(family, radius):
     if not all(d >= apart for d in least):
         raise AssertionError(f"greedy packing selected a pair closer than "
                              f"{radius}")
-    return PackingResult(tuple(selected), float(radius), False,
+    return PackingResult(tuple(selected), float(radius),
                          family._floats(np.array(least)))
 
 
@@ -243,7 +225,7 @@ def bi_upper_from_log2(eps, delta, log2_k):
         raise ValueError("eps must lie in (0, 1)")
     if not 0 < delta <= 1:
         raise ValueError("delta must lie in (0, 1]")
-    value = (32.0 / eps) * (log2_k + math.log2(1.0 / delta))
+    value = (32.0 / eps) * (log2_k - math.log2(delta))  # 1/delta may overflow
     return max(0, math.ceil(value))
 
 

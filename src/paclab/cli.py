@@ -61,14 +61,9 @@ def _write(path, doc):
             for row in (header, *rows):
                 writer.writerow([_fmt(v) for v in row])
         return
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)  # a cover size 2**f_k may pass 4,300 digits
-    try:
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    finally:
-        sys.set_int_max_str_digits(limit)
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _manifest(subcommand, config, seed, strict, outputs, stop):
@@ -105,10 +100,12 @@ def run_complexity(config, seed):
     n_cap = get("n_cap", Field("int", learner.DEFAULT_N_CAP, least=0))
     levels = get("levels", Field("list", list(range(1, schedule.K + 1)),
                                  of=Field("int", least=1, most=schedule.K)))
+    # Every level asked for is refused before the first estimate.
+    eps_list = [float(schedule.eps[k - 1]) for k in levels]
+    learner.check_episode_cells(schedule, eps_list, trials)
     rows = []
     summary = []
-    for k in levels:
-        eps = float(schedule.eps[k - 1])
+    for eps in eps_list:
         est = learner.estimate_sample_complexity(schedule, eps, delta,
                                                  trials=trials, seed=seed,
                                                  n_cap=n_cap)
@@ -132,6 +129,10 @@ def run_shatter(config, seed):
     census = get("census", Field((True, False), False))
     w_max = get("w_max", Field("number", 10 ** 4, above=0))
     budget = get("budget", Field("int", sontag.DEFAULT_BUDGET, least=0))
+    # A key the run would read and then ignore is an error.
+    for key, other in (("labels", "census"), ("points", "log_primes")):
+        if key in config and config.get(other, False) is not False:
+            raise ConfigError(f"shatter config: {key!r} beside {other!r}")
     labels = None if census else get(
         "labels", Field("list", least=1, of=Field("int", least=0, most=1)))
     # A census takes at least one point, a search one per label.

@@ -18,6 +18,7 @@ equality.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -38,6 +39,7 @@ MAX_SHATTER_ORDER = 10 ** 4
 # The most grid cells a ``cantor`` run may span, each search counting its
 # order plus 64 for its fixed cost: 10 s and 512 MB at the edge (README).
 MAX_CANTOR_CELLS = 5 * 10 ** 6
+MAX_COS_ARGUMENT = sys.float_info.max  # the w |x| a sign test takes cos of
 
 
 @dataclass(frozen=True)
@@ -50,9 +52,12 @@ class SontagConcept:
         sontag.SontagParams(self.w)
 
     def contains(self, x):
-        return bool(sontag.output_labels(x, self.w))
+        return bool(self.contains_many(x))
 
     def contains_many(self, xs):
+        check_cap(f"w |x| of cos({self.w} x)",
+                  self.w * float(np.abs(xs).max(initial=0.0)),
+                  MAX_COS_ARGUMENT)
         return sontag.output_labels(xs, self.w)
 
     def as_intervals_ae(self, lo, hi):
@@ -364,13 +369,19 @@ def concept_from_json(doc):
     number = Field("number")
     bits = Field("list", of=Field("int", least=0, most=1))
     pairs = Field("list", of=Field("list", least=2, most=2, of=number))
+
+    def grid_union(order, cells, intervals):
+        # GridUnion.to_json writes its cells' intervals too, and no others.
+        union = GridUnion(order, cells)
+        if intervals not in (None, union.to_json()["intervals"]):
+            raise ValueError(f"intervals {intervals} are not the cells'")
+        return union
+
     if (isinstance(doc, dict) and doc.get("kind") == "intervals"
             and "order" in doc):
-        # GridUnion.to_json also writes the cells as "intervals".
-        return read_kind(doc, "concept", {"intervals": (
-            lambda order, cells, _: GridUnion(order, cells),
-            {"order": Field("int"), "cells": Field("list", of=Field("int")),
-             "intervals": Field("list", None)})})
+        return read_kind(doc, "concept", {"intervals": (grid_union, {
+            "order": Field("int"), "cells": Field("list", of=Field("int")),
+            "intervals": Field("list", None)})})
     return read_kind(doc, "concept", {
         "sontag": (SontagConcept, {"w": number}),
         "intervals": (IntervalUnion, {"intervals": pairs}),

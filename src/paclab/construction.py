@@ -29,7 +29,7 @@ from .measures import (AtomicMeasure, EnumerationCapError, Field, _as_fraction,
 PACKING_LOWER_RATE = 0.0128  # 2 * (0.5 - 0.42)^2, the cube-packing constant
 # The largest f_k whose small-family packing keeps `paclab construct` in 10 s
 # and 512 MB on one BLAS thread: a table rate f = 8, 13, f_k (K = 3,
-# linear_coeff 1/10) took 4.6-5.2 s and 184 MB at 16; 17 took 36 s on two.
+# linear_coeff 1/10) took 4.6-5.2 s and 192 MB at 16; 17 took 36 s on two.
 SMALL_FAMILY_LIMIT = 16
 MAX_ATOMS = 10 ** 6
 
@@ -235,8 +235,6 @@ class ProfileRow:
     f_k: int
     lower: int
     upper: int
-    cover_size: int
-    quadratic_note: int  # the 8/eps^2 variant, kept for comparison only
 
     def to_json(self):
         return asdict(self)
@@ -283,7 +281,5 @@ def theoretical_profile(instance, delta):
                 np.repeat(units[:k], [count for count, _ in runs[:k]]), total)
             packed = greedy_packing(family, 2.0 * eps_k)
             lower = max(lower, math.ceil(math.log2(packed.size)))
-        rows.append(ProfileRow(k, eps_k, f_k, lower, upper, 2 ** f_k,
-                               math.ceil((8.0 / eps_k ** 2)
-                                         * (f_k + math.log2(1.0 / delta)))))
+        rows.append(ProfileRow(k, eps_k, f_k, lower, upper))
     return ComplexityProfile(tuple(rows))

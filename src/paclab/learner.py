@@ -44,8 +44,8 @@ DEFAULT_N_CAP = 10 ** 6
 ADVERSARIAL_MIN_WEIGHT = 32.0
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 # Most trials x target atoms one estimate takes, refused before any episode
-# is drawn.  It bounds the first draws of targets a pass can simulate, so
-# its time; its memory no longer grows with the atoms.
+# is drawn (``check_episode_cells``).  It bounds the first draws of targets
+# a pass can simulate, so its time; its memory no longer grows with them.
 MAX_EPISODE_CELLS = 2 ** 25
 # Most first draws of targets expected in one window of the pass.
 _EPISODE_DRAWS = 2 ** 16
@@ -240,6 +240,19 @@ def _hitting_times(runs, eps, trials, seed, allowed=0, n_cap=DEFAULT_N_CAP):
     return times, work
 
 
+def check_episode_cells(universe, eps_list, trials):
+    """Refuse an estimate at any eps in ``eps_list`` past ``MAX_EPISODE_CELLS``
+    trials x target atoms, leaving out the lightest runs of targets whose
+    whole mass is at most eps: a pass may stop before it meets them."""
+    values, sizes, total = _target_runs(universe)
+    masses = np.cumsum(np.multiply(values, sizes)).tolist()  # lightest first
+    for eps in map(_as_fraction, eps_list):
+        light = eps.numerator * total // eps.denominator  # floor(eps U)
+        targets = sum(sizes[sum(m <= light for m in masses):])
+        check_cap(f"episode cells of {trials} trials x {targets} target "
+                  f"atoms at eps {eps}", trials * targets, MAX_EPISODE_CELLS)
+
+
 def estimate_sample_complexity(universe, eps, delta, trials=400, seed=0,
                                n_cap=DEFAULT_N_CAP):
     """Smallest n whose Monte-Carlo failure rate is at most delta, over
@@ -261,10 +274,8 @@ def estimate_sample_complexity(universe, eps, delta, trials=400, seed=0,
         raise ValueError("eps must be positive")
     if trials < 100:
         raise ValueError("need at least 100 trials")
+    check_episode_cells(universe, [eps], trials)
     runs = _target_runs(universe)
-    targets = sum(runs[1])
-    check_cap(f"episode cells of {trials} trials x {targets} target atoms",
-              trials * targets, MAX_EPISODE_CELLS)
     allowed = int(delta * trials) + 1
     while allowed / trials > delta:
         allowed -= 1

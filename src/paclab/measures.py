@@ -195,8 +195,8 @@ class UniformMeasure:
 
     def __init__(self, a, b):
         a, b = float(a), float(b)
-        if not b - a > 0:
-            raise ValueError(f"need a < b, got [{a}, {b}]")
+        if not 0 < b - a < math.inf:  # numpy samples no wider interval
+            raise ValueError(f"need a < b and a finite b - a, got [{a}, {b}]")
         self.a = a
         self.b = b
 

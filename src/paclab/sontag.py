@@ -183,17 +183,25 @@ def _last_indices(axs, w):
     return k
 
 
-class _ArcFilter:
-    """How far a one-row sweep may jump, from a float filter of the arcs of
-    its fastest point p.
+def _jump(axs, target, k_lo, lo, w_end, most, span):
+    """How far a one-row sweep at ``lo`` with last indices ``k_lo`` may
+    jump: to ``to``, the left end of the first arc of its fastest point p
+    that a float filter keeps.  No interval of the sweep whose left edge
+    lies in (lo, to) has every point at its ``target`` label.
+
+    Arcs are searched some breakpoints at a time, from p's share
+    |x_p| / sum |x| of the 2**n breakpoints in which a labeling of n points
+    turns up about once, at least ``span``, doubling up to ``_LARGEST_SPAN``.
+    The search stops below ``w_end`` and after p's share of ``most``
+    breakpoints, about where all points sweep ``most``; ``to`` is then the
+    last breakpoint examined, and ``to`` <= lo means no jump.
 
     p is labelled ``k odd`` on its arc from breakpoint k to k + 1.  On each
     arc where p has its target label, another point's index
     w |x| / pi - 1/2 (at least -1/2) is taken at the arc's ends with a
     margin of ``_MARGIN`` (index + 2), thousands of times its rounding,
     below at the left end and above at the right: the point's last
-    breakpoint index anywhere on the arc lies between the floors of the
-    two.
+    breakpoint index anywhere on the arc lies between the floors of the two.
 
     1. Slowest point first, an arc is dropped when both floors are one
        integer of the wrong parity, until at most ``_ARC_CELLS`` arc x
@@ -209,95 +217,64 @@ class _ArcFilter:
     there are two apart and it drops no arc.  A float decides only a drop,
     and the sweep still makes every exact decision.
     """
-
-    def __init__(self, axs, target):
-        self.axs, self.target = axs, target
-        # Slowest point first, p last.
-        order = np.argsort(axs, kind="stable")
-        self.p = int(order[-1])
-        q = self.others = order[:-1]
-        low, high = 1.0 - _MARGIN, 1.0 + _MARGIN
-        # Step 1: with t the target bit, index + t - 1 halved puts each
-        # integer of the wrong parity at the start of a unit step, so both
-        # ends lie on one such integer iff the floors of the shifted
-        # halves agree.  A scale and a shift per end of an arc.
-        t = target[q].astype(float)
-        half = axs[q] / (2.0 * math.pi)
-        self.steps = list(zip((half * low).tolist(),
-                              ((t - 1.5 - 1.5 * _MARGIN) / 2).tolist(),
-                              (half * high).tolist(),
-                              ((t - 0.5 + 1.5 * _MARGIN) / 2).tolist()))
-        # Step 2, one row per point: the floors shifted by t, even where
-        # the point has its target label; the shift is exact, so the flip's
-        # k + 3/2 is too.
-        t = t[:, None]
-        self.ax_q = axs[q][:, None]
-        self.scale_lo = self.ax_q / math.pi * low
-        self.shift_lo = 0.5 + 1.5 * _MARGIN - t
-        self.scale_hi = self.ax_q / math.pi * high
-        self.shift_hi = 0.5 - 1.5 * _MARGIN - t
-        self.flip_at = 1.5 - t
-
-    def __call__(self, k_lo, lo, w_end, most, span):
-        """Where a sweep at ``lo`` with last indices ``k_lo`` may jump to.
-
-        No interval of the sweep whose left edge lies in (lo, to) has every
-        point at its target label.  ``to`` is the left end of p's first
-        arc kept, searched some breakpoints at a time, doubling up to
-        ``_LARGEST_SPAN``: first p's share |x_p| / sum |x| of the 2**n
-        breakpoints in which a labeling of n points turns up about once,
-        at least ``span`` and at most ``_LARGEST_SPAN``.  The search stops
-        below ``w_end`` and after p's share of ``most`` breakpoints, about
-        where all points sweep ``most``, and ``to`` is then the last
-        breakpoint examined.  ``to`` <= lo means no jump.
-        """
-        ax = self.axs[self.p]
-        share = ax / self.axs.sum()
-        k = int(k_lo[self.p])
-        k_end = min(math.floor(w_end * ax / math.pi - 0.5) - 1,
-                    k + math.floor(most * share))
-        span = int(min(max(span, share * 2.0 ** min(len(self.axs), 64)),
-                       _LARGEST_SPAN))
-        to = lo
-        while k < k_end:
-            k1 = min(k + span, k_end)
-            kept = self._first_kept(k, k1)
-            if kept is not None:
-                return kept
-            to = float((k1 + 0.5) * math.pi / ax)
-            k, span = k1, min(2 * span, _LARGEST_SPAN)
-        return to
-
-    def _first_kept(self, k0, k1):
-        # The left end of p's first arc from breakpoint k0 to k1 that the
-        # filter keeps, or None.  Breakpoints are computed as the sweep
-        # computes them; arc k0 begins at or before the sweep's lo, so a
-        # jump passes it only when it is dropped.
-        axs, p, q = self.axs, self.p, self.others
-        # The arcs where p has its target label, every other one, by their
-        # two ends: breakpoints k and k + 1.
-        k = k0 + int(((k0 & 1) == 1) != self.target[p])
-        lower = np.arange(k + 0.5, k1, 2.0) * math.pi / axs[p]
-        upper = np.arange(k + 1.5, k1 + 1, 2.0) * math.pi / axs[p]
+    # Slowest point first, p last.
+    order = np.argsort(axs, kind="stable")
+    p, q = int(order[-1]), order[:-1]
+    low, high = 1.0 - _MARGIN, 1.0 + _MARGIN
+    # Step 1: with t the target bit, index + t - 1 halved puts each integer
+    # of the wrong parity at the start of a unit step, so both ends lie on
+    # one such integer iff the floors of the shifted halves agree.  A scale
+    # and a shift per end of an arc.
+    t = target[q].astype(float)
+    half = axs[q] / (2.0 * math.pi)
+    steps = list(zip((half * low).tolist(),
+                     ((t - 1.5 - 1.5 * _MARGIN) / 2).tolist(),
+                     (half * high).tolist(),
+                     ((t - 0.5 + 1.5 * _MARGIN) / 2).tolist()))
+    # Step 2, one row per point: the floors shifted by t, even where the
+    # point has its target label; the shift is exact, so the flip's k + 3/2
+    # is too.
+    t = t[:, None]
+    ax_q = axs[q][:, None]
+    scale_lo, shift_lo = ax_q / math.pi * low, 0.5 + 1.5 * _MARGIN - t
+    scale_hi, shift_hi = ax_q / math.pi * high, 0.5 - 1.5 * _MARGIN - t
+    flip_at = 1.5 - t
+    rows = max(1, _ARC_CELLS // max(len(q), 1))
+    ax = axs[p]
+    share = ax / axs.sum()
+    k = int(k_lo[p])
+    k_end = min(math.floor(w_end * ax / math.pi - 0.5) - 1,
+                k + math.floor(most * share))
+    span = int(min(max(span, share * 2.0 ** min(len(axs), 64)),
+                   _LARGEST_SPAN))
+    to = lo
+    while k < k_end:
+        k1 = min(k + span, k_end)
+        # The arcs from breakpoint k to k1 where p has its target label,
+        # every other one, by their two ends, computed as the sweep
+        # computes breakpoints.  Arc k begins at or before the sweep's lo,
+        # so a jump passes it only when it is dropped.
+        k_arc = k + int(((k & 1) == 1) != target[p])
+        lower = np.arange(k_arc + 0.5, k1, 2.0) * math.pi / ax
+        upper = np.arange(k_arc + 1.5, k1 + 1, 2.0) * math.pi / ax
         done = 0
-        for scale_lo, shift_lo, scale_hi, shift_hi in self.steps:
+        for a_lo, b_lo, a_hi, b_hi in steps:
             if len(lower) * (len(q) - done) <= _ARC_CELLS:
                 break
-            kept = np.flatnonzero(np.floor(lower * scale_lo + shift_lo)
-                                  != np.floor(upper * scale_hi + shift_hi))
+            kept = np.flatnonzero(np.floor(lower * a_lo + b_lo)
+                                  != np.floor(upper * a_hi + b_hi))
             lower, upper = lower.take(kept), upper.take(kept)
             done += 1
-        rows = max(1, _ARC_CELLS // max(len(q), 1))
         for start in range(0, len(lower), rows):
             starts = lower[start:start + rows]
             ends = upper[start:start + rows]
-            k_first = np.floor(starts * self.scale_lo - self.shift_lo)
-            k_last = np.floor(ends * self.scale_hi - self.shift_hi)
+            k_first = np.floor(starts * scale_lo - shift_lo)
+            k_last = np.floor(ends * scale_hi - shift_hi)
             on_target = (k_first.astype(np.int64) & 1) == 0
             flip = k_first + 1.0 == k_last
             # Each point's one breakpoint on the arc, as the sweep computes
             # it, and the side of it where the point has its target label.
-            at = (k_first + self.flip_at) * math.pi / self.ax_q
+            at = (k_first + flip_at) * math.pi / ax_q
             top = np.where(flip & on_target, at, ends).min(
                 axis=0, initial=math.inf)
             bottom = np.where(flip > on_target, at, starts).max(
@@ -306,7 +283,9 @@ class _ArcFilter:
                     & ~((k_first == k_last) > on_target).any(axis=0))
             if keep.any():
                 return float(starts[np.argmax(keep)])
-        return None
+        to = float((k1 + 0.5) * math.pi / ax)
+        k, span = k1, min(2 * span, _LARGEST_SPAN)
+    return to
 
 
 def _sweep(xs, labs, w_max, w_min, budget):
@@ -329,13 +308,14 @@ def _sweep(xs, labs, w_max, w_min, budget):
     verify, all at their left edges at once, then at the midpoints of those
     that fail.  A labeling is settled by the first that verifies.  No
     result depends on the blocks or on the other problems.  A problem with
-    one labeling open may jump where ``_ArcFilter`` says, counting the
+    one labeling open may jump where ``_jump`` says, counting the
     breakpoints skipped.  It sweeps at most ``budget`` breakpoints, counted
     once per point, a group of equal times whole or not at all, all below
     its ``w_stop``, where indices near 2**52 begin; either limit ends its
     open labelings as "budget_exceeded", their range ending at the last
     breakpoint swept (w_min if none), and no jump passes either limit or
-    w_max."""
+    w_max.  Callers run it under ``np.errstate(over="ignore")``: a
+    breakpoint of a subnormal |x| is inf, and never reached."""
     problems, rows, n = labs.shape
     ordered = np.sort(xs, axis=1)
     if np.any(ordered[:, 1:] == ordered[:, :-1]):
@@ -516,8 +496,8 @@ def _sweep(xs, labs, w_max, w_min, budget):
                       & (row_at.take(state[take]) < 0)].tolist():
             mine = slice(start[p], start[p] + counts[p])
             target = labs[row_at[offset[p]:offset[p] + size[p]].max()][on[p]]
-            to = _ArcFilter(axs[mine], target)(
-                k_lo[mine], lo[p], w_end[p], budget - used[p], block[p])
+            to = _jump(axs[mine], target, k_lo[mine], lo[p], w_end[p],
+                       budget - used[p], block[p])
             if lo[p] < to < w_end[p]:
                 k_to = _last_indices(axs[mine], to)
                 skipped = int((k_to - k_lo[mine]).sum())
@@ -571,7 +551,8 @@ def shatter_search_many(points, labels, w_max, w_min=0.0,
     labs = np.asarray(labels, dtype=bool)
     if xs.shape != labs.shape or xs.ndim != 2:
         raise ValueError("need points and labels of one (problems, n) shape")
-    return _sweep(xs, labs[:, None], w_max, w_min, budget)
+    with np.errstate(over="ignore"):  # see ``_sweep``
+        return _sweep(xs, labs[:, None], w_max, w_min, budget)
 
 
 @dataclass(frozen=True)
@@ -609,8 +590,9 @@ def shatter_census(points, w_max, threads=1, budget=DEFAULT_BUDGET):
     n = len(points)
     check_cap("census points", n, MAX_CENSUS_POINTS)
     labs = ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1).astype(bool)
-    entries = _sweep(np.asarray(points, dtype=float)[None], labs[None],
-                     w_max, 0.0, budget)
+    with np.errstate(over="ignore"):  # see ``_sweep``
+        entries = _sweep(np.asarray(points, dtype=float)[None], labs[None],
+                         w_max, 0.0, budget)
     return CensusResult(points, float(w_max), tuple(entries))
 
 

@@ -140,20 +140,20 @@ def test_packing_on_equal_mass_atoms():
     for i, a in enumerate(result.selected):
         for b in result.selected[i + 1:]:
             assert mat[a, b] >= 0.5
-    assert not result.certified
+    assert set(result.to_json()) == {"selected", "radius", "size"}
 
 
 def test_packing_result_rejects_bad_separation():
     from paclab.bounds import PackingResult
     with pytest.raises(ValueError):
-        PackingResult((0, 1), 0.5, False, (0.3,))
+        PackingResult((0, 1), 0.5, (0.3,))
     # A NaN distance fails the check instead of passing it.
     with pytest.raises(ValueError):
-        PackingResult((0, 1), 0.5, False, (math.nan,))
+        PackingResult((0, 1), 0.5, (math.nan,))
     # The greedy hands over an ndarray: the least distance per block.
     with pytest.raises(ValueError):
-        PackingResult((0, 1, 2), 0.5, False, np.array([0.6, 0.7, 0.4]))
-    assert PackingResult((0, 1, 2), 0.5, False,
+        PackingResult((0, 1, 2), 0.5, np.array([0.6, 0.7, 0.4]))
+    assert PackingResult((0, 1, 2), 0.5,
                          np.array([0.6, 0.5, 0.7])).size == 3
 
 
@@ -194,6 +194,11 @@ def test_bi_upper_examples():
     assert abs((doubled - base) - 32 / 0.2) <= 1.0
     with pytest.raises(ValueError):
         bi_upper_from_log2(1.5, 0.1, 2.0)
+
+
+def test_bi_upper_at_a_subnormal_delta():
+    # 1/delta overflows at delta = 2**-1074; log2(1/delta) is 1074.
+    assert bi_upper_from_log2(0.5, 5e-324, 0.0) == 64 * 1074
 
 
 def test_bi_upper_log2_route_matches_direct():

@@ -42,23 +42,20 @@ def test_construct_writes_instance_profile_and_manifest(tmp_path):
     assert "threads" not in manifest
 
 
-def test_construct_writes_cover_sizes_of_any_length(tmp_path):
-    # f_3 = 15,625 on the K=3 schedule: the cover size 2**15625 has 4,704
-    # digits, past the 4,300 Python converts by default, both ways.
+def test_construct_leaves_the_int_digit_limit_alone(tmp_path, monkeypatch):
+    # f_3 = 15,625 on the K=3 schedule: the profile writes f_k, not the
+    # 4,704 digits of 2**15625, so no run lifts Python's int-digit limit.
+    def refuse(limit):
+        raise AssertionError("the int-digit limit was changed")
+
+    monkeypatch.setattr(sys, "set_int_max_str_digits", refuse)
     root = Path(__file__).resolve().parent.parent
     config = json.loads((root / "configs" / "complexity_k3.json").read_text())
     code, out = run(tmp_path, "construct", {"schedule": config["schedule"],
                                             "delta": config["delta"]})
     assert code == 0
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        profile = json.loads((out / "profile.json").read_text())
-    finally:
-        sys.set_int_max_str_digits(limit)
+    profile = json.loads((out / "profile.json").read_text())
     assert [row["f_k"] for row in profile["rows"]] == [25, 625, 15625]
-    assert profile["rows"][-1]["cover_size"] == 2 ** 15625
-    assert sys.get_int_max_str_digits() == limit
 
 
 def test_unknown_config_keys_exit_2(tmp_path):
@@ -645,6 +642,19 @@ BAD_CONFIGS = [
     # A labeling with two bits at one location is refused.
     (2, "packing", packing({"kind": "atom_labels", "locations": [1, 1],
                             "bits": [1, 0]})),
+    # A key that would be read and then ignored is refused: labels in a
+    # census, points beside log_primes, even junk ones, and a grid union's
+    # intervals other than its cells'.
+    (2, "shatter", {**SEARCH, "census": True}),
+    (2, "shatter", {**SEARCH, "log_primes": 2}),
+    (2, "shatter", {**SEARCH, "points": "junk", "log_primes": 2}),
+    (2, "packing", packing({"kind": "intervals", "order": 4, "cells": [1],
+                            "intervals": [[0.0, 0.25]]})),
+    # A uniform measure whose width passes the float range cannot sample.
+    (2, "gc", {"mode": "census", "n_list": [10], "trials": 5,
+               "measure": {"kind": "uniform", "a": -1e308, "b": 1e308},
+               "family": {"kind": "concepts", "members": [
+                   {"kind": "intervals", "intervals": [[0, 1]]}]}}),
 ]
 
 WORK = [(sontag, "rationally_independent_points"), (sontag, "shatter_search"),
@@ -822,6 +832,43 @@ def test_float_range_weights_exit_0(tmp_path):
     with open(out / "gc.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert 0 < float(rows[0]["max_dev"]) < 0.2
+
+
+def test_subnormal_delta_constructs(tmp_path):
+    # 1/delta overflows at delta = 5e-324 = 2**-1074, and -log2(delta) is
+    # 1074 exactly; pytest makes an overflow warning an error.
+    code, out = run(tmp_path, "construct",
+                    {"schedule": DEFAULT_SCHEDULE, "delta": 5e-324})
+    assert code == 0
+    rows = json.loads((out / "profile.json").read_text())["rows"]
+    assert [r["upper"] for r in rows] == [
+        math.ceil((32.0 / r["eps"]) * (r["f_k"] + 1074)) for r in rows]
+
+
+def test_sign_tests_past_the_float_range_exit_3(tmp_path):
+    # w |x| of 1e308 x 2 pi, or of 3 x 1e308, is no float: the sign test
+    # refuses it before any cos, where w = 1e300 labels a census (above).
+    census = {"mode": "census", "n_list": [10], "trials": 5,
+              "measure": CIRCLE, "family": {"kind": "concepts", "members": [
+                  {"kind": "sontag", "w": 1e308}]}}
+    far_atom = {"family": {"measure": {"kind": "atomic", "atoms": [
+        [1e308, 0.5], [1.0, 0.5]]}, "members": [{"kind": "sontag", "w": 3}],
+        "radius": 0.1}}
+    for subcommand, config in (("gc", census), ("packing", far_atom)):
+        code, out = run(tmp_path, subcommand, config)
+        assert code == 3, subcommand
+        assert list(out.iterdir()) == []
+
+
+def test_estimator_cap_counts_the_levels_asked_for(tmp_path):
+    # 2^x at K=2 holds 2^25 targets, but a pass at eps_1 may stop before it
+    # meets level 2's, whose whole mass 4/25 is below 1/5: level 1 runs.
+    code, out = run(tmp_path, "complexity",
+                    {**schedule(f={"kind": "exp"}), "levels": [1]})
+    assert code == 0
+    summary = json.loads((out / "complexity_summary.json").read_text())
+    assert [(e["n_hat"], e["draws"]) for e in summary["estimates"]] == [
+        (73, 14631)]
 
 
 def test_order_class_past_the_cap_exits_3_at_once(tmp_path):

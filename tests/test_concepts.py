@@ -53,6 +53,16 @@ def test_sign_concept_contains_reads_the_sign_test():
         assert c.contains_many(xs).tolist() == expected
 
 
+def test_sign_concept_refuses_a_phase_past_the_float_range():
+    # w |x| = 6e308 or 3e308 is no float: refused before any cos.
+    for w, x in ((1e308, 6.0), (3.0, 1e308)):
+        with pytest.raises(EnumerationCapError, match="beyond the cap"):
+            SontagConcept(w).contains_many([0.0, x])
+        with pytest.raises(EnumerationCapError):
+            SontagConcept(w).contains(-x)
+    assert SontagConcept(1e300).contains_many([]).tolist() == []
+
+
 def test_interval_union_validation():
     with pytest.raises(ValueError):
         IntervalUnion(((0.0, 0.5), (0.4, 0.9)))

@@ -217,7 +217,7 @@ def test_profile_formula_values():
     assert row1.upper == math.ceil((32 / 0.2) * (25 + math.log2(10)))
     assert row1.lower == 1  # ceil(0.0128 * 25)
     assert row2.lower == 8  # ceil(0.0128 * 625)
-    assert row2.cover_size == 2 ** 625
+    assert set(row2.to_json()) == {"k", "eps", "f_k", "lower", "upper"}
     assert all(r.lower <= r.upper for r in prof.rows)
 
 

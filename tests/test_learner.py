@@ -640,6 +640,34 @@ def test_estimator_memory_guard_raises_before_allocating():
     assert peak < 2 ** 20
 
 
+def test_episode_cells_leave_out_the_lightest_runs_within_eps():
+    from paclab.learner import MAX_EPISODE_CELLS, check_episode_cells
+    # Units 2, 1, 1 of U = 4: at eps = 1/2 the run of the two light atoms
+    # (2 units in all) is left out, since a pass may stop before it meets
+    # them; at eps = 0.49 every atom counts.
+    m = AtomicMeasure.from_pairs([(0.0, 0.5), (1.0, 0.25), (2.0, 0.25)])
+    check_episode_cells(m, [0.5], MAX_EPISODE_CELLS)
+    check_episode_cells(m, [0.49], MAX_EPISODE_CELLS // 3)
+    for eps, trials in ((0.5, MAX_EPISODE_CELLS + 1),
+                        (0.49, MAX_EPISODE_CELLS // 3 + 1)):
+        with pytest.raises(EnumerationCapError):
+            check_episode_cells(m, [eps], trials)
+    # 2^x at K=2: level 1 holds 32 atoms of mass 4/5, level 2 the other
+    # 2^25 - 32, of mass 4/25.  At eps_1 only level 1 counts; at eps_2,
+    # every level, and a listed level refuses the whole list.
+    exp2 = ComplexitySchedule(eps=(Fraction(1, 5), Fraction(1, 25),
+                                   Fraction(1, 125)),
+                              f=RateFunction.exponential(), K=2)
+    check_episode_cells(exp2, [0.2], MAX_EPISODE_CELLS // 32)
+    check_episode_cells(exp2, [0.2, 0.04], 1)
+    for eps_list, trials in (([0.2], MAX_EPISODE_CELLS // 32 + 1),
+                             ([0.2, 0.04], 2)):
+        with pytest.raises(EnumerationCapError):
+            check_episode_cells(exp2, eps_list, trials)
+    with pytest.raises(EnumerationCapError):
+        estimate_sample_complexity(exp2, 0.04, 0.1, trials=100)
+
+
 def test_estimate_rejects_bad_parameters():
     m = AtomicMeasure.from_pairs([(0.0, 1.0)])
     with pytest.raises(ValueError):

@@ -91,6 +91,13 @@ def test_uniform_measure_rejects_empty_interval():
         UniformMeasure(1.0, 1.0)
 
 
+def test_uniform_measure_rejects_a_width_past_the_float_range():
+    # numpy samples no interval wider than the largest float.
+    with pytest.raises(ValueError, match="finite"):
+        UniformMeasure(-1e308, 1e308)
+    assert len(UniformMeasure(-1e307, 1e307).sample(3, seed=0)) == 3
+
+
 # ---------------------------------------------------------------------------
 # sampling
 

@@ -746,14 +746,14 @@ def test_jumps_are_taken_on_every_shape(monkeypatch):
     # The shapes of the property test above do jump, and still match the
     # oracle: some search of each shape jumps, near 2**52 too.
     jumped = []
-    filter_arcs = sontag._ArcFilter.__call__
+    jump = sontag._jump
 
-    def counted(self, k_lo, lo, *args):
-        to = filter_arcs(self, k_lo, lo, *args)
+    def counted(axs, target, k_lo, lo, *args):
+        to = jump(axs, target, k_lo, lo, *args)
         jumped[-1] |= to > lo
         return to
 
-    monkeypatch.setattr(sontag._ArcFilter, "__call__", counted)
+    monkeypatch.setattr(sontag, "_jump", counted)
     rng = np.random.default_rng(20)
     free = rng.uniform(0.2, 3.0, 16).tolist()
     signs = [1.0, -1.0] * 8
@@ -785,13 +785,14 @@ def test_the_budget_bounds_the_arc_filter_scan(monkeypatch):
     labels = np.zeros(12, dtype=bool)
     assert not shatter_census(xs, 2.02 * PI).entries[0].found
     scanned = []
-    first_kept = sontag._ArcFilter._first_kept
+    jump = sontag._jump
 
-    def recorded(self, k0, k1):
-        scanned.append((k1 + 0.5) * PI / self.axs[self.p])
-        return first_kept(self, k0, k1)
+    def recorded(*args):
+        # With no arc kept, ``to`` is the last breakpoint examined.
+        scanned.append(jump(*args))
+        return scanned[-1]
 
-    monkeypatch.setattr(sontag._ArcFilter, "_first_kept", recorded)
+    monkeypatch.setattr(sontag, "_jump", recorded)
     for budget in (100, 300, 1000):
         scanned.clear()
         res = shatter_search(xs, labels, 1e6, budget=budget)
@@ -800,6 +801,34 @@ def test_the_budget_bounds_the_arc_filter_scan(monkeypatch):
         assert res.status == "budget_exceeded"
         assert scanned
         assert (sontag._last_indices(xs, max(scanned)) + 1).sum() <= budget
+
+
+def test_a_subnormal_point_sweeps_without_overflow(monkeypatch):
+    # At |x| = 5e-324 each breakpoint (k + 1/2) pi / |x| passes the float
+    # range.  A search, a search that jumps and a census holding the point
+    # still answer, with pytest making any float warning an error.
+    res = shatter_search([5e-324, 2.0], [1, 0], 1e4)
+    assert res.found and res.witness_w == 1.5707963267948966
+    jumped = []
+    jump = sontag._jump
+
+    def counted(axs, target, k_lo, lo, *args):
+        to = jump(axs, target, k_lo, lo, *args)
+        jumped.append(to > lo)
+        return to
+
+    monkeypatch.setattr(sontag, "_jump", counted)
+    xs = np.array([5e-324] + rationally_independent_points(12))
+    labels = np.arange(13) % 2 == 0
+    res = shatter_search(xs, labels, 1e6)
+    assert res.found and any(jumped)
+    with np.errstate(over="ignore"):  # the oracle overflows, as _sweep does
+        assert res == _argsort_sweep(xs, labels[None, :], 1e6, 0.0,
+                                     DEFAULT_BUDGET)[0]
+    census = shatter_census([5e-324, 1.0, 2.0], 100.0)
+    # The subnormal point is labelled 1 at every weight below 1e300.
+    assert census.realized == 4
+    assert all(e.found == (e.labels[0] == 1) for e in census.entries)
 
 
 @st.composite
